@@ -59,6 +59,10 @@ func main() {
 		cmdutil.Exit("pebbled", cmdutil.Usagef("unexpected arguments %v", flag.Args()))
 	}
 
+	// Install the handler before the listener opens: a SIGTERM that lands
+	// right after the first /readyz 200 must drain, not kill the process.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	srv, err := serve.Start(serve.Config{
 		Addr:           *addr,
 		MaxConcurrent:  *maxConcurrent,
@@ -74,8 +78,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "pebbled: serving on http://%s\n", srv.Addr())
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	sig := <-sigs
 	fmt.Fprintf(os.Stderr, "pebbled: %s, draining (%d in flight)\n", sig, srv.InFlight())
 

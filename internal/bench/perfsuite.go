@@ -14,7 +14,10 @@ package bench
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"joinpebble/internal/core"
@@ -33,7 +36,9 @@ type PerfCase struct {
 	// Run is the benchmark body.
 	Run func(b *testing.B)
 	// Extra holds workload-derived scalars recorded alongside the timing
-	// (solver cost ratios etc.); computed once at suite construction.
+	// (solver cost ratios etc.); computed once at suite construction,
+	// except a scaling series' fitted slope, which its largest case adds
+	// once the series has run.
 	Extra map[string]float64
 }
 
@@ -428,5 +433,50 @@ func PerfSuite(legacy bool) []PerfCase {
 			},
 		},
 	}
+	return append(cases, spiderScaling()...)
+}
+
+// spiderScaling is the Theorem 3.1 linear-time series: approx-1.25 on
+// spiders with m = 500..8000 edges. Each case keeps its last ns/op, and
+// the m8000 case, which runs last, records the least-squares log-log
+// slope over all five as its "slope" Extra — near 1 for a linear solve,
+// near 3 for a per-strip walk over the line graph, whose hub clique has
+// m²/8 edges. Both arms run the implicit view: a materialized line graph
+// of the m8000 spider would hold 8M map-backed edges.
+func spiderScaling() []PerfCase {
+	sizes := []int{500, 1000, 2000, 4000, 8000}
+	nsPerOp := make([]float64, len(sizes))
+	cases := make([]PerfCase, len(sizes))
+	for i, m := range sizes {
+		g := family.Spider(m / 2).Graph()
+		s := solver.Approx125{}
+		extra := map[string]float64{"cost_ratio": costRatio(s, g)}
+		cases[i] = PerfCase{
+			Name:  fmt.Sprintf("approx125/spider-m%d", m),
+			Extra: extra,
+			Run: func(b *testing.B) {
+				for j := 0; j < b.N; j++ {
+					if _, err := s.Solve(g.Clone()); err != nil {
+						b.Fatal(err)
+					}
+				}
+				nsPerOp[i] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				if i == len(sizes)-1 && !slices.Contains(nsPerOp, 0) {
+					extra["slope"] = logLogSlope(sizes, nsPerOp)
+				}
+			},
+		}
+	}
 	return cases
+}
+
+// logLogSlope is the least-squares slope of log(y) against log(x).
+func logLogSlope(x []int, y []float64) float64 {
+	var sx, sy, sxx, sxy float64
+	for i := range x {
+		lx, ly := math.Log(float64(x[i])), math.Log(y[i])
+		sx, sy, sxx, sxy = sx+lx, sy+ly, sxx+lx*lx, sxy+lx*ly
+	}
+	n := float64(len(x))
+	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }

@@ -3,8 +3,8 @@ package solver
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"joinpebble/internal/bitset"
 	"joinpebble/internal/core"
 	"joinpebble/internal/graph"
 	"joinpebble/internal/obs"
@@ -18,40 +18,52 @@ var (
 // Approx125 implements the constructive proof of Theorem 3.1 / Lemma 3.1:
 // for a connected component with m edges it finds a pebbling scheme of
 // effective cost at most m + floor((m−1)/4) — the paper's 1.25m bound
-// (exactly 1.25m−1 when 4 divides m). Per component it partitions the
-// vertices of the (claw-free) line graph into vertex-disjoint paths, all
-// but the last of size at least 4, by repeatedly:
+// (exactly 1.25m−1 when 4 divides m) — in time linear in the component.
+// It partitions the vertices of the (claw-free) line graph into
+// vertex-disjoint paths, all but the last of size at least 4, in three
+// steps:
 //
-//  1. building a DFS tree of the remaining line graph (every node has at
-//     most two children, else three pairwise non-adjacent children would
-//     form a claw with their parent);
-//  2. eliminating "twins" (two leaf children of one parent) by the
-//     re-hanging argument in the paper: claw-freeness forces one twin to
-//     be adjacent to the grandparent, so the subtree can be re-hung into
-//     a chain;
-//  3. stripping the subtree rooted at the lowest node with >= 4
-//     descendants — after twin elimination that subtree is a path — and
-//     observing that the rest of the tree still spans the remainder, so
-//     the remaining line graph stays connected.
+//  1. one DFS tree of the line graph, rooted at line-graph vertex 0
+//     (every node has at most two children, else three pairwise
+//     non-adjacent children would form a claw with their parent). The DFS
+//     walks the base graph's incident-edge spans with one forward-only
+//     cursor per base vertex, so it costs O(|V| + m), not O(|E(L)|);
+//  2. one post-order sweep keeping every node's remaining subtree size:
+//     the subtree at each node whose remaining size reaches 4 is stripped
+//     as a piece. Its children, visited first, kept fewer than 4 vertices
+//     each, so a piece has at most 7;
+//  3. before each strip, eliminating "twins" (two leaf children of one
+//     parent) inside the stripped subtree by the re-hanging argument in
+//     the paper: claw-freeness forces one twin to be adjacent to the
+//     grandparent, so the twins can be re-hung into a chain, and the
+//     stripped subtree becomes a path.
 //
 // The concatenated paths form a TSP tour with at most one jump per
-// stripped piece, giving J <= floor((m−1)/4). The implementation
-// recomputes the DFS tree after each strip (O(m·|E(L)|) overall) instead
-// of the paper's linear-time bookkeeping; the produced schemes are the
-// same quality.
+// stripped piece, giving J <= floor((m−1)/4).
+//
+// The pieces are exactly those of the textbook loop that rebuilds the
+// DFS tree from the lowest remaining vertex after every strip (kept as a
+// test oracle). Vertex 0 is stripped only with the last piece, so every
+// rebuild has the same root. Removing a whole subtree from a DFS tree
+// leaves exactly the tree a fresh DFS from that root builds. The first
+// node in post-order with >= 4 remaining vertices is the lowest such
+// subtree the loop strips. And a twin re-hang rearranges only a subtree
+// of 3 vertices, so it never changes which subtree is stripped.
 type Approx125 struct {
-	// SkipTwinElimination disables step 2 — an ablation knob for the E19
+	// SkipTwinElimination disables step 3 — an ablation knob for the E19
 	// experiment. Without twin elimination the stripped subtree need not
 	// be a path and the construction legitimately fails on some inputs
 	// (Solve returns an error); never set it outside experiments.
 	SkipTwinElimination bool
 
-	// Materialize makes the construction run over an explicitly built
-	// map-backed line graph (graph.LineGraphReference) instead of the
-	// implicit graph.LineGraphView. The view is strictly cheaper — it
-	// avoids the O(Σ deg²) line-graph edge set entirely — so this knob
-	// exists only for differential tests and the legacy arm of
-	// cmd/bench's before/after measurements.
+	// Materialize makes twin elimination and the final remainder test
+	// adjacency on an explicitly built map-backed line graph
+	// (graph.LineGraphReference) instead of the implicit
+	// graph.LineGraphView. The DFS walks the base graph either way, so the
+	// schemes are identical; the view is strictly cheaper — it avoids the
+	// O(Σ deg²) line-graph edge set entirely — so this knob exists only
+	// for differential tests and the legacy arm of cmd/bench's before/after
+	// measurements.
 	Materialize bool
 }
 
@@ -99,7 +111,7 @@ func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, sk
 	lgSpan.End()
 	partStart := obs.Now()
 	partSpan := sp.Start("path_partition")
-	pieces, err := pathPartition(lg, skipTwins)
+	pieces, err := pathPartition(cg, lg, skipTwins)
 	partSpan.End()
 	tPathPartition.Observe(ctx, obs.Since(partStart))
 	if err != nil {
@@ -107,7 +119,7 @@ func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, sk
 	}
 	cPathPieces.Add(ctx, int64(len(pieces)))
 	partSpan.SetInt("pieces", int64(len(pieces)))
-	var order []int
+	order := make([]int, 0, cg.M())
 	for _, p := range pieces {
 		order = append(order, p...)
 	}
@@ -122,68 +134,62 @@ func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, sk
 	return order, nil
 }
 
-// pathPartition splits the vertices of a connected claw-free graph lg
-// into vertex-disjoint paths, all of size >= 4 except possibly the last.
-//
-// All working state — parent links, child arrays, subtree sizes, the
-// alive set, DFS frames, and neighbor scratch — lives in one
-// approxArena allocated here and reused across every spanning-tree
-// rebuild, so the ~m/4 strip iterations allocate only the output
-// pieces themselves.
-func pathPartition(lg graph.Adjacency, skipTwins bool) ([][]int, error) {
-	n := lg.N()
-	ar := newApproxArena(n)
-	aliveCount := n
-	for v := 0; v < n; v++ {
-		ar.alive.Set(v)
-	}
-	t := spanningTree{lg: lg, ar: ar}
+// pathPartition splits the vertices of L(cg), cg connected, into
+// vertex-disjoint paths, all of size >= 4 except possibly the last. It
+// builds one DFS tree and strips pieces in one post-order sweep (see
+// Approx125); lg answers the adjacency tests of twin elimination and
+// the final remainder.
+func pathPartition(cg *graph.Graph, lg graph.Adjacency, skipTwins bool) ([][]int, error) {
+	t := newSpanTree(cg)
 	var pieces [][]int
-	for aliveCount > 0 {
-		// Root the DFS at the lowest alive vertex.
-		root := ar.alive.NextSet(0)
-		if root < 0 {
-			return nil, fmt.Errorf("solver: alive count %d but no alive vertex", aliveCount)
+	visited, covered := 0, 0
+	for {
+		v, ok := t.next()
+		if !ok {
+			return nil, fmt.Errorf("solver: node %d has > 2 children in claw-free DFS tree", v)
 		}
-		if aliveCount < 4 {
-			path, ok := hamPathSmall(lg, ar.alive, aliveCount, root)
-			if !ok {
-				return nil, fmt.Errorf("solver: connected remainder of size %d has no Hamiltonian path", aliveCount)
-			}
-			pieces = append(pieces, path)
+		if v < 0 {
 			break
 		}
-		if err := t.rebuild(root); err != nil {
-			return nil, err
+		visited++
+		if t.settle(v) < 4 {
+			continue
 		}
 		if !skipTwins {
-			if err := t.eliminateTwins(); err != nil {
+			if err := t.eliminateTwinsBelow(lg, v); err != nil {
 				return nil, err
 			}
 		}
-		r := t.lowestBigSubtree(4)
-		path, err := t.subtreeAsPath(r)
+		path, err := t.subtreeAsPath(v)
 		if err != nil {
 			return nil, err
 		}
-		for _, v := range path {
-			ar.alive.Clear(v)
-			aliveCount--
+		if p := t.parent[v]; p >= 0 {
+			t.removeChild(p, v)
+		}
+		pieces = append(pieces, path)
+		covered += len(path)
+	}
+	if visited != cg.M() {
+		return nil, fmt.Errorf("solver: line graph is disconnected: DFS reached %d of %d vertices", visited, cg.M())
+	}
+	if rest := cg.M() - covered; rest > 0 {
+		// Fewer than 4 vertices remain, all under the root. Search them
+		// in ascending order, as the rebuild loop did.
+		verts := t.appendSubtree(make([]int, 0, rest), 0)
+		slices.Sort(verts)
+		path, ok := hamPathSmall(lg, verts)
+		if !ok {
+			return nil, fmt.Errorf("solver: connected remainder of size %d has no Hamiltonian path", rest)
 		}
 		pieces = append(pieces, path)
 	}
 	return pieces, nil
 }
 
-// dfsFrame is one spanning-tree DFS stack entry: vertex v with its
-// neighbor span [base, end) in the arena's nb scratch, next being the
-// scan cursor within the span.
-type dfsFrame struct{ v, base, end, next int }
-
-// approxArena is the per-component scratch for pathPartition. Every
-// slice is sized to the component's line-graph order n once and reused
-// across all spanning-tree rebuilds, twin eliminations, and subtree-size
-// passes of that component; nothing in it escapes a partition call.
+// spanTree is the DFS spanning tree of L(g) rooted at line-graph vertex
+// 0, with the state the strip sweep keeps per node. Every slice is sized
+// once per component; only the output pieces are allocated after that.
 //
 // Child lists exploit the claw-free DFS-tree invariant that no node ever
 // has more than two children (three children are pairwise non-adjacent
@@ -191,281 +197,230 @@ type dfsFrame struct{ v, base, end, next int }
 // elimination's re-hangings only move children to leaves, preserving the
 // bound), so they are fixed [2]int32 slots plus a fill count instead of
 // per-node slices.
-type approxArena struct {
-	parent []int      // -1 root, -2 not in tree
-	kids   [][2]int32 // child slots, in insertion order
+type spanTree struct {
+	g      *graph.Graph
+	parent []int      // -1 root, -2 not yet visited
+	kids   [][2]int32 // child slots, in discovery order
 	nkid   []uint8    // filled child slots per node
-	size   []int      // subtree sizes, valid after subtreeSizes
-	order  []int      // preorder scratch for subtreeSizes
-	stack  []dfsFrame // DFS frames for rebuild
-	alive  bitset.Bitset
-	nb     []int // DFS neighbor scratch, stack-disciplined spans
+	size   []int      // remaining subtree size, set when a node's visit ends
+	stack  []int      // DFS stack of line-graph vertices, stack[:sp] live
+	sp     int
+	cur    []int // per base vertex: every incident edge before this span position is visited
 }
 
-func newApproxArena(n int) *approxArena {
-	return &approxArena{
+func newSpanTree(g *graph.Graph) *spanTree {
+	g.Optimize() // IncidentEdges must be the CSR spans, the order LineGraphView lists neighbors in
+	n := g.M()
+	t := &spanTree{
+		g:      g,
 		parent: make([]int, n),
 		kids:   make([][2]int32, n),
 		nkid:   make([]uint8, n),
 		size:   make([]int, n),
-		order:  make([]int, n),
-		stack:  make([]dfsFrame, n),
-		alive:  bitset.New(n),
+		stack:  make([]int, n),
+		cur:    make([]int, g.N()),
 	}
+	for i := range t.parent {
+		t.parent[i] = -2
+	}
+	if n > 0 {
+		t.parent[0] = -1
+		t.sp = 1
+	}
+	return t
 }
 
-// spanningTree is a rooted spanning tree over the alive vertices of lg,
-// stored in the arena and mutable by the twin-elimination re-hanging.
-type spanningTree struct {
-	lg   graph.Adjacency
-	root int
-	ar   *approxArena
-}
-
-// rebuild runs DFS over the arena's alive vertices from root, replacing
-// the previous tree. Neighborhoods are enumerated through the Adjacency
-// interface into the arena's nb scratch, which follows the DFS stack
-// discipline (a frame's span is truncated on pop), so walking an
-// implicit line-graph view allocates no per-frame slices. The only
-// possible allocation is nb growth inside AppendNeighbors, which stops
-// once nb reaches the component's maximum stacked-neighborhood size.
-func (t *spanningTree) rebuild(root int) error {
-	ar := t.ar
-	t.root = root
-	for i := range ar.parent {
-		ar.parent[i] = -2
-		ar.nkid[i] = 0
-	}
-	ar.parent[root] = -1
-	ar.nb = t.lg.AppendNeighbors(ar.nb[:0], root)
-	ar.stack[0] = dfsFrame{v: root, base: 0, end: len(ar.nb), next: 0}
-	sp := 1
-	for sp > 0 {
-		f := &ar.stack[sp-1]
-		advanced := false
-		for f.next < f.end {
-			w := ar.nb[f.next]
-			f.next++
-			if ar.alive.Test(w) && ar.parent[w] == -2 {
-				ar.parent[w] = f.v
-				if !t.addChild(f.v, w) {
-					return fmt.Errorf("solver: node %d has > 2 children in claw-free DFS tree", f.v)
-				}
-				base := len(ar.nb)
-				ar.nb = t.lg.AppendNeighbors(ar.nb, w)
-				ar.stack[sp] = dfsFrame{v: w, base: base, end: len(ar.nb), next: base}
-				sp++
-				advanced = true
-				break
-			}
-		}
-		if !advanced {
-			ar.nb = ar.nb[:f.base]
-			sp--
-		}
-	}
-	return nil
-}
-
-func (t *spanningTree) inTree(v int) bool { return t.ar.parent[v] != -2 }
-func (t *spanningTree) isLeaf(v int) bool { return t.inTree(v) && t.ar.nkid[v] == 0 }
-
-// addChild appends c to p's child slots, reporting false on overflow
-// (impossible while lg is claw-free — see approxArena).
+// next advances the DFS until a node's visit ends and returns that node,
+// or -1 once the walk is complete. A node's next child is the first
+// unvisited edge in its U endpoint's incident-edge span, else in its V
+// endpoint's: the first unvisited entry of LineGraphView.AppendNeighbors.
+// Visited edges stay visited, so one forward-only cursor per base vertex
+// finds it and the whole walk is O(|V(g)| + |E(g)|). ok is false, with v
+// the parent, when a third child would overflow the slots (impossible on
+// a line graph, which is claw-free).
 //
 //joinpebble:hotpath
-func (t *spanningTree) addChild(p, c int) bool {
-	ar := t.ar
-	if ar.nkid[p] >= 2 {
+func (t *spanTree) next() (v int, ok bool) {
+	for t.sp > 0 {
+		v = t.stack[t.sp-1]
+		e := t.g.EdgeAt(v)
+		w := t.unvisited(e.U)
+		if w < 0 {
+			w = t.unvisited(e.V)
+		}
+		if w < 0 {
+			t.sp--
+			return v, true
+		}
+		if !t.addChild(v, w) {
+			return v, false
+		}
+		t.parent[w] = v
+		t.stack[t.sp] = w
+		t.sp++
+	}
+	return -1, true
+}
+
+// unvisited returns the first unvisited edge incident to base vertex x,
+// or -1, moving x's cursor past the visited ones.
+//
+//joinpebble:hotpath
+func (t *spanTree) unvisited(x int) int {
+	inc := t.g.IncidentEdges(x)
+	i := t.cur[x]
+	for i < len(inc) && t.parent[inc[i]] != -2 {
+		i++
+	}
+	t.cur[x] = i
+	if i == len(inc) {
+		return -1
+	}
+	return inc[i]
+}
+
+// settle records v's remaining subtree size once its visit has ended:
+// its children's sizes are final by then, and stripped children are no
+// longer in its slots. The first node in post-order to reach 4 is the
+// lowest node with >= 4 remaining descendants.
+//
+//joinpebble:hotpath
+func (t *spanTree) settle(v int) int {
+	s := 1
+	for c := 0; c < int(t.nkid[v]); c++ {
+		s += t.size[t.kids[v][c]]
+	}
+	t.size[v] = s
+	return s
+}
+
+// addChild appends c to p's child slots, reporting false on overflow
+// (impossible while the line graph is claw-free — see spanTree).
+//
+//joinpebble:hotpath
+func (t *spanTree) addChild(p, c int) bool {
+	if t.nkid[p] >= 2 {
 		return false
 	}
-	ar.kids[p][ar.nkid[p]] = int32(c)
-	ar.nkid[p]++
+	t.kids[p][t.nkid[p]] = int32(c)
+	t.nkid[p]++
 	return true
 }
 
 // removeChild detaches c from p's child slots, preserving slot order.
 //
 //joinpebble:hotpath
-func (t *spanningTree) removeChild(p, c int) {
-	ar := t.ar
+func (t *spanTree) removeChild(p, c int) {
 	switch {
-	case ar.nkid[p] >= 1 && ar.kids[p][0] == int32(c):
-		ar.kids[p][0] = ar.kids[p][1]
-		ar.nkid[p]--
-	case ar.nkid[p] == 2 && ar.kids[p][1] == int32(c):
-		ar.nkid[p]--
+	case t.nkid[p] >= 1 && t.kids[p][0] == int32(c):
+		t.kids[p][0] = t.kids[p][1]
+		t.nkid[p]--
+	case t.nkid[p] == 2 && t.kids[p][1] == int32(c):
+		t.nkid[p]--
 	default:
 		panic("solver: removeChild: not a child")
 	}
 }
 
-// eliminateTwins repeatedly resolves pairs of leaf siblings. Each
-// resolution re-hangs one twin (or the parent) along an edge of lg whose
-// existence claw-freeness guarantees, strictly decreasing the number of
-// parents with two leaf children; the loop terminates in O(n) steps.
-func (t *spanningTree) eliminateTwins() error {
-	for {
-		p, l1, l2, found := t.findTwins()
-		if !found {
-			return nil
-		}
-		switch {
-		case t.lg.HasEdge(l1, l2):
-			// Chain the twins: p — l1 — l2. The addChild targets are a
-			// leaf (l1) and nodes that just lost a child, so the two-slot
-			// bound cannot overflow here or in the re-hang below.
-			t.removeChild(p, l2)
-			t.ar.parent[l2] = l1
-			t.addChild(l1, l2)
-		default:
-			g := t.ar.parent[p]
-			if g < 0 {
-				// p is the root with two non-adjacent leaf children and at
-				// most two children total: the tree would have 3 vertices,
-				// but callers only build trees over >= 4.
-				return fmt.Errorf("solver: twin elimination hit root twins on a tree of size >= 4")
-			}
-			// Claw-freeness at p: {l1, l2, g} ⊆ N(p) cannot be pairwise
-			// non-adjacent; l1-l2 was just ruled out, so one twin sees g.
-			if !t.lg.HasEdge(l1, g) {
-				l1, l2 = l2, l1
-			}
-			if !t.lg.HasEdge(l1, g) {
-				return fmt.Errorf("solver: claw-free invariant violated at parent %d", p)
-			}
-			// Re-hang: g — l1 — p — l2 (the paper's Figure-free rewiring:
-			// remove tree edge (g,p), add (g,l1)).
-			t.removeChild(g, p)
-			t.removeChild(p, l1)
-			t.ar.parent[l1] = g
-			t.addChild(g, l1)
-			t.ar.parent[p] = l1
-			t.addChild(l1, p)
+// eliminateTwinsBelow resolves the twins inside the subtree rooted at r,
+// which is about to be stripped. Each child of r has fewer than 4
+// remaining vertices, so the only possible twin parents are r's children
+// with two (leaf) children. They are resolved smallest index first, the
+// order a scan of the whole tree would take; twins outside the subtree
+// are left alone, since a re-hang moves no vertex between subtrees of
+// size >= 4 and so never changes which subtree is stripped.
+func (t *spanTree) eliminateTwinsBelow(lg graph.Adjacency, r int) error {
+	var ps [2]int
+	n := 0
+	for c := 0; c < int(t.nkid[r]); c++ {
+		if p := int(t.kids[r][c]); t.nkid[p] == 2 {
+			ps[n] = p
+			n++
 		}
 	}
+	if n == 2 && ps[1] < ps[0] {
+		ps[0], ps[1] = ps[1], ps[0]
+	}
+	for _, p := range ps[:n] {
+		if err := t.rehangTwins(lg, p, int(t.kids[p][0]), int(t.kids[p][1])); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// findTwins returns a parent with two leaf children, if any. Children
-// are inspected in slot order, so the pair returned is the same pair the
-// child-list representation produced.
-//
-//joinpebble:hotpath
-func (t *spanningTree) findTwins() (p, l1, l2 int, found bool) {
-	ar := t.ar
-	for v := 0; v < len(ar.parent); v++ {
-		if ar.parent[v] == -2 {
-			continue
-		}
-		first := -1
-		for c := 0; c < int(ar.nkid[v]); c++ {
-			w := int(ar.kids[v][c])
-			if ar.nkid[w] != 0 { // children are in the tree, so leaf ⇔ no kids
-				continue
-			}
-			if first < 0 {
-				first = w
-			} else {
-				return v, first, w, true
-			}
-		}
+// rehangTwins resolves the twins l1, l2 (in slot order) of p by the
+// re-hanging argument in the paper, along an edge of lg whose existence
+// claw-freeness guarantees. The three vertices stay one subtree in the
+// place p held, and no new twins appear.
+func (t *spanTree) rehangTwins(lg graph.Adjacency, p, l1, l2 int) error {
+	if lg.HasEdge(l1, l2) {
+		// Chain the twins: p — l1 — l2. The addChild targets are a leaf
+		// (l1) and nodes that just lost a child, so the two-slot bound
+		// cannot overflow here or in the re-hang below.
+		t.removeChild(p, l2)
+		t.parent[l2] = l1
+		t.addChild(l1, l2)
+		return nil
 	}
-	return 0, 0, 0, false
-}
-
-// subtreeSizes fills the arena's size table over the current tree and
-// returns it. The tree can be deep (line graphs of paths), so it
-// accumulates over an explicit preorder — written into the arena's
-// order scratch by index — instead of recursing.
-//
-//joinpebble:hotpath
-func (t *spanningTree) subtreeSizes() []int {
-	ar := t.ar
-	size := ar.size
-	for i := range size {
-		size[i] = 0
+	g := t.parent[p]
+	if g < 0 {
+		// p is the root with two non-adjacent leaf children and at most
+		// two children total: the tree would have 3 vertices, but callers
+		// only eliminate twins in trees over >= 4.
+		return fmt.Errorf("solver: twin elimination hit root twins on a tree of size >= 4")
 	}
-	order := ar.order
-	order[0] = t.root
-	cnt := 1
-	for i := 0; i < cnt; i++ {
-		v := order[i]
-		for c := 0; c < int(ar.nkid[v]); c++ {
-			order[cnt] = int(ar.kids[v][c])
-			cnt++
-		}
+	// Claw-freeness at p: {l1, l2, g} ⊆ N(p) cannot be pairwise
+	// non-adjacent; l1-l2 was just ruled out, so one twin sees g.
+	if !lg.HasEdge(l1, g) {
+		l1, l2 = l2, l1
 	}
-	for i := cnt - 1; i >= 0; i-- {
-		v := order[i]
-		size[v]++
-		if p := ar.parent[v]; p >= 0 {
-			size[p] += size[v]
-		}
+	if !lg.HasEdge(l1, g) {
+		return fmt.Errorf("solver: claw-free invariant violated at parent %d", p)
 	}
-	return size
-}
-
-// lowestBigSubtree returns a node with subtree size >= k all of whose
-// children have subtree size < k. The root always qualifies as a
-// fallback, so one exists whenever the tree has >= k vertices. The size
-// table it computes stays valid in the arena until the next rebuild or
-// re-hang; subtreeAsPath reads it to size its output exactly.
-//
-//joinpebble:hotpath
-func (t *spanningTree) lowestBigSubtree(k int) int {
-	size := t.subtreeSizes()
-	ar := t.ar
-	v := t.root
-	for {
-		descended := false
-		for c := 0; c < int(ar.nkid[v]); c++ {
-			if w := int(ar.kids[v][c]); size[w] >= k {
-				v = w
-				descended = true
-				break
-			}
-		}
-		if !descended {
-			return v
-		}
-	}
+	// Re-hang: g — l1 — p — l2 (remove tree edge (g,p), add (g,l1)).
+	t.removeChild(g, p)
+	t.removeChild(p, l1)
+	t.parent[l1] = g
+	t.addChild(g, l1)
+	t.parent[p] = l1
+	t.addChild(l1, p)
+	return nil
 }
 
 // subtreeAsPath linearizes the subtree rooted at r, which after twin
 // elimination is a path-shaped tree: r has at most two children and each
 // child subtree is a downward chain (a 3-node chain is the largest
 // possible, since r is the lowest node with >= 4 descendants). The
-// returned vertex sequence is a path in lg. It is the output of a strip,
-// so it is the one slice the partition loop allocates per iteration —
-// sized exactly from the arena's still-valid subtree-size table.
-func (t *spanningTree) subtreeAsPath(r int) ([]int, error) {
-	ar := t.ar
-	out := make([]int, 0, ar.size[r])
+// returned vertex sequence is a path in the line graph, sized exactly
+// from size[r].
+func (t *spanTree) subtreeAsPath(r int) ([]int, error) {
+	out := make([]int, 0, t.size[r])
 	// chain walks the downward chain from start, appending to out; the
 	// exact capacity above means the appends never reallocate.
 	chain := func(start int) ([]int, error) {
 		v := start
 		for {
 			out = append(out, v)
-			switch ar.nkid[v] {
+			switch t.nkid[v] {
 			case 0:
 				return out, nil
 			case 1:
-				v = int(ar.kids[v][0])
+				v = int(t.kids[v][0])
 			default:
 				return nil, fmt.Errorf("solver: child subtree at %d is not a chain", v)
 			}
 		}
 	}
-	switch ar.nkid[r] {
+	switch t.nkid[r] {
 	case 0:
 		return append(out, r), nil
 	case 1:
 		out = append(out, r)
-		return chain(int(ar.kids[r][0]))
+		return chain(int(t.kids[r][0]))
 	default:
 		var err error
-		out, err = chain(int(ar.kids[r][0]))
+		out, err = chain(int(t.kids[r][0]))
 		if err != nil {
 			return nil, err
 		}
@@ -474,32 +429,25 @@ func (t *spanningTree) subtreeAsPath(r int) ([]int, error) {
 			out[i], out[j] = out[j], out[i]
 		}
 		out = append(out, r)
-		return chain(int(ar.kids[r][1]))
+		return chain(int(t.kids[r][1]))
 	}
 }
 
-// hamPathSmall finds a Hamiltonian path over the <= 3 alive vertices
-// (any connected graph on at most 3 vertices has one), starting the
-// search at root's component.
-func hamPathSmall(lg graph.Adjacency, alive bitset.Bitset, count, root int) ([]int, bool) {
-	var verts []int
-	for v := 0; v < lg.N(); v++ {
-		if alive.Test(v) {
-			verts = append(verts, v)
-		}
+// appendSubtree appends the vertices of r's remaining subtree to out in
+// preorder.
+func (t *spanTree) appendSubtree(out []int, r int) []int {
+	out = append(out, r)
+	for c := 0; c < int(t.nkid[r]); c++ {
+		out = t.appendSubtree(out, int(t.kids[r][c]))
 	}
-	if len(verts) != count {
-		return nil, false
-	}
-	switch count {
-	case 0:
-		return nil, true
-	case 1:
-		return verts, true
-	}
-	// Brute force over the tiny vertex set.
-	perm := make([]int, len(verts))
-	copy(perm, verts)
+	return out
+}
+
+// hamPathSmall finds a Hamiltonian path over the <= 3 vertices in perm
+// (any connected graph on at most 3 vertices has one) by brute force,
+// permuting perm in place and trying start vertices and extensions in
+// the order it lists them.
+func hamPathSmall(lg graph.Adjacency, perm []int) ([]int, bool) {
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == len(perm) {

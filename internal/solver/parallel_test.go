@@ -64,30 +64,24 @@ func TestParallelSolveMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMaterializedMatchesView checks the legacy materialized arm and the
-// implicit-view default both produce valid schemes within the Theorem 3.1
-// bound on the same inputs. (Exact cost equality is not required — the
-// two adjacency representations enumerate neighbors in different orders,
-// so the DFS may strip different, equally bounded path partitions.)
+// TestMaterializedMatchesView checks the legacy materialized arm against
+// the implicit-view default. The DFS walks the base graph either way, so
+// the arms differ only in how twin elimination and the final remainder
+// test adjacency: their schemes must be identical, and valid.
 func TestMaterializedMatchesView(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 5; trial++ {
 		g := multiComponentGraph(rng, 1+trial)
-		m := g.M()
-		beta := core.Betti0(g)
-		bound := m + (m-1)/4 + beta // Σ per-component 1.25m bounds is ≤ this
-		for _, s := range []Solver{Approx125{}, Approx125{Materialize: true}} {
-			name := "view"
-			if s.(Approx125).Materialize {
-				name = "materialized"
-			}
-			_, cost, err := SolveAndVerify(s, g.Clone())
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
-			}
-			if cost > bound {
-				t.Fatalf("trial %d %s: cost %d exceeds 1.25-bound %d (m=%d, β₀=%d)", trial, name, cost, bound, m, beta)
-			}
+		view, _, err := SolveAndVerify(Approx125{}, g.Clone())
+		if err != nil {
+			t.Fatalf("trial %d view: %v", trial, err)
+		}
+		mat, _, err := SolveAndVerify(Approx125{Materialize: true}, g.Clone())
+		if err != nil {
+			t.Fatalf("trial %d materialized: %v", trial, err)
+		}
+		if !reflect.DeepEqual(mat, view) {
+			t.Fatalf("trial %d: materialized scheme differs from the view's", trial)
 		}
 	}
 }
