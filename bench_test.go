@@ -8,6 +8,7 @@ package joinpebble
 //
 //	go test -bench=. -benchmem
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -69,7 +70,7 @@ func BenchmarkE6Equijoin(b *testing.B) {
 		b.Run(fmt.Sprintf("m=%d", g.M()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := (solver.Equijoin{}).Solve(g); err != nil {
+				if _, err := (solver.Equijoin{}).Solve(context.Background(), g); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,7 +95,7 @@ func BenchmarkE10Hardness(b *testing.B) {
 		g := graph.CompleteBipartite(k, 20).Graph()
 		b.Run(fmt.Sprintf("equijoin/m=%d", g.M()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := (solver.Equijoin{}).Solve(g); err != nil {
+				if _, err := (solver.Equijoin{}).Solve(context.Background(), g); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -133,7 +134,7 @@ func BenchmarkApprox125(b *testing.B) {
 		g := graph.RandomConnectedBipartite(rng, m/5, m/5, m).Graph()
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := (solver.Approx125{}).Solve(g); err != nil {
+				if _, err := (solver.Approx125{}).Solve(context.Background(), g); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -143,7 +144,7 @@ func BenchmarkApprox125(b *testing.B) {
 
 func BenchmarkSimulate(b *testing.B) {
 	g := graph.CompleteBipartite(40, 40).Graph()
-	scheme, err := (solver.Equijoin{}).Solve(g)
+	scheme, err := (solver.Equijoin{}).Solve(context.Background(), g)
 	if err != nil {
 		b.Fatal(err)
 	}

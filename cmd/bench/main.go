@@ -6,7 +6,6 @@
 // Usage:
 //
 //	bench                      # run, write BENCH_<today>.json, compare
-//	bench -legacy              # measure the pre-optimization code paths
 //	bench -baseline FILE.json  # compare against a specific report
 //	bench -tolerance 1.30      # fail when cur/base ns exceeds 1.30
 //	bench -run approx125       # only series whose name contains the string
@@ -14,9 +13,9 @@
 //	bench -smoke               # reduced-size kernel suite (claw scan,
 //	                           #   approx-1.25); implies -nocompare
 //
-// The -legacy arm writes BENCH_<date>-legacy.json and is never chosen as
-// an automatic baseline; diffing it against the same-day normal report is
-// the before/after evidence for the compact-index optimizations.
+// The committed BENCH_<date>-legacy.json reports measured the
+// pre-optimization code paths; they stay as history and are never chosen
+// as an automatic baseline.
 package main
 
 import (
@@ -34,8 +33,7 @@ import (
 
 func main() {
 	testing.Init() // registers test.benchtime et al. on flag.CommandLine
-	legacy := flag.Bool("legacy", false, "measure pre-optimization code paths (map lookups, materialized line graphs, sequential solve)")
-	out := flag.String("out", "", "output JSON path (default BENCH_<date>[-legacy].json)")
+	out := flag.String("out", "", "output JSON path (default BENCH_<date>.json)")
 	baseline := flag.String("baseline", "", "report to compare against (default: latest non-legacy BENCH_*.json)")
 	tolerance := flag.Float64("tolerance", 1.30, "regression threshold on ns/op ratio")
 	runFilter := flag.String("run", "", "only run series whose name contains this substring")
@@ -65,8 +63,6 @@ func main() {
 			// Keep smoke reports away from the BENCH_<date>.json names
 			// LatestReport scans for baselines.
 			path = fmt.Sprintf("BENCH_%s-smoke.json", date)
-		} else if *legacy {
-			path = fmt.Sprintf("BENCH_%s-legacy.json", date)
 		} else {
 			path = fmt.Sprintf("BENCH_%s.json", date)
 		}
@@ -77,11 +73,10 @@ func main() {
 		Date:       date,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Legacy:     *legacy,
 		Smoke:      *smoke,
 	}
 
-	suite := bench.PerfSuite(*legacy)
+	suite := bench.PerfSuite()
 	if *smoke {
 		// Smoke series use distinct names on purpose; comparing them
 		// against a pinned baseline would report every series as gone.
@@ -122,8 +117,8 @@ func main() {
 		cmdutil.Exit("bench", err)
 	}
 
-	if *noCompare || *legacy {
-		return // a legacy arm is a "before" measurement, not a candidate
+	if *noCompare {
+		return
 	}
 
 	basePath, base := *baseline, (*bench.Report)(nil)

@@ -142,14 +142,11 @@ func run(w io.Writer, c config) error {
 		fmt.Fprintf(w, "reason     %s\n", plan.Reason)
 		return nil
 	case "solve":
-		planner := engine.Planner{Degrade: cmdutil.Degrade(c.strict)}
-		if c.solver != "auto" {
-			s, err := solver.ByName(c.solver)
-			if err != nil {
-				return cmdutil.Usagef("%v", err)
-			}
-			planner.Solver = s
+		s, err := solver.ByName(c.solver)
+		if err != nil {
+			return cmdutil.Usagef("%v", err)
 		}
+		planner := engine.Planner{Solver: s, Degrade: cmdutil.Degrade(c.strict)}
 		res, err := planner.Run(context.Background(), inst)
 		if err != nil {
 			return err

@@ -68,14 +68,11 @@ func run(w io.Writer, solverName string, showScheme, strict bool, decideK int, p
 		return err
 	}
 
-	planner := engine.Planner{Degrade: cmdutil.Degrade(strict)}
-	if solverName != "auto" {
-		s, err := solver.ByName(solverName)
-		if err != nil {
-			return cmdutil.Usagef("%v", err)
-		}
-		planner.Solver = s
+	s, err := solver.ByName(solverName)
+	if err != nil {
+		return cmdutil.Usagef("%v", err)
 	}
+	planner := engine.Planner{Solver: s, Degrade: cmdutil.Degrade(strict)}
 
 	if decideK >= 0 {
 		ok, err := planner.Decide(context.Background(), in, decideK)

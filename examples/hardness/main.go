@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,7 +40,7 @@ func exponentialVsLinear() {
 	for _, k := range []int{100, 1000} {
 		g := graph.CompleteBipartite(k, 50).Graph()
 		start := obs.Now()
-		_, cost, err := solver.SolveAndVerify(solver.Equijoin{}, g)
+		_, cost, err := solver.SolveAndVerify(context.Background(), solver.Equijoin{}, g)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -22,9 +22,9 @@ func main() {
 	fmt.Printf("join graph: %d x %d tuples, m = %d result pairs\n",
 		b.NLeft(), b.NRight(), b.M())
 
-	// Pebble it. The automatic solver recognizes the equijoin structure
-	// (every component is complete bipartite) and uses the linear-time
-	// boustrophedon pebbler of Lemma 3.2.
+	// Pebble it. The engine planner recognizes the equijoin structure
+	// (every component is complete bipartite) and routes to the
+	// linear-time boustrophedon pebbler of Lemma 3.2.
 	scheme, cost, err := joinpebble.Pebble(b)
 	if err != nil {
 		log.Fatal(err)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func main() {
 
 	// How close can ANY order get? Solve the pebbling problem itself.
 	g, _ := b.Graph().WithoutIsolated()
-	_, cost, err := solver.SolveAndVerify(solver.Approx125{}, g)
+	_, cost, err := solver.SolveAndVerify(context.Background(), solver.Approx125{}, g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 
@@ -36,12 +37,12 @@ func E19Ablation() (*Table, error) {
 		if g.M() > maxM {
 			maxM = g.M()
 		}
-		if _, cost, err := solver.SolveAndVerify(solver.Approx125{}, g); err != nil {
+		if _, cost, err := solver.SolveAndVerify(context.Background(), solver.Approx125{}, g); err != nil {
 			fullFail++
 		} else if cost > solver.ApproxCostBound(g) {
 			fullViolate++
 		}
-		if _, _, err := solver.SolveAndVerify(solver.Approx125{SkipTwinElimination: true}, g); err != nil {
+		if _, _, err := solver.SolveAndVerify(context.Background(), solver.Approx125{SkipTwinElimination: true}, g); err != nil {
 			ablatedFail++
 		}
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -38,7 +39,7 @@ func E5Approx() (*Table, error) {
 		c{"random-large", graph.RandomConnectedBipartite(rng, 20, 20, 120).Graph()},
 	)
 	for _, cs := range cases {
-		_, approx, err := solver.SolveAndVerify(solver.Approx125{}, cs.g)
+		_, approx, err := solver.SolveAndVerify(context.Background(), solver.Approx125{}, cs.g)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +79,7 @@ func E6Equijoin() (*Table, error) {
 				continue
 			}
 			start := obs.Now()
-			scheme, cost, err := solver.SolveAndVerify(solver.Equijoin{}, g)
+			scheme, cost, err := solver.SolveAndVerify(context.Background(), solver.Equijoin{}, g)
 			if err != nil {
 				return nil, err
 			}
@@ -130,7 +131,7 @@ func E7HardFamily() (*Table, error) {
 			}
 			exact = fmt.Sprint(ec)
 		}
-		_, approx, err := solver.SolveAndVerify(solver.Approx125{}, g)
+		_, approx, err := solver.SolveAndVerify(context.Background(), solver.Approx125{}, g)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -37,7 +38,7 @@ func E10Hardness() (*Table, error) {
 	for _, k := range []int{40, 400, 1200} {
 		g := graph.CompleteBipartite(k, k/4).Graph()
 		start := obs.Now()
-		_, cost, err := solver.SolveAndVerify(solver.Equijoin{}, g)
+		_, cost, err := solver.SolveAndVerify(context.Background(), solver.Equijoin{}, g)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +232,7 @@ func E14Ratios() (*Table, error) {
 		}
 		optEff := opt - 1
 		for _, s := range lineup {
-			_, cost, err := solver.SolveAndVerify(s, g)
+			_, cost, err := solver.SolveAndVerify(context.Background(), s, g)
 			if err != nil {
 				return nil, err
 			}

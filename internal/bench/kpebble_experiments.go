@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -57,7 +58,7 @@ func E18KPebbles() (*Table, error) {
 	// structure to park on.
 	rng := rand.New(rand.NewSource(1818))
 	g := graph.RandomConnectedBipartite(rng, 6, 6, 20).Graph()
-	_, twoOpt, err := solver.SolveAndVerify(solver.Exact{}, g)
+	_, twoOpt, err := solver.SolveAndVerify(context.Background(), solver.Exact{}, g)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -104,7 +105,7 @@ func E3Matching() (*Table, error) {
 	}
 	for _, m := range []int{1, 2, 4, 8, 16, 64, 256, 1024} {
 		g := graph.Matching(m).Graph()
-		scheme, cost, err := solver.SolveAndVerify(solver.MatchingSolver{}, g)
+		scheme, cost, err := solver.SolveAndVerify(context.Background(), solver.MatchingSolver{}, g)
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,10 @@
 package bench
 
 // PerfSuite pins the hot-path benchmarks that cmd/bench measures and
-// regression-checks. Every case exists in two arms selected by the legacy
-// flag: the "new" arm exercises the compact-index code paths (frozen CSR
-// lookups, implicit line-graph views, parallel component solving) and the
-// "legacy" arm the pre-optimization ones (map lookups, materialized
-// map-backed line graphs, sequential solving). Series names are identical
-// across arms so a legacy BENCH_*-legacy.json diffs cleanly against a
-// current one — that pair is the before/after evidence for the rewrite.
+// regression-checks: the compact-index code paths (frozen CSR lookups,
+// implicit line-graph views, parallel component solving). The committed
+// BENCH_*-legacy.json reports measured the pre-optimization paths under
+// the same series names; they stay as history.
 //
 // Workloads are deterministic (fixed seeds, fixed families) so ns/op is
 // the only thing that varies between runs.
@@ -66,23 +63,29 @@ func multiComponent(k, n, m int) *graph.Graph {
 	return out
 }
 
-// solveArm configures the solver arm: sequential + materialized line
-// graphs for legacy, parallel + implicit views otherwise. It returns a
-// restore func for the package-level Parallelism knob.
-func solveArm(legacy bool) (solver.Approx125, func()) {
+// solveArm pins the package-level Parallelism knob to its default
+// (GOMAXPROCS workers) for a solve series. It returns the solver and a
+// restore func for the knob.
+func solveArm() (solver.Approx125, func()) {
 	prev := solver.Parallelism
-	if legacy {
-		solver.Parallelism = 1
-	} else {
-		solver.Parallelism = 0
+	solver.Parallelism = 0
+	return solver.Approx125{}, func() { solver.Parallelism = prev }
+}
+
+// clawFree reports whether L(g) is claw-free, scanning the implicit view
+// with scratch reused across scans, as the solver ladder does.
+func clawFree(b *testing.B, g *graph.Graph, scratch *graph.ClawScratch) bool {
+	_, _, claw, err := graph.FindClaw(context.Background(), graph.NewLineGraphView(g), scratch)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return solver.Approx125{Materialize: legacy}, func() { solver.Parallelism = prev }
+	return !claw
 }
 
 // costRatio runs s once on g and returns π̂/m — recorded as a series Extra
 // so the perf arms are provably solving equally well, not just fast.
 func costRatio(s solver.Solver, g *graph.Graph) float64 {
-	_, cost, err := solver.SolveAndVerify(s, g.Clone())
+	_, cost, err := solver.SolveAndVerify(context.Background(), s, g.Clone())
 	if err != nil {
 		panic("bench: perf workload solver failed: " + err.Error())
 	}
@@ -90,21 +93,23 @@ func costRatio(s solver.Solver, g *graph.Graph) float64 {
 }
 
 // SmokeSuite returns reduced-size kernel benchmarks for CI smoke runs:
-// the bitset claw scan (sequential and parallel) and the arena-backed
-// approx-1.25 at a fraction of the pinned workload sizes. Series names
-// carry a smoke- prefix so they never match — and never stand in for —
-// the pinned regression series; the point is catching kernel rot
-// (panics, wrong answers, fallback misfires) in seconds, not timing.
+// the bitset claw scan (sequential and parallel), the canonical
+// fingerprint, a scheme-cache hit and the one-DFS approx-1.25 at a
+// fraction of the pinned workload sizes. Series names carry a smoke-
+// prefix so they never match — and never stand in for — the pinned
+// regression series; the point is catching kernel rot (panics, wrong
+// answers, fallback misfires) in seconds, not timing.
 func SmokeSuite() []PerfCase {
 	spider := family.Spider(200).Graph()  // m = 400
 	spiderP := family.Spider(300).Graph() // m = 600: line graph n >= parallel floor
+	ctx := context.Background()
 	return []PerfCase{
 		{
 			Name: "smoke-clawfree-linegraph/spider-200-m400",
 			Run: func(b *testing.B) {
 				scratch := graph.NewClawScratch()
 				for i := 0; i < b.N; i++ {
-					if !graph.ClawFreeLineGraphScratch(spider.Clone(), scratch) {
+					if !clawFree(b, spider.Clone(), scratch) {
 						b.Fatal("spider line graph must be claw-free")
 					}
 				}
@@ -119,7 +124,7 @@ func SmokeSuite() []PerfCase {
 				scratch := graph.NewClawScratch()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if !graph.ClawFreeLineGraphScratch(spiderP.Clone(), scratch) {
+					if !clawFree(b, spiderP.Clone(), scratch) {
 						b.Fatal("spider line graph must be claw-free")
 					}
 				}
@@ -139,7 +144,6 @@ func SmokeSuite() []PerfCase {
 			Run: func(b *testing.B) {
 				p := engine.Planner{Cache: schemecache.New(1<<24, 0)}
 				in := engine.FromBipartite("spider", family.Spider(200))
-				ctx := context.Background()
 				if _, err := p.Run(ctx, in); err != nil {
 					b.Fatal(err)
 				}
@@ -158,11 +162,11 @@ func SmokeSuite() []PerfCase {
 		{
 			Name: "smoke-approx125/spider-200-m400",
 			Run: func(b *testing.B) {
-				s, restore := solveArm(false)
+				s, restore := solveArm()
 				defer restore()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Solve(spider.Clone()); err != nil {
+					if _, err := s.Solve(ctx, spider.Clone()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -171,8 +175,8 @@ func SmokeSuite() []PerfCase {
 	}
 }
 
-// PerfSuite returns the pinned benchmark cases for one arm.
-func PerfSuite(legacy bool) []PerfCase {
+// PerfSuite returns the pinned benchmark cases.
+func PerfSuite() []PerfCase {
 	spider := family.Spider(1000).Graph() // m = 2000, claw-free line graph
 	bip := perfBipartite(60, 40, 2400)    // dense bipartite, m = 2400
 	wide := perfBipartite(100, 100, 3000) // sparser bipartite, m = 3000
@@ -184,15 +188,16 @@ func PerfSuite(legacy bool) []PerfCase {
 		}
 		return out
 	}()
+	ctx := context.Background()
 
-	approxSpider, restore := solveArm(legacy)
+	approxSpider, restore := solveArm()
 	ratioSpider := costRatio(approxSpider, spider)
 	ratioBip := costRatio(approxSpider, bip)
 	ratioEqui := costRatio(solver.Equijoin{}, equi)
 	restore()
 
-	// A long valid scheme for the simulate workload, fixed per arm.
-	simScheme, _, err := solver.SolveAndVerify(solver.Naive{}, bip.Clone())
+	// A long valid scheme for the simulate workload.
+	simScheme, _, err := solver.SolveAndVerify(ctx, solver.Naive{}, bip.Clone())
 	if err != nil {
 		panic("bench: naive scheme failed: " + err.Error())
 	}
@@ -202,12 +207,7 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name: "linegraph/spider-1000-m2000",
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					g := spider.Clone()
-					if legacy {
-						graph.LineGraphReference(g)
-					} else {
-						graph.LineGraph(g)
-					}
+					graph.LineGraph(spider.Clone())
 				}
 			},
 		},
@@ -215,35 +215,16 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name: "linegraph/bip-60x40-m2400",
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					g := bip.Clone()
-					if legacy {
-						graph.LineGraphReference(g)
-					} else {
-						graph.LineGraph(g)
-					}
+					graph.LineGraph(bip.Clone())
 				}
 			},
 		},
 		{
 			Name: "clawfree-linegraph/spider-1000-m2000",
 			Run: func(b *testing.B) {
-				// The legacy arm pins the scalar HasEdge-probe kernel over a
-				// materialized map-backed line graph; the new arm runs the
-				// bitset kernel over the implicit view with scratch reused
-				// across scans, as the solver ladder does.
 				scratch := graph.NewClawScratch()
 				for i := 0; i < b.N; i++ {
-					g := spider.Clone()
-					var free bool
-					if legacy {
-						lg := graph.LineGraphReference(g)
-						lg.Freeze()
-						_, _, claw := graph.FindClawScalar(lg, nil)
-						free = !claw
-					} else {
-						free = graph.ClawFreeLineGraphScratch(g, scratch)
-					}
-					if !free {
+					if !clawFree(b, spider.Clone(), scratch) {
 						b.Fatal("spider line graph must be claw-free")
 					}
 				}
@@ -253,11 +234,11 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name:  "approx125/spider-1000-m2000",
 			Extra: map[string]float64{"cost_ratio": ratioSpider},
 			Run: func(b *testing.B) {
-				s, restore := solveArm(legacy)
+				s, restore := solveArm()
 				defer restore()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Solve(spider.Clone()); err != nil {
+					if _, err := s.Solve(ctx, spider.Clone()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -267,11 +248,11 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name:  "approx125/bip-60x40-m2400",
 			Extra: map[string]float64{"cost_ratio": ratioBip},
 			Run: func(b *testing.B) {
-				s, restore := solveArm(legacy)
+				s, restore := solveArm()
 				defer restore()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Solve(bip.Clone()); err != nil {
+					if _, err := s.Solve(ctx, bip.Clone()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -281,11 +262,11 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name:  "solve-multicomponent/approx125-8x300",
 			Extra: map[string]float64{"components": 8},
 			Run: func(b *testing.B) {
-				s, restore := solveArm(legacy)
+				s, restore := solveArm()
 				defer restore()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Solve(multi.Clone()); err != nil {
+					if _, err := s.Solve(ctx, multi.Clone()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -295,12 +276,12 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name:  "equijoin/islands-12xK10-40-m4800",
 			Extra: map[string]float64{"cost_ratio": ratioEqui},
 			Run: func(b *testing.B) {
-				_, restore := solveArm(legacy)
+				_, restore := solveArm()
 				defer restore()
 				s := solver.Equijoin{}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Solve(equi.Clone()); err != nil {
+					if _, err := s.Solve(ctx, equi.Clone()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -309,13 +290,10 @@ func PerfSuite(legacy bool) []PerfCase {
 		{
 			Name: "simulate/bip-60x40-m2400",
 			Run: func(b *testing.B) {
-				// Preparation differs by design: frozen CSR vs plain map
-				// graph. Simulating is the repeated operation, so only it
-				// is timed.
+				// Simulating is the repeated operation, so only it is
+				// timed, not the CSR freeze.
 				g := bip.Clone()
-				if !legacy {
-					g.Freeze()
-				}
+				g.Freeze()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res, err := core.Simulate(g, simScheme)
@@ -376,7 +354,6 @@ func PerfSuite(legacy bool) []PerfCase {
 			Run: func(b *testing.B) {
 				p := engine.Planner{Cache: schemecache.New(1<<26, 0)}
 				in := engine.FromBipartite("spider", family.Spider(1000))
-				ctx := context.Background()
 				if _, err := p.Run(ctx, in); err != nil {
 					b.Fatal(err)
 				}
@@ -399,7 +376,6 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name: "schemecache/miss",
 			Run: func(b *testing.B) {
 				in := engine.FromBipartite("spider", family.Spider(1000))
-				ctx := context.Background()
 				var p engine.Planner
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -418,9 +394,7 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name: "hasedge/bip-100x100-m3000",
 			Run: func(b *testing.B) {
 				g := wide.Clone()
-				if !legacy {
-					g.Freeze()
-				}
+				g.Freeze()
 				n := g.N()
 				b.ResetTimer()
 				hits := 0
@@ -447,6 +421,7 @@ func spiderScaling() []PerfCase {
 	sizes := []int{500, 1000, 2000, 4000, 8000}
 	nsPerOp := make([]float64, len(sizes))
 	cases := make([]PerfCase, len(sizes))
+	ctx := context.Background()
 	for i, m := range sizes {
 		g := family.Spider(m / 2).Graph()
 		s := solver.Approx125{}
@@ -456,7 +431,7 @@ func spiderScaling() []PerfCase {
 			Extra: extra,
 			Run: func(b *testing.B) {
 				for j := 0; j < b.N; j++ {
-					if _, err := s.Solve(g.Clone()); err != nil {
+					if _, err := s.Solve(ctx, g.Clone()); err != nil {
 						b.Fatal(err)
 					}
 				}

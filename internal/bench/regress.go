@@ -41,10 +41,10 @@ type Report struct {
 	Date       string `json:"date"` // YYYY-MM-DD
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Legacy marks a report produced with the pre-optimization code paths
-	// (map-backed line graphs, unfrozen lookups, sequential solving).
-	// Legacy reports are never auto-picked as baselines; they exist as the
-	// "before" arm of a before/after pair.
+	// Legacy marks a committed report of the pre-optimization code paths
+	// (map-backed line graphs, unfrozen lookups, sequential solving), the
+	// "before" arm of a before/after pair. Legacy reports are never
+	// auto-picked as baselines.
 	Legacy bool `json:"legacy,omitempty"`
 	// Smoke marks a reduced-size kernel smoke run (cmd/bench -smoke).
 	// Smoke reports use distinct series names and are never auto-picked

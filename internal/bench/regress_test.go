@@ -126,34 +126,21 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 }
 
-// TestPerfSuiteShape guards the regression harness itself: both arms must
-// expose the same, sufficiently large, duplicate-free series name set —
+// TestPerfSuiteShape guards the regression harness itself: the suite
+// must expose a sufficiently large, duplicate-free series name set —
 // otherwise before/after JSONs silently stop being comparable.
 func TestPerfSuiteShape(t *testing.T) {
-	names := func(legacy bool) map[string]bool {
-		out := map[string]bool{}
-		for _, pc := range PerfSuite(legacy) {
-			if pc.Name == "" || out[pc.Name] {
-				t.Fatalf("empty or duplicate series name %q (legacy=%v)", pc.Name, legacy)
-			}
-			if pc.Run == nil {
-				t.Fatalf("series %q has no Run", pc.Name)
-			}
-			out[pc.Name] = true
+	names := map[string]bool{}
+	for _, pc := range PerfSuite() {
+		if pc.Name == "" || names[pc.Name] {
+			t.Fatalf("empty or duplicate series name %q", pc.Name)
 		}
-		return out
-	}
-	cur := names(false)
-	leg := names(true)
-	if len(cur) < 6 {
-		t.Fatalf("suite has %d series, want >= 6", len(cur))
-	}
-	if len(cur) != len(leg) {
-		t.Fatalf("arm sizes differ: %d vs %d", len(cur), len(leg))
-	}
-	for n := range cur {
-		if !leg[n] {
-			t.Fatalf("series %q missing from legacy arm", n)
+		if pc.Run == nil {
+			t.Fatalf("series %q has no Run", pc.Name)
 		}
+		names[pc.Name] = true
+	}
+	if len(names) < 6 {
+		t.Fatalf("suite has %d series, want >= 6", len(names))
 	}
 }

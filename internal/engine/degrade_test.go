@@ -80,7 +80,7 @@ func TestDegradedSchemeMatchesDirectApprox(t *testing.T) {
 	defer faultinject.Reset()
 	in := spiderInstance()
 
-	want, _, err := solver.SolveAndVerify(solver.Approx125{}, in.Graph())
+	want, _, err := solver.SolveAndVerify(context.Background(), solver.Approx125{}, in.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}

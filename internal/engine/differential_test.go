@@ -39,9 +39,11 @@ func differentialWorkloads(t *testing.T) map[string]*Instance {
 	return instances
 }
 
-// TestDifferentialEngineVsDirectSolve pins the refactor's core invariant:
-// routing a solve through the engine planner returns a scheme and cost
-// byte-identical to calling the solver ladder (solver.Auto) directly.
+// TestDifferentialEngineVsDirectSolve pins the engine's core invariant:
+// a run returns a scheme and cost byte-identical to solving the graph
+// directly with the solver the planner picks, and the planned route is
+// the structural one the same graph gets with no family guarantee — a
+// guarantee short-circuit may only change *why*.
 func TestDifferentialEngineVsDirectSolve(t *testing.T) {
 	var p Planner
 	for name, in := range differentialWorkloads(t) {
@@ -50,7 +52,7 @@ func TestDifferentialEngineVsDirectSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			directScheme, directCost, err := solver.SolveAndVerify(solver.Auto{}, in.Graph())
+			directScheme, directCost, err := solver.SolveAndVerify(context.Background(), p.Plan(in).Solver, in.Graph())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,9 +62,7 @@ func TestDifferentialEngineVsDirectSolve(t *testing.T) {
 			if !reflect.DeepEqual(res.Scheme, directScheme) {
 				t.Fatalf("engine scheme diverges from direct solve:\nengine: %v\ndirect: %v", res.Scheme, directScheme)
 			}
-			// The planner's route must be the one solver.Auto takes for the
-			// same graph; a guarantee short-circuit may only change *why*.
-			if want := solver.PlanRoute(in.Graph(), 0); res.Route != want {
+			if want := p.Plan(FromGraph(in.Graph())).Route; res.Route != want {
 				t.Fatalf("planner route %v, structural route %v", res.Route, want)
 			}
 		})

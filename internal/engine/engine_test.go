@@ -3,11 +3,13 @@ package engine
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"joinpebble/internal/family"
+	"joinpebble/internal/graph"
 	"joinpebble/internal/join"
 	"joinpebble/internal/relation"
 	"joinpebble/internal/solver"
@@ -90,6 +92,49 @@ func TestPlannerRoutesByGuarantee(t *testing.T) {
 	}
 	if !strings.Contains(plan.Reason, "complete-bipartite") {
 		t.Fatalf("reason should cite the guarantee: %q", plan.Reason)
+	}
+}
+
+// TestPlannerRoutesByStructure runs one graph per rung of the routing
+// ladder, with no family guarantee to short-circuit the walk: K30×30 is
+// an equijoin graph far beyond the exact budget and must pebble
+// perfectly (π̂ = m+1); spider-4 fits the exact budget and must reach
+// its known optimum; a random 15×15 bipartite graph with 80 edges is
+// neither and must fall back to approx-1.25 within Theorem 3.1's bound.
+func TestPlannerRoutesByStructure(t *testing.T) {
+	k30 := graph.CompleteBipartite(30, 30).Graph()
+	spider := family.Spider(4).Graph()
+	bip := graph.RandomConnectedBipartite(rand.New(rand.NewSource(10)), 15, 15, 80).Graph()
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		route  solver.Route
+		solver string
+		cost   int // the π̂ the rung must reach; 0 checks only the bound
+	}{
+		{"perfect/K30x30", k30, solver.RoutePerfect, "equijoin", k30.M() + 1},
+		{"exact/spider-4", spider, solver.RouteExact, "exact", family.SpiderOptimalEffectiveCost(4) + 1},
+		{"approx/bip-15x15-m80", bip, solver.RouteApprox, "approx-1.25", 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var p Planner
+			res, err := p.Run(context.Background(), FromGraph(c.g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Route != c.route || res.Solver != c.solver || res.Degraded {
+				t.Fatalf("route %v via %s (degraded %v), want %v via %s", res.Route, res.Solver, res.Degraded, c.route, c.solver)
+			}
+			if c.cost != 0 && res.Cost != c.cost {
+				t.Fatalf("π̂=%d want %d", res.Cost, c.cost)
+			}
+			if bound := solver.ApproxCostBound(c.g); res.Cost > bound {
+				t.Fatalf("π̂=%d exceeds the Theorem 3.1 bound %d", res.Cost, bound)
+			}
+			if c.route == solver.RoutePerfect && !res.Perfect {
+				t.Fatal("an equijoin graph must pebble perfectly")
+			}
+		})
 	}
 }
 

@@ -71,9 +71,9 @@ type Attempt struct {
 	Elapsed time.Duration `json:"elapsed"`
 }
 
-// Planner inspects instances and routes them down the solver ladder.
-// The zero value is ready to use and routes exactly like solver.Auto, so
-// engine-routed solves are byte-identical to direct Auto solves.
+// Planner inspects instances and routes them down the solver ladder. It
+// is the only router: it walks solver.RouteTable itself. The zero value
+// is ready to use.
 type Planner struct {
 	// ExactLimit caps the exact rung's per-component edge count; zero
 	// means tsp.MaxExactCities.
@@ -116,34 +116,35 @@ type Plan struct {
 	Reason string
 }
 
-// Plan routes an instance without solving it. A family guarantee of
-// complete-bipartite components short-circuits to the perfect rung with
-// no graph scan; otherwise the route comes from the same structural
-// classification solver.Auto uses, so the two can never disagree.
-// Routing counters land in the global registry; Run plans through the
-// scoped path so a request's plan decision stays with its scope.
+// Plan routes an instance without solving it. Routing counters land in
+// the global registry; Run plans through the scoped path so a request's
+// plan decision stays with its scope.
 func (p *Planner) Plan(in *Instance) Plan { return p.plan(context.Background(), in) }
 
+// plan walks solver.RouteTable in order and takes the first row that
+// applies. A family guarantee of complete-bipartite components admits
+// the perfect row with no graph scan. An explicit Solver keeps the
+// structural route but replaces the row's solver and reason.
 func (p *Planner) plan(ctx context.Context, in *Instance) Plan {
+	guaranteed := p.Solver == nil && in.Guarantees.CompleteBipartite
+	table := solver.RouteTable()
+	row := table[len(table)-1]
+	for _, r := range table {
+		if (guaranteed && r.Route == solver.RoutePerfect) || r.Applies(in.Graph(), p.ExactLimit) {
+			row = r
+			break
+		}
+	}
 	if p.Solver != nil {
 		cPlanOverride.Inc(ctx)
-		return Plan{
-			Route:  solver.PlanRoute(in.Graph(), p.ExactLimit),
-			Solver: p.Solver,
-			Reason: fmt.Sprintf("explicit solver %s", p.Solver.Name()),
-		}
+		return Plan{Route: row.Route, Solver: p.Solver, Reason: fmt.Sprintf("explicit solver %s", p.Solver.Name())}
 	}
-	if in.Guarantees.CompleteBipartite {
+	plan := Plan{Route: row.Route, Solver: row.New(p.ExactLimit), Reason: row.Reason}
+	if guaranteed {
 		cPlanGuaranteed.Inc(ctx)
-		cPlanPerfect.Inc(ctx)
-		return Plan{
-			Route:  solver.RoutePerfect,
-			Solver: solver.RouteSolver(solver.RoutePerfect, p.ExactLimit),
-			Reason: fmt.Sprintf("family %s guarantees complete-bipartite components (Thm 3.2)", in.Family),
-		}
+		plan.Reason = fmt.Sprintf("family %s guarantees complete-bipartite components (Thm 3.2)", in.Family)
 	}
-	route := solver.PlanRoute(in.Graph(), p.ExactLimit)
-	switch route {
+	switch row.Route {
 	case solver.RoutePerfect:
 		cPlanPerfect.Inc(ctx)
 	case solver.RouteExact:
@@ -151,11 +152,7 @@ func (p *Planner) plan(ctx context.Context, in *Instance) Plan {
 	default:
 		cPlanApprox.Inc(ctx)
 	}
-	return Plan{
-		Route:  route,
-		Solver: solver.RouteSolver(route, p.ExactLimit),
-		Reason: solver.RouteReason(route),
-	}
+	return plan
 }
 
 // Result is the single output of an engine-routed solve: the verified
@@ -386,7 +383,7 @@ func attemptRung(ctx context.Context, s solver.Solver, g *graph.Graph) (core.Sch
 	if err := faultinject.FireContext(ctx, SiteRung); err != nil {
 		return nil, 0, err
 	}
-	return solver.SolveAndVerifyContext(ctx, s, g)
+	return solver.SolveAndVerify(ctx, s, g)
 }
 
 // assemble builds the Result for the rung that produced the scheme.
@@ -430,10 +427,9 @@ func qualityFor(name string) string {
 	}
 }
 
-// Decide answers PEBBLE(D) of Definition 4.1 — is π ≤ K? — through the
-// decision ladder (bounds, CertificateLadder certificates, exact). It is
-// the engine's decision-problem entry point, sharing the certificate
-// rung with the planner's solver ladder.
+// Decide answers PEBBLE(D) of Definition 4.1 — is π ≤ K? — through
+// solver.Decide's ladder (bounds, polynomial certificates, exact). It is
+// the engine's decision-problem entry point.
 func (p *Planner) Decide(ctx context.Context, in *Instance, k int) (bool, error) {
-	return solver.DecideContext(ctx, in.Graph(), k)
+	return solver.Decide(ctx, in.Graph(), k)
 }

@@ -12,8 +12,8 @@ import (
 	"joinpebble/internal/obs"
 )
 
-// This file is the bitset claw-scan kernel behind FindClaw/FindClawIn —
-// the Theorem 3.1 precondition check that dominated the bench trajectory
+// This file is the bitset claw-scan kernel behind FindClaw — the
+// Theorem 3.1 precondition check that dominated the bench trajectory
 // (clawfree-linegraph/spider-1000-m2000) before this rewrite.
 //
 // The scalar kernel tests neighbor triples with per-pair HasEdge probes:
@@ -54,7 +54,7 @@ const clawCheckpointMask = 0x3FF
 var ClawScanWorkers func() int
 
 // clawRowBudgetWords caps the row-cache slab at n rows × n/64 words.
-// Beyond it (n ≈ 23k at the default 64 MiB) FindClawIn falls back to
+// Beyond it (n ≈ 23k at the default 64 MiB) FindClaw falls back to
 // the scalar kernel, trading speed for O(Δ) memory. A var so tests can
 // force the fallback on small instances.
 var clawRowBudgetWords = 8 << 20
@@ -68,7 +68,7 @@ const clawParallelMinN = 512
 // may be reused across scans of different graphs — Reset re-sizes and
 // invalidates cached rows — which is what callers running repeated claw
 // checks (the bench suite, solver-ladder structure probes) thread
-// through ClawFreeLineGraphScratch to stop re-growing fresh slices.
+// through FindClaw to stop re-growing fresh slices.
 //
 // A scratch is single-goroutine state; the parallel scan hands each
 // worker its own probe block and shares only the (pre-built, read-only)
@@ -198,15 +198,32 @@ func (p *clawProbe) probeCenter(a Adjacency, s *ClawScratch, v int, lazyRows boo
 	return leaves, ok
 }
 
-// FindClawContext is the full claw search: bitset kernel with row-cache
-// reuse through s (nil allocates a fresh scratch), a parallel vertex
-// scan when the registered parallelism knob asks for one, cancellation
-// checkpoints every 1024 centers, and a scalar fallback when the row
-// slab would exceed its memory budget. It returns the claw with the
-// lowest center, with the canonical leaf triple for that center —
-// deterministic at every worker count. err is non-nil only on ctx
+// Claw-detection accounting: one timer observation and one check counter
+// per search, a found counter per claw — the "claw count" quantity
+// DESIGN.md maps to Theorem 3.1's claw-freeness precondition. The vars
+// are scope-aware: FindClaw records into the obs.Scope on its context
+// when one is present, else into the global registry.
+var (
+	cClawChecks    = obs.ScopedCounter("graph/claw/checks")
+	cClawsFound    = obs.ScopedCounter("graph/claw/found")
+	tClawDetection = obs.ScopedTimer("graph/phase/claw_detection")
+)
+
+// FindClaw searches a for an induced K_{1,3} (a claw): a center vertex
+// with three pairwise non-adjacent neighbors. Line graphs are always
+// claw-free (Harary), which Theorem 3.1's DFS construction depends on;
+// pass NewLineGraphView(g) to check L(g) without materializing it.
+//
+// The search is the bitset kernel with row-cache reuse through s (nil
+// allocates a fresh scratch; a scratch must not be shared between
+// concurrent scans), a parallel vertex scan when the registered
+// parallelism knob asks for one, cancellation checkpoints every 1024
+// centers, and a scalar fallback when the row slab would exceed its
+// memory budget. It returns the claw with the lowest center, with the
+// canonical leaf triple for that center — deterministic at every worker
+// count — or ok=false if a is claw-free. err is non-nil only on ctx
 // cancellation or an injected SiteClawScan fault.
-func FindClawContext(ctx context.Context, a Adjacency, s *ClawScratch) (center int, leaves [3]int, ok bool, err error) {
+func FindClaw(ctx context.Context, a Adjacency, s *ClawScratch) (center int, leaves [3]int, ok bool, err error) {
 	start := obs.Now()
 	defer func() {
 		tClawDetection.Observe(ctx, obs.Since(start))
@@ -399,9 +416,9 @@ func findClawParallel(ctx context.Context, a Adjacency, s *ClawScratch, w int) (
 
 // scalarClawScan is the reference kernel: per-pair HasEdge probes over
 // neighbor triples, in the same canonical ascending-id order as the
-// bitset kernel. It is the differential oracle, the legacy arm of
-// cmd/bench, and the fallback above the row-cache memory budget. nb is
-// neighbor scratch reused across centers (nil is fine).
+// bitset kernel. It is the fallback above the row-cache memory budget
+// and the tests' differential oracle. nb is neighbor scratch reused
+// across centers (nil is fine).
 //
 //joinpebble:hotpath
 func scalarClawScan(ctx context.Context, a Adjacency, nb []int) (center int, leaves [3]int, ok bool, err error) {
@@ -433,15 +450,4 @@ func scalarClawScan(ctx context.Context, a Adjacency, nb []int) (center int, lea
 		}
 	}
 	return 0, [3]int{}, false, nil
-}
-
-// FindClawScalar runs the scalar reference kernel without cancellation —
-// the oracle the differential and fuzz tests compare the bitset kernel
-// against, and the "before" arm of the claw-detection bench series.
-func FindClawScalar(a Adjacency, nb []int) (center int, leaves [3]int, ok bool) {
-	c, l, ok, err := scalarClawScan(context.Background(), a, nb)
-	if err != nil {
-		panic(err) // only an armed SiteClawScan fault can produce this
-	}
-	return c, l, ok
 }

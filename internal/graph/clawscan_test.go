@@ -61,10 +61,13 @@ func clawDiffCases(rng *rand.Rand) []*Graph {
 // nil) and the scalar oracle return identical results on a.
 func checkKernelsAgree(t *testing.T, a Adjacency, s *ClawScratch) {
 	t.Helper()
-	wc, wl, wok := FindClawScalar(a, nil)
-	gc, gl, gok, err := FindClawContext(context.Background(), a, s)
+	wc, wl, wok, err := scalarClawScan(context.Background(), a, nil)
 	if err != nil {
-		t.Fatalf("FindClawContext: %v", err)
+		t.Fatalf("scalarClawScan: %v", err)
+	}
+	gc, gl, gok, err := FindClaw(context.Background(), a, s)
+	if err != nil {
+		t.Fatalf("FindClaw: %v", err)
 	}
 	if gok != wok || gc != wc || gl != wl {
 		t.Fatalf("kernels disagree: bitset (%d, %v, %v) vs scalar (%d, %v, %v)",
@@ -114,12 +117,13 @@ func TestClawScratchReuseAcrossScans(t *testing.T) {
 func TestClawFreeLineGraphScratch(t *testing.T) {
 	s := NewClawScratch()
 	for _, n := range []int{1, 4, 33, 80} {
-		g := testSpider(n)
-		if !ClawFreeLineGraphScratch(g, s) {
-			t.Fatalf("spider(%d) line graph must be claw-free", n)
+		if _, _, claw, err := FindClaw(context.Background(), NewLineGraphView(testSpider(n)), s); err != nil || claw {
+			t.Fatalf("spider(%d) line graph must be claw-free: claw=%v err=%v", n, claw, err)
 		}
 	}
-	if ClawFreeLineGraphScratch(star(3), s) != ClawFreeLineGraph(star(3)) {
+	_, _, withScratch, _ := FindClaw(context.Background(), NewLineGraphView(star(3)), s)
+	_, _, without, _ := FindClaw(context.Background(), NewLineGraphView(star(3)), nil)
+	if withScratch != without {
 		t.Fatal("scratch and scratchless results differ")
 	}
 }
@@ -142,14 +146,14 @@ func TestClawParallelDeterministic(t *testing.T) {
 		LineGraph(RandomConnectedBipartite(rng, 300, 300, 900).Graph()),  // claw-free, n=900
 	}
 	for ci, a := range cases {
-		wantC, wantL, wantOK, err := FindClawContext(context.Background(), a, nil)
+		wantC, wantL, wantOK, err := FindClaw(context.Background(), a, nil)
 		if err != nil {
 			t.Fatalf("case %d sequential: %v", ci, err)
 		}
 		for _, w := range []int{1, 2, 8} {
 			withWorkers(w, func() {
 				s := NewClawScratch()
-				c, l, ok, err := FindClawContext(context.Background(), a, s)
+				c, l, ok, err := FindClaw(context.Background(), a, s)
 				if err != nil {
 					t.Fatalf("case %d workers=%d: %v", ci, w, err)
 				}
@@ -160,7 +164,7 @@ func TestClawParallelDeterministic(t *testing.T) {
 				// A parallel scan leaves the scratch warm; a sequential
 				// rescan through it must agree.
 				withWorkers(1, func() {
-					c2, l2, ok2, err := FindClawContext(context.Background(), a, s)
+					c2, l2, ok2, err := FindClaw(context.Background(), a, s)
 					if err != nil || ok2 != wantOK || c2 != wantC || l2 != wantL {
 						t.Fatalf("case %d warm rescan after workers=%d: got (%d, %v, %v, %v)",
 							ci, w, c2, l2, ok2, err)
@@ -186,11 +190,11 @@ func TestClawScanCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := NewLineGraphView(testSpider(200))
-	if _, _, _, err := FindClawContext(ctx, a, nil); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := FindClaw(ctx, a, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sequential: err = %v, want context.Canceled", err)
 	}
 	withWorkers(4, func() {
-		if _, _, _, err := FindClawContext(ctx, a, nil); !errors.Is(err, context.Canceled) {
+		if _, _, _, err := FindClaw(ctx, a, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("parallel: err = %v, want context.Canceled", err)
 		}
 	})
@@ -202,12 +206,12 @@ func TestClawScanFaultInjection(t *testing.T) {
 	a := NewLineGraphView(testSpider(600)) // n=1200: checkpoints at v=0 and v=1024
 
 	faultinject.Arm(SiteClawScan, faultinject.Fault{Err: injected})
-	if _, _, _, err := FindClawContext(context.Background(), a, nil); !errors.Is(err, injected) {
+	if _, _, _, err := FindClaw(context.Background(), a, nil); !errors.Is(err, injected) {
 		t.Fatalf("sequential: err = %v, want injected", err)
 	}
 	withWorkers(4, func() {
 		// The error must outrank any claw a worker may have found.
-		if _, _, _, err := FindClawContext(context.Background(), a, nil); !errors.Is(err, injected) {
+		if _, _, _, err := FindClaw(context.Background(), a, nil); !errors.Is(err, injected) {
 			t.Fatalf("parallel: err = %v, want injected", err)
 		}
 	})
@@ -217,22 +221,11 @@ func TestClawScanFaultInjection(t *testing.T) {
 	// mid-flight; the scratch must still be reusable afterwards.
 	s := NewClawScratch()
 	faultinject.Arm(SiteClawScan, faultinject.Fault{Err: injected, Skip: 1, Times: 1})
-	if _, _, _, err := FindClawContext(context.Background(), a, s); !errors.Is(err, injected) {
+	if _, _, _, err := FindClaw(context.Background(), a, s); !errors.Is(err, injected) {
 		t.Fatalf("mid-scan: err = %v, want injected", err)
 	}
 	faultinject.Reset()
 	checkKernelsAgree(t, a, s)
-}
-
-func TestFindClawInScratchPanicsOnInjectedFault(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.Arm(SiteClawScan, faultinject.Fault{Err: errors.New("boom")})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FindClawIn with an armed fault should panic")
-		}
-	}()
-	FindClawIn(NewLineGraphView(testSpider(10)))
 }
 
 // FuzzClawKernels drives the bitset kernel against the scalar oracle on

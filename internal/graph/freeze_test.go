@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -121,7 +122,7 @@ func TestCSRMatchesMap(t *testing.T) {
 func TestLineGraphMatchesReference(t *testing.T) {
 	for gi, g := range randomGraphs(t) {
 		fast := LineGraph(g.Clone())
-		ref := LineGraphReference(g.Clone())
+		ref := lineGraphReference(g.Clone())
 		if fast.N() != ref.N() || fast.M() != ref.M() {
 			t.Fatalf("graph %d: fast L(G) is %dv/%de, reference %dv/%de", gi, fast.N(), fast.M(), ref.N(), ref.M())
 		}
@@ -146,7 +147,7 @@ func TestLineGraphMatchesReference(t *testing.T) {
 func TestLineGraphViewMatchesMaterialized(t *testing.T) {
 	for gi, g := range randomGraphs(t) {
 		view := NewLineGraphView(g.Clone())
-		ref := LineGraphReference(g.Clone())
+		ref := lineGraphReference(g.Clone())
 		if view.N() != ref.N() {
 			t.Fatalf("graph %d: view has %d vertices, reference %d", gi, view.N(), ref.N())
 		}
@@ -171,11 +172,18 @@ func TestLineGraphViewMatchesMaterialized(t *testing.T) {
 // TestFindClawAgreement: claw detection through the view must agree with
 // detection on the materialized line graph.
 func TestFindClawAgreement(t *testing.T) {
+	ctx := context.Background()
 	for gi, g := range randomGraphs(t) {
-		_, _, matClaw := FindClaw(LineGraphReference(g.Clone()))
-		viewFree := ClawFreeLineGraph(g.Clone())
-		if viewFree != !matClaw {
-			t.Fatalf("graph %d: view says claw-free=%v, materialized says claw present=%v", gi, viewFree, matClaw)
+		_, _, matClaw, err := FindClaw(ctx, lineGraphReference(g.Clone()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, viewClaw, err := FindClaw(ctx, NewLineGraphView(g.Clone()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viewClaw != matClaw {
+			t.Fatalf("graph %d: view says claw present=%v, materialized says %v", gi, viewClaw, matClaw)
 		}
 	}
 }

@@ -1,11 +1,5 @@
 package graph
 
-import (
-	"context"
-
-	"joinpebble/internal/obs"
-)
-
 // LineGraph returns L(G): one vertex per edge of g (vertex i of L(G)
 // corresponds to edge index i of g), with two vertices adjacent iff the
 // underlying edges share an endpoint (§2.2). Pebbling schemes for g
@@ -15,9 +9,9 @@ import (
 // The result is returned frozen: edge counts and adjacency spans are
 // precomputed from g's compact index, so construction is a single pass
 // with no hashing or incremental reallocation. Edge and neighbor order
-// are identical to LineGraphReference. Callers that only need to walk
-// L(G) neighborhoods should prefer NewLineGraphView, which skips
-// materialization entirely.
+// are identical to the straightforward map-backed construction the tests
+// keep as an oracle. Callers that only need to walk L(G) neighborhoods
+// should prefer NewLineGraphView, which skips materialization entirely.
 func LineGraph(g *Graph) *Graph {
 	c := g.ensureCSR()
 	m := g.M()
@@ -66,25 +60,6 @@ func LineGraph(g *Graph) *Graph {
 	return lg
 }
 
-// LineGraphReference is the straightforward map-backed line-graph
-// construction. It is the oracle the differential tests compare LineGraph
-// and LineGraphView against, and the legacy arm of cmd/bench's
-// before/after measurements; production code should use LineGraph or
-// NewLineGraphView.
-func LineGraphReference(g *Graph) *Graph {
-	m := g.M()
-	lg := New(m)
-	for v := 0; v < g.N(); v++ {
-		inc := g.IncidentEdges(v)
-		for i := 0; i < len(inc); i++ {
-			for j := i + 1; j < len(inc); j++ {
-				lg.AddEdge(inc[i], inc[j])
-			}
-		}
-	}
-	return lg
-}
-
 // IncidenceGraph returns the bipartite incidence graph B = (X, Y, E') of
 // g used in Theorem 4.4's L-reduction: X = V(g) on the left, Y = E(g) on
 // the right, with x joined to e iff x is an endpoint of e.
@@ -95,70 +70,6 @@ func IncidenceGraph(g *Graph) *Bipartite {
 		b.AddEdge(e.V, i)
 	}
 	return b
-}
-
-// FindClaw searches g for an induced K_{1,3} (a claw): a center vertex
-// with three pairwise non-adjacent neighbors. It returns the center and
-// the three leaves, or ok=false if g is claw-free. Line graphs are always
-// claw-free (Harary), which Theorem 3.1's DFS construction depends on.
-func FindClaw(g *Graph) (center int, leaves [3]int, ok bool) {
-	g.ensureCSR() // adjacency tests below become binary searches
-	return FindClawIn(g)
-}
-
-// Claw-detection accounting: one timer observation and one check counter
-// per search, a found counter per claw — the "claw count" quantity
-// DESIGN.md maps to Theorem 3.1's claw-freeness precondition. The vars
-// are scope-aware: FindClawContext records into the obs.Scope on its
-// context when one is present, and the context-free wrappers (which pass
-// context.Background()) land in the global registry as before.
-var (
-	cClawChecks    = obs.ScopedCounter("graph/claw/checks")
-	cClawsFound    = obs.ScopedCounter("graph/claw/found")
-	tClawDetection = obs.ScopedTimer("graph/phase/claw_detection")
-)
-
-// FindClawIn is FindClaw over any Adjacency — in particular a
-// LineGraphView, which lets claw checks walk L(G) without materializing
-// it. It allocates fresh scan scratch; callers running repeated scans
-// should hold a ClawScratch and use FindClawInScratch.
-func FindClawIn(a Adjacency) (center int, leaves [3]int, ok bool) {
-	return FindClawInScratch(a, nil)
-}
-
-// FindClawInScratch is FindClawIn with caller-owned scratch: the bitset
-// adjacency rows, masks, and neighbor buffers live in s and are reused
-// across scans instead of growing fresh slices per call. s may be nil
-// (allocate per scan) and must not be shared between concurrent scans.
-func FindClawInScratch(a Adjacency, s *ClawScratch) (center int, leaves [3]int, ok bool) {
-	var err error
-	center, leaves, ok, err = FindClawContext(context.Background(), a, s)
-	if err != nil {
-		// The background context cannot be canceled, so only an armed
-		// SiteClawScan fault reaches here; the context-free wrappers
-		// have no error path, and a silent "no claw" would be wrong.
-		panic(err)
-	}
-	return center, leaves, ok
-}
-
-// ClawFree reports whether g contains no induced K_{1,3}.
-func ClawFree(g *Graph) bool {
-	_, _, ok := FindClaw(g)
-	return !ok
-}
-
-// ClawFreeLineGraph reports whether L(g) is claw-free, walking the
-// implicit view instead of materializing the line graph.
-func ClawFreeLineGraph(g *Graph) bool {
-	return ClawFreeLineGraphScratch(g, nil)
-}
-
-// ClawFreeLineGraphScratch is ClawFreeLineGraph with caller-owned scan
-// scratch (see FindClawInScratch).
-func ClawFreeLineGraphScratch(g *Graph, s *ClawScratch) bool {
-	_, _, ok := FindClawInScratch(NewLineGraphView(g), s)
-	return !ok
 }
 
 // HamiltonianPath searches g for a Hamiltonian path by depth-first

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -62,7 +63,8 @@ func TestLineGraphClawFree(t *testing.T) {
 		minM, maxM := nl+nr-1, nl*nr
 		m := minM + r.Intn(maxM-minM+1)
 		b := RandomConnectedBipartite(r, nl, nr, m)
-		return ClawFree(LineGraph(b.Graph()))
+		_, _, claw, err := FindClaw(context.Background(), LineGraph(b.Graph()), nil)
+		return err == nil && !claw
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +76,10 @@ func TestFindClawOnStar(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	g.AddEdge(0, 3)
-	center, leaves, ok := FindClaw(g)
+	center, leaves, ok, err := FindClaw(context.Background(), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok || center != 0 {
 		t.Fatalf("K_{1,3} should contain a claw at 0, got ok=%v center=%d", ok, center)
 	}
@@ -239,4 +244,21 @@ func TestHamiltonianPathEmptyAndSingle(t *testing.T) {
 	if _, ok := HamiltonianPath(New(2)); ok {
 		t.Fatal("two isolated vertices have no Hamiltonian path")
 	}
+}
+
+// lineGraphReference is the straightforward map-backed line-graph
+// construction: the oracle the differential tests compare LineGraph and
+// LineGraphView against.
+func lineGraphReference(g *Graph) *Graph {
+	m := g.M()
+	lg := New(m)
+	for v := 0; v < g.N(); v++ {
+		inc := g.IncidentEdges(v)
+		for i := 0; i < len(inc); i++ {
+			for j := i + 1; j < len(inc); j++ {
+				lg.AddEdge(inc[i], inc[j])
+			}
+		}
+	}
+	return lg
 }

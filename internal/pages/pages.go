@@ -10,10 +10,12 @@
 package pages
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"joinpebble/internal/core"
+	"joinpebble/internal/engine"
 	"joinpebble/internal/graph"
 	"joinpebble/internal/obs"
 	"joinpebble/internal/solver"
@@ -144,17 +146,18 @@ type Schedule struct {
 }
 
 // Plan computes a page-fetch schedule for join graph b under layout l
-// using the given pebbling solver (nil means solver.Auto).
+// using the given pebbling solver; nil takes the solver the engine
+// planner routes the page graph to.
 func Plan(b *graph.Bipartite, l *Layout, s solver.Solver) (*Schedule, error) {
-	if s == nil {
-		s = solver.Auto{}
-	}
 	pg, err := PageGraph(b, l)
 	if err != nil {
 		return nil, err
 	}
 	g := pg.Graph()
-	scheme, cost, err := solver.SolveAndVerify(s, g)
+	if s == nil {
+		s = (&engine.Planner{}).Plan(engine.FromGraph(g)).Solver
+	}
+	scheme, cost, err := solver.SolveAndVerify(context.Background(), s, g)
 	if err != nil {
 		return nil, err
 	}

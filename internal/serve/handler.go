@@ -85,7 +85,8 @@ type SolveRequest struct {
 	// BudgetMS bounds the solve in milliseconds; 0 means the server's
 	// per-request cap, larger values are clamped to it.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
-	// Solver, when set, overrides routing (a solver.Named name).
+	// Solver, when set, overrides routing (a solver.Named name); "auto"
+	// leaves routing to the engine, like no solver.
 	Solver string `json:"solver,omitempty"`
 	// Strict disables the degradation ladder: the planned rung's failure
 	// is the request's failure.
@@ -371,19 +372,16 @@ func runAudit(_ context.Context, s *Server, req *SolveRequest) (any, error) {
 // the request's strictness and solver override, and the configured (or
 // process-wide) scheme cache.
 func (s *Server) planner(req *SolveRequest) (*engine.Planner, error) {
-	p := &engine.Planner{
+	sv, err := solver.ByName(req.Solver)
+	if err != nil {
+		return nil, badRequestf("%v", err)
+	}
+	return &engine.Planner{
 		ExactLimit: s.cfg.ExactLimit,
+		Solver:     sv,
 		Degrade:    engine.DegradePolicy{Off: req.Strict, RungFraction: s.cfg.RungFraction},
 		Cache:      s.cfg.Cache,
-	}
-	if req.Solver != "" {
-		sv, err := solver.ByName(req.Solver)
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		p.Solver = sv
-	}
-	return p, nil
+	}, nil
 }
 
 // buildInstance materializes the request's join problem: an explicit

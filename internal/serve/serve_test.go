@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -100,6 +101,45 @@ func TestPlanAndAuditEndpoints(t *testing.T) {
 	}, http.StatusOK, &audit)
 	if !audit.Perfect || audit.Pairs != 1 {
 		t.Errorf("audit = %+v, want perfect single pair", audit)
+	}
+}
+
+// TestAutoSolverRoutesLikeNoSolver pins that "solver":"auto" means "the
+// engine routes": /v1/solve and /v1/plan answer exactly as they do with
+// no solver, under the server's own exact limit. A 5-edge path is not an
+// equijoin graph and exceeds ExactLimit 4, so both go to approx-1.25.
+func TestAutoSolverRoutesLikeNoSolver(t *testing.T) {
+	s := startServer(t, Config{ExactLimit: 4})
+	path := func(solverName string) *SolveRequest {
+		return &SolveRequest{
+			Family: "bipartite", Left: 3, Right: 3, Solver: solverName,
+			Edges: [][2]int{{0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 2}},
+		}
+	}
+	var solves [2]SolveResponse
+	var plans [2]PlanResponse
+	for i, name := range []string{"", "auto"} {
+		post(t, s.URL()+"/v1/solve", path(name), http.StatusOK, &solves[i])
+		post(t, s.URL()+"/v1/plan", path(name), http.StatusOK, &plans[i])
+		r := &solves[i]
+		if r.Route != "approx" || r.Solver != "approx-1.25" || r.Quality != "π ≤ 1.25m (Thm 3.1)" || r.Degraded {
+			t.Errorf("solver %q: /v1/solve answered route %q, solver %q, reason %q, quality %q, degraded %v",
+				name, r.Route, r.Solver, r.Reason, r.Quality, r.Degraded)
+		}
+		if p := plans[i]; p.Route != "approx" || p.Solver != "approx-1.25" {
+			t.Errorf("solver %q: /v1/plan answered route %q, solver %q, reason %q", name, p.Route, p.Solver, p.Reason)
+		}
+		// Wall times are the only fields allowed to differ.
+		r.ElapsedNS = 0
+		for j := range r.Attempts {
+			r.Attempts[j].ElapsedNS = 0
+		}
+	}
+	if !reflect.DeepEqual(solves[0], solves[1]) {
+		t.Errorf("/v1/solve with auto %+v, without a solver %+v", solves[1], solves[0])
+	}
+	if plans[0] != plans[1] {
+		t.Errorf("/v1/plan with auto %+v, without a solver %+v", plans[1], plans[0])
 	}
 }
 

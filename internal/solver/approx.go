@@ -55,16 +55,6 @@ type Approx125 struct {
 	// be a path and the construction legitimately fails on some inputs
 	// (Solve returns an error); never set it outside experiments.
 	SkipTwinElimination bool
-
-	// Materialize makes twin elimination and the final remainder test
-	// adjacency on an explicitly built map-backed line graph
-	// (graph.LineGraphReference) instead of the implicit
-	// graph.LineGraphView. The DFS walks the base graph either way, so the
-	// schemes are identical; the view is strictly cheaper — it avoids the
-	// O(Σ deg²) line-graph edge set entirely — so this knob exists only
-	// for differential tests and the legacy arm of cmd/bench's before/after
-	// measurements.
-	Materialize bool
 }
 
 // The two display names, as constants so they can double as root span
@@ -83,14 +73,9 @@ func (a Approx125) Name() string {
 }
 
 // Solve implements Solver.
-func (a Approx125) Solve(g *graph.Graph) (core.Scheme, error) {
-	return a.SolveContext(context.Background(), g)
-}
-
-// SolveContext implements ContextSolver.
-func (a Approx125) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
+func (a Approx125) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	fn := func(ctx context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
-		return approxComponentOrder(ctx, cg, sp, a.SkipTwinElimination, a.Materialize)
+		return approxComponentOrder(ctx, cg, sp, a.SkipTwinElimination)
 	}
 	// Two literal call sites so the span name stays a compile-time
 	// constant either way.
@@ -100,14 +85,9 @@ func (a Approx125) SolveContext(ctx context.Context, g *graph.Graph) (core.Schem
 	return solvePerComponent(ctx, g, nameApprox, fn)
 }
 
-func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, skipTwins, materialize bool) ([]int, error) {
+func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, skipTwins bool) ([]int, error) {
 	lgSpan := sp.Start("line_graph")
-	var lg graph.Adjacency
-	if materialize {
-		lg = graph.LineGraphReference(cg)
-	} else {
-		lg = graph.NewLineGraphView(cg)
-	}
+	lg := graph.NewLineGraphView(cg)
 	lgSpan.End()
 	partStart := obs.Now()
 	partSpan := sp.Start("path_partition")

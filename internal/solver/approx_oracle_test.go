@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -294,7 +295,7 @@ func checkPartition(t *testing.T, name string, g *graph.Graph) (noTwinFailures i
 			}
 		}
 		m := cg.M()
-		_, cost, err := SolveAndVerify(Approx125{}, cg)
+		_, cost, err := SolveAndVerify(context.Background(), Approx125{}, cg)
 		if err != nil {
 			t.Fatalf("%s component %d: %v", name, ci, err)
 		}

@@ -20,28 +20,15 @@ var (
 	cDecideExact       = obs.ScopedCounter("solver/decide/by_exact")
 )
 
-// Decide answers PEBBLE(D) of Definition 4.1: given G and an integer K,
-// is π(G) <= K? It short-circuits with the combinatorial bounds of
-// Lemma 2.3 (yes when K >= the Theorem 3.1 bound, no when K < m) and the
-// cheap upper bounds from the approximation before falling back to the
-// exact solver, so many instances never pay the exponential cost — but
-// the worst case is still exponential, as Theorem 4.2 says it must be
-// unless P = NP.
-func Decide(g *graph.Graph, k int) (bool, error) {
-	return DecideContext(context.Background(), g, k)
-}
-
-// CertificateLadder returns the polynomial solvers Decide tries, in
-// order, as cheap upper-bound certificates before paying for exact
-// search. The engine planner consults the same ladder, so planner
-// routing and the Decide rungs can never diverge.
-func CertificateLadder() []Solver {
-	return []Solver{Greedy{}, Approx125{}, GreedyImproved{}}
-}
-
-// DecideContext is Decide bounded by ctx: cancellation is observed
-// between ladder rungs and inside each rung's component pool.
-func DecideContext(ctx context.Context, g *graph.Graph, k int) (bool, error) {
+// Decide answers PEBBLE(D) of Definition 4.1 under ctx: given G and an
+// integer K, is π(G) <= K? It short-circuits with the combinatorial
+// bounds of Lemma 2.3 (yes when K >= the Theorem 3.1 bound, no when
+// K < m) and the cheap upper bounds from the polynomial solvers before
+// falling back to the exact solver, so many instances never pay the
+// exponential cost — but the worst case is still exponential, as
+// Theorem 4.2 says it must be unless P = NP. Cancellation is observed
+// between rungs and inside each rung's component pool.
+func Decide(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 	cDecideCalls.Inc(ctx)
 	sp := obs.StartSpanCtx(ctx, "decide")
 	defer sp.End()
@@ -61,8 +48,8 @@ func DecideContext(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 	}
 	// A cheap certificate: if any polynomial solver achieves <= K we are
 	// done without exact search.
-	for _, s := range CertificateLadder() {
-		scheme, err := SolveContext(ctx, s, g)
+	for _, s := range []Solver{Greedy{}, Approx125{}, GreedyImproved{}} {
+		scheme, err := s.Solve(ctx, g)
 		if err != nil {
 			return false, err
 		}
@@ -72,7 +59,7 @@ func DecideContext(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 		}
 	}
 	cDecideExact.Inc(ctx)
-	scheme, err := SolveContext(ctx, Exact{}, g)
+	scheme, err := Exact{}.Solve(ctx, g)
 	if err != nil {
 		return false, err
 	}
@@ -83,9 +70,9 @@ func DecideContext(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 	return cost-core.Betti0(g) <= k, nil
 }
 
-// ApproxWithin solves the ε-approximation problem of Definition 4.1:
-// find a scheme within factor 1+ε of optimal effective cost. The solver
-// ladder mirrors the paper's approximability landscape (§4):
+// ApproxWithin solves the ε-approximation problem of Definition 4.1
+// under ctx: find a scheme within factor 1+ε of optimal effective cost.
+// The solver ladder mirrors the paper's approximability landscape (§4):
 //
 //	ε >= 1     — any scheme works (Lemma 2.1's factor-2 is universal);
 //	ε >= 0.25  — Lemma 3.1's linear-time 1.25 approximation;
@@ -99,7 +86,7 @@ func DecideContext(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 // Every returned scheme carries a certificate: its effective cost is
 // checked against the m lower bound, so the promised factor holds
 // unconditionally.
-func ApproxWithin(g *graph.Graph, eps float64) (core.Scheme, error) {
+func ApproxWithin(ctx context.Context, g *graph.Graph, eps float64) (core.Scheme, error) {
 	if eps < 0 {
 		return nil, fmt.Errorf("solver: negative epsilon %v", eps)
 	}
@@ -108,7 +95,7 @@ func ApproxWithin(g *graph.Graph, eps float64) (core.Scheme, error) {
 		return core.Scheme{}, nil
 	}
 	try := func(s Solver) (core.Scheme, bool, error) {
-		scheme, err := s.Solve(g)
+		scheme, err := s.Solve(ctx, g)
 		if err != nil {
 			return nil, false, err
 		}
@@ -140,7 +127,7 @@ func ApproxWithin(g *graph.Graph, eps float64) (core.Scheme, error) {
 	// Either eps is below the heuristic regime or no certificate
 	// materialized (the m-based check is conservative); fall back to
 	// exact, which trivially satisfies any eps.
-	return Exact{}.Solve(g)
+	return Exact{}.Solve(ctx, g)
 }
 
 // HamiltonianLineGraphDecision decides Proposition 2.1's special case

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestDecideAgainstExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{eff - 1, eff, eff + 1, g.M() - 1, 2 * g.M()} {
-			got, err := Decide(g, k)
+			got, err := Decide(context.Background(), g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,24 +34,24 @@ func TestDecideShortCircuits(t *testing.T) {
 	// K below m must answer false without exact search even on huge
 	// graphs; K above the Theorem 3.1 bound must answer true likewise.
 	g := graph.RandomConnectedBipartite(rand.New(rand.NewSource(42)), 40, 40, 400).Graph()
-	if ok, err := Decide(g, g.M()-1); err != nil || ok {
+	if ok, err := Decide(context.Background(), g, g.M()-1); err != nil || ok {
 		t.Fatalf("K<m must be false: %v %v", ok, err)
 	}
-	if ok, err := Decide(g, 2*g.M()); err != nil || !ok {
+	if ok, err := Decide(context.Background(), g, 2*g.M()); err != nil || !ok {
 		t.Fatalf("K=2m must be true: %v %v", ok, err)
 	}
 	// K at the approximation bound: certified by a polynomial solver.
-	if ok, err := Decide(g, ApproxCostBound(g)); err != nil || !ok {
+	if ok, err := Decide(context.Background(), g, ApproxCostBound(g)); err != nil || !ok {
 		t.Fatalf("K=approx bound must be true: %v %v", ok, err)
 	}
 }
 
 func TestDecideEmptyGraph(t *testing.T) {
 	g := graph.New(3)
-	if ok, err := Decide(g, 0); err != nil || !ok {
+	if ok, err := Decide(context.Background(), g, 0); err != nil || !ok {
 		t.Fatal("edgeless graph pebbles in 0")
 	}
-	if ok, err := Decide(g, -1); err != nil || ok {
+	if ok, err := Decide(context.Background(), g, -1); err != nil || ok {
 		t.Fatal("negative K with nothing to do")
 	}
 }
@@ -64,7 +65,7 @@ func TestApproxWithinLadder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eps := range []float64{1.5, 1, 0.3, 0.25, 0.2, 0.1, 0} {
-			scheme, err := ApproxWithin(g, eps)
+			scheme, err := ApproxWithin(context.Background(), g, eps)
 			if err != nil {
 				t.Fatalf("trial %d eps=%v: %v", trial, eps, err)
 			}
@@ -80,13 +81,13 @@ func TestApproxWithinLadder(t *testing.T) {
 }
 
 func TestApproxWithinRejectsNegativeEps(t *testing.T) {
-	if _, err := ApproxWithin(graph.Matching(2).Graph(), -0.5); err == nil {
+	if _, err := ApproxWithin(context.Background(), graph.Matching(2).Graph(), -0.5); err == nil {
 		t.Fatal("negative epsilon must error")
 	}
 }
 
 func TestApproxWithinEmpty(t *testing.T) {
-	scheme, err := ApproxWithin(graph.New(4), 0.1)
+	scheme, err := ApproxWithin(context.Background(), graph.New(4), 0.1)
 	if err != nil || len(scheme) != 0 {
 		t.Fatal("edgeless graph needs no scheme")
 	}

@@ -27,12 +27,7 @@ type Equijoin struct{}
 func (Equijoin) Name() string { return "equijoin" }
 
 // Solve implements Solver.
-func (Equijoin) Solve(g *graph.Graph) (core.Scheme, error) {
-	return Equijoin{}.SolveContext(context.Background(), g)
-}
-
-// SolveContext implements ContextSolver.
-func (Equijoin) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
+func (Equijoin) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	return solvePerComponent(ctx, g, "equijoin", equijoinComponentOrder)
 }
 
@@ -143,7 +138,10 @@ type MatchingSolver struct{}
 func (MatchingSolver) Name() string { return "matching" }
 
 // Solve implements Solver.
-func (MatchingSolver) Solve(g *graph.Graph) (core.Scheme, error) {
+func (MatchingSolver) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if g.MaxDegree() > 1 {
 		return nil, fmt.Errorf("%w: graph is not a matching (max degree %d)", ErrStructure, g.MaxDegree())
 	}

@@ -26,12 +26,7 @@ type Exact struct {
 func (Exact) Name() string { return "exact" }
 
 // Solve implements Solver.
-func (e Exact) Solve(g *graph.Graph) (core.Scheme, error) {
-	return e.SolveContext(context.Background(), g)
-}
-
-// SolveContext implements ContextSolver.
-func (e Exact) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
+func (e Exact) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	limit := e.MaxEdges
 	if limit == 0 {
 		limit = tsp.MaxExactCities
@@ -58,7 +53,7 @@ func (e Exact) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, e
 // component exactly. It is the ground truth the experiments compare
 // against.
 func OptimalCost(g *graph.Graph) (int, error) {
-	scheme, err := Exact{}.Solve(g)
+	scheme, err := Exact{}.Solve(context.Background(), g)
 	if err != nil {
 		return 0, err
 	}

@@ -12,14 +12,6 @@ import (
 	"joinpebble/internal/tsp"
 )
 
-// Auto route counters: which specialized solver the facade's default
-// solver actually dispatched to.
-var (
-	cAutoEquijoin = obs.ScopedCounter("solver/auto/equijoin")
-	cAutoExact    = obs.ScopedCounter("solver/auto/exact")
-	cAutoApprox   = obs.ScopedCounter("solver/auto/approx")
-)
-
 // Greedy runs the nearest-neighbour TSP heuristic on each component's
 // line graph. No approximation guarantee beyond the universal factor 2,
 // but fast and a useful baseline for the E14 ratio experiment.
@@ -29,12 +21,7 @@ type Greedy struct{}
 func (Greedy) Name() string { return "greedy" }
 
 // Solve implements Solver.
-func (Greedy) Solve(g *graph.Graph) (core.Scheme, error) {
-	return Greedy{}.SolveContext(context.Background(), g)
-}
-
-// SolveContext implements ContextSolver.
-func (Greedy) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
+func (Greedy) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	return solvePerComponent(ctx, g, "greedy", func(_ context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
 		in := tsp.NewInstance(graph.LineGraph(cg))
 		ts := sp.Start("nearest_neighbor")
@@ -52,12 +39,7 @@ type GreedyImproved struct{}
 func (GreedyImproved) Name() string { return "greedy+2opt" }
 
 // Solve implements Solver.
-func (GreedyImproved) Solve(g *graph.Graph) (core.Scheme, error) {
-	return GreedyImproved{}.SolveContext(context.Background(), g)
-}
-
-// SolveContext implements ContextSolver.
-func (GreedyImproved) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
+func (GreedyImproved) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	return solvePerComponent(ctx, g, "greedy+2opt", func(_ context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
 		in := tsp.NewInstance(graph.LineGraph(cg))
 		ts := sp.Start("nearest_neighbor")
@@ -77,12 +59,7 @@ type PathCover struct{}
 func (PathCover) Name() string { return "path-cover" }
 
 // Solve implements Solver.
-func (PathCover) Solve(g *graph.Graph) (core.Scheme, error) {
-	return PathCover{}.SolveContext(context.Background(), g)
-}
-
-// SolveContext implements ContextSolver.
-func (PathCover) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
+func (PathCover) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	return solvePerComponent(ctx, g, "path-cover", func(_ context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
 		in := tsp.NewInstance(graph.LineGraph(cg))
 		ts := sp.Start("path_cover")
@@ -102,12 +79,7 @@ type CycleCover struct{}
 func (CycleCover) Name() string { return "cycle-cover" }
 
 // Solve implements Solver.
-func (CycleCover) Solve(g *graph.Graph) (core.Scheme, error) {
-	return CycleCover{}.SolveContext(context.Background(), g)
-}
-
-// SolveContext implements ContextSolver.
-func (CycleCover) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
+func (CycleCover) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	return solvePerComponent(ctx, g, "cycle-cover", func(_ context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
 		in := tsp.NewInstance(graph.LineGraph(cg))
 		ts := sp.Start("cycle_cover")
@@ -139,12 +111,7 @@ type ExactBnB struct {
 func (ExactBnB) Name() string { return "exact-bnb" }
 
 // Solve implements Solver.
-func (e ExactBnB) Solve(g *graph.Graph) (core.Scheme, error) {
-	return e.SolveContext(context.Background(), g)
-}
-
-// SolveContext implements ContextSolver.
-func (e ExactBnB) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
+func (e ExactBnB) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	return solvePerComponent(ctx, g, "exact-bnb", func(ctx context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
 		in := tsp.NewInstance(graph.LineGraph(cg))
 		ts := sp.Start("branch_and_bound")
@@ -168,13 +135,13 @@ func (e ExactBnB) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme
 	})
 }
 
-// Route identifies a rung of the automatic solver ladder: the structural
-// fact about an instance that determines which solver handles it. The
-// engine planner and the Auto solver share this classification, so
-// engine-routed solves and direct Auto solves can never disagree.
+// Route identifies a rung of the routing ladder: the structural fact
+// about an instance that determines which solver handles it. RouteTable
+// describes the rungs; the engine planner is the one place that walks
+// it.
 type Route int
 
-// Ladder rungs, in the order PlanRoute tries them.
+// Ladder rungs, in the order RouteTable lists them.
 const (
 	// RoutePerfect: every component is complete bipartite — the defining
 	// structure of equijoin graphs (§3.1) — so the linear-time perfect
@@ -201,85 +168,36 @@ func (r Route) String() string {
 	return fmt.Sprintf("route(%d)", int(r))
 }
 
-// PlanRoute classifies g onto the ladder by walking RouteTable in
-// order. exactLimit caps the exact rung's per-component edge count;
-// zero means tsp.MaxExactCities. The classification is purely
-// structural (no solving happens), costing one bipartition check plus
-// one component scan.
-func PlanRoute(g *graph.Graph, exactLimit int) Route {
-	exactLimit = normalizeExactLimit(exactLimit)
-	table := RouteTable()
-	for _, spec := range table {
-		if spec.Applies(g, exactLimit) {
-			return spec.Route
-		}
-	}
-	return table[len(table)-1].Route
-}
-
-// RouteSolver returns the solver implementing a ladder rung, from the
-// same table PlanRoute classifies with.
-func RouteSolver(r Route, exactLimit int) Solver {
-	return routeSpec(r).New(normalizeExactLimit(exactLimit))
-}
-
-// Auto picks the best applicable solver: the linear-time perfect pebbler
-// when the graph is an equijoin graph (Theorem 4.1), the exact solver
-// when every component fits the exponential budget, and the Theorem 3.1
-// approximation otherwise. This is the solver the public facade exposes
-// by default.
-type Auto struct {
-	// ExactLimit caps the exact solver's per-component edge count; zero
-	// means tsp.MaxExactCities.
-	ExactLimit int
-}
-
-// Name implements Solver.
-func (Auto) Name() string { return "auto" }
-
-// Solve implements Solver.
-func (a Auto) Solve(g *graph.Graph) (core.Scheme, error) {
-	return a.SolveContext(context.Background(), g)
-}
-
-// SolveContext implements ContextSolver.
-func (a Auto) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	route := PlanRoute(g, a.ExactLimit)
-	switch route {
-	case RoutePerfect:
-		cAutoEquijoin.Inc(ctx)
-	case RouteExact:
-		cAutoExact.Inc(ctx)
-	default:
-		cAutoApprox.Inc(ctx)
-	}
-	return SolveContext(ctx, RouteSolver(route, a.ExactLimit), g)
-}
-
 // All returns the solver lineup used by comparative experiments.
 func All() []Solver {
 	return []Solver{Naive{}, Greedy{}, GreedyImproved{}, PathCover{}, CycleCover{}, Approx125{}, Exact{}}
 }
 
 // Named returns the full named solver lineup — All plus the structural
-// specialists and the auto router — the single source the CLIs resolve
-// -solver flags against.
+// specialists — the single source the CLIs resolve -solver flags
+// against.
 func Named() []Solver {
-	return append(All(), Equijoin{}, MatchingSolver{}, ExactBnB{}, Auto{})
+	return append(All(), Equijoin{}, MatchingSolver{}, ExactBnB{})
 }
 
-// ByName resolves a solver by its Name. The error lists the known names
-// so CLI usage messages stay accurate as the lineup grows.
+// ByName resolves a solver by its Name. "auto" and "" resolve to a nil
+// Solver, which means the engine routes the instance: assign the result
+// to engine.Planner.Solver as is. The error lists the known names so CLI
+// usage messages stay accurate as the lineup grows.
 func ByName(name string) (Solver, error) {
+	if name == "auto" || name == "" {
+		return nil, nil
+	}
 	all := Named()
 	for _, s := range all {
 		if s.Name() == name {
 			return s, nil
 		}
 	}
-	names := make([]string, len(all))
+	names := make([]string, len(all), len(all)+1)
 	for i, s := range all {
 		names[i] = s.Name()
 	}
+	names = append(names, "auto")
 	return nil, fmt.Errorf("solver: unknown solver %q (known: %s)", name, strings.Join(names, ", "))
 }

@@ -12,8 +12,7 @@ import (
 	"joinpebble/internal/tsp"
 )
 
-// This file is the ladder-as-data core shared by the engine planner and
-// the routing layer. A solve ladder is an ordered slice of Rung
+// This file is the ladder-as-data core the engine planner walks. A solve ladder is an ordered slice of Rung
 // descriptors; WalkLadder owns the mechanics every caller used to
 // hand-roll — per-rung soft deadlines, absorbable-failure
 // classification, and the single record hook through which attempt
@@ -199,22 +198,25 @@ func rungDeadline(ctx context.Context, pol LadderPolicy, unbounded bool) (contex
 // RouteSpec describes one rung of the routing ladder as data: the
 // structural predicate that admits an instance, the solver implementing
 // the rung, and the human-readable justification plan output carries.
-// PlanRoute, RouteSolver and RouteReason all read the same table, so
-// the classification, the implementation, and the explanation cannot
-// drift apart.
+// The engine planner walks RouteTable and takes all three from the same
+// row, so the classification, the implementation, and the explanation
+// cannot drift apart.
 type RouteSpec struct {
 	Route  Route
 	Reason string
 	// Applies reports whether the rung handles g; the table's last
-	// entry must apply to everything.
+	// entry must apply to everything. exactLimit caps the exact rung's
+	// per-component edge count; zero means tsp.MaxExactCities.
 	Applies func(g *graph.Graph, exactLimit int) bool
 	// New builds the implementing solver.
 	New func(exactLimit int) Solver
 }
 
-// RouteTable returns the routing ladder in the order PlanRoute tries
+// RouteTable returns the routing ladder in the order the planner tries
 // it: perfect (Theorems 3.2/4.1), exact under the search budget, and
-// the universal Theorem 3.1 approximation.
+// the universal Theorem 3.1 approximation. Classifying an instance is
+// purely structural (no solving happens), costing one bipartition check
+// plus one component scan.
 func RouteTable() []RouteSpec {
 	return []RouteSpec{
 		{
@@ -227,6 +229,9 @@ func RouteTable() []RouteSpec {
 			Route:  RouteExact,
 			Reason: "every component within the exact search budget",
 			Applies: func(g *graph.Graph, exactLimit int) bool {
+				if exactLimit == 0 {
+					exactLimit = tsp.MaxExactCities
+				}
 				for _, m := range componentEdgeCounts(g) {
 					if m > exactLimit {
 						return false
@@ -243,27 +248,4 @@ func RouteTable() []RouteSpec {
 			New:     func(int) Solver { return Approx125{} },
 		},
 	}
-}
-
-// routeSpec returns the table row for r (the last row when r is not a
-// table route, mirroring RouteSolver's historical default).
-func routeSpec(r Route) RouteSpec {
-	table := RouteTable()
-	for _, spec := range table {
-		if spec.Route == r {
-			return spec
-		}
-	}
-	return table[len(table)-1]
-}
-
-// RouteReason returns the routing justification for r, from the same
-// table PlanRoute classifies with.
-func RouteReason(r Route) string { return routeSpec(r).Reason }
-
-func normalizeExactLimit(exactLimit int) int {
-	if exactLimit == 0 {
-		return tsp.MaxExactCities
-	}
-	return exactLimit
 }

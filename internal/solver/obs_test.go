@@ -3,6 +3,7 @@ package solver
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestSolveInstrumentation(t *testing.T) {
 	// vertex 6 is isolated: split must skip it, not count it as solved.
 
 	before := obs.Default.Snapshot()
-	if _, _, err := SolveAndVerify(Greedy{}, g); err != nil {
+	if _, _, err := SolveAndVerify(context.Background(), Greedy{}, g); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.Default.Snapshot()
@@ -128,7 +129,7 @@ func TestSolveUntracedNoSpans(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	if _, _, err := SolveAndVerify(Approx125{}, g); err != nil {
+	if _, _, err := SolveAndVerify(context.Background(), Approx125{}, g); err != nil {
 		t.Fatal(err)
 	}
 	if tr := obs.ActiveTracer(); tr != nil {
@@ -145,7 +146,7 @@ func TestDecideCounters(t *testing.T) {
 	g.AddEdge(2, 3)
 
 	before := obs.Default.Snapshot()
-	ok, err := Decide(g, g.M()-1)
+	ok, err := Decide(context.Background(), g, g.M()-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestSpanNamesAreStable(t *testing.T) {
 		g.AddEdge(e[0], e[1])
 	}
 	for _, s := range []Solver{Approx125{}, Exact{}, Equijoin{}} {
-		if _, err := s.Solve(g); err != nil {
+		if _, err := s.Solve(context.Background(), g); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 	}

@@ -42,7 +42,7 @@ func manyComponents(k int) *graph.Graph {
 func TestComponentPanicRecovered(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Arm(SiteComponent, faultinject.Fault{Panic: "kaboom"})
-	_, err := Approx125{}.Solve(pathGraph(6))
+	_, err := Approx125{}.Solve(context.Background(), pathGraph(6))
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("err = %v, want ErrPanic", err)
 	}
@@ -72,7 +72,7 @@ func TestComponentPanicDrainsPool(t *testing.T) {
 	defer func() { Parallelism = prev }()
 
 	faultinject.Arm(SiteComponent, faultinject.Fault{Panic: "kaboom", Times: 1})
-	_, err := Greedy{}.Solve(manyComponents(60))
+	_, err := Greedy{}.Solve(context.Background(), manyComponents(60))
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("err = %v, want ErrPanic", err)
 	}
@@ -92,12 +92,12 @@ func TestComponentPanicRecoveredSequential(t *testing.T) {
 	defer func() { Parallelism = prev }()
 
 	faultinject.Arm(SiteComponent, faultinject.Fault{Panic: 42, Times: 1})
-	_, err := Greedy{}.Solve(manyComponents(3))
+	_, err := Greedy{}.Solve(context.Background(), manyComponents(3))
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("multi-component sequential: err = %v, want ErrPanic", err)
 	}
 	faultinject.Arm(SiteComponent, faultinject.Fault{Panic: 42, Times: 1})
-	_, err = Greedy{}.Solve(pathGraph(5))
+	_, err = Greedy{}.Solve(context.Background(), pathGraph(5))
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("single-component fast path: err = %v, want ErrPanic", err)
 	}
@@ -111,7 +111,7 @@ func TestInjectedBudgetExhaustion(t *testing.T) {
 	faultinject.Arm(SiteExactBudget, faultinject.Fault{
 		Err: fmt.Errorf("%w: injected for test", ErrBudgetExceeded),
 	})
-	_, err := Exact{}.Solve(pathGraph(5))
+	_, err := Exact{}.Solve(context.Background(), pathGraph(5))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -129,7 +129,7 @@ func TestExactDeadlineMidComponent(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := Exact{}.SolveContext(ctx, g)
+	_, err := Exact{}.Solve(ctx, g)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -146,11 +146,11 @@ func TestExactBnBAnytime(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.RandomConnectedGraph(rng, 14, 26, 0)
 
-	if _, err := (ExactBnB{MaxNodes: 10}).Solve(g.Clone()); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := (ExactBnB{MaxNodes: 10}).Solve(context.Background(), g.Clone()); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("strict cap: err = %v, want ErrBudgetExceeded", err)
 	}
 
-	scheme, cost, err := SolveAndVerify(ExactBnB{MaxNodes: 10, Anytime: true}, g.Clone())
+	scheme, cost, err := SolveAndVerify(context.Background(), ExactBnB{MaxNodes: 10, Anytime: true}, g.Clone())
 	if err != nil {
 		t.Fatalf("anytime cap: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestExactBnBPreCanceled(t *testing.T) {
 	g := graph.RandomConnectedGraph(rng, 16, 30, 0)
 	canceled, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	if _, err := (ExactBnB{Anytime: true}).SolveContext(canceled, g); !errors.Is(err, context.Canceled) {
+	if _, err := (ExactBnB{Anytime: true}).Solve(canceled, g); !errors.Is(err, context.Canceled) {
 		t.Fatalf("explicit cancel: err = %v, want context.Canceled", err)
 	}
 }
@@ -179,11 +179,11 @@ func TestExactBnBPreCanceled(t *testing.T) {
 // behavior — the sites are pure pass-throughs.
 func TestDisarmedSitesChangeNothing(t *testing.T) {
 	g := manyComponents(5)
-	s1, c1, err := SolveAndVerify(Approx125{}, g.Clone())
+	s1, c1, err := SolveAndVerify(context.Background(), Approx125{}, g.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, c2, err := SolveAndVerify(Approx125{}, g.Clone())
+	s2, c2, err := SolveAndVerify(context.Background(), Approx125{}, g.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,33 +123,19 @@ func workerCount(jobs int) int {
 type Solver interface {
 	// Name identifies the solver in experiment tables.
 	Name() string
-	// Solve returns a complete pebbling scheme for g.
-	Solve(g *graph.Graph) (core.Scheme, error)
+	// Solve returns a complete pebbling scheme for g, bounded by ctx. It
+	// returns ctx.Err() (wrapped or bare — match with errors.Is(err,
+	// context.Canceled) / context.DeadlineExceeded) when canceled before
+	// completion. The per-component solvers observe cancellation at
+	// component granularity in the parallel pool, so a canceled solve
+	// returns promptly without tearing down mid-component state.
+	Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error)
 }
 
-// ContextSolver is a Solver whose solve honors context cancellation.
-// Every per-component solver in this package implements it; cancellation
-// is observed at component granularity in the parallel pool, so a
-// canceled solve returns promptly without tearing down mid-component
-// state.
-type ContextSolver interface {
-	Solver
-	// SolveContext is Solve bounded by ctx. It returns ctx.Err() (wrapped
-	// or bare — match with errors.Is(err, context.Canceled) /
-	// context.DeadlineExceeded) when canceled before completion.
-	SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error)
-}
-
-// SolveContext runs s under ctx when s supports cancellation, falling
-// back to a plain Solve (with one up-front cancellation check) otherwise.
+// SolveContext is s.Solve(ctx, g). It stays only for the replay in
+// cmd/pebblebench; the next benchmark change (ROADMAP item 6) deletes it.
 func SolveContext(ctx context.Context, s Solver, g *graph.Graph) (core.Scheme, error) {
-	if cs, ok := s.(ContextSolver); ok {
-		return cs.SolveContext(ctx, g)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.Solve(g)
+	return s.Solve(ctx, g)
 }
 
 // connectedOrderFunc computes an edge-visit order for one connected
@@ -406,20 +392,17 @@ type Naive struct{}
 func (Naive) Name() string { return "naive" }
 
 // Solve implements Solver.
-func (Naive) Solve(g *graph.Graph) (core.Scheme, error) {
+func (Naive) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return core.NaiveScheme(g), nil
 }
 
-// SolveAndVerify runs s on g and checks the scheme against the simulator,
-// returning the scheme and its verified cost π̂.
-func SolveAndVerify(s Solver, g *graph.Graph) (core.Scheme, int, error) {
-	return SolveAndVerifyContext(context.Background(), s, g)
-}
-
-// SolveAndVerifyContext is SolveAndVerify bounded by ctx (see
-// ContextSolver for the cancellation granularity).
-func SolveAndVerifyContext(ctx context.Context, s Solver, g *graph.Graph) (core.Scheme, int, error) {
-	scheme, err := SolveContext(ctx, s, g)
+// SolveAndVerify runs s on g under ctx and checks the scheme against the
+// simulator, returning the scheme and its verified cost π̂.
+func SolveAndVerify(ctx context.Context, s Solver, g *graph.Graph) (core.Scheme, int, error) {
+	scheme, err := s.Solve(ctx, g)
 	if err != nil {
 		return nil, 0, fmt.Errorf("solver %s: %w", s.Name(), err)
 	}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,7 +40,7 @@ func TestExactOnKnownGraphs(t *testing.T) {
 		{"spider-4", family.Spider(4).Graph(), family.SpiderOptimalEffectiveCost(4) + 1},
 	}
 	for _, c := range cases {
-		scheme, cost, err := SolveAndVerify(Exact{}, c.g)
+		scheme, cost, err := SolveAndVerify(context.Background(), Exact{}, c.g)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -58,7 +59,7 @@ func TestExactIsOptimalAgainstBounds(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomConnectedBip(r)
-		_, cost, err := SolveAndVerify(Exact{}, g)
+		_, cost, err := SolveAndVerify(context.Background(), Exact{}, g)
 		if err != nil {
 			return false
 		}
@@ -75,12 +76,12 @@ func TestNoSolverBeatsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		g := randomConnectedBip(rng)
-		_, optimal, err := SolveAndVerify(Exact{}, g)
+		_, optimal, err := SolveAndVerify(context.Background(), Exact{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range []Solver{Naive{}, Greedy{}, GreedyImproved{}, PathCover{}, CycleCover{}, Approx125{}} {
-			_, cost, err := SolveAndVerify(s, g)
+			_, cost, err := SolveAndVerify(context.Background(), s, g)
 			if err != nil {
 				t.Fatalf("trial %d: %s: %v", trial, s.Name(), err)
 			}
@@ -115,7 +116,7 @@ func TestEquijoinPerfectOnCompleteBipartite(t *testing.T) {
 	// perfectly via the boustrophedon order.
 	for _, kl := range [][2]int{{1, 1}, {1, 5}, {2, 2}, {3, 4}, {5, 5}, {7, 3}} {
 		g := graph.CompleteBipartite(kl[0], kl[1]).Graph()
-		scheme, cost, err := SolveAndVerify(Equijoin{}, g)
+		scheme, cost, err := SolveAndVerify(context.Background(), Equijoin{}, g)
 		if err != nil {
 			t.Fatalf("K_{%d,%d}: %v", kl[0], kl[1], err)
 		}
@@ -135,7 +136,7 @@ func TestEquijoinOnUnionOfCompleteBipartite(t *testing.T) {
 		graph.CompleteBipartite(2, 3).Graph(),
 		graph.DisjointUnion(graph.CompleteBipartite(1, 4).Graph(), graph.CompleteBipartite(3, 3).Graph()),
 	)
-	scheme, cost, err := SolveAndVerify(Equijoin{}, u)
+	scheme, cost, err := SolveAndVerify(context.Background(), Equijoin{}, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +150,14 @@ func TestEquijoinOnUnionOfCompleteBipartite(t *testing.T) {
 
 func TestEquijoinRejectsNonCompleteBipartite(t *testing.T) {
 	g := graph.PathBipartite(3).Graph() // path of 3 edges is not complete bipartite
-	if _, err := (Equijoin{}).Solve(g); err == nil {
+	if _, err := (Equijoin{}).Solve(context.Background(), g); err == nil {
 		t.Fatal("path must be rejected by the equijoin solver")
 	}
 	tri := graph.New(3)
 	tri.AddEdge(0, 1)
 	tri.AddEdge(1, 2)
 	tri.AddEdge(2, 0)
-	if _, err := (Equijoin{}).Solve(tri); err == nil {
+	if _, err := (Equijoin{}).Solve(context.Background(), tri); err == nil {
 		t.Fatal("triangle must be rejected")
 	}
 }
@@ -167,11 +168,11 @@ func TestEquijoinMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		g := graph.CompleteBipartite(1+rng.Intn(3), 1+rng.Intn(4)).Graph()
-		_, ce, err := SolveAndVerify(Exact{}, g)
+		_, ce, err := SolveAndVerify(context.Background(), Exact{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cq, err := SolveAndVerify(Equijoin{}, g)
+		_, cq, err := SolveAndVerify(context.Background(), Equijoin{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,7 @@ func TestIsEquijoinGraph(t *testing.T) {
 func TestMatchingSolverLemma24(t *testing.T) {
 	for _, m := range []int{1, 2, 5, 16} {
 		g := graph.Matching(m).Graph()
-		scheme, cost, err := SolveAndVerify(MatchingSolver{}, g)
+		scheme, cost, err := SolveAndVerify(context.Background(), MatchingSolver{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +211,7 @@ func TestMatchingSolverLemma24(t *testing.T) {
 			t.Fatalf("m=%d: π=%d want m", m, eff)
 		}
 	}
-	if _, err := (MatchingSolver{}).Solve(graph.PathBipartite(2).Graph()); err == nil {
+	if _, err := (MatchingSolver{}).Solve(context.Background(), graph.PathBipartite(2).Graph()); err == nil {
 		t.Fatal("non-matching must be rejected")
 	}
 }
@@ -221,7 +222,7 @@ func TestApprox125Bound(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 60; trial++ {
 		g := randomConnectedBip(rng)
-		_, cost, err := SolveAndVerify(Approx125{}, g)
+		_, cost, err := SolveAndVerify(context.Background(), Approx125{}, g)
 		if err != nil {
 			t.Fatalf("trial %d on %v: %v", trial, g, err)
 		}
@@ -236,7 +237,7 @@ func TestApprox125OnSpiders(t *testing.T) {
 	// the known optimum.
 	for n := 1; n <= 40; n++ {
 		g := family.Spider(n).Graph()
-		_, cost, err := SolveAndVerify(Approx125{}, g)
+		_, cost, err := SolveAndVerify(context.Background(), Approx125{}, g)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -255,11 +256,11 @@ func TestApprox125RatioAgainstExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
 		g := randomConnectedBip(rng)
-		_, ca, err := SolveAndVerify(Approx125{}, g)
+		_, ca, err := SolveAndVerify(context.Background(), Approx125{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ce, err := SolveAndVerify(Exact{}, g)
+		_, ce, err := SolveAndVerify(context.Background(), Exact{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +276,7 @@ func TestApprox125LargeGraphs(t *testing.T) {
 	sizes := [][3]int{{20, 20, 60}, {40, 30, 200}, {25, 25, 600}}
 	for _, sz := range sizes {
 		g := graph.RandomConnectedBipartite(rng, sz[0], sz[1], sz[2]).Graph()
-		_, cost, err := SolveAndVerify(Approx125{}, g)
+		_, cost, err := SolveAndVerify(context.Background(), Approx125{}, g)
 		if err != nil {
 			t.Fatalf("size %v: %v", sz, err)
 		}
@@ -293,7 +294,7 @@ func TestApprox125OnFamilies(t *testing.T) {
 				t.Fatal(err)
 			}
 			g, _ := b.Graph().WithoutIsolated()
-			_, cost, err := SolveAndVerify(Approx125{}, g)
+			_, cost, err := SolveAndVerify(context.Background(), Approx125{}, g)
 			if err != nil {
 				t.Fatalf("%s(%d): %v", name, size, err)
 			}
@@ -309,7 +310,7 @@ func TestGreedySolversProduceValidSchemes(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := randomConnectedBip(rng)
 		for _, s := range []Solver{Greedy{}, GreedyImproved{}, PathCover{}, CycleCover{}, Naive{}} {
-			if _, _, err := SolveAndVerify(s, g); err != nil {
+			if _, _, err := SolveAndVerify(context.Background(), s, g); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}
@@ -320,11 +321,11 @@ func TestExactBnBMatchesHeldKarp(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 15; trial++ {
 		g := randomConnectedBip(rng)
-		_, hk, err := SolveAndVerify(Exact{}, g)
+		_, hk, err := SolveAndVerify(context.Background(), Exact{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, bb, err := SolveAndVerify(ExactBnB{}, g)
+		_, bb, err := SolveAndVerify(context.Background(), ExactBnB{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +337,7 @@ func TestExactBnBMatchesHeldKarp(t *testing.T) {
 
 func TestExactBnBNodeCapErrors(t *testing.T) {
 	g := family.Spider(6).Graph()
-	if _, err := (ExactBnB{MaxNodes: 5}).Solve(g); err == nil {
+	if _, err := (ExactBnB{MaxNodes: 5}).Solve(context.Background(), g); err == nil {
 		t.Fatal("tiny node cap must surface an error, not a silent approximation")
 	}
 }
@@ -348,54 +349,17 @@ func TestCycleCoverNearOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
 		g := randomConnectedBip(rng)
-		_, opt, err := SolveAndVerify(Exact{}, g)
+		_, opt, err := SolveAndVerify(context.Background(), Exact{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := SolveAndVerify(CycleCover{}, g)
+		_, got, err := SolveAndVerify(context.Background(), CycleCover{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if 6*(got-1) > 7*(opt-1)+6 {
 			t.Fatalf("trial %d: cycle-cover π=%d vs optimal %d breaks 7/6+1", trial, got-1, opt-1)
 		}
-	}
-}
-
-func TestAutoSelectsEquijoinPath(t *testing.T) {
-	g := graph.CompleteBipartite(30, 30).Graph() // 900 edges: far beyond exact
-	scheme, cost, err := SolveAndVerify(Auto{}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !core.Perfect(g, scheme) {
-		t.Fatal("auto must pebble equijoin graphs perfectly")
-	}
-	if cost != g.M()+1 {
-		t.Fatalf("π̂=%d want m+1", cost)
-	}
-}
-
-func TestAutoFallsBackToApprox(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	g := graph.RandomConnectedBipartite(rng, 15, 15, 80).Graph() // not equijoin, too big for exact
-	_, cost, err := SolveAndVerify(Auto{}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost > ApproxCostBound(g) {
-		t.Fatalf("auto fallback exceeded approx bound: %d > %d", cost, ApproxCostBound(g))
-	}
-}
-
-func TestAutoUsesExactOnSmallHardGraphs(t *testing.T) {
-	g := family.Spider(4).Graph()
-	_, cost, err := SolveAndVerify(Auto{}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := family.SpiderOptimalEffectiveCost(4) + 1; cost != want {
-		t.Fatalf("auto on spider-4: π̂=%d want optimal %d", cost, want)
 	}
 }
 
@@ -452,7 +416,7 @@ func TestHasPerfectScheme(t *testing.T) {
 
 func TestExactRejectsOversizedComponent(t *testing.T) {
 	g := graph.RandomConnectedBipartite(rand.New(rand.NewSource(11)), 10, 10, 40).Graph()
-	if _, err := (Exact{MaxEdges: 10}).Solve(g); err == nil {
+	if _, err := (Exact{MaxEdges: 10}).Solve(context.Background(), g); err == nil {
 		t.Fatal("oversized component must be rejected")
 	}
 }
@@ -460,7 +424,7 @@ func TestExactRejectsOversizedComponent(t *testing.T) {
 func TestSolverlessEmptyGraph(t *testing.T) {
 	g := graph.New(5)
 	for _, s := range All() {
-		scheme, err := s.Solve(g)
+		scheme, err := s.Solve(context.Background(), g)
 		if err != nil {
 			t.Fatalf("%s on edgeless graph: %v", s.Name(), err)
 		}

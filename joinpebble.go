@@ -30,7 +30,10 @@
 package joinpebble
 
 import (
+	"context"
+
 	"joinpebble/internal/core"
+	"joinpebble/internal/engine"
 	"joinpebble/internal/family"
 	"joinpebble/internal/graph"
 	"joinpebble/internal/join"
@@ -84,17 +87,20 @@ func OverlapGraph(ls, rs []Rect) *Bipartite {
 	return join.Graph(ls, rs, join.Overlaps)
 }
 
-// Pebble solves the join graph with the automatic solver: the linear-time
-// perfect pebbler on equijoin graphs, exact search when the instance is
-// small enough, the Theorem 3.1 approximation otherwise. The returned
-// cost is π̂ (Definition 2.1), verified by simulation.
+// Pebble solves the join graph with the solver the engine planner routes
+// it to: the linear-time perfect pebbler on equijoin graphs, exact search
+// when the instance is small enough, the Theorem 3.1 approximation
+// otherwise. The returned cost is π̂ (Definition 2.1), verified by
+// simulation.
 func Pebble(b *Bipartite) (Scheme, int, error) {
-	return solver.SolveAndVerify(solver.Auto{}, b.Graph())
+	g := b.Graph()
+	s := (&engine.Planner{}).Plan(engine.FromGraph(g)).Solver
+	return solver.SolveAndVerify(context.Background(), s, g)
 }
 
 // PebbleWith solves with a specific solver, verifying the scheme.
 func PebbleWith(s Solver, b *Bipartite) (Scheme, int, error) {
-	return solver.SolveAndVerify(s, b.Graph())
+	return solver.SolveAndVerify(context.Background(), s, b.Graph())
 }
 
 // OptimalCost returns π̂(G) exactly; exponential beyond small instances
@@ -114,10 +120,10 @@ func Bounds(b *Bipartite) (lo, hi int) {
 }
 
 // Solvers returns the named solver lineup: "naive", "greedy",
-// "greedy+2opt", "path-cover", "approx-1.25", "exact", plus "equijoin"
-// and "auto".
+// "greedy+2opt", "path-cover", "cycle-cover", "approx-1.25", "exact",
+// plus "equijoin". Pebble picks among them by the instance's structure.
 func Solvers() []Solver {
-	return append(solver.All(), solver.Equijoin{}, solver.Auto{})
+	return append(solver.All(), solver.Equijoin{})
 }
 
 // HardFamily returns G_n of Theorem 3.3 (Figure 1a): the bipartite graph
@@ -149,14 +155,16 @@ func AuditEmission(b *Bipartite, pairs []Pair) (*Audit, error) {
 
 // Decide answers PEBBLE(D) of Definition 4.1: is π(G) <= K? Fast paths
 // use the paper's bounds; the worst case is exponential (Theorem 4.2).
-func Decide(b *Bipartite, k int) (bool, error) { return solver.Decide(b.Graph(), k) }
+func Decide(b *Bipartite, k int) (bool, error) {
+	return solver.Decide(context.Background(), b.Graph(), k)
+}
 
 // ApproxWithin solves Definition 4.1's ε-approximation problem: a scheme
 // with effective cost within factor 1+ε of optimal, via the §4 solver
 // ladder (1.25 in linear time, cycle cover below that, exact for small ε
 // — the MAX-SNP barrier of Theorem 4.4 makes that unavoidable).
 func ApproxWithin(b *Bipartite, eps float64) (Scheme, error) {
-	return solver.ApproxWithin(b.Graph(), eps)
+	return solver.ApproxWithin(context.Background(), b.Graph(), eps)
 }
 
 // PlanPageFetches schedules the page I/O of a join under a tuple layout

@@ -95,7 +95,7 @@ func TestSolversLineup(t *testing.T) {
 	for _, s := range Solvers() {
 		names[s.Name()] = true
 	}
-	for _, want := range []string{"naive", "greedy", "approx-1.25", "exact", "equijoin", "auto"} {
+	for _, want := range []string{"naive", "greedy", "approx-1.25", "exact", "equijoin"} {
 		if !names[want] {
 			t.Fatalf("missing solver %q in %v", want, names)
 		}
