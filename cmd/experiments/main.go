@@ -16,8 +16,11 @@
 //	experiments -markdown        # GitHub-flavored markdown (EXPERIMENTS.md body)
 //	experiments -j 4             # at most 4 experiments in flight
 //	experiments -metrics m.json  # dump the metrics snapshot after the run
-//	experiments -trace t.jsonl   # record the solver span tree
 //	experiments -pprof :6060     # serve /debug/pprof and /debug/vars
+//
+// Experiments call the solvers directly, outside any request scope, so
+// they record no spans; their per-phase timers reach -metrics and the
+// stderr table.
 package main
 
 import (

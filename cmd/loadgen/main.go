@@ -10,7 +10,8 @@
 // requests), throughput, and the degraded/cached/rejected outcome
 // fractions; -report writes the same numbers as a BENCH_<date>-serve
 // style report (bench schema, Serve flag set, so kernel regression runs
-// never pick it as a baseline).
+// never pick it as a baseline) that embeds the server's own metrics,
+// scraped from its /debug/vars after the run.
 //
 // Everything derives from -seed, so a run is replayable bit-for-bit on
 // the generator side.
@@ -18,8 +19,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -103,6 +107,16 @@ func run(ctx context.Context, w *os.File, cfg serve.LoadConfig, reportPath strin
 	if reportPath == "" {
 		return err
 	}
+	// Scrape under a fresh deadline: an interrupted run still reports.
+	sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+	defer cancel()
+	metrics, serr := serverMetrics(sctx, cfg.Base)
+	if serr != nil {
+		if err == nil {
+			err = fmt.Errorf("report: %w", serr)
+		}
+		return err
+	}
 	br := &bench.Report{
 		Schema:     bench.SchemaVersion,
 		Date:       obs.Now().UTC().Format("2006-01-02"),
@@ -127,7 +141,7 @@ func run(ctx context.Context, w *os.File, cfg serve.LoadConfig, reportPath strin
 				"rate_rps":          cfg.Rate,
 			},
 		}},
-		Metrics: obs.Default.Snapshot(),
+		Metrics: metrics,
 	}
 	if werr := bench.WriteReport(reportPath, br); werr != nil {
 		if err == nil {
@@ -137,4 +151,32 @@ func run(ctx context.Context, w *os.File, cfg serve.LoadConfig, reportPath strin
 	}
 	fmt.Fprintf(os.Stderr, "loadgen: wrote report to %s\n", reportPath)
 	return err
+}
+
+// serverMetrics scrapes the joinpebble registry from the server's
+// /debug/vars, so a report carries the metrics of the process that did
+// the work. A server without that var is an error.
+func serverMetrics(ctx context.Context, base string) (*obs.Snapshot, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/debug/vars", nil)
+	if err != nil {
+		return nil, fmt.Errorf("scrape /debug/vars: %w", err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("scrape /debug/vars: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("scrape /debug/vars: status %d", resp.StatusCode)
+	}
+	var vars struct {
+		Joinpebble *obs.Snapshot `json:"joinpebble"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		return nil, fmt.Errorf("decode /debug/vars: %w", err)
+	}
+	if vars.Joinpebble == nil {
+		return nil, errors.New("/debug/vars has no joinpebble registry")
+	}
+	return vars.Joinpebble, nil
 }

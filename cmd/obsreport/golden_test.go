@@ -64,20 +64,36 @@ func TestGoldenSnapshot(t *testing.T) {
 	checkGolden(t, "snapshot", out)
 }
 
-func TestGoldenTraceJSONL(t *testing.T) {
-	out, err := exec.Command(obsreportBin, "trace", "testdata/trace.jsonl").Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "trace_jsonl", out)
-}
-
 func TestGoldenTraceChrome(t *testing.T) {
 	out, err := exec.Command(obsreportBin, "trace", "testdata/chrome.trace.json").Output()
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "trace_chrome", out)
+}
+
+// TestTraceRejectsJSONL: Chrome trace_event JSON is the only trace
+// format, so a JSONL span stream is a parse error (exit 1), not a usage
+// error.
+func TestTraceRejectsJSONL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	jsonl := `{"id":1,"parent":0,"depth":0,"name":"engine/solve","start_ns":0,"dur_ns":10000}
+{"id":2,"parent":1,"depth":1,"name":"exact","start_ns":1000,"dur_ns":8000}
+`
+	if err := os.WriteFile(path, []byte(jsonl), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(obsreportBin, "trace", path)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 1 {
+		t.Fatalf("obsreport trace on JSONL: err = %v, want exit 1 (stderr: %s)", err, stderr.String())
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte("obsreport: parse "+path)) {
+		t.Fatalf("stderr must name the parse failure: %q", stderr.String())
+	}
 }
 
 // TestGoldenDiffBenchReports pins the acceptance-path diff: the two

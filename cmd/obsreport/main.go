@@ -1,14 +1,14 @@
 // Command obsreport renders joinpebble observability artifacts as text:
 // metric snapshots (-metrics files, flight recorder dumps embed the same
 // shape) as aligned tables, span traces (Chrome trace_event JSON from
-// -trace-out, or JSONL from -trace) as indented trees, and pairs of
-// snapshots or BENCH_*.json reports as before/after diffs that apply the
-// same noise-floor significance rules as the bench regression comparator.
+// -trace-out) as indented trees, and pairs of snapshots or BENCH_*.json
+// reports as before/after diffs that apply the same noise-floor
+// significance rules as the bench regression comparator.
 //
 // Usage:
 //
 //	obsreport snapshot <metrics.json>
-//	obsreport trace <trace.json | trace.jsonl>
+//	obsreport trace <trace.json>
 //	obsreport diff [-tolerance 1.30] [-check] <base.json> <cur.json>
 //
 // diff auto-detects its inputs: a BENCH_*.json report (diffed series plus
@@ -17,7 +17,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -47,7 +46,7 @@ func run(args []string, w io.Writer) error {
 		return runSnapshot(args[1], w)
 	case "trace":
 		if len(args) != 2 {
-			return cmdutil.Usagef("usage: obsreport trace <trace.json|trace.jsonl>")
+			return cmdutil.Usagef("usage: obsreport trace <trace.json>")
 		}
 		return runTrace(args[1], w)
 	case "diff":
@@ -150,60 +149,44 @@ func writeSnapshot(w io.Writer, s *obs.Snapshot) {
 	}
 }
 
-// loadSpans parses path as Chrome trace_event JSON (object with a
-// traceEvents array; span tree recovered from the id/parent args) or as
-// a JSONL span stream (one SpanRecord per line).
+// loadSpans parses path as Chrome trace_event JSON (an object with a
+// traceEvents array), recovering the span tree from the id/parent args.
 func loadSpans(path string) ([]obs.SpanRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	trimmed := strings.TrimSpace(string(data))
-	if trimmed == "" {
-		return nil, nil
-	}
 	var doc obs.ChromeTrace
-	if err := json.Unmarshal(data, &doc); err == nil && doc.TraceEvents != nil {
-		recs := make([]obs.SpanRecord, 0, len(doc.TraceEvents))
-		for _, ev := range doc.TraceEvents {
-			rec := obs.SpanRecord{
-				Name:    ev.Name,
-				StartNs: int64(ev.Ts * 1e3),
-				DurNs:   int64(ev.Dur * 1e3),
-			}
-			for k, v := range ev.Args {
-				switch k {
-				case "id":
-					rec.ID = int(v)
-				case "parent":
-					rec.Parent = int(v)
-				default:
-					if rec.Attrs == nil {
-						rec.Attrs = make(map[string]int64)
-					}
-					rec.Attrs[k] = v
-				}
-			}
-			recs = append(recs, rec)
-		}
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-		return recs, nil
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
-	var recs []obs.SpanRecord
-	sc := bufio.NewScanner(strings.NewReader(trimmed))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	if doc.TraceEvents == nil {
+		return nil, fmt.Errorf("parse %s: no traceEvents array", path)
+	}
+	recs := make([]obs.SpanRecord, 0, len(doc.TraceEvents))
+	for _, ev := range doc.TraceEvents {
+		rec := obs.SpanRecord{
+			Name:    ev.Name,
+			StartNs: int64(ev.Ts * 1e3),
+			DurNs:   int64(ev.Dur * 1e3),
 		}
-		var rec obs.SpanRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, fmt.Errorf("parse %s: %w", path, err)
+		for k, v := range ev.Args {
+			switch k {
+			case "id":
+				rec.ID = int(v)
+			case "parent":
+				rec.Parent = int(v)
+			default:
+				if rec.Attrs == nil {
+					rec.Attrs = make(map[string]int64)
+				}
+				rec.Attrs[k] = v
+			}
 		}
 		recs = append(recs, rec)
 	}
-	return recs, sc.Err()
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	return recs, nil
 }
 
 func runTrace(path string, w io.Writer) error {
@@ -216,7 +199,7 @@ func runTrace(path string, w io.Writer) error {
 		return nil
 	}
 	// Depth from the parent chain: parents always precede children in id
-	// order, which both writers guarantee.
+	// order, which the tracer guarantees.
 	depth := make(map[int]int, len(recs))
 	for _, r := range recs {
 		d := 0

@@ -18,8 +18,8 @@
 // listener closes, in-flight solves finish under -drain-timeout, then
 // the observability artifacts are flushed.
 //
-// All solves share the process-wide scheme cache (-cache-size /
-// -cache-off), so repeated shapes are answered from cache across
+// All solves share the process-wide scheme cache (-cache-size; 0
+// disables it), so repeated shapes are answered from cache across
 // requests.
 package main
 

@@ -62,7 +62,6 @@ var sinks = []nameSink{
 	{"Registry", "Timer", "timer", 0},
 	{"Tracer", "Start", "span", 0},
 	{"Span", "Start", "span", 0},
-	{"", "StartSpan", "span", 0},
 	// The scope surface: scope-aware metric forwarders register their
 	// (global) names at var-decl time, scope names double as span-style
 	// identifiers, and context spans take the name after the ctx.
@@ -101,8 +100,8 @@ type forwarder struct {
 func run(pass *analysis.Pass) error {
 	if pass.Pkg.Path() == obsPath {
 		// The obs package is the instrument implementation; its own
-		// plumbing (StartSpan -> Tracer.Start -> newSpan) forwards
-		// names by construction.
+		// plumbing (StartSpanCtx -> Scope.StartSpan -> Tracer.Start)
+		// forwards names by construction.
 		return nil
 	}
 	info := pass.TypesInfo

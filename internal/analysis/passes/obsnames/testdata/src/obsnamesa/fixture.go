@@ -23,7 +23,7 @@ func dynamicName(alg string) *obs.Counter {
 // spanName is the solvePerComponent pattern: the name parameter of an
 // unexported function is validated at its call sites instead.
 func spanName(name string) *obs.Span {
-	return obs.StartSpan(name)
+	return obs.StartSpanCtx(context.Background(), name)
 }
 
 func useSpans() {

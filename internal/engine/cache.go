@@ -31,10 +31,10 @@ var (
 // carries in Result.Solver, Result.Attempts, and scope events.
 const CachedSolverName = "cached"
 
-// sharedCache is the process-wide cache the CLIs install via
-// cmdutil (-cache-size / -cache-off). Zero-value Planners fall back to
-// it, so every command's solves share one cache without plumbing;
-// library users and tests that never install one run cache-free.
+// sharedCache is the process-wide cache the CLIs install via cmdutil
+// (-cache-size; 0 installs none). Zero-value Planners fall back to it,
+// so every command's solves share one cache without plumbing; library
+// users and tests that never install one run cache-free.
 var sharedCache atomic.Pointer[schemecache.Cache]
 
 // SetSharedCache installs (or, with nil, removes) the process-wide

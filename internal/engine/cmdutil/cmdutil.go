@@ -1,7 +1,7 @@
 // Package cmdutil holds the plumbing every joinpebble command shares:
 // usage-error classification with consistent exit codes, the
-// -metrics/-trace/-trace-out/-pprof observability flags with their
-// write-out logic, and the -cache-size/-cache-off scheme-cache knobs.
+// -metrics/-trace-out/-pprof observability flags with their write-out
+// logic, and the -cache-size scheme-cache knob.
 // Keeping it beside the engine makes the four CLIs thin adapters over
 // the engine pipeline instead of four diverging copies of the same glue.
 package cmdutil
@@ -78,11 +78,9 @@ var osExit = os.Exit
 type Obs struct {
 	cmd       string
 	Metrics   string // -metrics: JSON snapshot path
-	Trace     string // -trace: JSONL span-tree path
 	TraceOut  string // -trace-out: per-scope Chrome traces + flight recorder dir
 	PProf     string // -pprof: expvar/pprof listen address
 	CacheSize string // -cache-size: scheme cache capacity (byte-size string)
-	CacheOff  bool   // -cache-off: disable the scheme cache
 
 	pprofSrv *obshttp.Server // live debug server; drained in Finish
 }
@@ -97,10 +95,8 @@ const DefaultCacheSize = "64MiB"
 func BindFlags(fs *flag.FlagSet, cmd string, withPProf bool) *Obs {
 	o := &Obs{cmd: cmd}
 	fs.StringVar(&o.Metrics, "metrics", "", "write the metrics snapshot as JSON to this file")
-	fs.StringVar(&o.Trace, "trace", "", "write the span trace as JSONL to this file")
 	fs.StringVar(&o.TraceOut, "trace-out", "", "write per-solve Chrome traces and flightrecorder.json into this directory")
-	fs.StringVar(&o.CacheSize, "cache-size", DefaultCacheSize, "scheme cache capacity in bytes (KB/MB/GB or KiB/MiB/GiB suffixes)")
-	fs.BoolVar(&o.CacheOff, "cache-off", false, "disable the scheme cache (every solve runs cold)")
+	fs.StringVar(&o.CacheSize, "cache-size", DefaultCacheSize, "scheme cache capacity in bytes (KB/MB/GB or KiB/MiB/GiB suffixes); 0 disables the cache")
 	if withPProf {
 		fs.StringVar(&o.PProf, "pprof", "", "serve net/http/pprof and expvar on this address")
 	}
@@ -134,13 +130,9 @@ func ParseByteSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// installCache installs (or clears) the process-wide scheme cache the
-// engine's planners fall back to, per the parsed cache flags.
+// installCache installs (or, at size 0, clears) the process-wide scheme
+// cache the engine's planners fall back to, per -cache-size.
 func (o *Obs) installCache() error {
-	if o.CacheOff {
-		engine.SetSharedCache(nil)
-		return nil
-	}
 	size, err := ParseByteSize(o.CacheSize)
 	if err != nil {
 		return Usagef("-cache-size: %v", err)
@@ -153,9 +145,9 @@ func (o *Obs) installCache() error {
 	return nil
 }
 
-// Start installs the scheme cache, tracer, and pprof server the parsed
-// flags ask for. Call it right after flag parsing, before any
-// instrumented work.
+// Start installs the scheme cache, trace directory, and pprof server
+// the parsed flags ask for. Call it right after flag parsing, before
+// any instrumented work.
 func (o *Obs) Start() error {
 	if err := o.installCache(); err != nil {
 		return err
@@ -168,9 +160,6 @@ func (o *Obs) Start() error {
 		o.pprofSrv = srv
 		fmt.Fprintf(os.Stderr, "%s: pprof/expvar on http://%s/debug/\n", o.cmd, srv.Addr())
 	}
-	if o.Trace != "" {
-		obs.SetTracer(obs.NewTracer())
-	}
 	if o.TraceOut != "" {
 		if err := os.MkdirAll(o.TraceOut, 0o755); err != nil {
 			return fmt.Errorf("trace-out: %w", err)
@@ -180,10 +169,10 @@ func (o *Obs) Start() error {
 	return nil
 }
 
-// Finish writes the metrics snapshot and span trace the flags asked
-// for, then drains the debug server so an in-flight scrape is not cut
-// off mid-response. It logs each written path to stderr so stdout stays
-// pipeable.
+// Finish writes the metrics snapshot and flight recorder the flags
+// asked for, then drains the debug server so an in-flight scrape is not
+// cut off mid-response. It logs each written path to stderr so stdout
+// stays pipeable.
 func (o *Obs) Finish() error {
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -196,12 +185,6 @@ func (o *Obs) Finish() error {
 		}
 		fmt.Fprintf(os.Stderr, "%s: wrote metrics to %s\n", o.cmd, o.Metrics)
 	}
-	if o.Trace != "" {
-		if err := writeTrace(o.Trace); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "%s: wrote trace to %s\n", o.cmd, o.Trace)
-	}
 	if o.TraceOut != "" {
 		path := filepath.Join(o.TraceOut, "flightrecorder.json")
 		if err := obs.DefaultRecorder.WriteJSONFile(path); err != nil {
@@ -210,20 +193,4 @@ func (o *Obs) Finish() error {
 		fmt.Fprintf(os.Stderr, "%s: wrote flight recorder to %s\n", o.cmd, path)
 	}
 	return nil
-}
-
-func writeTrace(path string) error {
-	tr := obs.ActiveTracer()
-	if tr == nil {
-		return fmt.Errorf("no active tracer")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"joinpebble/internal/engine"
 	"joinpebble/internal/obs"
 )
 
@@ -57,8 +58,8 @@ func TestExitNilIsNoOp(t *testing.T) {
 func TestBindFlagsAndFinish(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	o := BindFlags(fs, "test", false)
-	if fs.Lookup("metrics") == nil || fs.Lookup("trace") == nil {
-		t.Fatal("metrics/trace flags not registered")
+	if fs.Lookup("metrics") == nil || fs.Lookup("trace-out") == nil {
+		t.Fatal("metrics/trace-out flags not registered")
 	}
 	if fs.Lookup("pprof") != nil {
 		t.Fatal("pprof must be opt-in")
@@ -83,12 +84,35 @@ func TestBindFlagsAndFinish(t *testing.T) {
 	}
 }
 
-func TestFinishTraceWithoutTracer(t *testing.T) {
-	o := &Obs{cmd: "test", Trace: filepath.Join(t.TempDir(), "t.jsonl")}
-	// Start was never called, so no tracer is active (unless another test
-	// installed one globally — reset to be sure).
-	obs.SetTracer(nil)
-	if err := o.Finish(); err == nil {
-		t.Fatal("Finish with -trace but no tracer must error")
+// TestCacheSizeFlag pins the one scheme-cache knob: a positive
+// -cache-size installs a shared cache of that capacity, and
+// -cache-size 0 then leaves none installed.
+func TestCacheSizeFlag(t *testing.T) {
+	prev := engine.SharedCache()
+	defer engine.SetSharedCache(prev)
+	for _, tc := range []struct {
+		size string
+		want int64 // installed capacity; 0 means no cache
+	}{
+		{"1MiB", 1 << 20},
+		{"0", 0},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		o := BindFlags(fs, "test", false)
+		if err := fs.Parse([]string{"-cache-size", tc.size}); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Start(); err != nil {
+			t.Fatal(err)
+		}
+		c := engine.SharedCache()
+		switch {
+		case tc.want == 0 && c != nil:
+			t.Errorf("-cache-size %s installed a cache", tc.size)
+		case tc.want > 0 && c == nil:
+			t.Errorf("-cache-size %s installed no cache", tc.size)
+		case tc.want > 0 && c.Stats().Capacity != tc.want:
+			t.Errorf("-cache-size %s capacity = %d, want %d", tc.size, c.Stats().Capacity, tc.want)
+		}
 	}
 }

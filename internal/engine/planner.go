@@ -84,8 +84,6 @@ type Planner struct {
 	// solver that trips its budget falls down the ladder like a routed
 	// one.
 	Solver solver.Solver
-	// Snapshot attaches a metrics-registry snapshot to each Result.
-	Snapshot bool
 	// Degrade is the degradation policy Run applies when a rung fails
 	// with a budget, deadline, panic, or structure error. The zero
 	// value degrades down the ladder (exact → approx → naive).
@@ -196,10 +194,6 @@ type Result struct {
 
 	// Elapsed is the wall time of plan + solve + verify.
 	Elapsed time.Duration
-
-	// Metrics is the obs registry snapshot after the solve, attached
-	// when Planner.Snapshot is set (nil otherwise).
-	Metrics *obs.Snapshot
 }
 
 // Run routes the instance, solves it under ctx, verifies the scheme
@@ -234,15 +228,7 @@ func (p *Planner) Run(ctx context.Context, in *Instance) (*Result, error) {
 	if owned {
 		sc.Close()
 	}
-	if err != nil {
-		return nil, err
-	}
-	if p.Snapshot {
-		// Taken after the owned scope's rollup, so the snapshot already
-		// includes this run's own metrics.
-		res.Metrics = obs.Default.Snapshot()
-	}
-	return res, nil
+	return res, err
 }
 
 // run is the scope-carrying body of Run: ctx always holds sc here. The

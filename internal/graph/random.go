@@ -63,16 +63,6 @@ func RandomConnectedBipartite(rng *rand.Rand, nLeft, nRight, m int) *Bipartite {
 	return b
 }
 
-// RandomTree returns a uniform-ish random tree on n vertices built by
-// attaching vertex i to a random earlier vertex.
-func RandomTree(rng *rand.Rand, n int) *Graph {
-	g := New(n)
-	for v := 1; v < n; v++ {
-		g.AddEdge(v, rng.Intn(v))
-	}
-	return g
-}
-
 // RandomConnectedGraph returns a connected graph on n vertices with m
 // edges (random tree plus random extras) and maximum degree at most
 // maxDeg (0 means unbounded). Used to generate TSP-k(1,2) instances for

@@ -195,6 +195,3 @@ func Contains(l, r sets.Set) bool { return l.SubsetOf(r) }
 
 // Overlaps is the spatial-overlap predicate of §3.3 on rectangles.
 func Overlaps(l, r spatial.Rect) bool { return l.Overlaps(r) }
-
-// OverlapsPoly is the spatial-overlap predicate on convex polygons.
-func OverlapsPoly(l, r spatial.Polygon) bool { return l.Overlaps(r) }

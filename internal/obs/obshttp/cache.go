@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 
-	"joinpebble/internal/engine"
 	"joinpebble/internal/obs"
 	"joinpebble/internal/schemecache"
 )
@@ -20,7 +19,8 @@ const CachePath = "/debug/joinpebble/cache"
 // cacheReport is the CachePath JSON payload.
 type cacheReport struct {
 	// Installed is false when no process-wide cache is set (the binary
-	// ran with -cache-off, or never installed one); Stats is then absent.
+	// ran with -cache-size 0, or never installed one); Stats is then
+	// absent.
 	Installed bool                  `json:"installed"`
 	Stats     *cacheStats           `json:"stats,omitempty"`
 	Counters  map[string]int64      `json:"counters"`
@@ -52,14 +52,9 @@ type cacheStats struct {
 // package).
 const cacheMetricPrefix = "engine/cache/"
 
-// CacheHandler serves the CachePath report for the process-wide cache
-// (engine.SharedCache) and the default registry's cache-rung metrics.
-func CacheHandler() http.Handler {
-	return CacheHandlerFor(engine.SharedCache)
-}
-
-// CacheHandlerFor is CacheHandler with the cache supplied by a getter,
-// so a server running against a private cache (tests) reports that one.
+// CacheHandlerFor serves the CachePath report: the stats of the cache
+// get returns (engine.SharedCache, or a server's private cache in tests)
+// and the default registry's cache-rung metrics.
 func CacheHandlerFor(get func() *schemecache.Cache) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rep := cacheReport{Counters: map[string]int64{}, Timers: map[string]timerBrief{}}

@@ -109,14 +109,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return s.srv.Shutdown(ctx)
 }
-
-// Serve is the fire-and-forget form of Start for callers that want the
-// debug server to live exactly as long as the process: same hardening,
-// no shutdown handle.
-func Serve(addr string) (net.Addr, error) {
-	s, err := Start(addr)
-	if err != nil {
-		return nil, err
-	}
-	return s.Addr(), nil
-}

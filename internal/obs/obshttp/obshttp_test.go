@@ -18,10 +18,12 @@ import (
 // /debug/pprof/ answers.
 func TestServeExposesRegistry(t *testing.T) {
 	obs.Default.Counter("obshttp_test/hits").Add(3)
-	addr, err := Serve("127.0.0.1:0")
+	srv, err := Start("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("cannot bind a local listener: %v", err)
 	}
+	defer srv.Shutdown(context.Background())
+	addr := srv.Addr()
 	resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", addr))
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,9 @@ package obs
 // keep fully disjoint counters and span forests. On Close the scope
 // rolls its registry up into the process-global Default by addition —
 // the global registry always equals the sum of every closed scope plus
-// whatever ran unscoped — hands its summary to the flight recorder, and
-// folds its spans into the process-wide tracer so `-trace` output is
-// unchanged.
+// whatever ran unscoped — and hands its summary to the flight recorder.
+// Spans record only into a scope's tracer, so unscoped work records
+// none.
 //
 // Hot paths do not pay for scoping: a *CounterVar (or TimerVar /
 // HistogramVar) resolves the context once, outside the loop, via In(ctx)
@@ -266,10 +266,9 @@ func (s *Scope) summaryLocked(spanCount int) ScopeSummary {
 // Close finishes the scope: it flags a fault-site firing, rolls the
 // private registry up into the global Default (global = sum of scopes),
 // hands the summary — with the full span forest when flagged — to the
-// flight recorder, folds the spans into the process-wide tracer, and
-// writes a per-request Chrome trace file when SetScopeTraceDir is in
-// effect. Idempotent and nil-safe; the first call returns the summary,
-// later calls return a zero summary.
+// flight recorder, and writes a per-request Chrome trace file when
+// SetScopeTraceDir is in effect. Idempotent and nil-safe; the first
+// call returns the summary, later calls return a zero summary.
 func (s *Scope) Close() ScopeSummary {
 	if s == nil {
 		return ScopeSummary{}
@@ -296,7 +295,6 @@ func (s *Scope) Close() ScopeSummary {
 	if recorder != nil {
 		recorder.Record(sum, spans)
 	}
-	ActiveTracer().absorb(s.tracer)
 	if dir := scopeTraceDir.Load(); dir != nil {
 		// Trace dumps are best-effort: a full disk must not fail the solve
 		// that produced the trace.
@@ -326,7 +324,7 @@ func WithScope(ctx context.Context, s *Scope) context.Context {
 }
 
 // ScopeFrom extracts the scope carried by ctx (nil when unscoped — the
-// returned nil *Scope absorbs all method calls).
+// returned nil *Scope ignores every method call).
 func ScopeFrom(ctx context.Context) *Scope {
 	if ctx == nil {
 		return nil
@@ -335,14 +333,11 @@ func ScopeFrom(ctx context.Context) *Scope {
 	return s
 }
 
-// StartSpanCtx opens a root span on the scope carried by ctx, falling
-// back to the process-wide tracer when unscoped. Like StartSpan it is
-// free when both are off: a context lookup, a nil check, no allocation.
+// StartSpanCtx opens a root span on the scope carried by ctx. Unscoped,
+// it records nothing and is free: a context lookup, a nil check, no
+// allocation.
 func StartSpanCtx(ctx context.Context, name string) *Span {
-	if s := ScopeFrom(ctx); s != nil {
-		return s.tracer.Start(name)
-	}
-	return active.Load().Start(name)
+	return ScopeFrom(ctx).StartSpan(name)
 }
 
 // CounterVar is a scope-aware counter binding: one package-level var per

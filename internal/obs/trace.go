@@ -5,17 +5,14 @@ package obs
 // other goroutines may create children of the same parent concurrently
 // (the solver's per-component fan-out does exactly that).
 //
-// Tracing is off by default: the active tracer is a nil atomic pointer,
-// StartSpan on a nil tracer returns a nil *Span, and every *Span method
-// is nil-safe, so an instrumented hot path pays one atomic load plus a
-// nil check and allocates nothing (pinned by TestNoopTracerZeroAlloc).
+// Spans record only into the tracer a request Scope owns. Unscoped work
+// records nothing: StartSpanCtx on a context without a scope returns a
+// nil *Span, and every *Span method is nil-safe, so an instrumented hot
+// path pays a context lookup plus a nil check and allocates nothing
+// (pinned by TestNoopTracerZeroAlloc).
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,24 +20,13 @@ import (
 // a nil *Tracer is the disabled tracer and is safe to use.
 type Tracer struct {
 	//joinlint:lockrank obs-tracer 20
-	mu       sync.Mutex
-	epoch    time.Time
-	spans    []*Span // creation order; parents always precede children
-	imported []importBatch
-}
-
-// importBatch is a block of span records absorbed from another tracer
-// (a closing Scope). Records keep their original 1-based ids; renumbering
-// into the host tracer's id space and rebasing start times onto its epoch
-// happen at read time, so absorbing is cheap and native spans keep their
-// ids.
-type importBatch struct {
-	recs    []SpanRecord
-	deltaNs int64 // source epoch minus host epoch
+	mu    sync.Mutex
+	epoch time.Time
+	spans []*Span // creation order; parents always precede children
 }
 
 // Span is one timed, named region of work, possibly nested. A nil *Span
-// (from a disabled tracer) absorbs all method calls.
+// (from a disabled tracer) ignores every method call.
 type Span struct {
 	t      *Tracer
 	parent *Span
@@ -119,9 +105,9 @@ func (s *Span) SetInt(key string, v int64) {
 	s.t.mu.Unlock()
 }
 
-// SpanRecord is the frozen form of one span and the JSONL line layout:
-// ids are 1-based creation order, parent 0 means a root span. An unended
-// span has dur_ns -1.
+// SpanRecord is the frozen form of one span and the flight recorder's
+// span layout: ids are 1-based creation order, parent 0 means a root
+// span. An unended span has dur_ns -1.
 type SpanRecord struct {
 	ID      int              `json:"id"`
 	Parent  int              `json:"parent"`
@@ -132,11 +118,15 @@ type SpanRecord struct {
 	Attrs   map[string]int64 `json:"attrs,omitempty"`
 }
 
-// records freezes every span — native first, then absorbed batches with
-// their ids renumbered past the native spans and their start times
-// rebased onto t's epoch. Every parent still precedes its children.
-// Callers must hold t.mu.
-func (t *Tracer) records() []SpanRecord {
+// Records freezes the tracer's current spans in creation order, so
+// every parent precedes its children. Nil-safe: a nil tracer has no
+// records.
+func (t *Tracer) Records() []SpanRecord {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make([]SpanRecord, 0, len(t.spans))
 	for _, s := range t.spans {
 		rec := SpanRecord{
@@ -162,80 +152,5 @@ func (t *Tracer) records() []SpanRecord {
 		}
 		out = append(out, rec)
 	}
-	offset := len(t.spans)
-	for _, b := range t.imported {
-		for _, rec := range b.recs {
-			rec.ID += offset
-			if rec.Parent > 0 {
-				rec.Parent += offset
-			}
-			rec.StartNs += b.deltaNs
-			out = append(out, rec)
-		}
-		offset += len(b.recs)
-	}
 	return out
 }
-
-// Records freezes the tracer's current spans (absorbed batches included,
-// renumbered and rebased). Nil-safe: a nil tracer has no records.
-func (t *Tracer) Records() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.records()
-}
-
-// absorb appends src's records to t as an imported batch. A closing
-// Scope uses this to fold its private span forest into the process-wide
-// tracer so `-trace` output still carries every solve.
-func (t *Tracer) absorb(src *Tracer) {
-	if t == nil || src == nil || t == src {
-		return
-	}
-	recs := src.Records()
-	if len(recs) == 0 {
-		return
-	}
-	delta := src.epoch.Sub(t.epoch).Nanoseconds()
-	t.mu.Lock()
-	t.imported = append(t.imported, importBatch{recs: recs, deltaNs: delta})
-	t.mu.Unlock()
-}
-
-// WriteJSONL writes one JSON object per span, in creation order (a
-// topological order of the forest: every parent precedes its children).
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	records := t.records()
-	t.mu.Unlock()
-	for _, rec := range records {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("obs: marshal span %d: %w", rec.ID, err)
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// active is the process-wide tracer StartSpan reads. Nil means disabled.
-var active atomic.Pointer[Tracer]
-
-// SetTracer installs t as the active tracer; nil disables tracing.
-func SetTracer(t *Tracer) { active.Store(t) }
-
-// ActiveTracer returns the current tracer (nil when tracing is off).
-func ActiveTracer() *Tracer { return active.Load() }
-
-// StartSpan opens a root span on the active tracer. When tracing is off
-// this is one atomic load and a nil return — the single nil-check cost
-// hot paths pay for being traceable.
-func StartSpan(name string) *Span { return active.Load().Start(name) }

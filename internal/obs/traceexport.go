@@ -14,7 +14,7 @@ import (
 )
 
 // ChromeEvent is one trace_event entry. Args carries the span's id,
-// parent id, and integer attributes, so the JSONL span tree is fully
+// parent id, and integer attributes, so the span tree is fully
 // recoverable from the Chrome export (cmd/obsreport leans on that).
 type ChromeEvent struct {
 	Name string           `json:"name"`
@@ -47,13 +47,13 @@ func (tr *chromeTrack) fits(start, end int64) bool {
 	return len(tr.ends) == 0 || tr.ends[len(tr.ends)-1] >= end
 }
 
-// ChromeEvents converts a span forest (as produced by Tracer.Records:
+// chromeEvents converts a span forest (as produced by Tracer.Records:
 // ascending start times, parents before children) into trace_event
 // entries. Track assignment is greedy and deterministic: a span prefers
 // its parent's track, then the lowest track it nests into, else a new
 // track — so sequential solves collapse onto tid 0 and parallel
 // component spans fan out onto their own lanes.
-func ChromeEvents(recs []SpanRecord) []ChromeEvent {
+func chromeEvents(recs []SpanRecord) []ChromeEvent {
 	const never = int64(1) << 62          // unended spans hold their track open
 	track := make(map[int]int, len(recs)) // span id -> tid
 	var tracks []*chromeTrack
@@ -109,7 +109,7 @@ func ChromeEvents(recs []SpanRecord) []ChromeEvent {
 // WriteChromeTrace writes recs as an indented Chrome trace_event JSON
 // document.
 func WriteChromeTrace(w io.Writer, recs []SpanRecord) error {
-	doc := ChromeTrace{TraceEvents: ChromeEvents(recs), DisplayTimeUnit: "ns"}
+	doc := ChromeTrace{TraceEvents: chromeEvents(recs), DisplayTimeUnit: "ns"}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return fmt.Errorf("obs: marshal chrome trace: %w", err)
@@ -119,9 +119,8 @@ func WriteChromeTrace(w io.Writer, recs []SpanRecord) error {
 	return err
 }
 
-// WriteChromeTrace writes the tracer's current spans (absorbed batches
-// included) as Chrome trace_event JSON. Nil-safe: a nil tracer writes an
-// empty trace.
+// WriteChromeTrace writes the tracer's current spans as Chrome
+// trace_event JSON. Nil-safe: a nil tracer writes an empty trace.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return WriteChromeTrace(w, t.Records())
 }

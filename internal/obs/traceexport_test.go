@@ -15,7 +15,7 @@ func TestChromeEventsNestingAndTracks(t *testing.T) {
 		{ID: 3, Parent: 1, Name: "component", StartNs: 1_500, DurNs: 2_000}, // overlaps span 2
 		{ID: 4, Parent: 1, Name: "component", StartNs: 4_000, DurNs: 1_000}, // fits back on track 0
 	}
-	evs := ChromeEvents(recs)
+	evs := chromeEvents(recs)
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
 	}
@@ -44,7 +44,7 @@ func TestChromeEventsUnendedSpanHoldsTrack(t *testing.T) {
 		{ID: 1, Name: "stuck", StartNs: 0, DurNs: -1},
 		{ID: 2, Name: "later", StartNs: 5_000, DurNs: 1_000},
 	}
-	evs := ChromeEvents(recs)
+	evs := chromeEvents(recs)
 	if evs[0].Dur != 0 {
 		t.Fatalf("unended span dur = %v, want 0", evs[0].Dur)
 	}

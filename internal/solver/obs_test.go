@@ -1,53 +1,30 @@
 package solver
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"testing"
 
 	"joinpebble/internal/graph"
 	"joinpebble/internal/obs"
 )
 
-// spanLine mirrors the JSONL record trace.WriteJSONL emits.
-type spanLine struct {
-	ID     int64            `json:"id"`
-	Parent int64            `json:"parent"`
-	Depth  int              `json:"depth"`
-	Name   string           `json:"name"`
-	DurNs  int64            `json:"dur_ns"`
-	Attrs  map[string]int64 `json:"attrs"`
-}
-
-func readSpans(t *testing.T, tr *obs.Tracer) []spanLine {
+// scopedSolve runs fn under a fresh request scope, closes the scope
+// (rolling its metrics up into obs.Default) and returns the spans fn
+// recorded.
+func scopedSolve(t *testing.T, fn func(ctx context.Context)) []obs.SpanRecord {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	var out []spanLine
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var s spanLine
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		out = append(out, s)
-	}
-	return out
+	sc := obs.NewScope("solver/test")
+	sc.SetRecorder(nil)
+	fn(obs.WithScope(context.Background(), sc))
+	sc.Close()
+	return sc.Tracer().Records()
 }
 
 // TestSolveInstrumentation pins the observable surface of one solve: the
-// counters a -metrics snapshot reports and the span tree a -trace run
-// records, for a graph with two edge-bearing components plus an isolated
-// vertex.
+// counters a -metrics snapshot reports once its scope has rolled up, and
+// the span tree the scope records, for a graph with two edge-bearing
+// components plus an isolated vertex.
 func TestSolveInstrumentation(t *testing.T) {
-	tr := obs.NewTracer()
-	obs.SetTracer(tr)
-	defer obs.SetTracer(nil)
-
 	g := graph.New(7)
 	g.AddEdge(0, 1) // component A: a path
 	g.AddEdge(1, 2)
@@ -57,9 +34,11 @@ func TestSolveInstrumentation(t *testing.T) {
 	// vertex 6 is isolated: split must skip it, not count it as solved.
 
 	before := obs.Default.Snapshot()
-	if _, _, err := SolveAndVerify(context.Background(), Greedy{}, g); err != nil {
-		t.Fatal(err)
-	}
+	spans := scopedSolve(t, func(ctx context.Context) {
+		if _, _, err := SolveAndVerify(ctx, Greedy{}, g); err != nil {
+			t.Fatal(err)
+		}
+	})
 	after := obs.Default.Snapshot()
 
 	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
@@ -73,8 +52,7 @@ func TestSolveInstrumentation(t *testing.T) {
 		t.Errorf("solver/workers_used delta = %d, want 1..2", got)
 	}
 
-	spans := readSpans(t, tr)
-	byName := make(map[string][]spanLine)
+	byName := make(map[string][]obs.SpanRecord)
 	for _, s := range spans {
 		byName[s.Name] = append(byName[s.Name], s)
 	}
@@ -122,18 +100,19 @@ func TestSolveInstrumentation(t *testing.T) {
 	}
 }
 
-// TestSolveUntracedNoSpans confirms solving without an active tracer
-// records nothing (and, with the nil-receiver span API, does not panic).
+// TestSolveUntracedNoSpans confirms unscoped work records nothing: a
+// context without a scope yields a nil span, and solving under it (the
+// nil-receiver span API) does not panic.
 func TestSolveUntracedNoSpans(t *testing.T) {
-	obs.SetTracer(nil)
+	ctx := context.Background()
+	if sp := obs.StartSpanCtx(ctx, "solver/untraced"); sp != nil {
+		t.Fatalf("unscoped StartSpanCtx returned a live span %v", sp)
+	}
 	g := graph.New(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	if _, _, err := SolveAndVerify(context.Background(), Approx125{}, g); err != nil {
+	if _, _, err := SolveAndVerify(ctx, Approx125{}, g); err != nil {
 		t.Fatal(err)
-	}
-	if tr := obs.ActiveTracer(); tr != nil {
-		t.Fatalf("active tracer is %v, want nil", tr)
 	}
 }
 
@@ -165,22 +144,20 @@ func TestDecideCounters(t *testing.T) {
 // TestSpanNamesAreStable pins the phase-span vocabulary: renames break
 // trace consumers the same way metric renames break dashboards.
 func TestSpanNamesAreStable(t *testing.T) {
-	tr := obs.NewTracer()
-	obs.SetTracer(tr)
-	defer obs.SetTracer(nil)
-
 	// K_{2,2}: complete bipartite, so the equijoin solver accepts it too.
 	g := graph.New(4)
 	for _, e := range [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}} {
 		g.AddEdge(e[0], e[1])
 	}
-	for _, s := range []Solver{Approx125{}, Exact{}, Equijoin{}} {
-		if _, err := s.Solve(context.Background(), g); err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+	spans := scopedSolve(t, func(ctx context.Context) {
+		for _, s := range []Solver{Approx125{}, Exact{}, Equijoin{}} {
+			if _, err := s.Solve(ctx, g); err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
+			}
 		}
-	}
+	})
 	got := make(map[string]bool)
-	for _, s := range readSpans(t, tr) {
+	for _, s := range spans {
 		got[s.Name] = true
 	}
 	for _, want := range []string{

@@ -92,14 +92,6 @@ func Check(t TB, opts ...Option) {
 	})
 }
 
-// VerifyNone fails t immediately (after retries) if any goroutine
-// outside the allowlist is running. Use it where a true zero-baseline
-// holds, e.g. at the end of TestMain.
-func VerifyNone(t TB, opts ...Option) {
-	t.Helper()
-	verify(t, nil, opts...)
-}
-
 // Main wraps testing.M.Run for TestMain functions:
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
@@ -152,7 +144,7 @@ func verify(t TB, baseline map[string]bool, opts ...Option) {
 	for delay := 1 * time.Millisecond; ; delay *= 2 {
 		leaked = leaked[:0]
 		for _, g := range interestingGoroutines(cfg.ignores) {
-			if baseline == nil || !baseline[g.id] {
+			if !baseline[g.id] {
 				leaked = append(leaked, g)
 			}
 		}
