@@ -40,10 +40,7 @@ func ExampleHardFamily() {
 
 // Lemma 3.3: any bipartite join graph is a set-containment join graph.
 func ExampleAsContainmentJoin() {
-	b := joinpebble.NewBipartite(2, 2)
-	b.AddEdge(0, 0)
-	b.AddEdge(1, 0)
-	b.AddEdge(1, 1)
+	b := joinpebble.NewBipartite(2, 2, []joinpebble.Edge{{U: 0, V: 0}, {U: 1, V: 0}, {U: 1, V: 1}})
 	r, s := joinpebble.AsContainmentJoin(b)
 	back := joinpebble.ContainmentGraph(r, s)
 	fmt.Println("round trip exact:", back.Equal(b))

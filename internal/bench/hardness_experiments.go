@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"joinpebble/internal/core"
@@ -88,20 +89,24 @@ func E11Diamond() (*Table, error) {
 // contain a degree-4 vertex, so the reduction actually deploys a gadget.
 func degree4Instance(rng *rand.Rand, n int) *graph.Graph {
 	for {
-		g := graph.New(n)
 		// Vertex 0 starts as the center of a 4-star.
+		edges := []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}}
+		deg := make([]int, n)
 		for v := 1; v <= 4; v++ {
-			g.AddEdge(0, v)
+			deg[v] = 1
 		}
 		// Keep the other vertices below degree 4 so exactly one gadget is
 		// deployed and H stays inside the exact solver's reach.
-		for tries := 0; tries < 40 && g.M() < n+2; tries++ {
+		for tries := 0; tries < 40 && len(edges) < n+2; tries++ {
 			u, v := 1+rng.Intn(n-1), 1+rng.Intn(n-1)
-			if u != v && !g.HasEdge(u, v) && g.Degree(u) < 3 && g.Degree(v) < 3 {
-				g.AddEdge(u, v)
+			e := graph.Edge{U: u, V: v}.Normalize()
+			if u != v && !slices.Contains(edges, e) && deg[u] < 3 && deg[v] < 3 {
+				edges = append(edges, e)
+				deg[u]++
+				deg[v]++
 			}
 		}
-		if g.Connected() && g.Degree(0) == 4 {
+		if g := graph.New(n, edges); g.Connected() {
 			return g
 		}
 	}

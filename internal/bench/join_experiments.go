@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"joinpebble/internal/engine"
+	"joinpebble/internal/family"
 	"joinpebble/internal/graph"
 	"joinpebble/internal/join"
 	"joinpebble/internal/sets"
@@ -55,16 +56,9 @@ func E9Spatial() (*Table, error) {
 		poly := spatial.RealizeSpiderPolygons(n)
 		pp := join.PolygonNestedLoop(poly.R, poly.S, true)
 		b := join.GraphFromPairs(len(inst.R), len(inst.S), nl)
-		pb := graph.NewBipartite(len(poly.R), len(poly.S))
-		for _, p := range pp {
-			pb.AddEdge(p.L, p.R)
-		}
+		pb := join.GraphFromPairs(len(poly.R), len(poly.S), pp)
 		// The expected join graph is exactly the spider's edge set.
-		want := graph.NewBipartite(n+1, n)
-		for i := 0; i < n; i++ {
-			want.AddEdge(0, i)
-			want.AddEdge(1+i, i)
-		}
+		want := family.Spider(n)
 		t.AddRow(n, 2*n, len(nl), len(sw), len(rt), len(pp), b.Equal(want) && pb.Equal(want))
 	}
 	t.Notes = append(t.Notes,

@@ -1,8 +1,9 @@
 package bench
 
 // PerfSuite pins the hot-path benchmarks that cmd/bench measures and
-// regression-checks: the compact-index code paths (frozen CSR lookups,
-// implicit line-graph views, parallel component solving). The committed
+// regression-checks: the CSR code paths (span lookups, implicit
+// line-graph views, parallel component solving, the linear equijoin
+// build and solve). The committed
 // BENCH_*-legacy.json reports measured the pre-optimization paths under
 // the same series names; they stay as history.
 //
@@ -22,8 +23,11 @@ import (
 	"joinpebble/internal/family"
 	"joinpebble/internal/faultinject"
 	"joinpebble/internal/graph"
+	"joinpebble/internal/join"
+	"joinpebble/internal/obs"
 	"joinpebble/internal/schemecache"
 	"joinpebble/internal/solver"
+	"joinpebble/internal/workload"
 )
 
 // PerfCase is one pinned benchmark.
@@ -56,7 +60,7 @@ func perfBipartite(nl, nr, m int) *graph.Graph {
 // with n vertices and m edges each.
 func multiComponent(k, n, m int) *graph.Graph {
 	rng := rand.New(rand.NewSource(perfSeed))
-	out := graph.New(0)
+	out := graph.New(0, nil)
 	for i := 0; i < k; i++ {
 		out = graph.DisjointUnion(out, graph.RandomConnectedGraph(rng, n, m, 0))
 	}
@@ -182,7 +186,7 @@ func PerfSuite() []PerfCase {
 	wide := perfBipartite(100, 100, 3000) // sparser bipartite, m = 3000
 	multi := multiComponent(8, 120, 300)  // 8 components, m = 2400 total
 	equi := func() *graph.Graph {         // 12 complete-bipartite islands, m = 4800
-		out := graph.New(0)
+		out := graph.New(0, nil)
 		for i := 0; i < 12; i++ {
 			out = graph.DisjointUnion(out, graph.CompleteBipartite(10, 40).Graph())
 		}
@@ -276,10 +280,7 @@ func PerfSuite() []PerfCase {
 			Name:  "equijoin/islands-12xK10-40-m4800",
 			Extra: map[string]float64{"cost_ratio": ratioEqui},
 			Run: func(b *testing.B) {
-				_, restore := solveArm()
-				defer restore()
 				s := solver.Equijoin{}
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Solve(ctx, equi.Clone()); err != nil {
 						b.Fatal(err)
@@ -290,13 +291,8 @@ func PerfSuite() []PerfCase {
 		{
 			Name: "simulate/bip-60x40-m2400",
 			Run: func(b *testing.B) {
-				// Simulating is the repeated operation, so only it is
-				// timed, not the CSR freeze.
-				g := bip.Clone()
-				g.Freeze()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := core.Simulate(g, simScheme)
+					res, err := core.Simulate(bip, simScheme)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -393,13 +389,10 @@ func PerfSuite() []PerfCase {
 		{
 			Name: "hasedge/bip-100x100-m3000",
 			Run: func(b *testing.B) {
-				g := wide.Clone()
-				g.Freeze()
-				n := g.N()
-				b.ResetTimer()
+				n := wide.N()
 				hits := 0
 				for i := 0; i < b.N; i++ {
-					if g.HasEdge(i%n, (i*31+7)%n) {
+					if wide.HasEdge(i%n, (i*31+7)%n) {
 						hits++
 					}
 				}
@@ -407,16 +400,16 @@ func PerfSuite() []PerfCase {
 			},
 		},
 	}
-	return append(cases, spiderScaling()...)
+	cases = append(cases, spiderScaling()...)
+	return append(cases, equijoinScaling()...)
 }
 
 // spiderScaling is the Theorem 3.1 linear-time series: approx-1.25 on
-// spiders with m = 500..8000 edges. Each case keeps its last ns/op, and
-// the m8000 case, which runs last, records the least-squares log-log
-// slope over all five as its "slope" Extra — near 1 for a linear solve,
-// near 3 for a per-strip walk over the line graph, whose hub clique has
-// m²/8 edges. Both arms run the implicit view: a materialized line graph
-// of the m8000 spider would hold 8M map-backed edges.
+// spiders with m = 500..8000 edges. The m8000 case records the fitted
+// log-log slope (see recordScaling): near 1 for a linear solve, near 3
+// for a per-strip walk over the line graph, whose hub clique has m²/8
+// edges. Both arms run the implicit view: a materialized line graph of
+// the m8000 spider would hold 8M edges.
 func spiderScaling() []PerfCase {
 	sizes := []int{500, 1000, 2000, 4000, 8000}
 	nsPerOp := make([]float64, len(sizes))
@@ -435,14 +428,70 @@ func spiderScaling() []PerfCase {
 						b.Fatal(err)
 					}
 				}
-				nsPerOp[i] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if i == len(sizes)-1 && !slices.Contains(nsPerOp, 0) {
-					extra["slope"] = logLogSlope(sizes, nsPerOp)
-				}
+				recordScaling(b, extra, sizes, nsPerOp, i)
 			},
 		}
 	}
 	return cases
+}
+
+// equijoinScaling is the Theorem 3.2 linear-time pair of series on
+// zipf-1.2 equijoins of n×n tuples over n values, m from about 4k to 64k
+// edges: join.EquiGraph and solver.Equijoin, each fitting its slope.
+// Every solve case records "verify_ratio", its ns/op over that of
+// core.Verify on the same graph and scheme, timed right after it.
+func equijoinScaling() []PerfCase {
+	sides := []int{200, 290, 424, 620, 920}
+	ms := make([]int, len(sides))
+	buildNs, solveNs := make([]float64, len(sides)), make([]float64, len(sides))
+	var builds, solves []PerfCase
+	ctx := context.Background()
+	for i, n := range sides {
+		l, r := workload.Equijoin{LeftSize: n, RightSize: n, Domain: int64(n), Skew: 1.2}.Generate(perfSeed)
+		ls, rs := l.Ints(), r.Ints()
+		g := join.EquiGraph(ls, rs).Graph()
+		ms[i] = g.M()
+		scheme, _, err := solver.SolveAndVerify(ctx, solver.Equijoin{}, g)
+		if err != nil {
+			panic("bench: perf workload solver failed: " + err.Error())
+		}
+		build := PerfCase{Name: fmt.Sprintf("build/equijoin-m%d", g.M()), Extra: map[string]float64{}}
+		build.Run = func(b *testing.B) {
+			for j := 0; j < b.N; j++ {
+				join.EquiGraph(ls, rs)
+			}
+			recordScaling(b, build.Extra, ms, buildNs, i)
+		}
+		solve := PerfCase{Name: fmt.Sprintf("solve/equijoin-m%d", g.M()), Extra: map[string]float64{}}
+		solve.Run = func(b *testing.B) {
+			for j := 0; j < b.N; j++ {
+				if _, err := (solver.Equijoin{}).Solve(ctx, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+			recordScaling(b, solve.Extra, ms, solveNs, i)
+			b.StopTimer()
+			start := obs.Now()
+			for j := 0; j < b.N; j++ {
+				if _, err := core.Verify(g, scheme); err != nil {
+					b.Fatal(err)
+				}
+			}
+			solve.Extra["verify_ratio"] = solveNs[i] * float64(b.N) / float64(obs.Since(start).Nanoseconds())
+		}
+		builds, solves = append(builds, build), append(solves, solve)
+	}
+	return append(builds, solves...)
+}
+
+// recordScaling stores case i's ns/op in ns. The last case of a series,
+// which runs last, then records the least-squares log-log slope of ns/op
+// against xs over the whole series as its "slope" Extra.
+func recordScaling(b *testing.B, extra map[string]float64, xs []int, ns []float64, i int) {
+	ns[i] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	if i == len(xs)-1 && !slices.Contains(ns, 0) {
+		extra["slope"] = logLogSlope(xs, ns)
+	}
 }
 
 // logLogSlope is the least-squares slope of log(y) against log(x).

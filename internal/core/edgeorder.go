@@ -17,16 +17,18 @@ func EdgeOrderCost(g *graph.Graph, order []int) int {
 	if len(order) == 0 {
 		return 0
 	}
-	cost := 2 // place both pebbles on the first edge
+	return 1 + len(order) + jumps(g, order) // two placements, then a move per edge and per jump
+}
+
+// jumps counts the consecutive edges of order that share no endpoint.
+func jumps(g *graph.Graph, order []int) int {
+	j := 0
 	for i := 1; i < len(order); i++ {
-		prev, cur := g.EdgeAt(order[i-1]), g.EdgeAt(order[i])
-		if prev.SharesEndpoint(cur) {
-			cost++
-		} else {
-			cost += 2
+		if !g.EdgeAt(order[i-1]).SharesEndpoint(g.EdgeAt(order[i])) {
+			j++
 		}
 	}
-	return cost
+	return j
 }
 
 // SchemeFromEdgeOrder converts a deletion order over all edges of g into
@@ -53,8 +55,11 @@ func SchemeFromEdgeOrder(g *graph.Graph, order []int) (Scheme, error) {
 		return nil, nil
 	}
 
+	// One configuration per edge plus one intermediate per jump, so the
+	// scheme is allocated once at its exact size.
 	first := g.EdgeAt(order[0])
-	s := Scheme{{A: first.U, B: first.V}}
+	s := make(Scheme, 1, len(order)+jumps(g, order))
+	s[0] = Config{A: first.U, B: first.V}
 	for i := 1; i < len(order); i++ {
 		cur := g.EdgeAt(order[i])
 		last := s[len(s)-1]

@@ -9,10 +9,11 @@ import (
 )
 
 func TestEdgeOrderCostRuns(t *testing.T) {
-	g := graph.New(5)
-	g.AddEdge(0, 1) // edge 0
-	g.AddEdge(1, 2) // edge 1
-	g.AddEdge(3, 4) // edge 2
+	g := graph.New(5, []graph.Edge{
+		{U: 0, V: 1}, // edge 0
+		{U: 1, V: 2}, // edge 1
+		{U: 3, V: 4}, // edge 2
+	})
 	if got := EdgeOrderCost(g, []int{0, 1, 2}); got != 5 {
 		t.Fatalf("cost=%d want 2+1+2", got)
 	}
@@ -53,10 +54,32 @@ func TestSchemeFromEdgeOrderMatchesCost(t *testing.T) {
 	}
 }
 
+// TestSchemeFromEdgeOrderExactSize pins the allocation count: the
+// visited-edge bitmap and one scheme slice sized to m + jumps, however
+// many jumps the order makes.
+func TestSchemeFromEdgeOrderExactSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := graph.RandomConnectedGraph(rng, 60, 200, 0)
+	order := rng.Perm(g.M())
+	s, err := SchemeFromEdgeOrder(g, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s) != cap(s) || s.Cost() != EdgeOrderCost(g, order) {
+		t.Fatalf("scheme len %d cap %d cost %d, want len == cap and cost %d", len(s), cap(s), s.Cost(), EdgeOrderCost(g, order))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := SchemeFromEdgeOrder(g, order); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("SchemeFromEdgeOrder made %v allocations, want 2", allocs)
+	}
+}
+
 func TestSchemeFromEdgeOrderValidation(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if _, err := SchemeFromEdgeOrder(g, []int{0}); err == nil {
 		t.Fatal("short order must fail")
 	}
@@ -98,9 +121,7 @@ func TestEdgeOrderRoundTrip(t *testing.T) {
 }
 
 func TestCompactRemovesWaste(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	// Wasteful detour: (0,1) delete, (0,2) waste, (1,2) delete.
 	s := Scheme{{0, 1}, {0, 2}, {1, 2}}
 	compacted, err := Compact(g, s)
@@ -153,9 +174,7 @@ func TestCompactNeverIncreasesCost(t *testing.T) {
 }
 
 func TestCompactRejectsInvalidScheme(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if _, err := Compact(g, Scheme{{0, 1}}); err == nil {
 		t.Fatal("incomplete scheme must be rejected")
 	}
@@ -163,11 +182,8 @@ func TestCompactRejectsInvalidScheme(t *testing.T) {
 
 func TestConcatAdditivity(t *testing.T) {
 	// Lemma 2.2: π̂(G ⊔ H) = π̂(G) + π̂(H), realized by Concat.
-	g := graph.New(2)
-	g.AddEdge(0, 1)
-	h := graph.New(3)
-	h.AddEdge(0, 1)
-	h.AddEdge(1, 2)
+	g := graph.New(2, []graph.Edge{{U: 0, V: 1}})
+	h := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 
 	sg := Scheme{{0, 1}}
 	sh := Scheme{{0, 1}, {2, 1}}

@@ -8,9 +8,7 @@ import (
 )
 
 func TestSimulateKBasic(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	s := &KScheme{K: 2, Moves: []KMove{
 		{Pebble: 0, To: 0}, {Pebble: 1, To: 1}, {Pebble: 0, To: 2},
 	}}
@@ -24,8 +22,7 @@ func TestSimulateKBasic(t *testing.T) {
 }
 
 func TestSimulateKValidation(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1)
+	g := graph.New(2, []graph.Edge{{U: 0, V: 1}})
 	if _, err := SimulateK(g, &KScheme{K: 1}); err == nil {
 		t.Fatal("k=1 must be rejected")
 	}
@@ -44,10 +41,7 @@ func TestFromSchemeMatchesTwoPebbleCost(t *testing.T) {
 	// A valid two-pebble Scheme converts to a KScheme with identical
 	// cost: π̂ counts k+1 "moves" and the conversion emits exactly one
 	// move per transition plus two placements.
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	s := Scheme{{0, 1}, {2, 1}, {2, 3}}
 	ks := FromScheme(s)
 	cost, err := VerifyK(g, ks)
@@ -159,16 +153,17 @@ func TestThreePebblesDissolveSpiderLowerBound(t *testing.T) {
 // spiderGraph mirrors family.Spider's underlying graph without importing
 // family (which would not cycle, but core stays dependency-light).
 func spiderGraph(n int) *graph.Graph {
-	b := graph.NewBipartite(n+1, n)
+	var bEdges []graph.Edge
 	for i := 0; i < n; i++ {
-		b.AddEdge(0, i)
-		b.AddEdge(1+i, i)
+		bEdges = append(bEdges, graph.Edge{U: 0, V: i})
+		bEdges = append(bEdges, graph.Edge{U: 1 + i, V: i})
 	}
+	b := graph.NewBipartite(n+1, n, bEdges)
 	return b.Graph()
 }
 
 func TestGreedyKRejectsBadK(t *testing.T) {
-	if _, err := GreedyK(graph.New(2), 1); err == nil {
+	if _, err := GreedyK(graph.New(2, nil), 1); err == nil {
 		t.Fatal("k=1 must be rejected")
 	}
 }

@@ -105,10 +105,8 @@ func (r *Result) Complete() bool { return r.DeletedCount == len(r.Deleted) }
 // outside the vertex range, or a transition that moves both pebbles (the
 // game allows one pebble move at a time).
 //
-// The inner loop is one EdgeIndex probe per configuration; on a frozen
-// (or Optimize'd) graph that probe is an allocation-free binary search
-// instead of a map lookup, so callers simulating long schemes should
-// freeze the graph first.
+// The inner loop is one EdgeIndex probe per configuration, an
+// allocation-free search of a sorted neighbor span.
 func Simulate(g *graph.Graph, s Scheme) (*Result, error) {
 	return SimulateContext(context.Background(), g, s)
 }
@@ -175,10 +173,10 @@ func VerifyContext(ctx context.Context, g *graph.Graph, s Scheme) (int, error) {
 // removed (§2); counting only edge-bearing components keeps π(G)
 // well-defined when callers pass graphs that still have singletons.
 func nonTrivialComponents(g *graph.Graph) int {
-	count := 0
-	for _, comp := range g.Components() {
-		if len(comp) > 1 {
-			count++
+	count := g.ComponentCount()
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) == 0 {
+			count-- // an isolated vertex is a component of its own
 		}
 	}
 	return count

@@ -48,10 +48,7 @@ func TestSchemeCost(t *testing.T) {
 }
 
 func TestSimulateDeletesEdges(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	s := Scheme{{0, 1}, {2, 1}, {2, 3}}
 	res, err := Simulate(g, s)
 	if err != nil {
@@ -69,35 +66,28 @@ func TestSimulateDeletesEdges(t *testing.T) {
 }
 
 func TestSimulateRejectsDoubleMove(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
 	if _, err := Simulate(g, Scheme{{0, 1}, {2, 3}}); err == nil {
 		t.Fatal("jump without intermediate config must be rejected")
 	}
 }
 
 func TestSimulateRejectsOutOfRange(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1)
+	g := graph.New(2, []graph.Edge{{U: 0, V: 1}})
 	if _, err := Simulate(g, Scheme{{0, 5}}); err == nil {
 		t.Fatal("out-of-range pebble must be rejected")
 	}
 }
 
 func TestVerifyRejectsIncomplete(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if _, err := Verify(g, Scheme{{0, 1}}); err == nil {
 		t.Fatal("incomplete scheme must fail verification")
 	}
 }
 
 func TestWastedConfigCounting(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
 	// Jump with intermediate config (2,1): wasted unless it happens to be
 	// an edge (it is not here).
 	s := Scheme{{0, 1}, {2, 1}, {2, 3}}
@@ -114,19 +104,17 @@ func TestWastedConfigCounting(t *testing.T) {
 }
 
 func TestBetti0IgnoresIsolated(t *testing.T) {
-	g := graph.New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3) // vertex 4 isolated
+	g := graph.New(5, []graph.Edge{
+		{U: 0, V: 1},
+		{U: 2, V: 3}, // vertex 4 isolated
+	})
 	if Betti0(g) != 2 {
 		t.Fatalf("betti0=%d want 2", Betti0(g))
 	}
 }
 
 func TestBoundsLemma21(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	if LowerBound(g) != 4 { // m+1 for connected
 		t.Fatalf("lower=%d", LowerBound(g))
 	}
@@ -140,7 +128,7 @@ func TestBoundsLemma21(t *testing.T) {
 }
 
 func TestBoundsEmptyGraph(t *testing.T) {
-	g := graph.New(3)
+	g := graph.New(3, nil)
 	if LowerBound(g) != 0 || UpperBound(g) != 0 {
 		t.Fatal("edgeless graph bounds must be 0")
 	}
@@ -166,9 +154,7 @@ func TestNaiveSchemeAlwaysValidWithinUpperBound(t *testing.T) {
 }
 
 func TestPerfectDetection(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	perfect := Scheme{{0, 1}, {2, 1}}
 	if !Perfect(g, perfect) {
 		t.Fatal("two adjacent edges pebble perfectly")

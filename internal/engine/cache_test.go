@@ -118,11 +118,12 @@ func TestCachePermutedDuplicates(t *testing.T) {
 			}
 			g := b.Graph()
 			pi := rng.Perm(g.N())
-			h := graph.New(g.N())
+			var hEdges []graph.Edge
 			for _, i := range rng.Perm(g.M()) {
 				e := g.EdgeAt(i)
-				h.AddEdge(pi[e.U], pi[e.V])
+				hEdges = append(hEdges, graph.Edge{U: pi[e.U], V: pi[e.V]})
 			}
+			h := graph.New(g.N(), hEdges)
 			// Ingest both as raw graphs under the same label so the
 			// cache key depends only on structure.
 			p := Planner{Cache: testCache()}

@@ -374,7 +374,10 @@ func attemptRung(ctx context.Context, s solver.Solver, g *graph.Graph) (core.Sch
 
 // assemble builds the Result for the rung that produced the scheme.
 func (p *Planner) assemble(ctx context.Context, in *Instance, plan Plan, g *graph.Graph, solverName, quality string, scheme core.Scheme, cost int, start time.Time) *Result {
-	eff := scheme.EffectiveCost(g)
+	// One BFS for β₀ serves π = π̂ − β₀ (Definition 2.2) and Lemma 2.1's
+	// m + β₀, which is 0 on an edgeless graph, where β₀ = 0.
+	b0 := core.Betti0(g)
+	eff := scheme.Cost() - b0
 	res := &Result{
 		Family:        in.Family,
 		Route:         plan.Route,
@@ -384,12 +387,12 @@ func (p *Planner) assemble(ctx context.Context, in *Instance, plan Plan, g *grap
 		Scheme:        scheme,
 		Cost:          cost,
 		EffectiveCost: eff,
-		LowerBound:    core.LowerBound(g),
+		LowerBound:    g.M() + b0,
 		UpperBound:    core.UpperBound(g),
 		Perfect:       eff == g.M(),
 		Vertices:      g.N(),
 		Edges:         g.M(),
-		Components:    core.Betti0(g),
+		Components:    b0,
 		Elapsed:       obs.Since(start),
 	}
 	tRun.Observe(ctx, res.Elapsed)

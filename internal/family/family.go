@@ -26,12 +26,13 @@ func Spider(n int) *graph.Bipartite {
 		panic("family: spider needs n >= 1")
 	}
 	// Left: 0 = center, 1..n = leaves. Right: 0..n-1 = middles.
-	b := graph.NewBipartite(n+1, n)
+	edges := make([]graph.Edge, 0, 2*n)
 	for i := 0; i < n; i++ {
-		b.AddEdge(0, i)   // inner edge c–u_i: even index 2i
-		b.AddEdge(1+i, i) // outer edge l_i–u_i: odd index 2i+1
+		edges = append(edges,
+			graph.Edge{U: 0, V: i},     // inner edge c–u_i: even index 2i
+			graph.Edge{U: 1 + i, V: i}) // outer edge l_i–u_i: odd index 2i+1
 	}
-	return b
+	return graph.NewBipartite(n+1, n, edges)
 }
 
 // SpiderInnerEdge returns the edge index of the i-th inner edge c–u_i of

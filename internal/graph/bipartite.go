@@ -16,12 +16,22 @@ type Bipartite struct {
 	nRight int
 }
 
-// NewBipartite returns an empty bipartite graph with the given side sizes.
-func NewBipartite(nLeft, nRight int) *Bipartite {
+// NewBipartite returns the bipartite graph with the given side sizes and
+// edges, each given as Edge{U: left index, V: right index}. As in New, a
+// repeated pair keeps the index of its first occurrence, and NewBipartite
+// takes ownership of edges. It panics on an index outside its side.
+func NewBipartite(nLeft, nRight int, edges []Edge) *Bipartite {
 	if nLeft < 0 || nRight < 0 {
 		panic("graph: negative side size")
 	}
-	return &Bipartite{g: New(nLeft + nRight), nLeft: nLeft, nRight: nRight}
+	b := &Bipartite{nLeft: nLeft, nRight: nRight}
+	for i, e := range edges {
+		b.checkLeft(e.U)
+		b.checkRight(e.V)
+		edges[i].V += nLeft
+	}
+	b.g = New(nLeft+nRight, edges)
+	return b
 }
 
 // NLeft returns the number of left (R-side) vertices.
@@ -34,14 +44,6 @@ func (b *Bipartite) NRight() int { return b.nRight }
 // input-size parameter m.
 func (b *Bipartite) M() int { return b.g.M() }
 
-// AddEdge inserts the edge between left vertex l and right vertex r and
-// returns its edge index.
-func (b *Bipartite) AddEdge(l, r int) int {
-	b.checkLeft(l)
-	b.checkRight(r)
-	return b.g.AddEdge(l, b.nLeft+r)
-}
-
 // HasEdge reports whether left l and right r are joined.
 func (b *Bipartite) HasEdge(l, r int) bool {
 	if l < 0 || l >= b.nLeft || r < 0 || r >= b.nRight {
@@ -50,8 +52,7 @@ func (b *Bipartite) HasEdge(l, r int) bool {
 	return b.g.HasEdge(l, b.nLeft+r)
 }
 
-// Graph returns the underlying general graph. Callers must not add edges
-// through it that would violate bipartiteness; use AddEdge instead.
+// Graph returns the underlying general graph.
 func (b *Bipartite) Graph() *Graph { return b.g }
 
 // Side reports which side vertex v (in underlying-graph numbering) lies
@@ -173,47 +174,47 @@ func FromGraph(g *Graph) (*Bipartite, []bool, []int, error) {
 			nr++
 		}
 	}
-	b := NewBipartite(nl, nr)
-	for _, e := range g.Edges() {
+	edges := make([]Edge, len(g.edges))
+	for i, e := range g.edges {
 		if side[e.U] {
-			b.AddEdge(idx[e.U], idx[e.V])
+			edges[i] = Edge{U: idx[e.U], V: idx[e.V]}
 		} else {
-			b.AddEdge(idx[e.V], idx[e.U])
+			edges[i] = Edge{U: idx[e.V], V: idx[e.U]}
 		}
 	}
-	return b, side, idx, nil
+	return NewBipartite(nl, nr, edges), side, idx, nil
 }
 
 // CompleteBipartite returns K_{k,l} with edges in the boustrophedon order
 // used by Lemma 3.2's perfect pebbling.
 func CompleteBipartite(k, l int) *Bipartite {
-	b := NewBipartite(k, l)
+	edges := make([]Edge, 0, k*l)
 	for i := 0; i < k; i++ {
 		for j := 0; j < l; j++ {
-			b.AddEdge(i, j)
+			edges = append(edges, Edge{U: i, V: j})
 		}
 	}
-	return b
+	return NewBipartite(k, l, edges)
 }
 
 // Matching returns a perfect matching with m edges (Lemma 2.4's family).
 func Matching(m int) *Bipartite {
-	b := NewBipartite(m, m)
-	for i := 0; i < m; i++ {
-		b.AddEdge(i, i)
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{U: i, V: i}
 	}
-	return b
+	return NewBipartite(m, m, edges)
 }
 
 // PathBipartite returns a path with m edges, alternating sides.
 func PathBipartite(m int) *Bipartite {
 	nl := (m + 2) / 2
 	nr := (m + 1) / 2
-	b := NewBipartite(nl, nr)
-	for i := 0; i < m; i++ {
-		b.AddEdge((i+1)/2, i/2)
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{U: (i + 1) / 2, V: i / 2}
 	}
-	return b
+	return NewBipartite(nl, nr, edges)
 }
 
 // CycleBipartite returns an even cycle with m edges (m must be even, >= 4).
@@ -222,29 +223,28 @@ func CycleBipartite(m int) *Bipartite {
 		panic("graph: bipartite cycle needs even m >= 4")
 	}
 	n := m / 2
-	b := NewBipartite(n, n)
+	edges := make([]Edge, 0, m)
 	for i := 0; i < n; i++ {
-		b.AddEdge(i, i)
-		b.AddEdge((i+1)%n, i)
+		edges = append(edges, Edge{U: i, V: i}, Edge{U: (i + 1) % n, V: i})
 	}
-	return b
+	return NewBipartite(n, n, edges)
 }
 
 // GridBipartite returns the rows x cols grid graph (always bipartite).
 func GridBipartite(rows, cols int) *Bipartite {
-	g := New(rows * cols)
+	var edges []Edge
 	at := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.AddEdge(at(r, c), at(r, c+1))
+				edges = append(edges, Edge{U: at(r, c), V: at(r, c+1)})
 			}
 			if r+1 < rows {
-				g.AddEdge(at(r, c), at(r+1, c))
+				edges = append(edges, Edge{U: at(r, c), V: at(r+1, c)})
 			}
 		}
 	}
-	b, _, _, err := FromGraph(g)
+	b, _, _, err := FromGraph(New(rows*cols, edges))
 	if err != nil {
 		panic("graph: grid must be bipartite: " + err.Error())
 	}

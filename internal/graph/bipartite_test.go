@@ -7,14 +7,13 @@ import (
 )
 
 func TestBipartiteNumbering(t *testing.T) {
-	b := NewBipartite(2, 3)
+	b := NewBipartite(2, 3, []Edge{{U: 1, V: 2}})
 	if b.LeftVertex(1) != 1 || b.RightVertex(0) != 2 || b.RightVertex(2) != 4 {
 		t.Fatal("vertex numbering broken")
 	}
 	if !b.Side(1) || b.Side(2) {
 		t.Fatal("Side broken")
 	}
-	b.AddEdge(1, 2)
 	l, r := b.EdgeAt(0)
 	if l != 1 || r != 2 {
 		t.Fatalf("EdgeAt got (%d,%d)", l, r)
@@ -25,10 +24,7 @@ func TestBipartiteNumbering(t *testing.T) {
 }
 
 func TestBipartiteDegrees(t *testing.T) {
-	b := NewBipartite(2, 2)
-	b.AddEdge(0, 0)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 1)
+	b := NewBipartite(2, 2, []Edge{{U: 0, V: 0}, {U: 0, V: 1}, {U: 1, V: 1}})
 	if b.LeftDegree(0) != 2 || b.LeftDegree(1) != 1 {
 		t.Fatal("left degrees")
 	}
@@ -38,21 +34,16 @@ func TestBipartiteDegrees(t *testing.T) {
 }
 
 func TestIsBipartitionRejectsOddCycle(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
+	g := New(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
 	if _, ok := IsBipartition(g); ok {
 		t.Fatal("triangle should not be bipartite")
 	}
 }
 
 func TestIsBipartitionAcceptsEvenCycle(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 0)
+	g := New(4, []Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0},
+	})
 	side, ok := IsBipartition(g)
 	if !ok {
 		t.Fatal("C4 is bipartite")
@@ -229,8 +220,23 @@ func TestBipartiteEqualClone(t *testing.T) {
 	if !b.Equal(c) {
 		t.Fatal("clone should be Equal")
 	}
-	c.AddEdge(0, 0)
-	if c.M() == b.M() && b.Equal(c) {
+	if c.Graph() == b.Graph() {
 		t.Fatal("clone shares storage")
+	}
+	var more []Edge
+	for i := 0; i < b.M(); i++ {
+		l, r := b.EdgeAt(i)
+		more = append(more, Edge{U: l, V: r})
+	}
+	for l := 0; l < 3 && len(more) == b.M(); l++ {
+		for r := 0; r < 3; r++ {
+			if !b.HasEdge(l, r) {
+				more = append(more, Edge{U: l, V: r})
+				break
+			}
+		}
+	}
+	if b.Equal(NewBipartite(3, 3, more)) {
+		t.Fatal("Equal ignored an extra edge")
 	}
 }

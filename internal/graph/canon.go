@@ -186,7 +186,7 @@ func Canonicalize(g *Graph, sc *CanonScratch) ([]int32, Fingerprint) {
 	if n == 0 {
 		return nil, Fingerprint{Hi: mix64(canonSeedHi, 0), Lo: mix64(canonSeedLo, 0)}
 	}
-	c := g.ensureCSR()
+	c := &g.csr
 	maxDeg := 0
 	for v := 0; v < n; v++ {
 		if d := c.start[v+1] - c.start[v]; d > maxDeg {

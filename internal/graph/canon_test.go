@@ -11,12 +11,12 @@ import (
 // package generates: a center vertex, k middle vertices, k leaves —
 // inner edges center–middle, outer edges middle–leaf.
 func buildSpider(k int) *graph.Graph {
-	g := graph.New(1 + 2*k)
+	var gEdges []graph.Edge
 	for i := 0; i < k; i++ {
-		g.AddEdge(0, 1+2*i)
-		g.AddEdge(1+2*i, 2+2*i)
+		gEdges = append(gEdges, graph.Edge{U: 0, V: 1 + 2*i})
+		gEdges = append(gEdges, graph.Edge{U: 1 + 2*i, V: 2 + 2*i})
 	}
-	return g
+	return graph.New(1+2*k, gEdges)
 }
 
 // permuted rebuilds g under a random vertex relabeling with shuffled
@@ -25,13 +25,13 @@ func buildSpider(k int) *graph.Graph {
 func permuted(rng *rand.Rand, g *graph.Graph) *graph.Graph {
 	n := g.N()
 	pi := rng.Perm(n)
-	h := graph.New(n)
+	var hEdges []graph.Edge
 	order := rng.Perm(g.M())
 	for _, i := range order {
 		e := g.EdgeAt(i)
-		h.AddEdge(pi[e.U], pi[e.V])
+		hEdges = append(hEdges, graph.Edge{U: pi[e.U], V: pi[e.V]})
 	}
-	return h
+	return graph.New(n, hEdges)
 }
 
 // corpus returns the generator sweep the cache targets: spiders,
@@ -51,7 +51,7 @@ func corpus(t *testing.T) map[string]*graph.Graph {
 		"random-12x9":   graph.RandomConnectedBipartite(rng, 12, 9, 30).Graph(),
 		"line-spider-7": graph.LineGraph(buildSpider(7)),
 		"line-cycle-10": graph.LineGraph(graph.CycleBipartite(10).Graph()),
-		"empty":         graph.New(4),
+		"empty":         graph.New(4, nil),
 	}
 }
 
@@ -124,46 +124,40 @@ func TestCanonicalizePermIsBijection(t *testing.T) {
 // sequences — the inputs a degree-histogram hash would conflate.
 func nearMissPairs() map[string][2]*graph.Graph {
 	// C6 vs two triangles: all vertices degree 2.
-	c6 := graph.New(6)
+	var c6Edges []graph.Edge
 	for i := 0; i < 6; i++ {
-		c6.AddEdge(i, (i+1)%6)
+		c6Edges = append(c6Edges, graph.Edge{U: i, V: (i + 1) % 6})
 	}
-	twoC3 := graph.New(6)
-	twoC3.AddEdge(0, 1)
-	twoC3.AddEdge(1, 2)
-	twoC3.AddEdge(2, 0)
-	twoC3.AddEdge(3, 4)
-	twoC3.AddEdge(4, 5)
-	twoC3.AddEdge(5, 3)
+	c6 := graph.New(6, c6Edges)
+	twoC3 := graph.New(6, []graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 4},
+		{U: 4, V: 5}, {U: 5, V: 3},
+	})
 
 	// Two trees with degree sequence [3,2,2,2,1,1,1]: the subdivided
 	// claw (diameter 4) vs a caterpillar (diameter 5).
-	claw2 := graph.New(7)
-	claw2.AddEdge(0, 1)
-	claw2.AddEdge(1, 2)
-	claw2.AddEdge(0, 3)
-	claw2.AddEdge(3, 4)
-	claw2.AddEdge(0, 5)
-	claw2.AddEdge(5, 6)
-	caterpillar := graph.New(7)
-	caterpillar.AddEdge(0, 1)
-	caterpillar.AddEdge(1, 2)
-	caterpillar.AddEdge(2, 3)
-	caterpillar.AddEdge(3, 4)
-	caterpillar.AddEdge(4, 5)
-	caterpillar.AddEdge(1, 6)
+	claw2 := graph.New(7, []graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 3}, {U: 3, V: 4},
+		{U: 0, V: 5}, {U: 5, V: 6},
+	})
+	caterpillar := graph.New(7, []graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
+		{U: 4, V: 5}, {U: 1, V: 6},
+	})
 
 	// C8 vs C4 ⊔ C4: degree-2 everywhere, different component shape.
-	c8 := graph.New(8)
+	var c8Edges []graph.Edge
 	for i := 0; i < 8; i++ {
-		c8.AddEdge(i, (i+1)%8)
+		c8Edges = append(c8Edges, graph.Edge{U: i, V: (i + 1) % 8})
 	}
-	twoC4 := graph.New(8)
+	c8 := graph.New(8, c8Edges)
+	var twoC4Edges []graph.Edge
 	for base := 0; base < 8; base += 4 {
 		for i := 0; i < 4; i++ {
-			twoC4.AddEdge(base+i, base+(i+1)%4)
+			twoC4Edges = append(twoC4Edges, graph.Edge{U: base + i, V: base + (i+1)%4})
 		}
 	}
+	twoC4 := graph.New(8, twoC4Edges)
 	return map[string][2]*graph.Graph{
 		"c6-vs-2c3":          {c6, twoC3},
 		"claw2-vs-caterpill": {claw2, caterpillar},

@@ -14,29 +14,30 @@ import (
 // leaf. Its line graph is K_n plus a pendant per clique vertex —
 // claw-free, the hard case the bench series pins.
 func testSpider(n int) *Graph {
-	g := New(1 + 2*n)
+	var edges []Edge
 	for i := 0; i < n; i++ {
-		g.AddEdge(0, 1+i)     // center – middle_i
-		g.AddEdge(1+i, 1+n+i) // middle_i – leaf_i
+		edges = append(edges,
+			Edge{U: 0, V: 1 + i},         // center – middle_i
+			Edge{U: 1 + i, V: 1 + n + i}) // middle_i – leaf_i
 	}
-	return g
+	return New(1+2*n, edges)
 }
 
 // star returns K_{1,k}: the smallest claw carrier for k >= 3.
 func star(k int) *Graph {
-	g := New(k + 1)
+	var gEdges []Edge
 	for i := 1; i <= k; i++ {
-		g.AddEdge(0, i)
+		gEdges = append(gEdges, Edge{U: 0, V: i})
 	}
-	return g
+	return New(k+1, gEdges)
 }
 
 // clawDiffCases builds the differential corpus: spiders, random
 // bipartite and general graphs, and their line graphs (claw-free side).
 func clawDiffCases(rng *rand.Rand) []*Graph {
 	cases := []*Graph{
-		New(0),
-		New(1),
+		New(0, nil),
+		New(1, nil),
 		star(3),
 		star(7),
 		testSpider(5),
@@ -88,7 +89,6 @@ func checkKernelsAgree(t *testing.T, a Adjacency, s *ClawScratch) {
 func TestClawKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i, g := range clawDiffCases(rng) {
-		g.Optimize()
 		checkKernelsAgree(t, g, nil)
 		// And over the implicit line-graph view, the production shape.
 		checkKernelsAgree(t, NewLineGraphView(g), nil)
@@ -102,7 +102,6 @@ func TestClawScratchReuseAcrossScans(t *testing.T) {
 	// Interleave graphs of very different sizes so Reset exercises both
 	// the stale-row sweep and the geometry-change re-zero.
 	for i, g := range clawDiffCases(rng) {
-		g.Optimize()
 		checkKernelsAgree(t, g, s)
 		if i%3 == 0 {
 			checkKernelsAgree(t, NewLineGraphView(g), s)
@@ -140,10 +139,10 @@ func TestClawParallelDeterministic(t *testing.T) {
 	// Large enough (n >= clawParallelMinN) that the parallel path engages.
 	rng := rand.New(rand.NewSource(43))
 	cases := []Adjacency{
-		NewLineGraphView(testSpider(400)),                                // n=800, claw-free
-		star(700).Optimize(),                                             // claw at 0 immediately
-		RandomConnectedBipartite(rng, 400, 300, 2100).Graph().Optimize(), // claws likely, mid-scan
-		LineGraph(RandomConnectedBipartite(rng, 300, 300, 900).Graph()),  // claw-free, n=900
+		NewLineGraphView(testSpider(400)), // n=800, claw-free
+		star(700),                         // claw at 0 immediately
+		RandomConnectedBipartite(rng, 400, 300, 2100).Graph(),           // claws likely, mid-scan
+		LineGraph(RandomConnectedBipartite(rng, 300, 300, 900).Graph()), // claw-free, n=900
 	}
 	for ci, a := range cases {
 		wantC, wantL, wantOK, err := FindClaw(context.Background(), a, nil)
@@ -181,7 +180,6 @@ func TestClawRowBudgetFallback(t *testing.T) {
 	defer func() { clawRowBudgetWords = prev }()
 	rng := rand.New(rand.NewSource(44))
 	for _, g := range clawDiffCases(rng) {
-		g.Optimize()
 		checkKernelsAgree(t, g, nil)
 	}
 }
@@ -246,7 +244,6 @@ func FuzzClawKernels(f *testing.F) {
 		if asLineGraph {
 			g = LineGraph(g)
 		}
-		g.Optimize()
 		checkKernelsAgree(t, g, nil)
 		checkKernelsAgree(t, g, NewClawScratch())
 	})

@@ -1,17 +1,14 @@
 package graph
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 )
 
-// csr is the compact adjacency representation behind Freeze: flat
-// prefix-offset arrays in the style of compressed sparse rows. It turns
-// HasEdge/EdgeIndex into a binary search over the sorted neighbor span of
-// the lower-degree endpoint and IncidentEdges/Neighbors into zero-copy
-// subslices, replacing the map[Edge]int hash per adjacency test and the
-// per-call slice allocation of the mutable representation.
+// csr is a Graph's adjacency in compressed sparse rows: flat
+// prefix-offset arrays, so HasEdge/EdgeIndex are a search over the
+// sorted neighbor span of the lower-degree endpoint and
+// IncidentEdges/Neighbors are zero-copy subslices.
 type csr struct {
 	start      []int // n+1 prefix offsets; vertex v owns slots start[v]:start[v+1]
 	vert       []int // neighbor vertex per slot, in edge-insertion order
@@ -20,12 +17,18 @@ type csr struct {
 	sortedEdge []int // edge index per slot, parallel to sortedVert
 }
 
-// buildCSR constructs the compact representation from an edge list. The
-// insertion-order spans (vert/edge) reproduce the adjacency-list order
-// exactly: a vertex's neighbors appear in increasing edge-index order,
-// which is how AddEdge grows adj.
-func buildCSR(n int, edges []Edge) *csr {
-	c := &csr{start: make([]int, n+1)}
+// buildCSR constructs the compact representation from a normalized edge
+// list. The insertion-order spans (vert/edge) list a vertex's neighbors
+// in increasing edge-index order. When every span is already strictly
+// increasing by neighbor, as in a join graph emitted left-major, the
+// sorted spans share the insertion-order arrays instead of copying them,
+// and no pair can repeat. Otherwise dup marks the repeated occurrences
+// (see duplicates).
+func buildCSR(n int, edges []Edge) (c csr, dup []bool) {
+	slots := 2 * len(edges)
+	buf := make([]int, n+1+2*slots) // start, vert and edge in one allocation
+	c.start = buf[: n+1 : n+1]
+	c.vert, c.edge = buf[n+1:n+1+slots:n+1+slots], buf[n+1+slots:]
 	for _, e := range edges {
 		c.start[e.U+1]++
 		c.start[e.V+1]++
@@ -33,36 +36,77 @@ func buildCSR(n int, edges []Edge) *csr {
 	for v := 0; v < n; v++ {
 		c.start[v+1] += c.start[v]
 	}
-	slots := 2 * len(edges)
-	c.vert = make([]int, slots)
-	c.edge = make([]int, slots)
-	cur := make([]int, n)
-	copy(cur, c.start[:n])
+	// Fill each span with start[v] as its cursor; afterwards start[v]
+	// holds the old start[v+1], so shifting by one restores the offsets.
 	for i, e := range edges {
-		c.vert[cur[e.U]], c.edge[cur[e.U]] = e.V, i
-		cur[e.U]++
-		c.vert[cur[e.V]], c.edge[cur[e.V]] = e.U, i
-		cur[e.V]++
+		c.vert[c.start[e.U]], c.edge[c.start[e.U]] = e.V, i
+		c.start[e.U]++
+		c.vert[c.start[e.V]], c.edge[c.start[e.V]] = e.U, i
+		c.start[e.V]++
 	}
-	c.sortedVert = append([]int(nil), c.vert...)
-	c.sortedEdge = append([]int(nil), c.edge...)
+	copy(c.start[1:], c.start[:n])
+	c.start[0] = 0
+
+	c.sortedVert, c.sortedEdge = c.vert, c.edge
 	for v := 0; v < n; v++ {
+		span := c.vert[c.start[v]:c.start[v+1]]
+		for k := 1; k < len(span); k++ {
+			if span[k-1] >= span[k] {
+				c.sortSpans(v)
+				return c, c.duplicates(len(edges))
+			}
+		}
+	}
+	return c, nil
+}
+
+// sortSpans gives c its own sorted spans, sorting from vertex first on
+// (the spans before it are already strictly increasing).
+func (c *csr) sortSpans(first int) {
+	slots := len(c.vert)
+	flat := make([]int, 2*slots)
+	c.sortedVert, c.sortedEdge = flat[:slots:slots], flat[slots:]
+	copy(c.sortedVert, c.vert)
+	copy(c.sortedEdge, c.edge)
+	for v := first; v < len(c.start)-1; v++ {
 		lo, hi := c.start[v], c.start[v+1]
 		if hi-lo > 1 {
 			sortSpan(c.sortedVert[lo:hi], c.sortedEdge[lo:hi])
 		}
 	}
-	return c
 }
 
-// sortSpan sorts verts ascending, permuting edges in lockstep. Spans are
-// neighbor lists, so small ones dominate; insertion sort covers those.
-// Long spans pack vert<<32|edge into the vert slots and run the generic
-// slices.Sort over plain ints in place — no spanSorter interface boxing,
-// no scratch allocation. The packed key is unambiguous because a span
-// never repeats a neighbor (simple graph), and the low edge bits ride
-// along for free. Packing needs both ids to fit 32 bits; the (never
-// taken in practice) fallback is the same insertion sort.
+// duplicates marks the repeated occurrences among the m edges c was
+// built from, or returns nil when every edge is distinct. Sorting a span
+// orders equal neighbors by edge index, so each run of equal neighbors
+// starts with the pair's first occurrence and the rest are repeats.
+func (c *csr) duplicates(m int) []bool {
+	var dup []bool
+	for v := 0; v+1 < len(c.start); v++ {
+		for k := c.start[v] + 1; k < c.start[v+1]; k++ {
+			if c.sortedVert[k] == c.sortedVert[k-1] {
+				if dup == nil {
+					dup = make([]bool, m)
+				}
+				dup[c.sortedEdge[k]] = true
+			}
+		}
+	}
+	return dup
+}
+
+// degree returns the length of v's span.
+func (c *csr) degree(v int) int { return c.start[v+1] - c.start[v] }
+
+// sortSpan sorts verts ascending, permuting edges in lockstep, with ties
+// in edge order. Spans are neighbor lists, so small ones dominate;
+// insertion sort, which is stable, covers those. Long spans pack
+// vert<<32|edge into the vert slots and run the generic slices.Sort over
+// plain ints in place — no spanSorter interface boxing, no scratch
+// allocation. The packed key is unambiguous because edge ids within a
+// span are distinct, and ordering by it breaks neighbor ties by edge.
+// Packing needs both ids to fit 32 bits; the (never taken in practice)
+// fallback is the same insertion sort.
 func sortSpan(verts, edges []int) {
 	if len(verts) > 24 && packable(verts, edges) {
 		for i := range verts {
@@ -131,53 +175,4 @@ func (c *csr) lookup(u, v int) (int, bool) {
 		return c.sortedEdge[lo], true
 	}
 	return 0, false
-}
-
-// ensureCSR returns the compact representation, building it on first use.
-// The build is guarded by a mutex so concurrent readers of an already-
-// frozen graph are safe; mutating an unfrozen graph concurrently with
-// reads remains undefined, as for every other Graph method.
-func (g *Graph) ensureCSR() *csr {
-	g.csrMu.Lock()
-	c := g.csr
-	if c == nil {
-		c = buildCSR(g.n, g.edges)
-		g.csr = c
-	}
-	g.csrMu.Unlock()
-	return c
-}
-
-// Freeze builds the compact sorted-adjacency representation and marks the
-// graph immutable: any later AddEdge or AddVertex panics. After Freeze,
-// HasEdge and EdgeIndex are allocation-free binary searches, Neighbors and
-// IncidentEdges return zero-copy views, and the graph is safe for
-// concurrent readers. Freeze is idempotent and returns g for chaining.
-func (g *Graph) Freeze() *Graph {
-	g.ensureCSR()
-	g.frozen = true
-	return g
-}
-
-// Frozen reports whether Freeze has been called.
-func (g *Graph) Frozen() bool { return g.frozen }
-
-// Optimize builds the same compact index Freeze uses but keeps the graph
-// mutable: a later AddEdge or AddVertex simply discards the index. Bulk
-// read-mostly operations (solving, simulation, line-graph walks) call it
-// to amortize one O(m log m) build across many adjacency tests.
-func (g *Graph) Optimize() *Graph {
-	g.ensureCSR()
-	return g
-}
-
-// invalidateCSR drops the compact index after a mutation; it panics if
-// the graph was frozen.
-func (g *Graph) invalidateCSR(op string) {
-	if g.frozen {
-		panic(fmt.Sprintf("graph: %s on frozen graph", op))
-	}
-	if g.csr != nil {
-		g.csr = nil
-	}
 }

@@ -6,9 +6,7 @@ import (
 )
 
 func TestWriteDOT(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := New(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	var sb strings.Builder
 	if err := WriteDOT(&sb, g, "Demo"); err != nil {
 		t.Fatal(err)
@@ -23,7 +21,7 @@ func TestWriteDOT(t *testing.T) {
 
 func TestWriteDOTDefaultsName(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteDOT(&sb, New(1), ""); err != nil {
+	if err := WriteDOT(&sb, New(1, nil), ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(sb.String(), "graph G {") {
@@ -32,8 +30,7 @@ func TestWriteDOTDefaultsName(t *testing.T) {
 }
 
 func TestWriteDOTBipartite(t *testing.T) {
-	b := NewBipartite(2, 2)
-	b.AddEdge(0, 1)
+	b := NewBipartite(2, 2, []Edge{{U: 0, V: 1}})
 	var sb strings.Builder
 	if err := WriteDOTBipartite(&sb, b, ""); err != nil {
 		t.Fatal(err)

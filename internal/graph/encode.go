@@ -13,7 +13,13 @@ import (
 //	e <u> <v>                    (one line per edge, in order)
 //
 // Blank lines and lines starting with '#' are ignored. For bipartite
-// graphs u is a left index and v a right index.
+// graphs u is a left index and v a right index. A repeated edge keeps
+// the index of its first line. Vertex counts and side sizes must lie in
+// [0, MaxReadVertices].
+
+// MaxReadVertices caps each vertex count and side size Read accepts, so
+// a header alone cannot make it allocate without bound.
+const MaxReadVertices = 1 << 22
 
 // WriteGraph serializes g in the text format.
 func WriteGraph(w io.Writer, g *Graph) error {
@@ -47,8 +53,12 @@ func WriteBipartite(w io.Writer, b *Bipartite) error {
 func Read(r io.Reader) (any, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var g *Graph
-	var b *Bipartite
+	var (
+		header string // "graph" or "bipartite" once read
+		n      int    // graph vertex count
+		nl, nr int    // bipartite side sizes
+		edges  []Edge
+	)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -57,31 +67,26 @@ func Read(r io.Reader) (any, error) {
 			continue
 		}
 		fields := strings.Fields(text)
+		if header != "" && (fields[0] == "graph" || fields[0] == "bipartite") {
+			return nil, fmt.Errorf("graph: line %d: duplicate header", line)
+		}
 		switch fields[0] {
 		case "graph":
-			if g != nil || b != nil {
-				return nil, fmt.Errorf("graph: line %d: duplicate header", line)
-			}
-			var n int
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("graph: line %d: want 'graph <n>'", line)
 			}
 			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad vertex count: %w", line, err)
 			}
-			g = New(n)
+			header = "graph"
 		case "bipartite":
-			if g != nil || b != nil {
-				return nil, fmt.Errorf("graph: line %d: duplicate header", line)
-			}
-			var nl, nr int
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graph: line %d: want 'bipartite <nLeft> <nRight>'", line)
 			}
 			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &nl, &nr); err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad side sizes: %w", line, err)
 			}
-			b = NewBipartite(nl, nr)
+			header = "bipartite"
 		case "e":
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graph: line %d: want 'e <u> <v>'", line)
@@ -90,32 +95,34 @@ func Read(r io.Reader) (any, error) {
 			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &u, &v); err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad edge: %w", line, err)
 			}
-			switch {
-			case g != nil:
-				if u < 0 || v < 0 || u >= g.N() || v >= g.N() || u == v {
-					return nil, fmt.Errorf("graph: line %d: edge %d-%d invalid for %d vertices", line, u, v, g.N())
+			switch header {
+			case "graph":
+				if u < 0 || v < 0 || u >= n || v >= n || u == v {
+					return nil, fmt.Errorf("graph: line %d: edge %d-%d invalid for %d vertices", line, u, v, n)
 				}
-				g.AddEdge(u, v)
-			case b != nil:
-				if u < 0 || v < 0 || u >= b.NLeft() || v >= b.NRight() {
-					return nil, fmt.Errorf("graph: line %d: edge %d-%d outside %dx%d sides", line, u, v, b.NLeft(), b.NRight())
+			case "bipartite":
+				if u < 0 || v < 0 || u >= nl || v >= nr {
+					return nil, fmt.Errorf("graph: line %d: edge %d-%d outside %dx%d sides", line, u, v, nl, nr)
 				}
-				b.AddEdge(u, v)
 			default:
 				return nil, fmt.Errorf("graph: line %d: edge before header", line)
 			}
+			edges = append(edges, Edge{U: u, V: v})
 		default:
 			return nil, fmt.Errorf("graph: line %d: unknown record %q", line, fields[0])
+		}
+		if min(n, nl, nr) < 0 || max(n, nl, nr) > MaxReadVertices {
+			return nil, fmt.Errorf("graph: line %d: vertex count outside [0, %d]", line, MaxReadVertices)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	switch {
-	case g != nil:
-		return g, nil
-	case b != nil:
-		return b, nil
+	switch header {
+	case "graph":
+		return New(n, edges), nil
+	case "bipartite":
+		return NewBipartite(nl, nr, edges), nil
 	default:
 		return nil, fmt.Errorf("graph: empty input")
 	}

@@ -1,15 +1,14 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
 func TestGraphRoundTrip(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := New(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}})
 	var sb strings.Builder
 	if err := WriteGraph(&sb, g); err != nil {
 		t.Fatal(err)
@@ -68,6 +67,23 @@ func TestReadErrors(t *testing.T) {
 	for _, in := range cases[:7] {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q: want error", in)
+		}
+	}
+}
+
+// TestReadRejectsBadCounts: a header count that is negative or above
+// MaxReadVertices is an error, not a panic or an unbounded allocation.
+func TestReadRejectsBadCounts(t *testing.T) {
+	for _, in := range []string{
+		"graph -3\n",
+		"bipartite 3 -2\n",
+		"graph 9999999999999\n",
+		fmt.Sprintf("graph %d\n", MaxReadVertices+1),
+		fmt.Sprintf("bipartite %d 1\n", MaxReadVertices+1),
+	} {
+		_, err := Read(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "outside [0,") {
+			t.Errorf("input %q: got error %v, want a count-range error", in, err)
 		}
 	}
 }

@@ -5,47 +5,39 @@ import (
 	"testing"
 )
 
-// FuzzCSRDifferential feeds arbitrary edge lists to a map-backed graph
-// and its compact-index twin and requires identical answers from every
-// read accessor. Bytes are consumed pairwise as endpoints modulo n.
+// FuzzCSRDifferential feeds arbitrary edge lists to New and to the
+// map-backed oracle and requires the same panic or identical answers from
+// every read accessor (checkAgainstOracle). Bytes are consumed pairwise
+// as endpoints: a byte below 0x80 is vertex b mod n, a byte from 0x80 up
+// is the raw id b−0x82, mostly out of range. Repeated and reversed pairs
+// and self-loops come up on their own.
 func FuzzCSRDifferential(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 1, 1, 2, 2, 3})
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(6), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 2})
+	f.Add(uint8(5), []byte{3, 1, 1, 3, 0, 4, 3, 1, 4, 0, 2, 1})
+	f.Add(uint8(3), []byte{0, 1, 2, 2})
+	f.Add(uint8(3), []byte{0, 1, 0x80, 2})
+	f.Add(uint8(3), []byte{0, 0x85})
+	f.Add(uint8(0), []byte{})
 	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
-		if n == 0 || n > 32 || len(data) > 256 {
+		if n > 32 || len(data) > 256 {
 			return
 		}
-		plain := New(int(n))
+		endpoint := func(b byte) int {
+			if b >= 0x80 {
+				return int(b) - 0x82
+			}
+			if n == 0 {
+				return int(b)
+			}
+			return int(b) % int(n)
+		}
+		edges := make([]Edge, 0, len(data)/2)
 		for i := 0; i+1 < len(data); i += 2 {
-			u, v := int(data[i])%int(n), int(data[i+1])%int(n)
-			if u == v || plain.HasEdge(u, v) {
-				continue
-			}
-			plain.AddEdge(u, v)
+			edges = append(edges, Edge{U: endpoint(data[i]), V: endpoint(data[i+1])})
 		}
-		idx := plain.Clone().Freeze()
-		for u := 0; u < plain.N(); u++ {
-			if idx.Degree(u) != plain.Degree(u) {
-				t.Fatalf("Degree(%d): csr %d, map %d", u, idx.Degree(u), plain.Degree(u))
-			}
-			if !equalInts(idx.Neighbors(u), plain.Neighbors(u)) {
-				t.Fatalf("Neighbors(%d): csr %v, map %v", u, idx.Neighbors(u), plain.Neighbors(u))
-			}
-			if !equalInts(idx.IncidentEdges(u), plain.IncidentEdges(u)) {
-				t.Fatalf("IncidentEdges(%d): csr %v, map %v", u, idx.IncidentEdges(u), plain.IncidentEdges(u))
-			}
-			for v := 0; v < plain.N(); v++ {
-				gi, gok := idx.EdgeIndex(u, v)
-				wi, wok := plain.EdgeIndex(u, v)
-				if gi != wi || gok != wok {
-					t.Fatalf("EdgeIndex(%d,%d): csr %d,%v, map %d,%v", u, v, gi, gok, wi, wok)
-				}
-				if idx.HasEdge(u, v) != plain.HasEdge(u, v) {
-					t.Fatalf("HasEdge(%d,%d) disagrees", u, v)
-				}
-			}
-		}
+		checkAgainstOracle(t, int(n), edges)
 	})
 }
 
@@ -59,6 +51,9 @@ func FuzzRead(f *testing.F) {
 	f.Add("graph x\n")
 	f.Add("e 1 2\n")
 	f.Add("bipartite 2 2\ne 0 9\n")
+	f.Add("graph -3\n")
+	f.Add("bipartite 3 -2\n")
+	f.Add("graph 9999999999999\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		v, err := Read(strings.NewReader(input))
 		if err != nil {

@@ -10,9 +10,9 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Edge is an undirected edge between vertices U and V. Invariant: U <= V
@@ -47,47 +47,56 @@ func (e Edge) SharesEndpoint(f Edge) bool {
 }
 
 // Graph is a simple undirected graph with a fixed vertex count and a
-// deduplicated, insertion-ordered edge list. The zero value is an empty
-// graph with no vertices; use New to create one with vertices.
-//
-// Graphs have two representations. The mutable one — adjacency lists plus
-// a map[Edge]int — supports AddEdge/AddVertex. Freeze (or, internally,
-// Optimize) additionally builds a compact CSR-style index that turns the
-// adjacency tests and incident-edge queries on the hot paths (line-graph
-// construction, claw search, scheme simulation) into allocation-free
-// array reads. A frozen graph rejects mutation and is safe for concurrent
-// readers.
+// deduplicated, insertion-ordered edge list. It has one encoding: New
+// builds the edge list and its compressed sparse rows in one pass, and
+// the graph never changes afterwards, so it is safe for concurrent
+// readers. Every read is an array read: Neighbors and IncidentEdges are
+// zero-copy spans in increasing edge-index order, and HasEdge and
+// EdgeIndex search the neighbor-sorted span of the lower-degree
+// endpoint. The zero value is an empty graph with no vertices.
 type Graph struct {
 	n     int
 	edges []Edge
-	index map[Edge]int // normalized edge -> position in edges; nil for graphs built frozen
-	adj   [][]int      // adjacency lists (neighbor vertex ids)
-
-	//joinlint:lockrank graph-csr 70
-	csrMu  sync.Mutex // guards lazy construction of csr
-	csr    *csr       // compact index; nil until Freeze/Optimize
-	frozen bool       // mutation disabled once set
+	csr   csr
 }
 
-// New returns an empty graph on n vertices.
-func New(n int) *Graph {
+// New returns the graph on n vertices with the given edges. Edge i of
+// the result is the i-th distinct pair of the list: a pair that repeats,
+// in either orientation, keeps the index of its first occurrence. New
+// panics on a self-loop or an endpoint outside [0,n): the pebble game
+// and all join graphs in the paper are simple graphs. New takes
+// ownership of edges: it normalizes and compacts the slice in place, and
+// the caller should not use it after this call.
+func New(n int, edges []Edge) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Graph{
-		n:     n,
-		index: make(map[Edge]int),
-		adj:   make([][]int, n),
+	for i, e := range edges {
+		if e.U == e.V {
+			panic(fmt.Sprintf("graph: self-loop at vertex %d", e.U))
+		}
+		checkVertex(e.U, n)
+		checkVertex(e.V, n)
+		edges[i] = e.Normalize()
 	}
+	g := &Graph{n: n, edges: edges}
+	var dup []bool
+	if g.csr, dup = buildCSR(n, edges); dup != nil {
+		kept := edges[:0]
+		for i, e := range edges {
+			if !dup[i] {
+				kept = append(kept, e)
+			}
+		}
+		g.edges = kept
+		g.csr, _ = buildCSR(n, kept)
+	}
+	return g
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a copy of g, rebuilt through New.
 func (g *Graph) Clone() *Graph {
-	h := New(g.n)
-	for _, e := range g.edges {
-		h.AddEdge(e.U, e.V)
-	}
-	return h
+	return New(g.n, slices.Clone(g.edges))
 }
 
 // N returns the number of vertices.
@@ -96,68 +105,18 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of edges.
 func (g *Graph) M() int { return len(g.edges) }
 
-// AddVertex appends a fresh vertex and returns its id. It panics if the
-// graph is frozen.
-func (g *Graph) AddVertex() int {
-	g.invalidateCSR("AddVertex")
-	g.adj = append(g.adj, nil)
-	g.n++
-	return g.n - 1
-}
-
-// AddEdge inserts the undirected edge {u,v} and returns its edge index.
-// Inserting an existing edge returns the original index without
-// duplicating it. Self-loops are rejected: the pebble game and all join
-// graphs in the paper are simple graphs. AddEdge panics if the graph is
-// frozen.
-func (g *Graph) AddEdge(u, v int) int {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at vertex %d", u))
-	}
-	g.invalidateCSR("AddEdge")
-	g.checkVertex(u)
-	g.checkVertex(v)
-	e := Edge{U: u, V: v}.Normalize()
-	if i, ok := g.index[e]; ok {
-		return i
-	}
-	i := len(g.edges)
-	g.edges = append(g.edges, e)
-	g.index[e] = i
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
-	return i
-}
-
-// HasEdge reports whether {u,v} is an edge of g. On a frozen or optimized
-// graph this is a binary search over the sorted neighbor span of the
-// lower-degree endpoint; otherwise a map lookup.
+// HasEdge reports whether {u,v} is an edge of g.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
-		return false
-	}
-	if c := g.csr; c != nil {
-		_, ok := c.lookup(u, v)
-		return ok
-	}
-	_, ok := g.index[Edge{U: u, V: v}.Normalize()]
+	_, ok := g.EdgeIndex(u, v)
 	return ok
 }
 
-// EdgeIndex returns the index of edge {u,v} and whether it exists. Like
-// HasEdge it takes the compact-index path on frozen/optimized graphs.
+// EdgeIndex returns the index of edge {u,v} and whether it exists.
 func (g *Graph) EdgeIndex(u, v int) (int, bool) {
-	if u < 0 || v < 0 || u >= g.n || v >= g.n {
+	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
 		return 0, false
 	}
-	if c := g.csr; c != nil {
-		if u == v {
-			return 0, false
-		}
-		return c.lookup(u, v)
-	}
-	i, ok := g.index[Edge{U: u, V: v}.Normalize()]
-	return i, ok
+	return g.csr.lookup(u, v)
 }
 
 // EdgeAt returns the i-th edge in insertion order.
@@ -170,46 +129,45 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Neighbors returns the neighbors of v in insertion order. The returned
-// slice is owned by the graph and must not be mutated.
+// Neighbors returns the neighbors of v in edge-insertion order. The
+// returned slice is owned by the graph and must not be mutated.
 func (g *Graph) Neighbors(v int) []int {
 	g.checkVertex(v)
-	return g.adj[v]
+	c := &g.csr
+	return c.vert[c.start[v]:c.start[v+1]:c.start[v+1]]
 }
 
 // Degree returns the degree of v.
 func (g *Graph) Degree(v int) int {
 	g.checkVertex(v)
-	return len(g.adj[v])
+	return g.csr.degree(v)
 }
 
 // MaxDegree returns the maximum vertex degree, or 0 for an edgeless graph.
 func (g *Graph) MaxDegree() int {
 	d := 0
 	for v := 0; v < g.n; v++ {
-		if len(g.adj[v]) > d {
-			d = len(g.adj[v])
-		}
+		d = max(d, g.csr.degree(v))
 	}
 	return d
 }
 
 // IncidentEdges returns the indices of edges incident to v, in increasing
-// edge-index order. On a frozen or optimized graph the returned slice is
-// a zero-copy view owned by the graph and must not be mutated (it sits
-// inside LineGraph's inner loop, where the former per-call allocation
-// dominated); otherwise it is freshly allocated.
+// edge-index order. The returned slice is owned by the graph and must not
+// be mutated.
 func (g *Graph) IncidentEdges(v int) []int {
 	g.checkVertex(v)
-	if c := g.csr; c != nil {
-		lo, hi := c.start[v], c.start[v+1]
-		return c.edge[lo:hi:hi]
-	}
-	out := make([]int, 0, len(g.adj[v]))
-	for _, u := range g.adj[v] {
-		out = append(out, g.index[Edge{U: u, V: v}.Normalize()])
-	}
-	return out
+	c := &g.csr
+	return c.edge[c.start[v]:c.start[v+1]:c.start[v+1]]
+}
+
+// IncidentEdgesByNeighbor returns the indices of edges incident to v,
+// ordered by the neighbor at their other end, ascending. The returned
+// slice is owned by the graph and must not be mutated.
+func (g *Graph) IncidentEdgesByNeighbor(v int) []int {
+	g.checkVertex(v)
+	c := &g.csr
+	return c.sortedEdge[c.start[v]:c.start[v+1]:c.start[v+1]]
 }
 
 // IsolatedVertices returns the vertices with degree zero. The paper
@@ -217,7 +175,7 @@ func (g *Graph) IncidentEdges(v int) []int {
 func (g *Graph) IsolatedVertices() []int {
 	var out []int
 	for v := 0; v < g.n; v++ {
-		if len(g.adj[v]) == 0 {
+		if g.csr.degree(v) == 0 {
 			out = append(out, v)
 		}
 	}
@@ -232,18 +190,18 @@ func (g *Graph) WithoutIsolated() (*Graph, []int) {
 	remap := make([]int, g.n)
 	next := 0
 	for v := 0; v < g.n; v++ {
-		if len(g.adj[v]) == 0 {
+		if g.csr.degree(v) == 0 {
 			remap[v] = -1
 			continue
 		}
 		remap[v] = next
 		next++
 	}
-	h := New(next)
-	for _, e := range g.edges {
-		h.AddEdge(remap[e.U], remap[e.V])
+	edges := make([]Edge, len(g.edges))
+	for i, e := range g.edges {
+		edges[i] = Edge{U: remap[e.U], V: remap[e.V]}
 	}
-	return h, remap
+	return New(next, edges), remap
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertices,
@@ -261,13 +219,13 @@ func (g *Graph) InducedSubgraph(vs []int) (*Graph, []int) {
 		}
 		remap[v] = i
 	}
-	h := New(len(vs))
+	var edges []Edge
 	for _, e := range g.edges {
 		if remap[e.U] >= 0 && remap[e.V] >= 0 {
-			h.AddEdge(remap[e.U], remap[e.V])
+			edges = append(edges, Edge{U: remap[e.U], V: remap[e.V]})
 		}
 	}
-	return h, remap
+	return New(len(vs), edges), remap
 }
 
 // Equal reports whether g and h have the same vertex count and the same
@@ -288,7 +246,7 @@ func (g *Graph) Equal(h *Graph) bool {
 func (g *Graph) DegreeSequence() []int {
 	ds := make([]int, g.n)
 	for v := 0; v < g.n; v++ {
-		ds[v] = len(g.adj[v])
+		ds[v] = g.csr.degree(v)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(ds)))
 	return ds
@@ -308,21 +266,21 @@ func (g *Graph) String() string {
 	return sb.String()
 }
 
-func (g *Graph) checkVertex(v int) {
-	if v < 0 || v >= g.n {
-		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, g.n))
+func (g *Graph) checkVertex(v int) { checkVertex(v, g.n) }
+
+func checkVertex(v, n int) {
+	if v < 0 || v >= n {
+		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, n))
 	}
 }
 
 // DisjointUnion returns the disjoint union of g and h: h's vertices are
 // shifted by g.N(). Edge order is g's edges followed by h's.
 func DisjointUnion(g, h *Graph) *Graph {
-	u := New(g.n + h.n)
-	for _, e := range g.edges {
-		u.AddEdge(e.U, e.V)
-	}
+	edges := make([]Edge, 0, len(g.edges)+len(h.edges))
+	edges = append(edges, g.edges...)
 	for _, e := range h.edges {
-		u.AddEdge(e.U+g.n, e.V+g.n)
+		edges = append(edges, Edge{U: e.U + g.n, V: e.V + g.n})
 	}
-	return u
+	return New(g.n+h.n, edges)
 }

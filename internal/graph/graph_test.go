@@ -47,47 +47,35 @@ func TestEdgeSharesEndpoint(t *testing.T) {
 }
 
 func TestAddEdgeDedup(t *testing.T) {
-	g := New(3)
-	i := g.AddEdge(0, 1)
-	j := g.AddEdge(1, 0)
-	if i != j {
-		t.Fatalf("duplicate edge got distinct indices %d, %d", i, j)
+	g := New(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 1, V: 0}, {U: 2, V: 3}, {U: 1, V: 2}})
+	if g.M() != 3 {
+		t.Fatalf("M=%d want 3", g.M())
 	}
-	if g.M() != 1 {
-		t.Fatalf("M=%d want 1", g.M())
+	for i, want := range []Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 1, V: 2}} {
+		if g.EdgeAt(i) != want {
+			t.Fatalf("edge %d = %v, want first-occurrence order %v", i, g.EdgeAt(i), want)
+		}
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 1 {
-		t.Fatal("duplicate insert changed degrees")
+	if g.Degree(0) != 1 || g.Degree(1) != 2 || g.Degree(3) != 1 {
+		t.Fatal("duplicate pair changed degrees")
+	}
+	if i, ok := g.EdgeIndex(1, 0); !ok || i != 0 {
+		t.Fatalf("EdgeIndex(1,0)=%d,%v, want the first occurrence 0", i, ok)
 	}
 }
 
 func TestSelfLoopPanics(t *testing.T) {
-	g := New(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("self-loop should panic")
 		}
 	}()
-	g.AddEdge(1, 1)
-}
-
-func TestAddVertex(t *testing.T) {
-	g := New(1)
-	v := g.AddVertex()
-	if v != 1 || g.N() != 2 {
-		t.Fatalf("AddVertex: v=%d n=%d", v, g.N())
-	}
-	g.AddEdge(0, v)
-	if !g.HasEdge(0, 1) {
-		t.Fatal("edge to new vertex missing")
-	}
+	New(2, []Edge{{U: 1, V: 1}})
 }
 
 func TestIncidentEdges(t *testing.T) {
-	g := New(4)
-	e01 := g.AddEdge(0, 1)
-	e02 := g.AddEdge(0, 2)
-	e23 := g.AddEdge(2, 3)
+	g := New(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 2, V: 3}})
+	e01, e02, e23 := 0, 1, 2
 	inc := g.IncidentEdges(0)
 	if len(inc) != 2 || inc[0] != e01 || inc[1] != e02 {
 		t.Fatalf("IncidentEdges(0)=%v", inc)
@@ -98,9 +86,7 @@ func TestIncidentEdges(t *testing.T) {
 }
 
 func TestWithoutIsolated(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 2)
-	g.AddEdge(2, 4)
+	g := New(5, []Edge{{U: 0, V: 2}, {U: 2, V: 4}})
 	h, remap := g.WithoutIsolated()
 	if h.N() != 3 || h.M() != 2 {
 		t.Fatalf("got n=%d m=%d", h.N(), h.M())
@@ -117,12 +103,10 @@ func TestWithoutIsolated(t *testing.T) {
 }
 
 func TestInducedSubgraph(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 0)
+	g := New(5, []Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
+		{U: 4, V: 0},
+	})
 	h, remap := g.InducedSubgraph([]int{1, 2, 3})
 	if h.N() != 3 || h.M() != 2 {
 		t.Fatalf("induced: n=%d m=%d", h.N(), h.M())
@@ -136,26 +120,18 @@ func TestInducedSubgraph(t *testing.T) {
 }
 
 func TestEqualIgnoresOrder(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	h := New(3)
-	h.AddEdge(2, 1)
-	h.AddEdge(1, 0)
+	g := New(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	h := New(3, []Edge{{U: 2, V: 1}, {U: 1, V: 0}})
 	if !g.Equal(h) {
 		t.Fatal("graphs with same edge set should be Equal")
 	}
-	h.AddEdge(0, 2)
-	if g.Equal(h) {
+	if g.Equal(New(3, []Edge{{U: 2, V: 1}, {U: 1, V: 0}, {U: 0, V: 2}})) {
 		t.Fatal("different edge sets should not be Equal")
 	}
 }
 
 func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
+	g := New(6, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}})
 	comps := g.Components()
 	if len(comps) != 3 {
 		t.Fatalf("components=%v", comps)
@@ -177,26 +153,21 @@ func TestComponents(t *testing.T) {
 }
 
 func TestConnected(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	if g.Connected() {
+	if New(3, []Edge{{U: 0, V: 1}}).Connected() {
 		t.Fatal("isolated vertex 2 should break connectivity")
 	}
-	g.AddEdge(1, 2)
-	if !g.Connected() {
+	if !New(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}).Connected() {
 		t.Fatal("path should be connected")
 	}
-	if !New(0).Connected() || !New(1).Connected() {
+	if !New(0, nil).Connected() || !New(1, nil).Connected() {
 		t.Fatal("empty and singleton graphs are connected by convention")
 	}
 }
 
 func TestDFSTreeBasics(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 4)
+	g := New(5, []Edge{
+		{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 3}, {U: 2, V: 4},
+	})
 	tr := g.DFSFrom(0)
 	if tr.Parent[0] != -1 {
 		t.Fatal("root parent should be -1")
@@ -237,12 +208,10 @@ func TestDFSTreeNoCrossEdges(t *testing.T) {
 }
 
 func TestDFSSubtreeVertices(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(0, 5)
+	g := New(6, []Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 3, V: 4},
+		{U: 0, V: 5},
+	})
 	tr := g.DFSFrom(0)
 	sub := tr.SubtreeVertices(1)
 	sizes := tr.SubtreeSize()
@@ -256,21 +225,18 @@ func TestDFSSubtreeVertices(t *testing.T) {
 
 func TestDFSDeepPathNoStackOverflow(t *testing.T) {
 	const n = 200000
-	g := New(n)
+	path := make([]Edge, n-1)
 	for v := 1; v < n; v++ {
-		g.AddEdge(v-1, v)
+		path[v-1] = Edge{U: v - 1, V: v}
 	}
-	tr := g.DFSFrom(0)
+	tr := New(n, path).DFSFrom(0)
 	if len(tr.Order) != n {
 		t.Fatalf("visited %d of %d", len(tr.Order), n)
 	}
 }
 
 func TestBFSDistances(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := New(5, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	d := g.BFSDistances(0)
 	want := []int{0, 1, 2, 3, -1}
 	for i := range want {
@@ -281,10 +247,8 @@ func TestBFSDistances(t *testing.T) {
 }
 
 func TestDisjointUnion(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1)
-	h := New(3)
-	h.AddEdge(0, 2)
+	g := New(2, []Edge{{U: 0, V: 1}})
+	h := New(3, []Edge{{U: 0, V: 2}})
 	u := DisjointUnion(g, h)
 	if u.N() != 5 || u.M() != 2 {
 		t.Fatalf("union n=%d m=%d", u.N(), u.M())
@@ -298,10 +262,7 @@ func TestDisjointUnion(t *testing.T) {
 }
 
 func TestDegreeSequence(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(0, 3)
+	g := New(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
 	ds := g.DegreeSequence()
 	want := []int{3, 1, 1, 1}
 	for i := range want {
@@ -315,8 +276,8 @@ func TestDegreeSequence(t *testing.T) {
 }
 
 func TestEdgeIndexLookup(t *testing.T) {
-	g := New(3)
-	want := g.AddEdge(0, 1)
+	g := New(3, []Edge{{U: 0, V: 1}})
+	want := 0
 	if idx, ok := g.EdgeIndex(1, 0); !ok || idx != want {
 		t.Fatalf("EdgeIndex(1,0)=%d,%v", idx, ok)
 	}
@@ -329,8 +290,7 @@ func TestEdgeIndexLookup(t *testing.T) {
 }
 
 func TestIsolatedVertices(t *testing.T) {
-	g := New(4)
-	g.AddEdge(1, 2)
+	g := New(4, []Edge{{U: 1, V: 2}})
 	iso := g.IsolatedVertices()
 	if len(iso) != 2 || iso[0] != 0 || iso[1] != 3 {
 		t.Fatalf("isolated=%v", iso)
@@ -338,24 +298,22 @@ func TestIsolatedVertices(t *testing.T) {
 }
 
 func TestStringRenderings(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1)
+	g := New(2, []Edge{{U: 0, V: 1}})
 	if got := g.String(); got != "graph{n=2 m=1 [0-1]}" {
 		t.Fatalf("graph string %q", got)
 	}
-	b := NewBipartite(1, 1)
-	b.AddEdge(0, 0)
+	b := NewBipartite(1, 1, []Edge{{U: 0, V: 0}})
 	if got := b.String(); got != "bipartite{1x1 m=1 [0-0]}" {
 		t.Fatalf("bipartite string %q", got)
 	}
 }
 
 func TestVertexRangePanics(t *testing.T) {
-	g := New(2)
+	g := New(2, nil)
 	for _, fn := range []func(){
-		func() { g.AddEdge(0, 5) },
+		func() { New(2, []Edge{{U: 0, V: 5}}) },
 		func() { g.Neighbors(-1) },
-		func() { New(-1) },
+		func() { New(-1, nil) },
 	} {
 		func() {
 			defer func() {
@@ -366,11 +324,10 @@ func TestVertexRangePanics(t *testing.T) {
 			fn()
 		}()
 	}
-	b := NewBipartite(1, 1)
 	for _, fn := range []func(){
-		func() { b.AddEdge(1, 0) },
-		func() { b.AddEdge(0, 1) },
-		func() { NewBipartite(-1, 0) },
+		func() { NewBipartite(1, 1, []Edge{{U: 1, V: 0}}) },
+		func() { NewBipartite(1, 1, []Edge{{U: 0, V: 1}}) },
+		func() { NewBipartite(-1, 0, nil) },
 	} {
 		func() {
 			defer func() {
@@ -384,11 +341,12 @@ func TestVertexRangePanics(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
+	g := New(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	h := g.Clone()
-	h.AddEdge(1, 2)
-	if g.M() != 1 || h.M() != 2 {
+	if !h.Equal(g) || h.String() != g.String() {
+		t.Fatalf("clone %v differs from %v", h, g)
+	}
+	if &h.edges[0] == &g.edges[0] || &h.csr.start[0] == &g.csr.start[0] {
 		t.Fatal("clone shares storage with original")
 	}
 }

@@ -6,70 +6,43 @@ package graph
 // correspond to walks over L(G)'s vertices; perfect schemes are
 // Hamiltonian paths (Proposition 2.1).
 //
-// The result is returned frozen: edge counts and adjacency spans are
-// precomputed from g's compact index, so construction is a single pass
-// with no hashing or incremental reallocation. Edge and neighbor order
-// are identical to the straightforward map-backed construction the tests
-// keep as an oracle. Callers that only need to walk L(G) neighborhoods
-// should prefer NewLineGraphView, which skips materialization entirely.
+// Edges are emitted per base vertex, each pair of its incident edges
+// once, so construction is one pass with no hashing. Edge and neighbor
+// order are identical to the straightforward map-backed construction the
+// tests keep as an oracle. Callers that only need to walk L(G)
+// neighborhoods should prefer NewLineGraphView, which skips
+// materialization entirely.
 func LineGraph(g *Graph) *Graph {
-	c := g.ensureCSR()
-	m := g.M()
-	// deg_L(i) = deg(u) + deg(v) − 2 for edge i = {u,v}; duplicates are
-	// impossible because two distinct simple edges share at most one
-	// endpoint, so each L-edge is generated exactly once (at the shared
-	// endpoint).
-	degL := make([]int, m)
+	c := &g.csr
+	// Two distinct simple edges share at most one endpoint, so each
+	// L-edge is generated exactly once (at the shared endpoint), and the
+	// Σ deg(v)·(deg(v)−1)/2 count sizes the list exactly.
 	total := 0
-	for i := 0; i < m; i++ {
-		e := g.edges[i]
-		d := (c.start[e.U+1] - c.start[e.U]) + (c.start[e.V+1] - c.start[e.V]) - 2
-		degL[i] = d
-		total += d
+	for v := 0; v < g.n; v++ {
+		d := c.degree(v)
+		total += d * (d - 1) / 2
 	}
-	total /= 2
-	lg := &Graph{
-		n:     m,
-		edges: make([]Edge, 0, total),
-		adj:   make([][]int, m),
-	}
-	// Carve all adjacency lists out of one backing array; the capacities
-	// are exact, so the appends below never reallocate or overlap.
-	flat := make([]int, 2*total)
-	off := 0
-	for i := 0; i < m; i++ {
-		lg.adj[i] = flat[off : off : off+degL[i]]
-		off += degL[i]
-	}
-	// For each vertex, all incident edges are pairwise adjacent in L(G);
-	// iterate per vertex to get O(sum deg^2) without an edge-pair scan.
+	edges := make([]Edge, 0, total)
 	for v := 0; v < g.n; v++ {
 		span := c.edge[c.start[v]:c.start[v+1]]
-		for x := 0; x < len(span); x++ {
-			a := span[x]
-			for y := x + 1; y < len(span); y++ {
-				b := span[y]
-				lg.edges = append(lg.edges, Edge{U: a, V: b}.Normalize())
-				lg.adj[a] = append(lg.adj[a], b)
-				lg.adj[b] = append(lg.adj[b], a)
+		for x, a := range span {
+			for _, b := range span[x+1:] {
+				edges = append(edges, Edge{U: a, V: b})
 			}
 		}
 	}
-	lg.csr = buildCSR(lg.n, lg.edges)
-	lg.frozen = true
-	return lg
+	return New(g.M(), edges)
 }
 
 // IncidenceGraph returns the bipartite incidence graph B = (X, Y, E') of
 // g used in Theorem 4.4's L-reduction: X = V(g) on the left, Y = E(g) on
 // the right, with x joined to e iff x is an endpoint of e.
 func IncidenceGraph(g *Graph) *Bipartite {
-	b := NewBipartite(g.N(), g.M())
-	for i, e := range g.Edges() {
-		b.AddEdge(e.U, i)
-		b.AddEdge(e.V, i)
+	edges := make([]Edge, 0, 2*g.M())
+	for i, e := range g.edges {
+		edges = append(edges, Edge{U: e.U, V: i}, Edge{U: e.V, V: i})
 	}
-	return b
+	return NewBipartite(g.N(), g.M(), edges)
 }
 
 // HamiltonianPath searches g for a Hamiltonian path by depth-first

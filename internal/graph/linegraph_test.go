@@ -9,10 +9,7 @@ import (
 
 func TestLineGraphOfPath(t *testing.T) {
 	// L(path with m edges) = path with m-1 edges.
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := New(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	lg := LineGraph(g)
 	if lg.N() != 3 || lg.M() != 2 {
 		t.Fatalf("L(P4): n=%d m=%d", lg.N(), lg.M())
@@ -24,10 +21,11 @@ func TestLineGraphOfPath(t *testing.T) {
 
 func TestLineGraphOfStar(t *testing.T) {
 	// L(K_{1,n}) = K_n: all star edges share the center.
-	g := New(5)
+	var gEdges []Edge
 	for v := 1; v < 5; v++ {
-		g.AddEdge(0, v)
+		gEdges = append(gEdges, Edge{U: 0, V: v})
 	}
+	g := New(5, gEdges)
 	lg := LineGraph(g)
 	if lg.N() != 4 || lg.M() != 6 {
 		t.Fatalf("L(K_{1,4}): n=%d m=%d", lg.N(), lg.M())
@@ -72,10 +70,7 @@ func TestLineGraphClawFree(t *testing.T) {
 }
 
 func TestFindClawOnStar(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(0, 3)
+	g := New(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
 	center, leaves, ok, err := FindClaw(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -101,9 +96,7 @@ func TestLineGraphConnectedWhenGraphConnected(t *testing.T) {
 }
 
 func TestIncidenceGraph(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := New(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	b := IncidenceGraph(g)
 	if b.NLeft() != 3 || b.NRight() != 2 {
 		t.Fatalf("incidence sides: %dx%d", b.NLeft(), b.NRight())
@@ -144,28 +137,20 @@ func TestIncidenceLineGraphStructure(t *testing.T) {
 }
 
 func TestHamiltonianPathOnPathAndCycle(t *testing.T) {
-	p := New(4)
-	p.AddEdge(0, 1)
-	p.AddEdge(1, 2)
-	p.AddEdge(2, 3)
+	p := New(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	if path, ok := HamiltonianPath(p); !ok || len(path) != 4 {
 		t.Fatal("path graph must have a Hamiltonian path")
 	}
-	c := New(4)
-	c.AddEdge(0, 1)
-	c.AddEdge(1, 2)
-	c.AddEdge(2, 3)
-	c.AddEdge(3, 0)
+	c := New(4, []Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0},
+	})
 	if _, ok := HamiltonianPath(c); !ok {
 		t.Fatal("cycle must have a Hamiltonian path")
 	}
 }
 
 func TestHamiltonianPathRejectsStar(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(0, 3)
+	g := New(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
 	if _, ok := HamiltonianPath(g); ok {
 		t.Fatal("K_{1,3} has no Hamiltonian path")
 	}
@@ -174,13 +159,10 @@ func TestHamiltonianPathRejectsStar(t *testing.T) {
 func TestHamiltonianPathRejectsNet(t *testing.T) {
 	// The "net" (triangle with three pendants) is the classic claw-free
 	// graph without a Hamiltonian path.
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(0, 3)
-	g.AddEdge(1, 4)
-	g.AddEdge(2, 5)
+	g := New(6, []Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 0, V: 3},
+		{U: 1, V: 4}, {U: 2, V: 5},
+	})
 	if _, ok := HamiltonianPath(g); ok {
 		t.Fatal("the net has no Hamiltonian path")
 	}
@@ -211,10 +193,7 @@ func TestHamiltonianPathValidates(t *testing.T) {
 }
 
 func TestHamiltonianPathBetween(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := New(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	if path, ok := HamiltonianPathBetween(g, 0, 3); !ok || path[0] != 0 || path[3] != 3 {
 		t.Fatal("endpoints of P4 must admit a Hamiltonian path")
 	}
@@ -224,10 +203,7 @@ func TestHamiltonianPathBetween(t *testing.T) {
 }
 
 func TestAllHamiltonianPathsOnTriangle(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
+	g := New(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
 	paths := AllHamiltonianPaths(g)
 	if len(paths) != 6 { // 3! orderings, all valid on K3
 		t.Fatalf("K3 has %d Hamiltonian paths, want 6", len(paths))
@@ -235,13 +211,13 @@ func TestAllHamiltonianPathsOnTriangle(t *testing.T) {
 }
 
 func TestHamiltonianPathEmptyAndSingle(t *testing.T) {
-	if _, ok := HamiltonianPath(New(0)); !ok {
+	if _, ok := HamiltonianPath(New(0, nil)); !ok {
 		t.Fatal("empty graph trivially has one")
 	}
-	if p, ok := HamiltonianPath(New(1)); !ok || len(p) != 1 {
+	if p, ok := HamiltonianPath(New(1, nil)); !ok || len(p) != 1 {
 		t.Fatal("singleton graph")
 	}
-	if _, ok := HamiltonianPath(New(2)); ok {
+	if _, ok := HamiltonianPath(New(2, nil)); ok {
 		t.Fatal("two isolated vertices have no Hamiltonian path")
 	}
 }
@@ -249,14 +225,13 @@ func TestHamiltonianPathEmptyAndSingle(t *testing.T) {
 // lineGraphReference is the straightforward map-backed line-graph
 // construction: the oracle the differential tests compare LineGraph and
 // LineGraphView against.
-func lineGraphReference(g *Graph) *Graph {
-	m := g.M()
-	lg := New(m)
+func lineGraphReference(g *Graph) *mapGraph {
+	lg := newMapGraph(g.M())
 	for v := 0; v < g.N(); v++ {
 		inc := g.IncidentEdges(v)
 		for i := 0; i < len(inc); i++ {
 			for j := i + 1; j < len(inc); j++ {
-				lg.AddEdge(inc[i], inc[j])
+				lg.addEdge(inc[i], inc[j])
 			}
 		}
 	}

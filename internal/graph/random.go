@@ -6,15 +6,15 @@ import "math/rand"
 // vertices where each of the nLeft*nRight candidate edges is present with
 // probability p. Deterministic for a given rng state.
 func RandomBipartite(rng *rand.Rand, nLeft, nRight int, p float64) *Bipartite {
-	b := NewBipartite(nLeft, nRight)
+	var edges []Edge
 	for l := 0; l < nLeft; l++ {
 		for r := 0; r < nRight; r++ {
 			if rng.Float64() < p {
-				b.AddEdge(l, r)
+				edges = append(edges, Edge{U: l, V: r})
 			}
 		}
 	}
-	return b
+	return NewBipartite(nLeft, nRight, edges)
 }
 
 // RandomConnectedBipartite returns a connected bipartite graph on
@@ -29,7 +29,14 @@ func RandomConnectedBipartite(rng *rand.Rand, nLeft, nRight, m int) *Bipartite {
 	if m > nLeft*nRight {
 		panic("graph: too many edges for bipartite sides")
 	}
-	b := NewBipartite(nLeft, nRight)
+	var edges []Edge
+	seen := make(map[Edge]bool)
+	add := func(l, r int) {
+		if e := (Edge{U: l, V: r}); !seen[e] {
+			seen[e] = true
+			edges = append(edges, e)
+		}
+	}
 	// Random spanning tree: attach each vertex (in shuffled order, after a
 	// seed pair) to a uniformly random already-attached vertex of the
 	// opposite side.
@@ -47,20 +54,20 @@ func RandomConnectedBipartite(rng *rand.Rand, nLeft, nRight, m int) *Bipartite {
 		if takeLeft {
 			l := lefts[li]
 			li++
-			b.AddEdge(l, attachedR[rng.Intn(len(attachedR))])
+			add(l, attachedR[rng.Intn(len(attachedR))])
 			attachedL = append(attachedL, l)
 		} else {
 			r := rights[ri]
 			ri++
-			b.AddEdge(attachedL[rng.Intn(len(attachedL))], r)
+			add(attachedL[rng.Intn(len(attachedL))], r)
 			attachedR = append(attachedR, r)
 		}
 	}
 	// Top up with random extra edges until m.
-	for b.M() < m {
-		b.AddEdge(rng.Intn(nLeft), rng.Intn(nRight))
+	for len(edges) < m {
+		add(rng.Intn(nLeft), rng.Intn(nRight))
 	}
-	return b
+	return NewBipartite(nLeft, nRight, edges)
 }
 
 // RandomConnectedGraph returns a connected graph on n vertices with m
@@ -88,8 +95,17 @@ func RandomConnectedGraph(rng *rand.Rand, n, m, maxDeg int) *Graph {
 }
 
 func tryRandomConnected(rng *rand.Rand, n, m, maxDeg int) *Graph {
-	g := New(n)
-	ok := func(v int) bool { return maxDeg == 0 || g.Degree(v) < maxDeg }
+	var edges []Edge
+	seen := make(map[Edge]bool)
+	deg := make([]int, n)
+	add := func(u, v int) {
+		e := Edge{U: u, V: v}.Normalize()
+		seen[e] = true
+		edges = append(edges, e)
+		deg[u]++
+		deg[v]++
+	}
+	ok := func(v int) bool { return maxDeg == 0 || deg[v] < maxDeg }
 	order := rng.Perm(n)
 	for i := 1; i < n; i++ {
 		v := order[i]
@@ -103,24 +119,24 @@ func tryRandomConnected(rng *rand.Rand, n, m, maxDeg int) *Graph {
 		if len(cands) == 0 {
 			return nil
 		}
-		g.AddEdge(v, cands[rng.Intn(len(cands))])
+		add(v, cands[rng.Intn(len(cands))])
 	}
-	for tries := 0; g.M() < m && tries < 100*m+100; tries++ {
+	for tries := 0; len(edges) < m && tries < 100*m+100; tries++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasEdge(u, v) && ok(u) && ok(v) {
-			g.AddEdge(u, v)
+		if u != v && !seen[Edge{U: u, V: v}.Normalize()] && ok(u) && ok(v) {
+			add(u, v)
 		}
 	}
 	// Random top-up can stall on dense targets; finish systematically.
-	for u := 0; u < n && g.M() < m; u++ {
-		for v := u + 1; v < n && g.M() < m; v++ {
-			if !g.HasEdge(u, v) && ok(u) && ok(v) {
-				g.AddEdge(u, v)
+	for u := 0; u < n && len(edges) < m; u++ {
+		for v := u + 1; v < n && len(edges) < m; v++ {
+			if !seen[Edge{U: u, V: v}] && ok(u) && ok(v) {
+				add(u, v)
 			}
 		}
 	}
-	if g.M() != m {
+	if len(edges) != m {
 		return nil
 	}
-	return g
+	return New(n, edges)
 }

@@ -1,62 +1,56 @@
 package graph
 
-import "sort"
-
 // Components returns the connected components of g as slices of vertex
 // ids, each sorted ascending, ordered by their smallest vertex. Isolated
 // vertices form singleton components.
 func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		comp := g.bfsFrom(s, seen)
-		comps = append(comps, comp)
+	label, count := g.ComponentLabels()
+	comps := make([][]int, count)
+	for v, c := range label {
+		comps[c] = append(comps[c], v)
 	}
 	return comps
+}
+
+// ComponentLabels returns, for every vertex, the index of its connected
+// component in Components' order (by smallest vertex), and the number of
+// components.
+func (g *Graph) ComponentLabels() (label []int, count int) {
+	label = make([]int, g.n)
+	for v := range label {
+		label[v] = -1
+	}
+	queue := make([]int, 0, g.n)
+	for s := 0; s < g.n; s++ {
+		if label[s] >= 0 {
+			continue
+		}
+		label[s] = count
+		queue = append(queue[:0], s)
+		for head := 0; head < len(queue); head++ {
+			for _, w := range g.Neighbors(queue[head]) {
+				if label[w] < 0 {
+					label[w] = count
+					queue = append(queue, w)
+				}
+			}
+		}
+		count++
+	}
+	return label, count
 }
 
 // ComponentCount returns β₀(G), the number of connected components — the
 // 0th Betti number used in Definition 2.2's effective cost.
 func (g *Graph) ComponentCount() int {
-	return len(g.Components())
+	_, count := g.ComponentLabels()
+	return count
 }
 
 // Connected reports whether g is connected. The empty graph and the
 // single-vertex graph count as connected.
 func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	comp := g.bfsFrom(0, seen)
-	return len(comp) == g.n
-}
-
-func (g *Graph) bfsFrom(s int, seen []bool) []int {
-	seen[s] = true
-	queue := []int{s}
-	comp := []int{s}
-	c := g.csr // walk the flat spans when the compact index is built
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		nbs := g.adj[v]
-		if c != nil {
-			nbs = c.vert[c.start[v]:c.start[v+1]]
-		}
-		for _, w := range nbs {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-				comp = append(comp, w)
-			}
-		}
-	}
-	sort.Ints(comp)
-	return comp
+	return g.ComponentCount() <= 1
 }
 
 // DFSTree is a rooted spanning tree of one connected component, produced
@@ -95,9 +89,10 @@ func (g *Graph) DFSFrom(root int) *DFSTree {
 	t.Order = append(t.Order, root)
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
+		nbs := g.Neighbors(f.v)
 		advanced := false
-		for f.next < len(g.adj[f.v]) {
-			w := g.adj[f.v][f.next]
+		for f.next < len(nbs) {
+			w := nbs[f.next]
 			f.next++
 			if t.Parent[w] == -2 {
 				t.Parent[w] = f.v
@@ -155,7 +150,7 @@ func (g *Graph) BFSDistances(s int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if dist[w] == -1 {
 				dist[w] = dist[v] + 1
 				queue = append(queue, w)

@@ -17,10 +17,9 @@ type Adjacency interface {
 	AppendNeighbors(buf []int, v int) []int
 }
 
-// AppendNeighbors implements Adjacency by appending the adjacency list.
+// AppendNeighbors implements Adjacency by appending v's neighbor span.
 func (g *Graph) AppendNeighbors(buf []int, v int) []int {
-	g.checkVertex(v)
-	return append(buf, g.adj[v]...)
+	return append(buf, g.Neighbors(v)...)
 }
 
 // LineGraphView is an implicit adjacency view of L(G): vertex i of the
@@ -31,18 +30,14 @@ func (g *Graph) AppendNeighbors(buf []int, v int) []int {
 // base graph's incident-edge spans — which is what makes the Theorem 3.1
 // construction affordable on dense instances (complete bipartite
 // components, the G_n family) where |E(L(G))| dwarfs |E(G)|.
-//
-// The view holds the base graph's compact index, so the base must not be
-// mutated while the view is in use.
 type LineGraphView struct {
 	g *Graph
 	c *csr
 }
 
-// NewLineGraphView returns the implicit line-graph view of g, building
-// g's compact index if needed.
+// NewLineGraphView returns the implicit line-graph view of g.
 func NewLineGraphView(g *Graph) *LineGraphView {
-	return &LineGraphView{g: g, c: g.ensureCSR()}
+	return &LineGraphView{g: g, c: &g.csr}
 }
 
 // Base returns the underlying graph.
@@ -55,7 +50,7 @@ func (lv *LineGraphView) N() int { return len(lv.g.edges) }
 func (lv *LineGraphView) Degree(i int) int {
 	e := lv.g.edges[i]
 	c := lv.c
-	return (c.start[e.U+1] - c.start[e.U]) + (c.start[e.V+1] - c.start[e.V]) - 2
+	return c.degree(e.U) + c.degree(e.V) - 2
 }
 
 // HasEdge implements Adjacency: view vertices are adjacent iff the

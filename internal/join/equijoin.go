@@ -128,13 +128,17 @@ func EquiGraph(ls, rs []int64) *graph.Bipartite {
 	for j, v := range rs {
 		groups[v] = append(groups[v], j)
 	}
-	b := graph.NewBipartite(len(ls), len(rs))
+	m := 0
+	for _, v := range ls {
+		m += len(groups[v])
+	}
+	edges := make([]graph.Edge, 0, m)
 	for i, v := range ls {
 		for _, j := range groups[v] {
-			b.AddEdge(i, j)
+			edges = append(edges, graph.Edge{U: i, V: j})
 		}
 	}
-	return b
+	return graph.NewBipartite(len(ls), len(rs), edges)
 }
 
 // sortedIndex returns the indices of vs in ascending value order (stable,

@@ -69,24 +69,25 @@ type Pair struct {
 // the predicate on the full cross product — the reference semantics of
 // §2. Quadratic by design; algorithms are checked against it.
 func Graph[L, R any](ls []L, rs []R, pred func(L, R) bool) *graph.Bipartite {
-	b := graph.NewBipartite(len(ls), len(rs))
+	var edges []graph.Edge
 	for i, l := range ls {
 		for j, r := range rs {
 			if pred(l, r) {
-				b.AddEdge(i, j)
+				edges = append(edges, graph.Edge{U: i, V: j})
 			}
 		}
 	}
-	return b
+	return graph.NewBipartite(len(ls), len(rs), edges)
 }
 
-// GraphFromPairs builds a join graph directly from result pairs.
+// GraphFromPairs builds a join graph directly from result pairs. A
+// repeated pair keeps the edge index of its first occurrence.
 func GraphFromPairs(nLeft, nRight int, pairs []Pair) *graph.Bipartite {
-	b := graph.NewBipartite(nLeft, nRight)
-	for _, p := range pairs {
-		b.AddEdge(p.L, p.R)
+	edges := make([]graph.Edge, len(pairs))
+	for i, p := range pairs {
+		edges[i] = graph.Edge{U: p.L, V: p.R}
 	}
-	return b
+	return graph.NewBipartite(nLeft, nRight, edges)
 }
 
 // NestedLoop is the universal baseline: evaluate pred over the cross

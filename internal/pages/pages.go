@@ -122,12 +122,12 @@ func PageGraph(b *graph.Bipartite, l *Layout) (*graph.Bipartite, error) {
 		return nil, fmt.Errorf("pages: layout covers %dx%d tuples, join graph has %dx%d",
 			len(l.RPage), len(l.SPage), b.NLeft(), b.NRight())
 	}
-	pg := graph.NewBipartite(l.NRPages, l.NSPages)
-	for e := 0; e < b.M(); e++ {
+	edges := make([]graph.Edge, b.M())
+	for e := range edges {
 		i, j := b.EdgeAt(e)
-		pg.AddEdge(l.RPage[i], l.SPage[j])
+		edges[e] = graph.Edge{U: l.RPage[i], V: l.SPage[j]}
 	}
-	return pg, nil
+	return graph.NewBipartite(l.NRPages, l.NSPages, edges), nil
 }
 
 // Schedule is a page-fetch plan: the pebbling scheme on the page graph

@@ -59,7 +59,7 @@ func TestPageGraphQuotient(t *testing.T) {
 }
 
 func TestPageGraphSizeMismatch(t *testing.T) {
-	b := graph.NewBipartite(3, 3)
+	b := graph.NewBipartite(3, 3, nil)
 	if _, err := PageGraph(b, Sequential(2, 3, 1)); err == nil {
 		t.Fatal("layout/tuple mismatch must fail")
 	}
@@ -124,7 +124,7 @@ func TestCapacityOneIsTupleGame(t *testing.T) {
 }
 
 func TestPlanEmptyJoin(t *testing.T) {
-	b := graph.NewBipartite(4, 4)
+	b := graph.NewBipartite(4, 4, nil)
 	sched, err := Plan(b, Sequential(4, 4, 2), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -31,9 +31,7 @@ func TestValidate(t *testing.T) {
 func TestEvaluateByHand(t *testing.T) {
 	// 2x2 join graph, edges (0,0) and (1,1); split tuples across two
 	// partitions so each edge stays inside one pair.
-	b := graph.NewBipartite(2, 2)
-	b.AddEdge(0, 0)
-	b.AddEdge(1, 1)
+	b := graph.NewBipartite(2, 2, []graph.Edge{{U: 0, V: 0}, {U: 1, V: 1}})
 	a := &Assignment{R: []int{0, 1}, S: []int{0, 1}, K: 2, L: 2}
 	st, err := Evaluate(b, a)
 	if err != nil {
@@ -57,7 +55,7 @@ func TestEvaluateByHand(t *testing.T) {
 }
 
 func TestEvaluateMismatchedSizes(t *testing.T) {
-	b := graph.NewBipartite(2, 2)
+	b := graph.NewBipartite(2, 2, nil)
 	if _, err := Evaluate(b, &Assignment{R: []int{0}, S: []int{0, 0}, K: 1, L: 1}); err == nil {
 		t.Fatal("size mismatch must fail")
 	}
@@ -154,11 +152,9 @@ func TestHashEquijoinIsNearOptimal(t *testing.T) {
 }
 
 func TestGreedyGraphKeepsComponentsTogether(t *testing.T) {
-	b := graph.NewBipartite(4, 4)
-	b.AddEdge(0, 0)
-	b.AddEdge(1, 0)
-	b.AddEdge(2, 2)
-	b.AddEdge(3, 3)
+	b := graph.NewBipartite(4, 4, []graph.Edge{
+		{U: 0, V: 0}, {U: 1, V: 0}, {U: 2, V: 2}, {U: 3, V: 3},
+	})
 	a := GreedyGraph(b, 2, 2)
 	st, err := Evaluate(b, a)
 	if err != nil {

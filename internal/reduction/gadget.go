@@ -54,17 +54,18 @@ var Corners = [4]int{CornerA, CornerB, CornerC, CornerD}
 // inequalities of Definition 4.2 are verified empirically in the E11
 // experiment rather than inherited from [10].
 func NewGadget() *graph.Graph {
-	g := graph.New(GadgetSize)
+	var edges []graph.Edge
 	cycle := []int{CornerA, rimX, CornerB, rimY, CornerC, rimZ, CornerD, rimW}
 	for i := range cycle {
-		g.AddEdge(cycle[i], cycle[(i+1)%len(cycle)])
+		edges = append(edges, graph.Edge{U: cycle[i], V: cycle[(i+1)%len(cycle)]})
 	}
-	g.AddEdge(hubE, rimX)
-	g.AddEdge(hubE, rimY)
-	g.AddEdge(hubF, rimZ)
-	g.AddEdge(hubF, rimW)
-	g.AddEdge(hubE, hubF)
-	return g
+	edges = append(edges,
+		graph.Edge{U: hubE, V: rimX},
+		graph.Edge{U: hubE, V: rimY},
+		graph.Edge{U: hubF, V: rimZ},
+		graph.Edge{U: hubF, V: rimW},
+		graph.Edge{U: hubE, V: hubF})
+	return graph.New(GadgetSize, edges)
 }
 
 // gadgetCornerPaths holds one Hamiltonian path of the gadget per corner

@@ -2,6 +2,7 @@ package reduction
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"joinpebble/internal/core"
@@ -147,10 +148,11 @@ func TestDegree4To3StructuralProperties(t *testing.T) {
 }
 
 func TestDegree4To3RejectsDegree5(t *testing.T) {
-	g := graph.New(6)
+	var gEdges []graph.Edge
 	for v := 1; v < 6; v++ {
-		g.AddEdge(0, v)
+		gEdges = append(gEdges, graph.Edge{U: 0, V: v})
 	}
+	g := graph.New(6, gEdges)
 	if _, err := NewDegree4To3(g); err == nil {
 		t.Fatal("degree-5 vertex must be rejected")
 	}
@@ -220,17 +222,21 @@ func TestDegree4To3LReductionWithGadget(t *testing.T) {
 		n := 6 + trial%3
 		var g *graph.Graph
 		for {
-			g = graph.New(n)
+			edges := []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}}
+			deg := make([]int, n)
 			for v := 1; v <= 4; v++ {
-				g.AddEdge(0, v)
+				deg[v] = 1
 			}
-			for tries := 0; tries < 40 && g.M() < n+1; tries++ {
+			for tries := 0; tries < 40 && len(edges) < n+1; tries++ {
 				u, v := 1+rng.Intn(n-1), 1+rng.Intn(n-1)
-				if u != v && !g.HasEdge(u, v) && g.Degree(u) < 3 && g.Degree(v) < 3 {
-					g.AddEdge(u, v)
+				e := graph.Edge{U: u, V: v}.Normalize()
+				if u != v && !slices.Contains(edges, e) && deg[u] < 3 && deg[v] < 3 {
+					edges = append(edges, e)
+					deg[u]++
+					deg[v]++
 				}
 			}
-			if g.Connected() {
+			if g = graph.New(n, edges); g.Connected() {
 				break
 			}
 		}
@@ -309,10 +315,11 @@ func TestIncidenceReductionStructure(t *testing.T) {
 			t.Fatalf("trial %d: incidence graph malformed", trial)
 		}
 	}
-	star := graph.New(5)
+	var starEdges []graph.Edge
 	for v := 1; v < 5; v++ {
-		star.AddEdge(0, v)
+		starEdges = append(starEdges, graph.Edge{U: 0, V: v})
 	}
+	star := graph.New(5, starEdges)
 	if _, err := NewTSPToPebble(star); err == nil {
 		t.Fatal("degree-4 input must be rejected by the 4.4 reduction")
 	}
@@ -408,28 +415,16 @@ func TestHamPathDecisionViaPebbling(t *testing.T) {
 		ham   bool
 	}{
 		{func() *graph.Graph { // path: trivially Hamiltonian
-			g := graph.New(5)
-			for v := 1; v < 5; v++ {
-				g.AddEdge(v-1, v)
-			}
-			return g
+			return graph.New(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
 		}, true},
 		{func() *graph.Graph { // the net: claw-free non-traceable
-			g := graph.New(6)
-			g.AddEdge(0, 1)
-			g.AddEdge(1, 2)
-			g.AddEdge(2, 0)
-			g.AddEdge(0, 3)
-			g.AddEdge(1, 4)
-			g.AddEdge(2, 5)
-			return g
+			return graph.New(6, []graph.Edge{
+				{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 0, V: 3},
+				{U: 1, V: 4}, {U: 2, V: 5},
+			})
 		}, false},
 		{func() *graph.Graph { // K_{1,3}: star, no Hamiltonian path
-			g := graph.New(4)
-			g.AddEdge(0, 1)
-			g.AddEdge(0, 2)
-			g.AddEdge(0, 3)
-			return g
+			return graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
 		}, false},
 	}
 	for i, c := range cases {

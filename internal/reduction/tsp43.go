@@ -53,7 +53,7 @@ func NewDegree4To3(g *graph.Graph) (*Degree4To3, error) {
 			total++
 		}
 	}
-	r.H = graph.New(total)
+	var hEdges []graph.Edge
 	r.NodeOf = make([]int, total)
 	gadget := NewGadget()
 	for v := 0; v < g.N(); v++ {
@@ -63,7 +63,7 @@ func NewDegree4To3(g *graph.Graph) (*Degree4To3, error) {
 				r.NodeOf[base+i] = v
 			}
 			for _, e := range gadget.Edges() {
-				r.H.AddEdge(base+e.U, base+e.V)
+				hEdges = append(hEdges, graph.Edge{U: base + e.U, V: base + e.V})
 			}
 			// Assign the four incident edges to the four corners, in
 			// incidence order.
@@ -76,8 +76,9 @@ func NewDegree4To3(g *graph.Graph) (*Degree4To3, error) {
 	}
 	// Original edges connect corners/plain endpoints.
 	for ei, e := range g.Edges() {
-		r.H.AddEdge(r.endpointInH(e.U, ei), r.endpointInH(e.V, ei))
+		hEdges = append(hEdges, graph.Edge{U: r.endpointInH(e.U, ei), V: r.endpointInH(e.V, ei)})
 	}
+	r.H = graph.New(total, hEdges)
 	return r, nil
 }
 

@@ -398,14 +398,14 @@ func (s *Server) buildInstance(req *SolveRequest) (*engine.Instance, error) {
 		if len(req.Edges) > s.cfg.MaxEdges {
 			return nil, badRequestf("%d edges exceeds cap %d", len(req.Edges), s.cfg.MaxEdges)
 		}
-		b := graph.NewBipartite(req.Left, req.Right)
-		for _, e := range req.Edges {
+		edges := make([]graph.Edge, len(req.Edges))
+		for i, e := range req.Edges {
 			if e[0] < 0 || e[0] >= req.Left || e[1] < 0 || e[1] >= req.Right {
 				return nil, badRequestf("edge [%d,%d] out of range %dx%d", e[0], e[1], req.Left, req.Right)
 			}
-			b.AddEdge(e[0], e[1])
+			edges[i] = graph.Edge{U: e[0], V: e[1]}
 		}
-		return engine.FromBipartite("bipartite", b), nil
+		return engine.FromBipartite("bipartite", graph.NewBipartite(req.Left, req.Right, edges)), nil
 	case "":
 		return nil, badRequestf("family is required")
 	}

@@ -256,8 +256,9 @@ func TestRealizeBipartiteRoundTrip(t *testing.T) {
 func TestRealizeBipartiteIsolatedVertices(t *testing.T) {
 	// r_i is always the singleton {i}, so isolated vertices on either
 	// side round-trip exactly rather than becoming universal empty sets.
-	b := graph.NewBipartite(2, 2)
-	b.AddEdge(0, 0) // left 1 and right 1 isolated
+	b := graph.NewBipartite(2, 2, []graph.Edge{
+		{U: 0, V: 0}, // left 1 and right 1 isolated
+	})
 	inst := RealizeBipartite(b)
 	back := inst.JoinGraph()
 	if !back.Equal(b) {
@@ -280,10 +281,10 @@ func TestRealizeSpiderFamily(t *testing.T) {
 // spider mirrors family.Spider, inlined to keep this package's test
 // dependencies to the graph substrate only.
 func spider(n int) *graph.Bipartite {
-	b := graph.NewBipartite(n+1, n)
+	var bEdges []graph.Edge
 	for i := 0; i < n; i++ {
-		b.AddEdge(0, i)
-		b.AddEdge(1+i, i)
+		bEdges = append(bEdges, graph.Edge{U: 0, V: i})
+		bEdges = append(bEdges, graph.Edge{U: 1 + i, V: i})
 	}
-	return b
+	return graph.NewBipartite(n+1, n, bEdges)
 }

@@ -39,13 +39,13 @@ func RealizeBipartite(b *graph.Bipartite) *ContainmentInstance {
 // is the reference the join algorithms and the universality round-trip
 // tests compare against.
 func (inst *ContainmentInstance) JoinGraph() *graph.Bipartite {
-	b := graph.NewBipartite(len(inst.R), len(inst.S))
+	var edges []graph.Edge
 	for i, r := range inst.R {
 		for j, s := range inst.S {
 			if r.SubsetOf(s) {
-				b.AddEdge(i, j)
+				edges = append(edges, graph.Edge{U: i, V: j})
 			}
 		}
 	}
-	return b
+	return graph.NewBipartite(len(inst.R), len(inst.S), edges)
 }

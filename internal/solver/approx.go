@@ -189,7 +189,6 @@ type spanTree struct {
 }
 
 func newSpanTree(g *graph.Graph) *spanTree {
-	g.Optimize() // IncidentEdges must be the CSR spans, the order LineGraphView lists neighbors in
 	n := g.M()
 	t := &spanTree{
 		g:      g,
@@ -467,16 +466,10 @@ func ApproxCostBound(g *graph.Graph) int {
 // componentEdgeCounts returns the edge count of each component in one
 // pass over the edge list.
 func componentEdgeCounts(g *graph.Graph) []int {
-	comps := g.Components()
-	compID := make([]int, g.N())
-	for ci, comp := range comps {
-		for _, v := range comp {
-			compID[v] = ci
-		}
-	}
-	counts := make([]int, len(comps))
-	for _, e := range g.Edges() {
-		counts[compID[e.U]]++
+	label, ncomp := g.ComponentLabels()
+	counts := make([]int, ncomp)
+	for i := 0; i < g.M(); i++ {
+		counts[label[g.EdgeAt(i).U]]++
 	}
 	return counts
 }

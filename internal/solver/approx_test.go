@@ -46,9 +46,7 @@ func TestApprox125Linear(t *testing.T) {
 // component, so a disconnected line graph is an error, not a partition
 // that silently misses edges.
 func TestPathPartitionRejectsDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
 	if pieces, err := pathPartition(g, graph.NewLineGraphView(g), false); err == nil {
 		t.Fatalf("disconnected graph partitioned into %v", pieces)
 	}

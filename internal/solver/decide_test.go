@@ -47,7 +47,7 @@ func TestDecideShortCircuits(t *testing.T) {
 }
 
 func TestDecideEmptyGraph(t *testing.T) {
-	g := graph.New(3)
+	g := graph.New(3, nil)
 	if ok, err := Decide(context.Background(), g, 0); err != nil || !ok {
 		t.Fatal("edgeless graph pebbles in 0")
 	}
@@ -87,7 +87,7 @@ func TestApproxWithinRejectsNegativeEps(t *testing.T) {
 }
 
 func TestApproxWithinEmpty(t *testing.T) {
-	scheme, err := ApproxWithin(context.Background(), graph.New(4), 0.1)
+	scheme, err := ApproxWithin(context.Background(), graph.New(4, nil), 0.1)
 	if err != nil || len(scheme) != 0 {
 		t.Fatal("edgeless graph needs no scheme")
 	}

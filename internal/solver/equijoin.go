@@ -26,103 +26,97 @@ type Equijoin struct{}
 // Name implements Solver.
 func (Equijoin) Name() string { return "equijoin" }
 
-// Solve implements Solver.
+// Solve implements Solver. It reads every component's order straight off
+// g's spans, with no per-component copy, so it costs about one pass over
+// g.
 func (Equijoin) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	return solvePerComponent(ctx, g, "equijoin", equijoinComponentOrder)
-}
-
-func equijoinComponentOrder(_ context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
-	zz := sp.Start("zigzag_order")
-	defer zz.End()
-	left, right, err := completeBipartiteSides(cg)
+	if g.M() == 0 {
+		return core.Scheme{}, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cSolves.Inc(ctx)
+	root := obs.StartSpanCtx(ctx, "equijoin")
+	defer root.End()
+	root.SetInt("edges", int64(g.M()))
+	order, err := runComponentOrder(ctx, "equijoin", g, root, zigzagOrder)
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int, cg.M())
-	zigzagEmit(cg, left, right, order)
+	return schemeFromOrderTimed(ctx, root, g, order)
+}
+
+// zigzagOrder is the edge order of Solve: each component's
+// boustrophedon, components ordered by their smallest vertex. A left
+// vertex's neighbor-sorted incident-edge span lists its edges to every
+// right vertex in ascending order, so the zigzag is those spans read
+// forward and backward in turn, left vertices ascending.
+func zigzagOrder(ctx context.Context, g *graph.Graph, sp *obs.Span) ([]int, error) {
+	zz := sp.Start("zigzag_order")
+	defer zz.End()
+	cWorkersUsed.Inc(ctx)
+	order := make([]int, 0, g.M())
+	inRight := make([]bool, g.N())
+	for _, comp := range g.Components() {
+		if len(comp) < 2 {
+			continue
+		}
+		if !completeBipartite(g, comp, inRight) {
+			return nil, fmt.Errorf("%w: the component of vertex %d is not complete bipartite", ErrStructure, comp[0])
+		}
+		cComponentsSolved.Inc(ctx)
+		i := 0
+		for _, u := range comp {
+			if inRight[u] {
+				continue
+			}
+			span := g.IncidentEdgesByNeighbor(u)
+			if i%2 == 0 {
+				order = append(order, span...)
+			} else {
+				for j := len(span) - 1; j >= 0; j-- {
+					order = append(order, span[j])
+				}
+			}
+			i++
+		}
+	}
 	return order, nil
 }
 
-// zigzagEmit writes the boustrophedon edge order of Lemma 3.2 into out,
-// which the caller preallocates to cg.M() = |left|·|right| — the kernel
-// itself only indexes, so the emission loop stays allocation-free no
-// matter how large the component is.
-//
-//joinpebble:hotpath
-func zigzagEmit(cg *graph.Graph, left, right, out []int) {
-	k := 0
-	for i, u := range left {
-		if i%2 == 0 {
-			for j := 0; j < len(right); j++ {
-				idx, _ := cg.EdgeIndex(u, right[j])
-				out[k] = idx
-				k++
-			}
-		} else {
-			for j := len(right) - 1; j >= 0; j-- {
-				idx, _ := cg.EdgeIndex(u, right[j])
-				out[k] = idx
-				k++
+// completeBipartite reports whether the connected component comp
+// (vertices ascending) of g is complete bipartite, and marks its right
+// side in inRight. Its left side is that of its smallest vertex, so if
+// it is complete bipartite its right side R is exactly that vertex's
+// neighborhood. The check takes that R, and requires every edge to cross
+// between R and the rest L and every vertex of L to have |R| neighbors.
+// Linear in the size of the component.
+func completeBipartite(g *graph.Graph, comp []int, inRight []bool) bool {
+	for _, w := range g.Neighbors(comp[0]) {
+		inRight[w] = true
+	}
+	nRight := g.Degree(comp[0])
+	for _, v := range comp {
+		if !inRight[v] && g.Degree(v) != nRight {
+			return false
+		}
+		for _, w := range g.Neighbors(v) {
+			if inRight[w] == inRight[v] {
+				return false
 			}
 		}
 	}
-}
-
-// completeBipartiteSides verifies cg is a complete bipartite graph and
-// returns its two sides. Linear in the size of cg: it 2-colors the graph
-// and then checks m == |L|·|R| — which for a simple bipartite graph
-// forces completeness.
-func completeBipartiteSides(cg *graph.Graph) (left, right []int, err error) {
-	side, ok := graph.IsBipartition(cg)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: component is not bipartite", ErrStructure)
-	}
-	for v := 0; v < cg.N(); v++ {
-		if side[v] {
-			left = append(left, v)
-		} else {
-			right = append(right, v)
-		}
-	}
-	if cg.M() != len(left)*len(right) {
-		return nil, nil, fmt.Errorf("%w: component is not complete bipartite (m=%d, sides %dx%d)",
-			ErrStructure, cg.M(), len(left), len(right))
-	}
-	return left, right, nil
+	return true
 }
 
 // IsEquijoinGraph reports whether every edge-bearing component of g is a
 // complete bipartite graph, i.e. whether g could be the join graph of an
-// equijoin (§3.1). Linear: 2-color once, then per component compare the
-// edge count against the product of the side sizes.
+// equijoin (§3.1). Linear, by the check Solve runs.
 func IsEquijoinGraph(g *graph.Graph) bool {
-	side, ok := graph.IsBipartition(g)
-	if !ok {
-		return false
-	}
-	comps := g.Components()
-	compID := make([]int, g.N())
-	left := make([]int, len(comps))
-	right := make([]int, len(comps))
-	edges := make([]int, len(comps))
-	for ci, comp := range comps {
-		for _, v := range comp {
-			compID[v] = ci
-			if side[v] {
-				left[ci]++
-			} else {
-				right[ci]++
-			}
-		}
-	}
-	for _, e := range g.Edges() {
-		edges[compID[e.U]]++
-	}
-	for ci, comp := range comps {
-		if len(comp) < 2 {
-			continue
-		}
-		if edges[ci] != left[ci]*right[ci] {
+	inRight := make([]bool, g.N())
+	for _, comp := range g.Components() {
+		if len(comp) > 1 && !completeBipartite(g, comp, inRight) {
 			return false
 		}
 	}

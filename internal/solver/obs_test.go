@@ -25,12 +25,13 @@ func scopedSolve(t *testing.T, fn func(ctx context.Context)) []obs.SpanRecord {
 // the span tree the scope records, for a graph with two edge-bearing
 // components plus an isolated vertex.
 func TestSolveInstrumentation(t *testing.T) {
-	g := graph.New(7)
-	g.AddEdge(0, 1) // component A: a path
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4) // component B: a triangle
-	g.AddEdge(4, 5)
-	g.AddEdge(3, 5)
+	g := graph.New(7, []graph.Edge{
+		{U: 0, V: 1}, // component A: a path
+		{U: 1, V: 2},
+		{U: 3, V: 4}, // component B: a triangle
+		{U: 4, V: 5},
+		{U: 3, V: 5},
+	})
 	// vertex 6 is isolated: split must skip it, not count it as solved.
 
 	before := obs.Default.Snapshot()
@@ -108,9 +109,7 @@ func TestSolveUntracedNoSpans(t *testing.T) {
 	if sp := obs.StartSpanCtx(ctx, "solver/untraced"); sp != nil {
 		t.Fatalf("unscoped StartSpanCtx returned a live span %v", sp)
 	}
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if _, _, err := SolveAndVerify(ctx, Approx125{}, g); err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +118,7 @@ func TestSolveUntracedNoSpans(t *testing.T) {
 // TestDecideCounters checks the decision ladder accounts for its
 // outcomes: a K below the m lower bound must settle on the first rung.
 func TestDecideCounters(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 
 	before := obs.Default.Snapshot()
 	ok, err := Decide(context.Background(), g, g.M()-1)
@@ -145,10 +141,7 @@ func TestDecideCounters(t *testing.T) {
 // trace consumers the same way metric renames break dashboards.
 func TestSpanNamesAreStable(t *testing.T) {
 	// K_{2,2}: complete bipartite, so the equijoin solver accepts it too.
-	g := graph.New(4)
-	for _, e := range [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}} {
-		g.AddEdge(e[0], e[1])
-	}
+	g := graph.New(4, []graph.Edge{{U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}})
 	spans := scopedSolve(t, func(ctx context.Context) {
 		for _, s := range []Solver{Approx125{}, Exact{}, Equijoin{}} {
 			if _, err := s.Solve(ctx, g); err != nil {

@@ -29,11 +29,11 @@ func multiComponentGraph(rng *rand.Rand, k int) *graph.Graph {
 		base += n
 	}
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	g := graph.New(base)
+	var gEdges []graph.Edge
 	for _, e := range edges {
-		g.AddEdge(e.u, e.v)
+		gEdges = append(gEdges, graph.Edge{U: e.u, V: e.v})
 	}
-	return g
+	return graph.New(base, gEdges)
 }
 
 // TestParallelSolveMatchesSequential locks in the determinism contract of

@@ -15,22 +15,20 @@ import (
 
 // pathGraph returns the path on n vertices: n-1 edges, one component.
 func pathGraph(n int) *graph.Graph {
-	g := graph.New(n)
+	var gEdges []graph.Edge
 	for v := 1; v < n; v++ {
-		g.AddEdge(v-1, v)
+		gEdges = append(gEdges, graph.Edge{U: v - 1, V: v})
 	}
-	return g
+	return graph.New(n, gEdges)
 }
 
 // manyComponents returns k disjoint 4-cycles: k components, 4k edges.
 func manyComponents(k int) *graph.Graph {
-	out := graph.New(0)
+	out := graph.New(0, nil)
 	for i := 0; i < k; i++ {
-		c := graph.New(4)
-		c.AddEdge(0, 1)
-		c.AddEdge(1, 2)
-		c.AddEdge(2, 3)
-		c.AddEdge(3, 0)
+		c := graph.New(4, []graph.Edge{
+			{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0},
+		})
 		out = graph.DisjointUnion(out, c)
 	}
 	return out

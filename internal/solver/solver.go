@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"joinpebble/internal/core"
@@ -195,12 +196,11 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn conn
 
 	splitStart := obs.Now()
 	splitSpan := root.Start("component_split")
-	g.Optimize() // one compact-index build serves every lookup below
-	comps := g.Components()
+	compID, ncomp := g.ComponentLabels()
 
 	// Fast path: a single component spanning every vertex is already its
 	// own dense-id subgraph; skip the copy.
-	if len(comps) == 1 {
+	if ncomp == 1 {
 		splitSpan.End()
 		tSplit.ObserveSince(ctx, splitStart)
 		cComponentsSolved.Inc(ctx)
@@ -222,40 +222,45 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn conn
 
 	// Bucket vertices and edges by component in one pass each; anything
 	// per-component beyond that would make graphs with many components
-	// (every equijoin graph) quadratic.
-	compID := make([]int, g.N())
-	for ci, comp := range comps {
-		for _, v := range comp {
-			compID[v] = ci
-		}
+	// (every equijoin graph) quadratic. A vertex's local id is its rank
+	// among its component's vertices in ascending order.
+	local := make([]int, g.N())
+	size := make([]int, ncomp)
+	for v, ci := range compID {
+		local[v] = size[ci]
+		size[ci]++
 	}
-	edgesByComp := make([][]int, len(comps))
-	for gi, e := range g.Edges() {
-		ci := compID[e.U]
-		edgesByComp[ci] = append(edgesByComp[ci], gi)
+	// Counting sort of edges by component: component ci owns slots
+	// compStart[ci]:compStart[ci+1] of global (edge ids) and localEdges.
+	compStart := make([]int, ncomp+1)
+	for gi := 0; gi < g.M(); gi++ {
+		compStart[compID[g.EdgeAt(gi).U]+1]++
+	}
+	for ci := 0; ci < ncomp; ci++ {
+		compStart[ci+1] += compStart[ci]
+	}
+	next := slices.Clone(compStart)
+	global := make([]int, g.M())
+	localEdges := make([]graph.Edge, g.M())
+	for gi := 0; gi < g.M(); gi++ {
+		e := g.EdgeAt(gi)
+		k := next[compID[e.U]]
+		next[compID[e.U]]++
+		global[k], localEdges[k] = gi, graph.Edge{U: local[e.U], V: local[e.V]}
 	}
 
 	// Build every component subgraph up front (deterministic local ids:
-	// the k-th local edge is edgesByComp[ci][k]), then fan the solves out.
+	// the k-th local edge is the k-th of the component's slots), then fan
+	// the solves out.
 	type job struct {
 		ci int
 		cg *graph.Graph
 	}
 	var jobs []job
-	local := make([]int, g.N())
-	for ci, comp := range comps {
-		if len(comp) < 2 {
-			continue // isolated vertex: nothing to pebble (§2)
+	for ci := 0; ci < ncomp; ci++ {
+		if lo, hi := compStart[ci], compStart[ci+1]; lo < hi { // an isolated vertex has nothing to pebble (§2)
+			jobs = append(jobs, job{ci: ci, cg: graph.New(size[ci], localEdges[lo:hi:hi])})
 		}
-		for li, v := range comp {
-			local[v] = li
-		}
-		cg := graph.New(len(comp))
-		for _, gi := range edgesByComp[ci] {
-			e := g.EdgeAt(gi)
-			cg.AddEdge(local[e.U], local[e.V])
-		}
-		jobs = append(jobs, job{ci: ci, cg: cg})
 	}
 	splitSpan.End()
 	tSplit.ObserveSince(ctx, splitStart)
@@ -341,13 +346,13 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn conn
 		}
 	}
 
-	var globalOrder []int
+	globalOrder := make([]int, 0, g.M())
 	for ji, jb := range jobs {
 		if len(orders[ji]) != jb.cg.M() {
 			return nil, fmt.Errorf("solver: component order covers %d of %d edges", len(orders[ji]), jb.cg.M())
 		}
 		for _, li := range orders[ji] {
-			globalOrder = append(globalOrder, edgesByComp[jb.ci][li])
+			globalOrder = append(globalOrder, global[compStart[jb.ci]+li])
 		}
 	}
 	return schemeFromOrderTimed(ctx, root, g, globalOrder)

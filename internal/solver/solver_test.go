@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -153,12 +154,87 @@ func TestEquijoinRejectsNonCompleteBipartite(t *testing.T) {
 	if _, err := (Equijoin{}).Solve(context.Background(), g); err == nil {
 		t.Fatal("path must be rejected by the equijoin solver")
 	}
-	tri := graph.New(3)
-	tri.AddEdge(0, 1)
-	tri.AddEdge(1, 2)
-	tri.AddEdge(2, 0)
+	tri := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
 	if _, err := (Equijoin{}).Solve(context.Background(), tri); err == nil {
 		t.Fatal("triangle must be rejected")
+	}
+}
+
+// zigzagByComponentCopy is the Thm 3.2 order built the way the solver
+// once built it: copy each component out, 2-color the copy, and probe
+// EdgeIndex for every (left, right) pair in boustrophedon order.
+func zigzagByComponentCopy(g *graph.Graph) []int {
+	var order []int
+	for _, comp := range g.Components() {
+		if len(comp) < 2 {
+			continue
+		}
+		cg, local := g.InducedSubgraph(comp)
+		var global []int // global id of each local edge
+		for i := 0; i < g.M(); i++ {
+			if local[g.EdgeAt(i).U] >= 0 {
+				global = append(global, i)
+			}
+		}
+		side, _ := graph.IsBipartition(cg)
+		var left, right []int
+		for v := 0; v < cg.N(); v++ {
+			if side[v] {
+				left = append(left, v)
+			} else {
+				right = append(right, v)
+			}
+		}
+		for i, u := range left {
+			for j := range right {
+				if i%2 == 1 {
+					j = len(right) - 1 - j
+				}
+				idx, _ := cg.EdgeIndex(u, right[j])
+				order = append(order, global[idx])
+			}
+		}
+	}
+	return order
+}
+
+// TestEquijoinMatchesComponentCopy: reading the zigzag off the parent
+// graph's sorted spans gives the same scheme, byte for byte, as copying
+// each component out, on unions of complete bipartite graphs whose
+// vertices interleave across components and whose edges arrive in
+// random order.
+func TestEquijoinMatchesComponentCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		var edges []graph.Edge
+		n := 0
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			a, b := 1+rng.Intn(5), 1+rng.Intn(30)
+			for i := 0; i < a; i++ {
+				for j := 0; j < b; j++ {
+					edges = append(edges, graph.Edge{U: n + i, V: n + a + j})
+				}
+			}
+			n += a + b
+		}
+		n += rng.Intn(3) // isolated vertices
+		pi := rng.Perm(n)
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for i, e := range edges {
+			edges[i] = graph.Edge{U: pi[e.U], V: pi[e.V]}
+		}
+		g := graph.New(n, edges)
+		want, err := core.SchemeFromEdgeOrder(g, zigzagByComponentCopy(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Equijoin{}.Solve(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: scheme differs from the component-copy zigzag", trial)
+		}
 	}
 }
 
@@ -372,10 +448,11 @@ func TestOptimalCostInvariantUnderRelabeling(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomConnectedBip(r)
 		perm := r.Perm(g.N())
-		h := graph.New(g.N())
+		var hEdges []graph.Edge
 		for _, e := range g.Edges() {
-			h.AddEdge(perm[e.U], perm[e.V])
+			hEdges = append(hEdges, graph.Edge{U: perm[e.U], V: perm[e.V]})
 		}
+		h := graph.New(g.N(), hEdges)
 		c1, err1 := OptimalCost(g)
 		c2, err2 := OptimalCost(h)
 		return err1 == nil && err2 == nil && c1 == c2
@@ -391,10 +468,11 @@ func TestOptimalCostInvariantUnderEdgeOrder(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := randomConnectedBip(rng)
 		edges := g.Edges()
-		h := graph.New(g.N())
+		var hEdges []graph.Edge
 		for _, k := range rng.Perm(len(edges)) {
-			h.AddEdge(edges[k].U, edges[k].V)
+			hEdges = append(hEdges, graph.Edge{U: edges[k].U, V: edges[k].V})
 		}
+		h := graph.New(g.N(), hEdges)
 		c1, err1 := OptimalCost(g)
 		c2, err2 := OptimalCost(h)
 		if err1 != nil || err2 != nil || c1 != c2 {
@@ -422,7 +500,7 @@ func TestExactRejectsOversizedComponent(t *testing.T) {
 }
 
 func TestSolverlessEmptyGraph(t *testing.T) {
-	g := graph.New(5)
+	g := graph.New(5, nil)
 	for _, s := range All() {
 		scheme, err := s.Solve(context.Background(), g)
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 // interval of nodes — the deterministic way to reach the mid-search
 // cancellation paths without timing assumptions.
 func jumpyInstance(n int) *Instance {
-	return NewInstance(graph.New(n))
+	return NewInstance(graph.New(n, nil))
 }
 
 // TestExactContextCanceledMidSearch: a canceled context aborts Held–Karp

@@ -82,10 +82,11 @@ func TestHungarianValidation(t *testing.T) {
 func TestMinCycleCoverOnCycle(t *testing.T) {
 	// Good graph = C6: the cycle itself is the min cycle cover, all
 	// weight 1.
-	g := graph.New(6)
+	var gEdges []graph.Edge
 	for v := 0; v < 6; v++ {
-		g.AddEdge(v, (v+1)%6)
+		gEdges = append(gEdges, graph.Edge{U: v, V: (v + 1) % 6})
 	}
+	g := graph.New(6, gEdges)
 	cycles, total, err := MinCycleCover(NewInstance(g))
 	if err != nil {
 		t.Fatal(err)
@@ -181,10 +182,10 @@ func TestCycleCoverTourNearOptimal(t *testing.T) {
 }
 
 func TestCycleCoverTourTrivial(t *testing.T) {
-	if tour, cost, err := CycleCoverTour(NewInstance(graph.New(0))); err != nil || len(tour) != 0 || cost != 0 {
+	if tour, cost, err := CycleCoverTour(NewInstance(graph.New(0, nil))); err != nil || len(tour) != 0 || cost != 0 {
 		t.Fatal("empty instance")
 	}
-	if tour, cost, err := CycleCoverTour(NewInstance(graph.New(1))); err != nil || len(tour) != 1 || cost != 0 {
+	if tour, cost, err := CycleCoverTour(NewInstance(graph.New(1, nil))); err != nil || len(tour) != 1 || cost != 0 {
 		t.Fatal("single city")
 	}
 }

@@ -17,10 +17,11 @@ func randConn(r *rand.Rand, n int) *graph.Graph {
 }
 
 func pathInstance(n int) *Instance {
-	g := graph.New(n)
+	var gEdges []graph.Edge
 	for v := 1; v < n; v++ {
-		g.AddEdge(v-1, v)
+		gEdges = append(gEdges, graph.Edge{U: v - 1, V: v})
 	}
+	g := graph.New(n, gEdges)
 	return NewInstance(g)
 }
 
@@ -63,15 +64,16 @@ func TestJumpLowerBoundLeafCounting(t *testing.T) {
 	// K_n plus n pendant leaves: the L(G_n) structure from Theorem 3.3.
 	// n leaves of degree 1 give 2J >= n - 2.
 	n := 6
-	g := graph.New(2 * n)
+	var gEdges []graph.Edge
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
+			gEdges = append(gEdges, graph.Edge{U: i, V: j})
 		}
 	}
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, n+i)
+		gEdges = append(gEdges, graph.Edge{U: i, V: n + i})
 	}
+	g := graph.New(2*n, gEdges)
 	in := NewInstance(g)
 	if lb := in.JumpLowerBound(); lb != (n-2+1)/2 {
 		t.Fatalf("jump lower bound=%d want %d", lb, (n-2+1)/2)
@@ -81,12 +83,13 @@ func TestJumpLowerBoundLeafCounting(t *testing.T) {
 func TestJumpLowerBoundComponents(t *testing.T) {
 	// Two disjoint triangles: no degree deficit, but one inter-component
 	// jump is forced.
-	g := graph.New(6)
+	var gEdges []graph.Edge
 	for _, tri := range [][3]int{{0, 1, 2}, {3, 4, 5}} {
-		g.AddEdge(tri[0], tri[1])
-		g.AddEdge(tri[1], tri[2])
-		g.AddEdge(tri[2], tri[0])
+		gEdges = append(gEdges, graph.Edge{U: tri[0], V: tri[1]})
+		gEdges = append(gEdges, graph.Edge{U: tri[1], V: tri[2]})
+		gEdges = append(gEdges, graph.Edge{U: tri[2], V: tri[0]})
 	}
+	g := graph.New(6, gEdges)
 	in := NewInstance(g)
 	if lb := in.JumpLowerBound(); lb != 1 {
 		t.Fatalf("component bound=%d want 1", lb)
@@ -110,10 +113,7 @@ func TestExactOnPath(t *testing.T) {
 func TestExactOnMatchingGoodGraph(t *testing.T) {
 	// Good graph = 3 disjoint good edges over 6 cities: optimal tour uses
 	// all 3 good edges and 2 jumps: cost 3*1 + 2*2 = 7.
-	g := graph.New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	g.AddEdge(4, 5)
+	g := graph.New(6, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 4, V: 5}})
 	in := NewInstance(g)
 	_, cost, err := Exact(in)
 	if err != nil {
@@ -168,11 +168,11 @@ func TestExactRespectsBounds(t *testing.T) {
 }
 
 func TestExactRejectsLargeInstance(t *testing.T) {
-	g := graph.New(MaxExactCities + 1)
-	for v := 1; v < g.N(); v++ {
-		g.AddEdge(v-1, v)
+	var path []graph.Edge
+	for v := 1; v <= MaxExactCities; v++ {
+		path = append(path, graph.Edge{U: v - 1, V: v})
 	}
-	if _, _, err := Exact(NewInstance(g)); err == nil {
+	if _, _, err := Exact(NewInstance(graph.New(MaxExactCities+1, path))); err == nil {
 		t.Fatal("oversized instance must be rejected")
 	}
 }
@@ -253,10 +253,10 @@ func TestGreedyPathCoverValid(t *testing.T) {
 }
 
 func TestSolveSmallAndEmpty(t *testing.T) {
-	if tour, cost := Solve(NewInstance(graph.New(0))); len(tour) != 0 || cost != 0 {
+	if tour, cost := Solve(NewInstance(graph.New(0, nil))); len(tour) != 0 || cost != 0 {
 		t.Fatal("empty instance")
 	}
-	if tour, cost := Solve(NewInstance(graph.New(1))); len(tour) != 1 || cost != 0 {
+	if tour, cost := Solve(NewInstance(graph.New(1, nil))); len(tour) != 1 || cost != 0 {
 		t.Fatal("single city")
 	}
 	in := pathInstance(5)

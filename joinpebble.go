@@ -65,13 +65,16 @@ type (
 	Pair = join.Pair
 	// Audit scores a join algorithm's emission order in the model.
 	Audit = join.Audit
+	// Edge is an undirected edge; in a Bipartite's edge list, U is a
+	// left index and V a right index.
+	Edge = graph.Edge
 )
 
-// NewGraph returns an empty graph on n vertices.
-func NewGraph(n int) *Graph { return graph.New(n) }
+// NewGraph returns the graph on n vertices with the given edges.
+func NewGraph(n int, edges []Edge) *Graph { return graph.New(n, edges) }
 
-// NewBipartite returns an empty join graph with the given side sizes.
-func NewBipartite(nLeft, nRight int) *Bipartite { return graph.NewBipartite(nLeft, nRight) }
+// NewBipartite returns the join graph with the given side sizes and edges.
+func NewBipartite(nl, nr int, edges []Edge) *Bipartite { return graph.NewBipartite(nl, nr, edges) }
 
 // EquijoinGraph builds the join graph of an integer equijoin (§3.1).
 func EquijoinGraph(ls, rs []int64) *Bipartite { return join.EquiGraph(ls, rs) }
