@@ -75,7 +75,7 @@ func run(w io.Writer, solverName string, showScheme, strict bool, decideK int, p
 	planner := engine.Planner{Solver: s, Degrade: cmdutil.Degrade(strict)}
 
 	if decideK >= 0 {
-		ok, err := planner.Decide(context.Background(), in, decideK)
+		ok, err := solver.Decide(context.Background(), in.Graph(), decideK)
 		if err != nil {
 			return err
 		}

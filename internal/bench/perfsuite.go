@@ -2,7 +2,7 @@ package bench
 
 // PerfSuite pins the hot-path benchmarks that cmd/bench measures and
 // regression-checks: the CSR code paths (span lookups, implicit
-// line-graph views, parallel component solving, the linear equijoin
+// line-graph views, multi-component solving, the linear equijoin
 // build and solve). The committed
 // BENCH_*-legacy.json reports measured the pre-optimization paths under
 // the same series names; they stay as history.
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -67,15 +68,6 @@ func multiComponent(k, n, m int) *graph.Graph {
 	return out
 }
 
-// solveArm pins the package-level Parallelism knob to its default
-// (GOMAXPROCS workers) for a solve series. It returns the solver and a
-// restore func for the knob.
-func solveArm() (solver.Approx125, func()) {
-	prev := solver.Parallelism
-	solver.Parallelism = 0
-	return solver.Approx125{}, func() { solver.Parallelism = prev }
-}
-
 // clawFree reports whether L(g) is claw-free, scanning the implicit view
 // with scratch reused across scans, as the solver ladder does.
 func clawFree(b *testing.B, g *graph.Graph, scratch *graph.ClawScratch) bool {
@@ -122,9 +114,9 @@ func SmokeSuite() []PerfCase {
 		{
 			Name: "smoke-clawfree-parallel/spider-300-m600",
 			Run: func(b *testing.B) {
-				prev := solver.Parallelism
-				solver.Parallelism = 4 // engage the parallel claw scan
-				defer func() { solver.Parallelism = prev }()
+				// The scan's worker count follows GOMAXPROCS; pin it so the
+				// parallel scan engages on a single-CPU host too.
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 				scratch := graph.NewClawScratch()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -166,9 +158,7 @@ func SmokeSuite() []PerfCase {
 		{
 			Name: "smoke-approx125/spider-200-m400",
 			Run: func(b *testing.B) {
-				s, restore := solveArm()
-				defer restore()
-				b.ResetTimer()
+				s := solver.Approx125{}
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Solve(ctx, spider.Clone()); err != nil {
 						b.Fatal(err)
@@ -194,11 +184,9 @@ func PerfSuite() []PerfCase {
 	}()
 	ctx := context.Background()
 
-	approxSpider, restore := solveArm()
-	ratioSpider := costRatio(approxSpider, spider)
-	ratioBip := costRatio(approxSpider, bip)
+	ratioSpider := costRatio(solver.Approx125{}, spider)
+	ratioBip := costRatio(solver.Approx125{}, bip)
 	ratioEqui := costRatio(solver.Equijoin{}, equi)
-	restore()
 
 	// A long valid scheme for the simulate workload.
 	simScheme, _, err := solver.SolveAndVerify(ctx, solver.Naive{}, bip.Clone())
@@ -238,9 +226,7 @@ func PerfSuite() []PerfCase {
 			Name:  "approx125/spider-1000-m2000",
 			Extra: map[string]float64{"cost_ratio": ratioSpider},
 			Run: func(b *testing.B) {
-				s, restore := solveArm()
-				defer restore()
-				b.ResetTimer()
+				s := solver.Approx125{}
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Solve(ctx, spider.Clone()); err != nil {
 						b.Fatal(err)
@@ -252,9 +238,7 @@ func PerfSuite() []PerfCase {
 			Name:  "approx125/bip-60x40-m2400",
 			Extra: map[string]float64{"cost_ratio": ratioBip},
 			Run: func(b *testing.B) {
-				s, restore := solveArm()
-				defer restore()
-				b.ResetTimer()
+				s := solver.Approx125{}
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Solve(ctx, bip.Clone()); err != nil {
 						b.Fatal(err)
@@ -266,9 +250,7 @@ func PerfSuite() []PerfCase {
 			Name:  "solve-multicomponent/approx125-8x300",
 			Extra: map[string]float64{"components": 8},
 			Run: func(b *testing.B) {
-				s, restore := solveArm()
-				defer restore()
-				b.ResetTimer()
+				s := solver.Approx125{}
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Solve(ctx, multi.Clone()); err != nil {
 						b.Fatal(err)

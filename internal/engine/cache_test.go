@@ -177,14 +177,9 @@ func TestCacheKeySeparatesFamiliesAndSolvers(t *testing.T) {
 }
 
 // TestCacheParallelRuns hammers one shared cache from concurrent
-// planners with the parallel component pool enabled — the -race
-// configuration CI runs. Every warm result must byte-match its own
-// fresh solve.
+// planners — the -race configuration CI runs. Every warm result must
+// byte-match its own fresh solve.
 func TestCacheParallelRuns(t *testing.T) {
-	prev := solver.Parallelism
-	solver.Parallelism = 4
-	defer func() { solver.Parallelism = prev }()
-
 	cache := testCache()
 	sweep := cacheSweep(t)
 	var wg sync.WaitGroup

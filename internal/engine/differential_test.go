@@ -81,7 +81,7 @@ func TestDifferentialPlannerVsDecideLadder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := p.Decide(context.Background(), in, res.EffectiveCost)
+			ok, err := solver.Decide(context.Background(), in.Graph(), res.EffectiveCost)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestDifferentialPlannerVsDecideLadder(t *testing.T) {
 			if res.Route == solver.RouteApprox {
 				return // the 1.25-approximate cost need not be optimal
 			}
-			ok, err = p.Decide(context.Background(), in, res.EffectiveCost-1)
+			ok, err = solver.Decide(context.Background(), in.Graph(), res.EffectiveCost-1)
 			if err != nil {
 				t.Fatal(err)
 			}

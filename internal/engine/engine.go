@@ -15,8 +15,9 @@
 // The CLIs (pebble, joingen, experiments, bench) and the experiment
 // registry consume this layer instead of hand-rolled per-predicate
 // switches, and a future serving daemon batches Instances through the
-// same Planner. Solves honor context.Context cancellation down through
-// the solver's parallel component pool.
+// same Planner. Solves honor context.Context cancellation down into the
+// solver's component walk. A solve runs on its caller's goroutine; how
+// many run at once is the caller's decision (pebbled's admission).
 package engine
 
 import (

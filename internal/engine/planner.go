@@ -415,10 +415,3 @@ func qualityFor(name string) string {
 		return "π̂ ≤ 2m (Lemma 2.1, universal)"
 	}
 }
-
-// Decide answers PEBBLE(D) of Definition 4.1 — is π ≤ K? — through
-// solver.Decide's ladder (bounds, polynomial certificates, exact). It is
-// the engine's decision-problem entry point.
-func (p *Planner) Decide(ctx context.Context, in *Instance, k int) (bool, error) {
-	return solver.Decide(ctx, in.Graph(), k)
-}

@@ -8,7 +8,6 @@ import (
 
 	"joinpebble/internal/faultinject"
 	"joinpebble/internal/obs"
-	"joinpebble/internal/solver"
 )
 
 // TestDifferentialConcurrentScopes is the scope isolation differential:
@@ -66,16 +65,6 @@ func TestDifferentialConcurrentScopes(t *testing.T) {
 	if got, want := globalSolves.Value(), solvesBefore+scopedSolves; got != want {
 		t.Fatalf("global solver/solves = %d, want %d (sum of scopes)", got, want)
 	}
-}
-
-// TestDifferentialConcurrentScopesParallelSolver re-runs the isolation
-// differential with the component pool fanning out, so scope recording
-// from worker goroutines is exercised under -race in CI.
-func TestDifferentialConcurrentScopesParallelSolver(t *testing.T) {
-	prev := solver.Parallelism
-	solver.Parallelism = 4
-	defer func() { solver.Parallelism = prev }()
-	TestDifferentialConcurrentScopes(t)
 }
 
 // TestRunAutoScope: an unscoped Run opens its own scope and closes it

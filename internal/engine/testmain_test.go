@@ -7,9 +7,9 @@ import (
 	"joinpebble/internal/testutil/leakcheck"
 )
 
-// TestMain gates the suite on goroutine hygiene: solver worker pools
-// spawned through the planner ladder must all be joined by the time the
-// tests finish (the dynamic side of the golife analyzer's static rule).
+// TestMain gates the suite on goroutine hygiene: no goroutine a test
+// starts, or that a planner run starts under it, may outlive the suite
+// (the dynamic side of the golife analyzer's static rule).
 func TestMain(m *testing.M) {
 	os.Exit(leakcheck.Main(m))
 }

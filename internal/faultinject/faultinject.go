@@ -14,8 +14,9 @@
 //
 // Determinism. Arming is keyed by site name; activation order at a site
 // follows its hit order under a mutex, so Skip/Times schedules are exact.
-// Tests that need a precise hit ordering across goroutines should pin
-// solver.Parallelism to 1 or target single-component instances.
+// A solve hits its sites from one goroutine, components in order, so a
+// schedule picks out one component; only the claw scan's workers hit a
+// site (graph/clawscan) concurrently.
 //
 // The canonical site-name registry lives in DESIGN.md ("Degradation
 // ladder and fault injection"); site names are package/path-style

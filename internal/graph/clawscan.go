@@ -46,13 +46,6 @@ const SiteClawScan = "graph/clawscan"
 // loops: stride 1024, well under ctxloop's provable bound.
 const clawCheckpointMask = 0x3FF
 
-// ClawScanWorkers, when non-nil, supplies the worker count for parallel
-// claw scans, following the solver.Parallelism convention (<= 0 means
-// GOMAXPROCS). internal/solver registers its Parallelism knob here at
-// init, so one setting governs both the component pool and the claw
-// scan; with no registration scans run sequentially.
-var ClawScanWorkers func() int
-
 // clawRowBudgetWords caps the row-cache slab at n rows × n/64 words.
 // Beyond it (n ≈ 23k at the default 64 MiB) FindClaw falls back to
 // the scalar kernel, trading speed for O(Δ) memory. A var so tests can
@@ -67,8 +60,8 @@ const clawParallelMinN = 512
 // row slab with its built-row index, plus the per-probe masks. A scratch
 // may be reused across scans of different graphs — Reset re-sizes and
 // invalidates cached rows — which is what callers running repeated claw
-// checks (the bench suite, solver-ladder structure probes) thread
-// through FindClaw to stop re-growing fresh slices.
+// checks (the bench suite) thread through FindClaw to stop re-growing
+// fresh slices.
 //
 // A scratch is single-goroutine state; the parallel scan hands each
 // worker its own probe block and shares only the (pre-built, read-only)
@@ -216,14 +209,20 @@ var (
 //
 // The search is the bitset kernel with row-cache reuse through s (nil
 // allocates a fresh scratch; a scratch must not be shared between
-// concurrent scans), a parallel vertex scan when the registered
-// parallelism knob asks for one, cancellation checkpoints every 1024
-// centers, and a scalar fallback when the row slab would exceed its
-// memory budget. It returns the claw with the lowest center, with the
-// canonical leaf triple for that center — deterministic at every worker
-// count — or ok=false if a is claw-free. err is non-nil only on ctx
-// cancellation or an injected SiteClawScan fault.
+// concurrent scans), a parallel vertex scan over up to GOMAXPROCS
+// workers once a has clawParallelMinN vertices, cancellation checkpoints
+// every 1024 centers, and a scalar fallback when the row slab would
+// exceed its memory budget. It returns the claw with the lowest center,
+// with the canonical leaf triple for that center — deterministic at
+// every worker count — or ok=false if a is claw-free. err is non-nil
+// only on ctx cancellation or an injected SiteClawScan fault.
 func FindClaw(ctx context.Context, a Adjacency, s *ClawScratch) (center int, leaves [3]int, ok bool, err error) {
+	return findClaw(ctx, a, s, runtime.GOMAXPROCS(0))
+}
+
+// findClaw is FindClaw with at most maxWorkers scan workers; tests pass
+// 1 for the sequential reference scan, or more to force the parallel one.
+func findClaw(ctx context.Context, a Adjacency, s *ClawScratch, maxWorkers int) (center int, leaves [3]int, ok bool, err error) {
 	start := obs.Now()
 	defer func() {
 		tClawDetection.Observe(ctx, obs.Since(start))
@@ -241,7 +240,7 @@ func FindClaw(ctx context.Context, a Adjacency, s *ClawScratch) (center int, lea
 		s = NewClawScratch()
 	}
 	s.Reset(n)
-	if w := clawScanWorkerCount(n); w > 1 {
+	if w := clawScanWorkerCount(n, maxWorkers); w > 1 {
 		return findClawParallel(ctx, a, s, w)
 	}
 	for v := 0; v < n; v++ {
@@ -263,18 +262,14 @@ func FindClaw(ctx context.Context, a Adjacency, s *ClawScratch) (center int, lea
 	return 0, [3]int{}, false, nil
 }
 
-func clawScanWorkerCount(n int) int {
-	if ClawScanWorkers == nil || n < clawParallelMinN {
+// clawScanWorkerCount is the scan's worker count on n vertices: one
+// below clawParallelMinN, else maxWorkers capped at one worker per
+// clawParallelMinN vertices.
+func clawScanWorkerCount(n, maxWorkers int) int {
+	if n < clawParallelMinN {
 		return 1
 	}
-	w := ClawScanWorkers()
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if max := (n + clawParallelMinN - 1) / clawParallelMinN; w > max {
-		w = max
-	}
-	return w
+	return min(maxWorkers, (n+clawParallelMinN-1)/clawParallelMinN)
 }
 
 // findClawParallel fans the vertex loop out over w workers. Two phases:

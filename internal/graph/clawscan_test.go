@@ -127,14 +127,6 @@ func TestClawFreeLineGraphScratch(t *testing.T) {
 	}
 }
 
-// withWorkers runs f with the claw-scan parallelism hook pinned to w.
-func withWorkers(w int, f func()) {
-	prev := ClawScanWorkers
-	ClawScanWorkers = func() int { return w }
-	defer func() { ClawScanWorkers = prev }()
-	f()
-}
-
 func TestClawParallelDeterministic(t *testing.T) {
 	// Large enough (n >= clawParallelMinN) that the parallel path engages.
 	rng := rand.New(rand.NewSource(43))
@@ -144,32 +136,34 @@ func TestClawParallelDeterministic(t *testing.T) {
 		RandomConnectedBipartite(rng, 400, 300, 2100).Graph(),           // claws likely, mid-scan
 		LineGraph(RandomConnectedBipartite(rng, 300, 300, 900).Graph()), // claw-free, n=900
 	}
+	ctx := context.Background()
 	for ci, a := range cases {
-		wantC, wantL, wantOK, err := FindClaw(context.Background(), a, nil)
+		wantC, wantL, wantOK, err := findClaw(ctx, a, nil, 1)
 		if err != nil {
 			t.Fatalf("case %d sequential: %v", ci, err)
 		}
 		for _, w := range []int{1, 2, 8} {
-			withWorkers(w, func() {
-				s := NewClawScratch()
-				c, l, ok, err := FindClaw(context.Background(), a, s)
-				if err != nil {
-					t.Fatalf("case %d workers=%d: %v", ci, w, err)
-				}
-				if ok != wantOK || c != wantC || l != wantL {
-					t.Fatalf("case %d workers=%d: got (%d, %v, %v), want (%d, %v, %v)",
-						ci, w, c, l, ok, wantC, wantL, wantOK)
-				}
-				// A parallel scan leaves the scratch warm; a sequential
-				// rescan through it must agree.
-				withWorkers(1, func() {
-					c2, l2, ok2, err := FindClaw(context.Background(), a, s)
-					if err != nil || ok2 != wantOK || c2 != wantC || l2 != wantL {
-						t.Fatalf("case %d warm rescan after workers=%d: got (%d, %v, %v, %v)",
-							ci, w, c2, l2, ok2, err)
-					}
-				})
-			})
+			s := NewClawScratch()
+			c, l, ok, err := findClaw(ctx, a, s, w)
+			if err != nil {
+				t.Fatalf("case %d workers=%d: %v", ci, w, err)
+			}
+			if ok != wantOK || c != wantC || l != wantL {
+				t.Fatalf("case %d workers=%d: got (%d, %v, %v), want (%d, %v, %v)",
+					ci, w, c, l, ok, wantC, wantL, wantOK)
+			}
+			// A parallel scan leaves the scratch warm; a sequential
+			// rescan through it must agree.
+			c2, l2, ok2, err := findClaw(ctx, a, s, 1)
+			if err != nil || ok2 != wantOK || c2 != wantC || l2 != wantL {
+				t.Fatalf("case %d warm rescan after workers=%d: got (%d, %v, %v, %v)",
+					ci, w, c2, l2, ok2, err)
+			}
+		}
+		// FindClaw itself, at whatever worker count GOMAXPROCS gives it.
+		if c, l, ok, err := FindClaw(ctx, a, nil); err != nil || ok != wantOK || c != wantC || l != wantL {
+			t.Fatalf("case %d FindClaw: got (%d, %v, %v, %v), want (%d, %v, %v)",
+				ci, c, l, ok, err, wantC, wantL, wantOK)
 		}
 	}
 }
@@ -187,15 +181,13 @@ func TestClawRowBudgetFallback(t *testing.T) {
 func TestClawScanCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a := NewLineGraphView(testSpider(200))
-	if _, _, _, err := FindClaw(ctx, a, nil); !errors.Is(err, context.Canceled) {
+	a := NewLineGraphView(testSpider(300)) // n=600: two parallel workers
+	if _, _, _, err := findClaw(ctx, a, nil, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sequential: err = %v, want context.Canceled", err)
 	}
-	withWorkers(4, func() {
-		if _, _, _, err := FindClaw(ctx, a, nil); !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel: err = %v, want context.Canceled", err)
-		}
-	})
+	if _, _, _, err := findClaw(ctx, a, nil, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("parallel: err = %v, want context.Canceled", err)
+	}
 }
 
 func TestClawScanFaultInjection(t *testing.T) {
@@ -204,15 +196,13 @@ func TestClawScanFaultInjection(t *testing.T) {
 	a := NewLineGraphView(testSpider(600)) // n=1200: checkpoints at v=0 and v=1024
 
 	faultinject.Arm(SiteClawScan, faultinject.Fault{Err: injected})
-	if _, _, _, err := FindClaw(context.Background(), a, nil); !errors.Is(err, injected) {
+	if _, _, _, err := findClaw(context.Background(), a, nil, 1); !errors.Is(err, injected) {
 		t.Fatalf("sequential: err = %v, want injected", err)
 	}
-	withWorkers(4, func() {
-		// The error must outrank any claw a worker may have found.
-		if _, _, _, err := FindClaw(context.Background(), a, nil); !errors.Is(err, injected) {
-			t.Fatalf("parallel: err = %v, want injected", err)
-		}
-	})
+	// The error must outrank any claw a worker may have found.
+	if _, _, _, err := findClaw(context.Background(), a, nil, 4); !errors.Is(err, injected) {
+		t.Fatalf("parallel: err = %v, want injected", err)
+	}
 	faultinject.Reset()
 
 	// A later armed firing (Skip past the first checkpoint) aborts a scan

@@ -92,8 +92,7 @@ type ScopeSummary struct {
 
 // Scope is a per-request metric registry and span collector. Create with
 // NewScope, thread with WithScope, and Close exactly once when the
-// request finishes. All methods are safe for concurrent use (the solver's
-// component pool records into the scope from many goroutines) and
+// request finishes. All methods are safe for concurrent use and
 // nil-safe, so unscoped code paths cost a context lookup and nothing
 // else.
 type Scope struct {

@@ -1,9 +1,9 @@
 package obs
 
 // Hierarchical span tracing. A Tracer collects a forest of timed spans;
-// spans nest by creating children from a parent span, and workers on
-// other goroutines may create children of the same parent concurrently
-// (the solver's per-component fan-out does exactly that).
+// spans nest by creating children from a parent span. A Tracer is safe
+// for concurrent use, though a request's solve records its spans from
+// the one goroutine it runs on.
 //
 // Spans record only into the tracer a request Scope owns. Unscoped work
 // records nothing: StartSpanCtx on a context without a scope returns a

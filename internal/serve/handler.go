@@ -76,8 +76,8 @@ type SolveRequest struct {
 	Left  int `json:"left"`
 	Right int `json:"right"`
 	// Skew shapes generated workloads: the zipf s parameter for
-	// equijoin, the cluster count for spatial (truncated), unused for
-	// containment.
+	// equijoin, the cluster count for spatial (truncated; at most the
+	// server's relation cap), unused for containment.
 	Skew float64 `json:"skew,omitempty"`
 	// Edges is the explicit edge list for family "bipartite":
 	// [left, right] vertex index pairs.
@@ -225,15 +225,9 @@ func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, ep endpoint) {
 	}
 	defer release()
 
-	// The request budget: the client's ask clamped to the server cap,
-	// carved into ladder rungs by the planner's DegradePolicy.
-	budget := s.cfg.RequestTimeout
-	if req.BudgetMS > 0 {
-		if d := time.Duration(req.BudgetMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
+	// The request budget, carved into ladder rungs by the planner's
+	// DegradePolicy.
+	ctx, cancel := context.WithTimeout(r.Context(), requestBudget(req.BudgetMS, s.cfg.RequestTimeout))
 	defer cancel()
 
 	sc := ep.newScope()
@@ -274,6 +268,16 @@ func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, ep endpoint) {
 	}
 	ep.latency.Observe(obs.Since(start))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// requestBudget is a request's solve deadline, min(budget_ms, limit),
+// where a budget_ms of 0 or less means limit. It compares milliseconds
+// before converting, so no budget_ms can overflow a Duration.
+func requestBudget(budgetMS int64, limit time.Duration) time.Duration {
+	if budgetMS > 0 && budgetMS <= limit.Milliseconds() {
+		return time.Duration(budgetMS) * time.Millisecond
+	}
+	return limit
 }
 
 // runSolve is the /v1/solve work: build the instance, run the planner
@@ -431,6 +435,11 @@ func (s *Server) buildInstance(req *SolveRequest) (*engine.Instance, error) {
 			Correlated: true,
 		}
 	case "spatial":
+		// Skew is the cluster count here, and the generator allocates
+		// every cluster center whatever the relation sizes.
+		if req.Skew > float64(s.cfg.MaxRelation) {
+			return nil, badRequestf("spatial skew %g exceeds cap %d", req.Skew, s.cfg.MaxRelation)
+		}
 		w = workload.Spatial{
 			LeftSize:  req.Left,
 			RightSize: req.Right,

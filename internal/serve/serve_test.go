@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"sync"
@@ -15,7 +16,6 @@ import (
 	"joinpebble/internal/faultinject"
 	"joinpebble/internal/obs"
 	"joinpebble/internal/schemecache"
-	"joinpebble/internal/solver"
 	"joinpebble/internal/testutil/leakcheck"
 )
 
@@ -162,6 +162,46 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/solve = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestBudgetClamp: a request's deadline is min(budget_ms, the server
+// cap), with 0 meaning the cap, and no budget_ms overflows into a
+// negative deadline that fails the solve.
+func TestBudgetClamp(t *testing.T) {
+	const limit = 5 * time.Second
+	s := startServer(t, Config{RequestTimeout: limit})
+	for _, c := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, limit},
+		{250, 250 * time.Millisecond},
+		{limit.Milliseconds() + 1, limit},
+		{math.MaxInt64, limit},
+	} {
+		if got := requestBudget(c.ms, limit); got != c.want {
+			t.Errorf("requestBudget(%d) = %v, want %v", c.ms, got, c.want)
+		}
+		post(t, s.URL()+"/v1/solve", &SolveRequest{Family: "equijoin", Seed: 7, Left: 64, Right: 64, BudgetMS: c.ms}, http.StatusOK, nil)
+	}
+}
+
+// TestSpatialSkewCapped: a spatial request's skew is its cluster count,
+// allocated before any size cap applies, so it is held to the relation
+// cap; the serve mix's skew 3 stays valid.
+func TestSpatialSkewCapped(t *testing.T) {
+	s := startServer(t, Config{MaxRelation: 64})
+	for _, c := range []struct {
+		skew float64
+		want int
+	}{
+		{3, http.StatusOK},
+		{64, http.StatusOK},
+		{65, http.StatusBadRequest},
+		{math.MaxFloat64, http.StatusBadRequest},
+	} {
+		post(t, s.URL()+"/v1/solve", &SolveRequest{Family: "spatial", Seed: 1, Left: 8, Right: 8, Skew: c.skew}, c.want, nil)
 	}
 }
 
@@ -411,14 +451,10 @@ func TestClientDisconnectCancelsSolve(t *testing.T) {
 }
 
 // TestConcurrentSolvesSharedCache runs many concurrent solves of the
-// same shape against one server sharing a single scheme cache, with
-// parallel component solving on — the -race configuration of the
-// service path. Later requests must be served from cache.
+// same shape against one server sharing a single scheme cache — the
+// -race configuration of the service path. Later requests must be
+// served from cache.
 func TestConcurrentSolvesSharedCache(t *testing.T) {
-	oldPar := solver.Parallelism
-	solver.Parallelism = 2
-	defer func() { solver.Parallelism = oldPar }()
-
 	cache := schemecache.New(1<<20, 0)
 	s := startServer(t, Config{MaxConcurrent: 4, MaxQueue: 64, QueueTimeout: 2 * time.Second, Cache: cache})
 

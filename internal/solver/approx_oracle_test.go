@@ -305,3 +305,29 @@ func checkPartition(t *testing.T, name string, g *graph.Graph) (noTwinFailures i
 	}
 	return noTwinFailures
 }
+
+// multiComponentGraph builds k random connected components glued into one
+// graph, shuffling edge insertion so component edges interleave globally.
+func multiComponentGraph(rng *rand.Rand, k int) *graph.Graph {
+	type edge struct{ u, v int }
+	var edges []edge
+	base := 0
+	for c := 0; c < k; c++ {
+		n := 3 + rng.Intn(10)
+		m := n - 1 + rng.Intn(n)
+		if max := n * (n - 1) / 2; m > max {
+			m = max
+		}
+		cg := graph.RandomConnectedGraph(rng, n, m, 0)
+		for _, e := range cg.Edges() {
+			edges = append(edges, edge{base + e.U, base + e.V})
+		}
+		base += n
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	var gEdges []graph.Edge
+	for _, e := range edges {
+		gEdges = append(gEdges, graph.Edge{U: e.u, V: e.v})
+	}
+	return graph.New(base, gEdges)
+}

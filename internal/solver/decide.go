@@ -27,7 +27,7 @@ var (
 // falling back to the exact solver, so many instances never pay the
 // exponential cost — but the worst case is still exponential, as
 // Theorem 4.2 says it must be unless P = NP. Cancellation is observed
-// between rungs and inside each rung's component pool.
+// between rungs and, inside a rung's solve, between components.
 func Decide(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 	cDecideCalls.Inc(ctx)
 	sp := obs.StartSpanCtx(ctx, "decide")

@@ -59,36 +59,26 @@ func TestComponentPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestComponentPanicDrainsPool: after one worker panics, the pool stops
-// handing out components — nowhere near all 60 components get solved —
-// and the recovered panic is the error reported, not the cancellations
-// the drain induced in sibling workers.
-func TestComponentPanicDrainsPool(t *testing.T) {
+// TestComponentPanicStopsSequentialWalk: components are solved one after
+// another, so the first component's panic ends the walk — no later
+// component of the 60 reaches the site — and the recovered panic is the
+// error reported.
+func TestComponentPanicStopsSequentialWalk(t *testing.T) {
 	defer faultinject.Reset()
-	prev := Parallelism
-	Parallelism = 4
-	defer func() { Parallelism = prev }()
-
 	faultinject.Arm(SiteComponent, faultinject.Fault{Panic: "kaboom", Times: 1})
 	_, err := Greedy{}.Solve(context.Background(), manyComponents(60))
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("err = %v, want ErrPanic", err)
 	}
-	// The first hit panicked; only in-flight workers may still have fired
-	// the site before observing the drain.
-	if h := faultinject.Hits(SiteComponent); h > 16 {
-		t.Fatalf("site hit %d times after the drain, pool did not stop", h)
+	if h := faultinject.Hits(SiteComponent); h != 1 {
+		t.Fatalf("site hit %d times, want 1: the walk went on past the panic", h)
 	}
 }
 
-// TestComponentPanicRecoveredSequential covers the Parallelism=1 path
+// TestComponentPanicRecoveredSequential covers the multi-component walk
 // and the single-component fast path.
 func TestComponentPanicRecoveredSequential(t *testing.T) {
 	defer faultinject.Reset()
-	prev := Parallelism
-	Parallelism = 1
-	defer func() { Parallelism = prev }()
-
 	faultinject.Arm(SiteComponent, faultinject.Fault{Panic: 42, Times: 1})
 	_, err := Greedy{}.Solve(context.Background(), manyComponents(3))
 	if !errors.Is(err, ErrPanic) {

@@ -10,10 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"slices"
-	"sync"
 
 	"joinpebble/internal/core"
 	"joinpebble/internal/faultinject"
@@ -64,10 +62,10 @@ func (e *PanicError) Unwrap() error { return ErrPanic }
 // DESIGN.md). Disarmed cost is one atomic load per component solve —
 // nothing in a per-edge loop.
 const (
-	// SiteComponent fires at the start of every component solve, in both
-	// the sequential and pooled paths: inject an error to fail one
-	// component, a panic to exercise the recovery path, or a delay to
-	// hold a worker mid-flight.
+	// SiteComponent fires at the start of every component solve, and once
+	// per Thm 3.2 solve: inject an error to fail one component, a panic
+	// to exercise the recovery path, or a delay to hold a solve
+	// mid-flight.
 	SiteComponent = "solver/component"
 	// SiteExactBudget fires before the exact solver's per-component edge
 	// budget check: inject a wrapped ErrBudgetExceeded to force the
@@ -90,35 +88,6 @@ var (
 	tSchemeBuild      = obs.ScopedTimer("solver/phase/scheme_build")
 )
 
-// Parallelism bounds the worker pool that solvePerComponent fans
-// connected components out over. Zero (the default) means
-// runtime.GOMAXPROCS(0); one forces the sequential path. Components are
-// solved independently — justified by the additivity lemma (Lemma 2.2) —
-// and merged back in component order, so the produced scheme is
-// byte-identical to the sequential one at any setting (verified by
-// TestParallelSolveMatchesSequential).
-var Parallelism = 0
-
-// The claw-scan kernel honors the same knob: internal/graph cannot
-// import the solver layer, so the worker count crosses the boundary
-// through this hook. Zero and one mean what they mean here (GOMAXPROCS
-// resp. sequential); the kernel's first-claw result is deterministic at
-// any setting.
-func init() {
-	graph.ClawScanWorkers = func() int { return Parallelism }
-}
-
-func workerCount(jobs int) int {
-	w := Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	return w
-}
-
 // Solver produces a pebbling scheme for an arbitrary graph. Solve must
 // return a scheme that Verify accepts; cost guarantees differ per solver.
 type Solver interface {
@@ -128,8 +97,8 @@ type Solver interface {
 	// returns ctx.Err() (wrapped or bare — match with errors.Is(err,
 	// context.Canceled) / context.DeadlineExceeded) when canceled before
 	// completion. The per-component solvers observe cancellation at
-	// component granularity in the parallel pool, so a canceled solve
-	// returns promptly without tearing down mid-component state.
+	// least between components, so a canceled solve returns promptly
+	// without tearing down mid-component state.
 	Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error)
 }
 
@@ -166,22 +135,24 @@ func runComponentOrder(ctx context.Context, name string, cg *graph.Graph, sp *ob
 }
 
 // solvePerComponent decomposes g into connected components, applies fn to
-// each edge-bearing component, stitches the local orders back into a
-// global edge order, and converts it to a scheme. Component boundaries
-// cost one extra move each, matching the β₀ term of Definition 2.2.
-//
-// Components are embarrassingly parallel (Lemma 2.2): fn runs on a
-// bounded worker pool (see Parallelism) and the local orders are merged
-// back in component order, so the result is independent of scheduling.
+// each edge-bearing component in component order on the caller's
+// goroutine, stitches the local orders back into a global edge order, and
+// converts it to a scheme. Component boundaries cost one extra move each,
+// matching the β₀ term of Definition 2.2; components are independent
+// (Lemma 2.2), so no component's order depends on another's. A solve
+// never fans out: how many solves run at once is its caller's decision
+// (pebbled's admission).
 //
 // Cancellation is observed at two granularities: between components
-// (once ctx is done no new component solve starts) and — for solvers
+// (once ctx is done no further component starts) and — for solvers
 // whose component functions thread ctx into their inner loops, like the
 // exact search — inside a component, so even one huge component unwinds
-// promptly. A component failure (error or recovered panic) cancels the
-// pool's context so in-flight siblings drain at their next checkpoint
-// and queued ones never start; the first failure in component order
-// among the components that actually ran is the one reported.
+// promptly. The first failing component (error or recovered panic) ends
+// the walk, but the caller's own cancellation outranks its error. A
+// cancellation that arrives only after every component finished is
+// deliberately ignored: anytime component solves (ExactBnB.Anytime) may
+// hand back a finished incumbent right as a soft deadline expires, and
+// a complete verified solve beats a discarded one.
 func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn connectedOrderFunc) (core.Scheme, error) {
 	if g.M() == 0 {
 		return core.Scheme{}, nil
@@ -190,6 +161,7 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn conn
 		return nil, err
 	}
 	cSolves.Inc(ctx)
+	cWorkersUsed.Inc(ctx)
 	root := obs.StartSpanCtx(ctx, name)
 	defer root.End()
 	root.SetInt("edges", int64(g.M()))
@@ -199,23 +171,14 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn conn
 	compID, ncomp := g.ComponentLabels()
 
 	// Fast path: a single component spanning every vertex is already its
-	// own dense-id subgraph; skip the copy.
+	// own dense-id subgraph; solve it in place, with no copy.
 	if ncomp == 1 {
 		splitSpan.End()
 		tSplit.ObserveSince(ctx, splitStart)
 		cComponentsSolved.Inc(ctx)
-		cWorkersUsed.Inc(ctx)
-		solveStart := obs.Now()
-		compSpan := root.Start("component_solve")
-		compSpan.SetInt("edges", int64(g.M()))
-		order, err := runComponentOrder(ctx, name, g, compSpan, fn)
-		compSpan.End()
-		tComponentSolve.Observe(ctx, obs.Since(solveStart))
+		order, err := solveComponent(ctx, root.Start("component_solve"), name, g, fn)
 		if err != nil {
 			return nil, err
-		}
-		if len(order) != g.M() {
-			return nil, fmt.Errorf("solver: component order covers %d of %d edges", len(order), g.M())
 		}
 		return schemeFromOrderTimed(ctx, root, g, order)
 	}
@@ -249,9 +212,9 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn conn
 		global[k], localEdges[k] = gi, graph.Edge{U: local[e.U], V: local[e.V]}
 	}
 
-	// Build every component subgraph up front (deterministic local ids:
-	// the k-th local edge is the k-th of the component's slots), then fan
-	// the solves out.
+	// Build every component subgraph in the split phase (deterministic
+	// local ids: the k-th local edge is the k-th of the component's
+	// slots), then solve them in order.
 	type job struct {
 		ci int
 		cg *graph.Graph
@@ -266,116 +229,40 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn conn
 	tSplit.ObserveSince(ctx, splitStart)
 	cComponentsSolved.Add(ctx, int64(len(jobs)))
 
-	orders := make([][]int, len(jobs))
-	errs := make([]error, len(jobs))
-	// poolCtx lets the first failing component drain the whole pool:
-	// siblings with interruptible inner loops unwind at their next
-	// checkpoint, queued jobs never start.
-	poolCtx, cancelPool := context.WithCancel(ctx)
-	defer cancelPool()
-	// The pool's component timer resolves once, outside the workers: the
-	// scope (when present) is the same for every job, and resolving here
-	// keeps the per-job cost at one atomic add.
-	compTimer := tComponentSolve.In(ctx)
-	solveJob := func(ji int) {
-		if err := poolCtx.Err(); err != nil {
-			errs[ji] = err
-			return
-		}
-		start := obs.Now()
-		compSpan := root.Start("component_solve")
-		compSpan.SetInt("component", int64(jobs[ji].ci))
-		compSpan.SetInt("edges", int64(jobs[ji].cg.M()))
-		orders[ji], errs[ji] = runComponentOrder(poolCtx, name, jobs[ji].cg, compSpan, fn)
-		compSpan.End()
-		compTimer.Observe(obs.Since(start))
-		if errs[ji] != nil {
-			cancelPool()
-		}
-	}
-	w := workerCount(len(jobs))
-	cWorkersUsed.Add(ctx, int64(w))
-	if w <= 1 {
-		for ji := range jobs {
-			if poolCtx.Err() != nil {
-				break
-			}
-			solveJob(ji)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ji := range idx {
-					solveJob(ji)
-				}
-			}()
-		}
-	feed:
-		for ji := range jobs {
-			select {
-			case idx <- ji:
-			case <-poolCtx.Done():
-				break feed
-			}
-		}
-		close(idx)
-		wg.Wait()
-	}
-	// Report the failure that drained the pool, not the context.Canceled
-	// errors the drain induced in its siblings — unless the caller's own
-	// cancellation caused the drain, which outranks everything. A
-	// cancellation that arrived only after every component completed is
-	// deliberately ignored: anytime component solves (ExactBnB.Anytime)
-	// may hand back a finished incumbent right as a soft deadline
-	// expires, and a complete verified solve beats a discarded one.
-	if err := firstRealError(errs); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		for ji, jb := range jobs {
-			if len(orders[ji]) != jb.cg.M() {
-				return nil, err // canceled before this component ran
-			}
-		}
-	}
-
 	globalOrder := make([]int, 0, g.M())
-	for ji, jb := range jobs {
-		if len(orders[ji]) != jb.cg.M() {
-			return nil, fmt.Errorf("solver: component order covers %d of %d edges", len(orders[ji]), jb.cg.M())
+	for _, jb := range jobs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		for _, li := range orders[ji] {
+		compSpan := root.Start("component_solve")
+		compSpan.SetInt("component", int64(jb.ci))
+		order, err := solveComponent(ctx, compSpan, name, jb.cg, fn)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
+			return nil, err
+		}
+		for _, li := range order {
 			globalOrder = append(globalOrder, global[compStart[jb.ci]+li])
 		}
 	}
 	return schemeFromOrderTimed(ctx, root, g, globalOrder)
 }
 
-// firstRealError returns the first error in component order that is not
-// a pool-drain context.Canceled, falling back to the first error of any
-// kind (all-canceled can only happen when the caller canceled, which the
-// caller-context check above already owns).
-func firstRealError(errs []error) error {
-	var fallback error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, context.Canceled) {
-			return err
-		}
-		if fallback == nil {
-			fallback = err
-		}
+// solveComponent runs one component solve under sp, its component_solve
+// span, with the component_solve phase timing, and checks that the order
+// it returns covers every edge of cg.
+func solveComponent(ctx context.Context, sp *obs.Span, name string, cg *graph.Graph, fn connectedOrderFunc) ([]int, error) {
+	start := obs.Now()
+	sp.SetInt("edges", int64(cg.M()))
+	order, err := runComponentOrder(ctx, name, cg, sp, fn)
+	sp.End()
+	tComponentSolve.Observe(ctx, obs.Since(start))
+	if err == nil && len(order) != cg.M() {
+		err = fmt.Errorf("solver: component order covers %d of %d edges", len(order), cg.M())
 	}
-	return fallback
+	return order, err
 }
 
 // schemeFromOrderTimed is core.SchemeFromEdgeOrder wrapped in the
