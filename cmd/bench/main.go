@@ -10,8 +10,8 @@
 //	bench -tolerance 1.30      # fail when cur/base ns exceeds 1.30
 //	bench -run approx125       # only series whose name contains the string
 //	bench -benchtime 1x        # smoke mode: one iteration per series (CI)
-//	bench -smoke               # reduced-size kernel suite (claw scan,
-//	                           #   approx-1.25); implies -nocompare
+//	bench -smoke               # reduced-size kernel suite (fingerprint,
+//	                           #   cache hit, approx-1.25); implies -nocompare
 //
 // The committed BENCH_<date>-legacy.json reports measured the
 // pre-optimization code paths; they stay as history and are never chosen

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -68,16 +67,6 @@ func multiComponent(k, n, m int) *graph.Graph {
 	return out
 }
 
-// clawFree reports whether L(g) is claw-free, scanning the implicit view
-// with scratch reused across scans, as the solver ladder does.
-func clawFree(b *testing.B, g *graph.Graph, scratch *graph.ClawScratch) bool {
-	_, _, claw, err := graph.FindClaw(context.Background(), graph.NewLineGraphView(g), scratch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return !claw
-}
-
 // costRatio runs s once on g and returns π̂/m — recorded as a series Extra
 // so the perf arms are provably solving equally well, not just fast.
 func costRatio(s solver.Solver, g *graph.Graph) float64 {
@@ -89,43 +78,15 @@ func costRatio(s solver.Solver, g *graph.Graph) float64 {
 }
 
 // SmokeSuite returns reduced-size kernel benchmarks for CI smoke runs:
-// the bitset claw scan (sequential and parallel), the canonical
-// fingerprint, a scheme-cache hit and the one-DFS approx-1.25 at a
-// fraction of the pinned workload sizes. Series names carry a smoke-
-// prefix so they never match — and never stand in for — the pinned
-// regression series; the point is catching kernel rot (panics, wrong
-// answers, fallback misfires) in seconds, not timing.
+// the canonical fingerprint, a scheme-cache hit and the one-DFS
+// approx-1.25 at a fraction of the pinned workload sizes. Series names
+// carry a smoke- prefix so they never match — and never stand in for —
+// the pinned regression series; the point is catching kernel rot
+// (panics, wrong answers) in seconds, not timing.
 func SmokeSuite() []PerfCase {
-	spider := family.Spider(200).Graph()  // m = 400
-	spiderP := family.Spider(300).Graph() // m = 600: line graph n >= parallel floor
+	spider := family.Spider(200).Graph() // m = 400
 	ctx := context.Background()
 	return []PerfCase{
-		{
-			Name: "smoke-clawfree-linegraph/spider-200-m400",
-			Run: func(b *testing.B) {
-				scratch := graph.NewClawScratch()
-				for i := 0; i < b.N; i++ {
-					if !clawFree(b, spider.Clone(), scratch) {
-						b.Fatal("spider line graph must be claw-free")
-					}
-				}
-			},
-		},
-		{
-			Name: "smoke-clawfree-parallel/spider-300-m600",
-			Run: func(b *testing.B) {
-				// The scan's worker count follows GOMAXPROCS; pin it so the
-				// parallel scan engages on a single-CPU host too.
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-				scratch := graph.NewClawScratch()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if !clawFree(b, spiderP.Clone(), scratch) {
-						b.Fatal("spider line graph must be claw-free")
-					}
-				}
-			},
-		},
 		{
 			Name: "smoke-canon-fingerprint/spider-200-m400",
 			Run: func(b *testing.B) {
@@ -171,7 +132,7 @@ func SmokeSuite() []PerfCase {
 
 // PerfSuite returns the pinned benchmark cases.
 func PerfSuite() []PerfCase {
-	spider := family.Spider(1000).Graph() // m = 2000, claw-free line graph
+	spider := family.Spider(1000).Graph() // m = 2000
 	bip := perfBipartite(60, 40, 2400)    // dense bipartite, m = 2400
 	wide := perfBipartite(100, 100, 3000) // sparser bipartite, m = 3000
 	multi := multiComponent(8, 120, 300)  // 8 components, m = 2400 total
@@ -208,17 +169,6 @@ func PerfSuite() []PerfCase {
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					graph.LineGraph(bip.Clone())
-				}
-			},
-		},
-		{
-			Name: "clawfree-linegraph/spider-1000-m2000",
-			Run: func(b *testing.B) {
-				scratch := graph.NewClawScratch()
-				for i := 0; i < b.N; i++ {
-					if !clawFree(b, spider.Clone(), scratch) {
-						b.Fatal("spider line graph must be claw-free")
-					}
 				}
 			},
 		},

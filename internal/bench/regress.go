@@ -56,7 +56,7 @@ type Report struct {
 	Serve  bool     `json:"serve,omitempty"`
 	Series []Series `json:"series"`
 	// Metrics is the instrumentation snapshot taken after the suite ran —
-	// counters like pebble acquisitions and claw checks alongside the
+	// counters like pebble acquisitions and cache hits alongside the
 	// timings, so a report records what the suite did, not just how fast.
 	// Optional; omitted by readers of older reports. Its presence does not
 	// bump SchemaVersion because consumers ignore unknown fields.

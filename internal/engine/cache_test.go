@@ -376,7 +376,7 @@ func TestSharedCacheFallback(t *testing.T) {
 // failure semantics intact.
 func TestCacheStrictRuns(t *testing.T) {
 	in := FromBipartite("spider", family.Spider(4))
-	p := Planner{Cache: testCache(), Degrade: DegradePolicy{Off: true}}
+	p := Planner{Cache: testCache(), Degrade: solver.LadderPolicy{Off: true}}
 	cold, err := p.Run(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)

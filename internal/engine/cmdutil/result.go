@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"joinpebble/internal/engine"
+	"joinpebble/internal/solver"
 )
 
 // BindStrict registers the shared -strict flag: degradation off, so a
@@ -19,9 +20,9 @@ func BindStrict(fs *flag.FlagSet) *bool {
 		"fail instead of degrading when the planned solver runs out of budget or deadline")
 }
 
-// Degrade translates the parsed -strict flag into the engine policy.
-func Degrade(strict bool) engine.DegradePolicy {
-	return engine.DegradePolicy{Off: strict}
+// Degrade translates the parsed -strict flag into the ladder policy.
+func Degrade(strict bool) solver.LadderPolicy {
+	return solver.LadderPolicy{Off: strict}
 }
 
 // DegradeNotice formats the one-line degradation provenance the solve

@@ -105,7 +105,7 @@ func TestStrictModeSurfacesTheError(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Arm(SiteRung, budgetFault(1))
 
-	p := Planner{Degrade: DegradePolicy{Off: true}}
+	p := Planner{Degrade: solver.LadderPolicy{Off: true}}
 	_, err := p.Run(context.Background(), spiderInstance())
 	if !errors.Is(err, solver.ErrBudgetExceeded) {
 		t.Fatalf("strict run err = %v, want ErrBudgetExceeded", err)
@@ -187,7 +187,7 @@ func TestRungSoftDeadlineDegrades(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	p := Planner{Degrade: DegradePolicy{RungFraction: 0.01}}
+	p := Planner{Degrade: solver.LadderPolicy{RungFraction: 0.01}}
 	res, err := p.Run(ctx, spiderInstance())
 	if err != nil {
 		t.Fatal(err)

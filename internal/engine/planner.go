@@ -44,24 +44,6 @@ var (
 // force any rung to fail without constructing a pathological instance.
 const SiteRung = "engine/rung"
 
-// DegradePolicy configures how Run responds when a ladder rung fails.
-// The zero value degrades: Theorem 3.1 guarantees a 1.25-approximation
-// is always available and Lemma 2.1 a 2m scheme for free, so erroring
-// out when a lower rung still works is a policy choice, not a necessity
-// — strict callers (the CLIs' -strict flag, tests pinning exact
-// behavior) opt out with Off.
-type DegradePolicy struct {
-	// Off disables degradation: the planned rung's failure is the run's
-	// failure, matchable via the solver sentinels it wraps.
-	Off bool
-	// RungFraction is the share of the caller's remaining deadline a
-	// non-final rung may spend before the run falls through to the next
-	// rung (a soft deadline carved from ctx). 0 means 0.5; the final
-	// rung always gets everything left. Ignored when the caller's ctx
-	// has no deadline.
-	RungFraction float64
-}
-
 // Attempt is one rung try in a Run: the solver, how long it ran, and —
 // for failed rungs — the error that pushed the run down the ladder,
 // verbatim. The last attempt of a successful Run has Err == "".
@@ -79,15 +61,22 @@ type Planner struct {
 	// means tsp.MaxExactCities.
 	ExactLimit int
 	// Solver, when non-nil, overrides routing: every instance goes to
-	// this solver regardless of structure (the CLI -solver flag).
+	// this solver regardless of structure (the CLI -solver flag). An
+	// Exact whose MaxEdges is zero runs under ExactLimit.
 	// Degradation still applies unless Degrade.Off is set: an explicit
 	// solver that trips its budget falls down the ladder like a routed
 	// one.
 	Solver solver.Solver
 	// Degrade is the degradation policy Run applies when a rung fails
 	// with a budget, deadline, panic, or structure error. The zero
-	// value degrades down the ladder (exact → approx → naive).
-	Degrade DegradePolicy
+	// value degrades down the ladder (exact → approx → naive):
+	// Theorem 3.1 guarantees a 1.25-approximation is always available
+	// and Lemma 2.1 a 2m scheme for free, so erroring out when a lower
+	// rung still works is a policy choice, not a necessity. Strict
+	// callers (the CLIs' -strict flag, tests pinning exact behavior)
+	// set Off, and the planned rung's failure is the run's failure,
+	// matchable via the solver sentinels it wraps.
+	Degrade solver.LadderPolicy
 	// Cache, when non-nil, is the scheme cache consulted before the
 	// planned rung and filled after undegraded solves. When nil, Run
 	// falls back to the process-wide cache installed via
@@ -135,7 +124,12 @@ func (p *Planner) plan(ctx context.Context, in *Instance) Plan {
 	}
 	if p.Solver != nil {
 		cPlanOverride.Inc(ctx)
-		return Plan{Route: row.Route, Solver: p.Solver, Reason: fmt.Sprintf("explicit solver %s", p.Solver.Name())}
+		s := p.Solver
+		if e, ok := s.(solver.Exact); ok && e.MaxEdges == 0 {
+			// An explicit exact solver is held to the planner's limit too.
+			s = solver.Exact{MaxEdges: p.ExactLimit}
+		}
+		return Plan{Route: row.Route, Solver: s, Reason: fmt.Sprintf("explicit solver %s", s.Name())}
 	}
 	plan := Plan{Route: row.Route, Solver: row.New(p.ExactLimit), Reason: row.Reason}
 	if guaranteed {
@@ -289,7 +283,7 @@ func (p *Planner) run(ctx context.Context, in *Instance, sc *obs.Scope) (*Result
 		sp.SetInt("degraded", int64(degraded))
 	}
 
-	wr, err := solver.WalkLadder(ctx, rungs, solver.LadderPolicy{Off: p.Degrade.Off, RungFraction: p.Degrade.RungFraction}, record)
+	wr, err := solver.WalkLadder(ctx, rungs, p.Degrade, record)
 	if err != nil {
 		sc.Flag(obs.FlagError)
 		var re *solver.RungError

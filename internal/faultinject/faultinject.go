@@ -15,8 +15,8 @@
 // Determinism. Arming is keyed by site name; activation order at a site
 // follows its hit order under a mutex, so Skip/Times schedules are exact.
 // A solve hits its sites from one goroutine, components in order, so a
-// schedule picks out one component; only the claw scan's workers hit a
-// site (graph/clawscan) concurrently.
+// schedule picks out one component; only concurrent solves, such as
+// pebbled's admitted requests, interleave their hits at a site.
 //
 // The canonical site-name registry lives in DESIGN.md ("Degradation
 // ladder and fault injection"); site names are package/path-style

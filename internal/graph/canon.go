@@ -38,10 +38,9 @@ package graph
 // hit.
 //
 // The refinement and hashing kernels carry the //joinpebble:hotpath
-// contract and run entirely on CanonScratch buffers, in the arena style
-// of the claw-scan kernels: one scratch reused across calls means the
-// steady-state per-fingerprint allocation is the returned labeling
-// alone.
+// contract and run entirely on CanonScratch buffers: one scratch reused
+// across calls means the steady-state per-fingerprint allocation is the
+// returned labeling alone.
 
 import (
 	"fmt"

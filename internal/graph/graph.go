@@ -1,7 +1,7 @@
 // Package graph provides the graph substrate used throughout joinpebble:
 // general undirected graphs, bipartite join graphs, traversals, line
-// graphs, incidence graphs and the small structural predicates (claw
-// detection, Hamiltonian-path search) that the paper's arguments rest on.
+// graphs, incidence graphs and the small Hamiltonian-path searches that
+// the paper's arguments rest on.
 //
 // Vertices are dense integers 0..N()-1. Edges are unordered pairs,
 // deduplicated, and indexed 0..M()-1 in insertion order; the edge index is

@@ -1,8 +1,8 @@
 package graph
 
 import (
-	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -61,8 +61,8 @@ func TestLineGraphClawFree(t *testing.T) {
 		minM, maxM := nl+nr-1, nl*nr
 		m := minM + r.Intn(maxM-minM+1)
 		b := RandomConnectedBipartite(r, nl, nr, m)
-		_, _, claw, err := FindClaw(context.Background(), LineGraph(b.Graph()), nil)
-		return err == nil && !claw
+		_, _, claw := findClaw(LineGraph(b.Graph()))
+		return !claw
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,19 +70,43 @@ func TestLineGraphClawFree(t *testing.T) {
 }
 
 func TestFindClawOnStar(t *testing.T) {
-	g := New(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
-	center, leaves, ok, err := FindClaw(context.Background(), g, nil)
-	if err != nil {
-		t.Fatal(err)
+	center, leaves, ok := findClaw(star(3))
+	if !ok || center != 0 || leaves != [3]int{1, 2, 3} {
+		t.Fatalf("K_{1,3} should contain the claw 0:[1 2 3], got ok=%v center=%d leaves=%v", ok, center, leaves)
 	}
-	if !ok || center != 0 {
-		t.Fatalf("K_{1,3} should contain a claw at 0, got ok=%v center=%d", ok, center)
+}
+
+// star returns K_{1,k}: the smallest claw carrier for k >= 3.
+func star(k int) *Graph {
+	var edges []Edge
+	for i := 1; i <= k; i++ {
+		edges = append(edges, Edge{U: 0, V: i})
 	}
-	for _, l := range leaves {
-		if !g.HasEdge(0, l) {
-			t.Fatal("claw leaf not adjacent to center")
+	return New(k+1, edges)
+}
+
+// findClaw searches g for an induced K_{1,3}: a center with three
+// pairwise non-adjacent neighbors. It returns the lowest such center
+// and its lexicographically first leaf triple, or ok=false when g is
+// claw-free.
+func findClaw(g *Graph) (center int, leaves [3]int, ok bool) {
+	for v := 0; v < g.N(); v++ {
+		nb := slices.Clone(g.Neighbors(v))
+		slices.Sort(nb)
+		for i := range nb {
+			for j := i + 1; j < len(nb); j++ {
+				if g.HasEdge(nb[i], nb[j]) {
+					continue
+				}
+				for k := j + 1; k < len(nb); k++ {
+					if !g.HasEdge(nb[i], nb[k]) && !g.HasEdge(nb[j], nb[k]) {
+						return v, [3]int{nb[i], nb[j], nb[k]}, true
+					}
+				}
+			}
 		}
 	}
+	return 0, [3]int{}, false
 }
 
 func TestLineGraphConnectedWhenGraphConnected(t *testing.T) {

@@ -63,10 +63,6 @@ func (o *mapGraph) Neighbors(v int) []int {
 
 func (o *mapGraph) Degree(v int) int { return len(o.Neighbors(v)) }
 
-func (o *mapGraph) AppendNeighbors(buf []int, v int) []int {
-	return append(buf, o.Neighbors(v)...)
-}
-
 func (o *mapGraph) EdgeIndex(u, v int) (int, bool) {
 	i, ok := o.index[Edge{U: u, V: v}.Normalize()]
 	return i, ok

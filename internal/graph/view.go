@@ -1,27 +1,5 @@
 package graph
 
-// Adjacency is a read-only neighborhood oracle over vertices 0..N()-1 —
-// the minimal interface the structural algorithms (the Theorem 3.1 DFS
-// partition, claw search, small Hamiltonian searches) need. *Graph
-// implements it directly; LineGraphView implements it for L(G) without
-// materializing the line graph.
-type Adjacency interface {
-	// N returns the number of vertices.
-	N() int
-	// Degree returns the number of neighbors of v.
-	Degree(v int) int
-	// HasEdge reports whether u and v are adjacent.
-	HasEdge(u, v int) bool
-	// AppendNeighbors appends the neighbors of v to buf and returns the
-	// extended slice. Neighbors are distinct and never include v itself.
-	AppendNeighbors(buf []int, v int) []int
-}
-
-// AppendNeighbors implements Adjacency by appending v's neighbor span.
-func (g *Graph) AppendNeighbors(buf []int, v int) []int {
-	return append(buf, g.Neighbors(v)...)
-}
-
 // LineGraphView is an implicit adjacency view of L(G): vertex i of the
 // view is edge i of the base graph, and two view vertices are adjacent
 // iff the underlying edges share an endpoint (§2.2). Unlike LineGraph it
@@ -43,17 +21,17 @@ func NewLineGraphView(g *Graph) *LineGraphView {
 // Base returns the underlying graph.
 func (lv *LineGraphView) Base() *Graph { return lv.g }
 
-// N implements Adjacency: L(G) has one vertex per edge of G.
+// N returns the number of view vertices: L(G) has one per edge of G.
 func (lv *LineGraphView) N() int { return len(lv.g.edges) }
 
-// Degree implements Adjacency: deg(u) + deg(v) − 2 for base edge {u,v}.
+// Degree returns deg(u) + deg(v) − 2 for base edge i = {u,v}.
 func (lv *LineGraphView) Degree(i int) int {
 	e := lv.g.edges[i]
 	c := lv.c
 	return c.degree(e.U) + c.degree(e.V) - 2
 }
 
-// HasEdge implements Adjacency: view vertices are adjacent iff the
+// HasEdge reports whether view vertices i and j are adjacent: the
 // underlying edges are distinct and share an endpoint.
 func (lv *LineGraphView) HasEdge(i, j int) bool {
 	if i == j || i < 0 || j < 0 || i >= len(lv.g.edges) || j >= len(lv.g.edges) {
@@ -62,10 +40,11 @@ func (lv *LineGraphView) HasEdge(i, j int) bool {
 	return lv.g.edges[i].SharesEndpoint(lv.g.edges[j])
 }
 
-// AppendNeighbors implements Adjacency: the incident edges of both
-// endpoints of base edge i, excluding i itself. The two spans are
-// disjoint apart from i — a base edge sharing both endpoints with edge i
-// would equal it — so no deduplication is needed.
+// AppendNeighbors appends the neighbors of view vertex i to buf and
+// returns the extended slice: the incident edges of both endpoints of
+// base edge i, excluding i itself. The two spans are disjoint apart from
+// i — a base edge sharing both endpoints with edge i would equal it — so
+// no deduplication is needed.
 func (lv *LineGraphView) AppendNeighbors(buf []int, i int) []int {
 	e := lv.g.edges[i]
 	c := lv.c

@@ -122,7 +122,8 @@ type Audit struct {
 }
 
 // AuditPairs scores an emission order against its join graph. The pairs
-// must be exactly the edge set of b (any order, no duplicates).
+// must be exactly the edge set of b (any order, no duplicates); any other
+// list, including a pair outside [0,NLeft)×[0,NRight), is an error.
 func AuditPairs(b *graph.Bipartite, pairs []Pair) (*Audit, error) {
 	g := b.Graph()
 	if len(pairs) != g.M() {
@@ -131,6 +132,9 @@ func AuditPairs(b *graph.Bipartite, pairs []Pair) (*Audit, error) {
 	order := make([]int, len(pairs))
 	seen := make([]bool, g.M())
 	for k, p := range pairs {
+		if p.L < 0 || p.L >= b.NLeft() || p.R < 0 || p.R >= b.NRight() {
+			return nil, fmt.Errorf("join: pair %v outside the %dx%d join graph", p, b.NLeft(), b.NRight())
+		}
 		idx, ok := g.EdgeIndex(b.LeftVertex(p.L), b.RightVertex(p.R))
 		if !ok {
 			return nil, fmt.Errorf("join: pair %v is not in the join graph", p)

@@ -126,6 +126,11 @@ func TestAuditPairsValidation(t *testing.T) {
 	if _, err := AuditPairs(b, []Pair{{0, 0}, {0, 0}}); err == nil {
 		t.Fatal("duplicate pair must fail")
 	}
+	for _, p := range []Pair{{2, 0}, {0, 2}, {-1, 0}, {0, -1}} {
+		if _, err := AuditPairs(b, []Pair{{0, 0}, p}); err == nil {
+			t.Fatalf("pair %v outside the 2x2 join graph must fail", p)
+		}
+	}
 	audit, err := AuditPairs(b, []Pair{{0, 0}, {1, 1}})
 	if err != nil {
 		t.Fatal(err)

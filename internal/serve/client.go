@@ -139,7 +139,7 @@ func (c *Client) call(ctx context.Context, path string, req *SolveRequest, out a
 		case status == http.StatusServiceUnavailable:
 			lastErr = retryAfter.err
 		default:
-			// 400/405/500/...: retrying cannot help.
+			// 400/405/422/500/...: retrying cannot help.
 			return st, retryAfter.err
 		}
 		if try == attempts-1 {

@@ -9,7 +9,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"joinpebble/internal/engine"
@@ -85,11 +87,11 @@ type SolveRequest struct {
 	// BudgetMS bounds the solve in milliseconds; 0 means the server's
 	// per-request cap, larger values are clamped to it.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
-	// Solver, when set, overrides routing (a solver.Named name); "auto"
-	// leaves routing to the engine, like no solver.
+	// Solver, when set, overrides routing with one of servedSolvers;
+	// "auto" leaves routing to the engine, like no solver.
 	Solver string `json:"solver,omitempty"`
 	// Strict disables the degradation ladder: the planned rung's failure
-	// is the request's failure.
+	// is the request's failure (422 when its solver rejects the instance).
 	Strict bool `json:"strict,omitempty"`
 	// Pairs is the emission order to audit (/v1/audit only): [left,
 	// right] tuple index pairs, one per join-graph edge.
@@ -226,7 +228,7 @@ func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, ep endpoint) {
 	defer release()
 
 	// The request budget, carved into ladder rungs by the planner's
-	// DegradePolicy.
+	// degradation policy.
 	ctx, cancel := context.WithTimeout(r.Context(), requestBudget(req.BudgetMS, s.cfg.RequestTimeout))
 	defer cancel()
 
@@ -259,6 +261,10 @@ func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, ep endpoint) {
 		case errors.Is(err, context.DeadlineExceeded):
 			cReqDeadline.Inc()
 			writeError(w, http.StatusServiceUnavailable, "budget exhausted: "+err.Error(), s.admission.RetryAfter())
+		case errors.Is(err, solver.ErrStructure), errors.Is(err, solver.ErrBudgetExceeded):
+			// A strict run's solver rejected this instance: the request
+			// is well formed, and the same request fails the same way.
+			writeError(w, http.StatusUnprocessableEntity, err.Error(), 0)
 		default:
 			cReqError.Inc()
 			sc.Flag(obs.FlagError)
@@ -280,14 +286,15 @@ func requestBudget(budgetMS int64, limit time.Duration) time.Duration {
 	return limit
 }
 
-// runSolve is the /v1/solve work: build the instance, run the planner
-// ladder under the request budget, and shape the result.
+// runSolve is the /v1/solve work: check the solver override, build the
+// instance, run the planner ladder under the request budget, and shape
+// the result.
 func runSolve(ctx context.Context, s *Server, req *SolveRequest) (any, error) {
-	in, err := s.buildInstance(req)
+	p, err := s.planner(req)
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.planner(req)
+	in, err := s.buildInstance(req)
 	if err != nil {
 		return nil, err
 	}
@@ -327,11 +334,11 @@ func runSolve(ctx context.Context, s *Server, req *SolveRequest) (any, error) {
 
 // runPlan is the /v1/plan work: route without solving.
 func runPlan(_ context.Context, s *Server, req *SolveRequest) (any, error) {
-	in, err := s.buildInstance(req)
+	p, err := s.planner(req)
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.planner(req)
+	in, err := s.buildInstance(req)
 	if err != nil {
 		return nil, err
 	}
@@ -372,10 +379,21 @@ func runAudit(_ context.Context, s *Server, req *SolveRequest) (any, error) {
 	}, nil
 }
 
+// servedSolvers are the solver overrides /v1 accepts besides "auto".
+// Each runs in time linear in the instance, or, for exact, within the
+// server's exact limit. The other named solvers build every component's
+// full line graph (cycle-cover also an m×m matrix) before they check
+// ctx, so no request budget bounds them; the CLIs and experiments keep
+// them.
+var servedSolvers = []string{"approx-1.25", "equijoin", "exact", "matching", "naive"}
+
 // planner builds the per-request Planner: the server's ladder knobs,
 // the request's strictness and solver override, and the configured (or
 // process-wide) scheme cache.
 func (s *Server) planner(req *SolveRequest) (*engine.Planner, error) {
+	if req.Solver != "" && req.Solver != "auto" && !slices.Contains(servedSolvers, req.Solver) {
+		return nil, badRequestf("solver %q is not served over /v1 (served: auto, %s)", req.Solver, strings.Join(servedSolvers, ", "))
+	}
 	sv, err := solver.ByName(req.Solver)
 	if err != nil {
 		return nil, badRequestf("%v", err)
@@ -383,7 +401,7 @@ func (s *Server) planner(req *SolveRequest) (*engine.Planner, error) {
 	return &engine.Planner{
 		ExactLimit: s.cfg.ExactLimit,
 		Solver:     sv,
-		Degrade:    engine.DegradePolicy{Off: req.Strict, RungFraction: s.cfg.RungFraction},
+		Degrade:    solver.LadderPolicy{Off: req.Strict, RungFraction: s.cfg.RungFraction},
 		Cache:      s.cfg.Cache,
 	}, nil
 }

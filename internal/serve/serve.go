@@ -10,9 +10,9 @@
 //     Retry-After instead of queuing unboundedly.
 //   - Ladder: every admitted request gets a per-request deadline
 //     (min of its budget_ms and the server cap) carved into the
-//     engine's DegradePolicy rungs, so a slow solve degrades down
-//     exact → approx-1.25 → naive inside the deadline instead of
-//     blowing through it. Client disconnects cancel the solve through
+//     engine's ladder rungs (solver.LadderPolicy), so a slow solve
+//     degrades down exact → approx-1.25 → naive inside the deadline
+//     instead of blowing through it. Client disconnects cancel the solve through
 //     the request context and are counted, not answered.
 //   - Drain: Shutdown stops accepting (readyz flips to 503), waits for
 //     in-flight solves under the drain deadline, then the caller
@@ -84,7 +84,7 @@ type Config struct {
 	// DrainTimeout bounds Shutdown's wait for in-flight solves when the
 	// caller's context has no deadline of its own. 0 means 10s.
 	DrainTimeout time.Duration
-	// RungFraction is DegradePolicy.RungFraction for every request:
+	// RungFraction is solver.LadderPolicy.RungFraction for every request:
 	// the share of the remaining deadline a non-final ladder rung may
 	// spend. 0 means the engine default (0.5).
 	RungFraction float64

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -101,6 +102,61 @@ func TestPlanAndAuditEndpoints(t *testing.T) {
 	}, http.StatusOK, &audit)
 	if !audit.Perfect || audit.Pairs != 1 {
 		t.Errorf("audit = %+v, want perfect single pair", audit)
+	}
+
+	// A pair outside the 1x1 graph is a bad request, not a panic.
+	for _, p := range [][2]int{{5, 0}, {0, -1}, {-1, 0}} {
+		post(t, s.URL()+"/v1/audit", &SolveRequest{
+			Family: "bipartite", Left: 1, Right: 1,
+			Edges: [][2]int{{0, 0}},
+			Pairs: [][2]int{p},
+		}, http.StatusBadRequest, nil)
+	}
+}
+
+// TestSolverOverrides pins what an explicit /v1 solver may do. Exact
+// runs under the server's exact limit, the solvers that build a whole
+// line graph are refused before the instance is built, and a strict run
+// whose solver rejects the instance answers 422.
+func TestSolverOverrides(t *testing.T) {
+	s := startServer(t, Config{ExactLimit: 4})
+	// A 6-edge path: one component over the exact limit, neither a
+	// matching nor complete bipartite.
+	path := func(name string, strict bool) *SolveRequest {
+		return &SolveRequest{
+			Family: "bipartite", Left: 4, Right: 3, Solver: name, Strict: strict,
+			Edges: [][2]int{{0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 2}, {3, 2}},
+		}
+	}
+	for _, name := range []string{"exact", "equijoin", "matching"} {
+		t.Run("strict-"+name, func(t *testing.T) {
+			var e ErrorResponse
+			post(t, s.URL()+"/v1/solve", path(name, true), http.StatusUnprocessableEntity, &e)
+			if name == "exact" && !strings.Contains(e.Error, "exact limit 4") {
+				t.Errorf("error %q, want the server's exact limit 4", e.Error)
+			}
+		})
+	}
+	t.Run("exact-degrades", func(t *testing.T) {
+		var r SolveResponse
+		post(t, s.URL()+"/v1/solve", path("exact", false), http.StatusOK, &r)
+		if !r.Degraded || r.Solver != "approx-1.25" || len(r.Attempts) == 0 || !strings.Contains(r.Attempts[0].Err, "exact limit 4") {
+			t.Errorf("solver %q, degraded %v, attempts %+v; want a fall from exact to approx-1.25", r.Solver, r.Degraded, r.Attempts)
+		}
+	})
+	for _, name := range []string{"greedy", "greedy+2opt", "path-cover", "cycle-cover", "exact-bnb"} {
+		t.Run("refused-"+name, func(t *testing.T) {
+			for _, ep := range []string{"/v1/solve", "/v1/plan"} {
+				post(t, s.URL()+ep, path(name, false), http.StatusBadRequest, nil)
+			}
+			// Refused before the instance is built: the error names the
+			// solver, not the unknown family.
+			var e ErrorResponse
+			post(t, s.URL()+"/v1/solve", &SolveRequest{Family: "no-such-family", Left: 4, Right: 4, Solver: name}, http.StatusBadRequest, &e)
+			if !strings.Contains(e.Error, "not served") {
+				t.Errorf("error %q, want the solver refused first", e.Error)
+			}
+		})
 	}
 }
 

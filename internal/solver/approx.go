@@ -119,7 +119,7 @@ func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, sk
 // builds one DFS tree and strips pieces in one post-order sweep (see
 // Approx125); lg answers the adjacency tests of twin elimination and
 // the final remainder.
-func pathPartition(cg *graph.Graph, lg graph.Adjacency, skipTwins bool) ([][]int, error) {
+func pathPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) ([][]int, error) {
 	t := newSpanTree(cg)
 	var pieces [][]int
 	visited, covered := 0, 0
@@ -308,7 +308,7 @@ func (t *spanTree) removeChild(p, c int) {
 // order a scan of the whole tree would take; twins outside the subtree
 // are left alone, since a re-hang moves no vertex between subtrees of
 // size >= 4 and so never changes which subtree is stripped.
-func (t *spanTree) eliminateTwinsBelow(lg graph.Adjacency, r int) error {
+func (t *spanTree) eliminateTwinsBelow(lg *graph.LineGraphView, r int) error {
 	var ps [2]int
 	n := 0
 	for c := 0; c < int(t.nkid[r]); c++ {
@@ -332,7 +332,7 @@ func (t *spanTree) eliminateTwinsBelow(lg graph.Adjacency, r int) error {
 // re-hanging argument in the paper, along an edge of lg whose existence
 // claw-freeness guarantees. The three vertices stay one subtree in the
 // place p held, and no new twins appear.
-func (t *spanTree) rehangTwins(lg graph.Adjacency, p, l1, l2 int) error {
+func (t *spanTree) rehangTwins(lg *graph.LineGraphView, p, l1, l2 int) error {
 	if lg.HasEdge(l1, l2) {
 		// Chain the twins: p — l1 — l2. The addChild targets are a leaf
 		// (l1) and nodes that just lost a child, so the two-slot bound
@@ -426,7 +426,7 @@ func (t *spanTree) appendSubtree(out []int, r int) []int {
 // (any connected graph on at most 3 vertices has one) by brute force,
 // permuting perm in place and trying start vertices and extensions in
 // the order it lists them.
-func hamPathSmall(lg graph.Adjacency, perm []int) ([]int, bool) {
+func hamPathSmall(lg *graph.LineGraphView, perm []int) ([]int, bool) {
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == len(perm) {

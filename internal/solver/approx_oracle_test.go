@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
-	"joinpebble/internal/bitset"
 	"joinpebble/internal/family"
 	"joinpebble/internal/graph"
 )
@@ -20,7 +20,7 @@ import (
 // vertices. That is O(m·|E(L)|) per component. It shares the twin
 // re-hang, the subtree linearization and the small remainder search with
 // pathPartition.
-func rebuildPartition(lg graph.Adjacency, skipTwins bool) ([][]int, error) {
+func rebuildPartition(lg *graph.LineGraphView, skipTwins bool) ([][]int, error) {
 	n := lg.N()
 	t := &rebuildTree{
 		spanTree: spanTree{
@@ -30,21 +30,21 @@ func rebuildPartition(lg graph.Adjacency, skipTwins bool) ([][]int, error) {
 			size:   make([]int, n),
 		},
 		lg:     lg,
-		alive:  bitset.New(n),
+		alive:  make([]bool, n),
 		order:  make([]int, n),
 		frames: make([]dfsFrame, n),
 	}
 	aliveCount := n
-	for v := 0; v < n; v++ {
-		t.alive.Set(v)
+	for v := range t.alive {
+		t.alive[v] = true
 	}
 	var pieces [][]int
 	for aliveCount > 0 {
-		root := t.alive.NextSet(0)
+		root := slices.Index(t.alive, true)
 		if aliveCount < 4 {
 			var verts []int
-			for v := 0; v < n; v++ {
-				if t.alive.Test(v) {
+			for v, ok := range t.alive {
+				if ok {
 					verts = append(verts, v)
 				}
 			}
@@ -68,7 +68,7 @@ func rebuildPartition(lg graph.Adjacency, skipTwins bool) ([][]int, error) {
 			return nil, err
 		}
 		for _, v := range path {
-			t.alive.Clear(v)
+			t.alive[v] = false
 			aliveCount--
 		}
 		pieces = append(pieces, path)
@@ -84,9 +84,9 @@ type dfsFrame struct{ v, base, end, next int }
 // from scratch for every strip.
 type rebuildTree struct {
 	spanTree
-	lg     graph.Adjacency
+	lg     *graph.LineGraphView
 	root   int
-	alive  bitset.Bitset
+	alive  []bool
 	order  []int      // preorder scratch for subtreeSizes
 	frames []dfsFrame // DFS frames for rebuild
 	nb     []int      // DFS neighbor scratch, stack-disciplined spans
@@ -110,7 +110,7 @@ func (t *rebuildTree) rebuild(root int) error {
 		for f.next < f.end {
 			w := t.nb[f.next]
 			f.next++
-			if t.alive.Test(w) && t.parent[w] == -2 {
+			if t.alive[w] && t.parent[w] == -2 {
 				t.parent[w] = f.v
 				if !t.addChild(f.v, w) {
 					return fmt.Errorf("solver: node %d has > 2 children in claw-free DFS tree", f.v)

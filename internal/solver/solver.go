@@ -103,7 +103,7 @@ type Solver interface {
 }
 
 // SolveContext is s.Solve(ctx, g). It stays only for the replay in
-// cmd/pebblebench; the next benchmark change (ROADMAP item 6) deletes it.
+// cmd/pebblebench; the next benchmark change (ROADMAP item 2) deletes it.
 func SolveContext(ctx context.Context, s Solver, g *graph.Graph) (core.Scheme, error) {
 	return s.Solve(ctx, g)
 }

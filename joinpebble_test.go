@@ -88,6 +88,9 @@ func TestAuditEmissionFacade(t *testing.T) {
 	if !a.Perfect || a.Jumps != 0 {
 		t.Fatalf("boustrophedon emission should be perfect: %+v", a)
 	}
+	if _, err := AuditEmission(b, []Pair{{L: 0, R: 0}, {L: 0, R: 1}, {L: 1, R: 1}, {L: 5, R: 0}}); err == nil {
+		t.Fatal("a pair outside the join graph must be an error")
+	}
 }
 
 func TestSolversLineup(t *testing.T) {
