@@ -367,16 +367,18 @@ func spiderScaling() []PerfCase {
 	return cases
 }
 
-// equijoinScaling is the Theorem 3.2 linear-time pair of series on
+// equijoinScaling is the Theorem 3.2 linear-time trio of series on
 // zipf-1.2 equijoins of n×n tuples over n values, m from about 4k to 64k
-// edges: join.EquiGraph and solver.Equijoin, each fitting its slope.
-// Every solve case records "verify_ratio", its ns/op over that of
-// core.Verify on the same graph and scheme, timed right after it.
+// edges: join.EquiGraph, solver.Equijoin and graph.Canonicalize (the
+// fingerprint every request computes before the cache lookup), each
+// fitting its slope. Every solve and canon case records "verify_ratio",
+// its ns/op over that of core.Verify on the same graph and scheme, timed
+// right after it.
 func equijoinScaling() []PerfCase {
 	sides := []int{200, 290, 424, 620, 920}
 	ms := make([]int, len(sides))
-	buildNs, solveNs := make([]float64, len(sides)), make([]float64, len(sides))
-	var builds, solves []PerfCase
+	buildNs, solveNs, canonNs := make([]float64, len(sides)), make([]float64, len(sides)), make([]float64, len(sides))
+	var builds, solves, canons []PerfCase
 	ctx := context.Background()
 	for i, n := range sides {
 		l, r := workload.Equijoin{LeftSize: n, RightSize: n, Domain: int64(n), Skew: 1.2}.Generate(perfSeed)
@@ -402,18 +404,35 @@ func equijoinScaling() []PerfCase {
 				}
 			}
 			recordScaling(b, solve.Extra, ms, solveNs, i)
-			b.StopTimer()
-			start := obs.Now()
-			for j := 0; j < b.N; j++ {
-				if _, err := core.Verify(g, scheme); err != nil {
-					b.Fatal(err)
-				}
-			}
-			solve.Extra["verify_ratio"] = solveNs[i] * float64(b.N) / float64(obs.Since(start).Nanoseconds())
+			solve.Extra["verify_ratio"] = solveNs[i] / verifyNs(b, g, scheme)
 		}
-		builds, solves = append(builds, build), append(solves, solve)
+		canon := PerfCase{Name: fmt.Sprintf("canon/equijoin-m%d", g.M()), Extra: map[string]float64{}}
+		canon.Run = func(b *testing.B) {
+			sc := graph.NewCanonScratch()
+			graph.Canonicalize(g, sc)
+			b.ResetTimer()
+			for j := 0; j < b.N; j++ {
+				graph.Canonicalize(g, sc)
+			}
+			recordScaling(b, canon.Extra, ms, canonNs, i)
+			canon.Extra["verify_ratio"] = canonNs[i] / verifyNs(b, g, scheme)
+		}
+		builds, solves, canons = append(builds, build), append(solves, solve), append(canons, canon)
 	}
-	return append(builds, solves...)
+	return slices.Concat(builds, solves, canons)
+}
+
+// verifyNs stops b's timer and returns the ns/op of core.Verify on g
+// and scheme over b.N calls.
+func verifyNs(b *testing.B, g *graph.Graph, scheme core.Scheme) float64 {
+	b.StopTimer()
+	start := obs.Now()
+	for j := 0; j < b.N; j++ {
+		if _, err := core.Verify(g, scheme); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return float64(obs.Since(start).Nanoseconds()) / float64(b.N)
 }
 
 // recordScaling stores case i's ns/op in ns. The last case of a series,

@@ -5,13 +5,18 @@ package graph
 // The scheme cache keys on graph isomorphism classes: a pebbling scheme
 // depends only on the join graph's shape, so two requests with the same
 // shape under different vertex numberings must hash to the same key.
-// Canonicalize computes that key in three passes:
+// Canonicalize computes that key in three passes, in O((n+m)·rounds +
+// m log n) time overall:
 //
 //  1. iterated WL-style color refinement to a fixed point — initial
 //     colors are (degree, component order, component size) ranks, each
 //     round replaces a vertex's color with a hash of (own color, sorted
 //     neighbor colors) and re-ranks, stopping when the number of
-//     distinct colors stops growing;
+//     distinct colors stops growing. A round is one counting sort of
+//     the vertices by color and one sweep that folds each source's
+//     color into its neighbors' running hashes in that order, so every
+//     vertex receives its neighbor colors already sorted: O(n + m),
+//     plus O(n log n) to re-rank the n hashes;
 //  2. a deterministic canonical relabeling: a greedy frontier order
 //     that always assigns the minimum of (on-frontier, color,
 //     assigned-neighborhood hash, id) next. A vertex is on the frontier
@@ -22,8 +27,12 @@ package graph
 //     confines raw id tie-breaks to positions where the tied vertices
 //     are interchangeable for the families the repo generates (spiders,
 //     complete bipartite graphs, cycles, paths, matchings, and their
-//     line graphs — see the package test corpus);
-//  3. a 128-bit hash of the sorted canonical edge list (plus n and m).
+//     line graphs — see the package test corpus). The frontier is an
+//     indexed min-heap of at most n vertices, re-keyed in place when a
+//     neighbor is assigned, and an empty frontier takes the next
+//     untouched vertex from the color-sorted list: O(m log n);
+//  3. a 128-bit hash of the sorted canonical edge list (plus n and m),
+//     sorted by two stable counting passes over canonical ids: O(n + m).
 //
 // Soundness is unconditional: equal canonical edge lists exhibit an
 // isomorphism, so non-isomorphic graphs can only collide by hash
@@ -78,98 +87,54 @@ func (f Fingerprint) Mix(words ...uint64) Fingerprint {
 // buffers grow monotonically and are never returned to the allocator.
 // Not safe for concurrent use — pool scratches per goroutine.
 type CanonScratch struct {
-	color  []uint32   // current color (dense rank) per vertex
-	sig    []uint64   // signature hash per vertex, input to re-ranking
-	sorted []uint64   // sort/dedupe buffer for rank assignment
-	queue  []int32    // component-labeling BFS queue
-	perm   []int32    // vertex -> canonical id
-	comp   []int32    // vertex -> component id
-	cinfo  []uint64   // per-component (order, size) packed
-	nbr    []uint64   // per-vertex neighbor color buffer (max degree)
-	ekeys  []uint64   // canonical edge keys
-	sigAdj []uint64   // assigned-neighborhood hash per unassigned vertex
-	ver    []uint32   // sigAdj version per vertex, for lazy heap deletion
-	heap   []canonEnt // candidate min-heap with stale entries
-}
-
-// canonEnt is one candidate in the greedy-order heap. Entries are
-// immutable; a vertex whose key changed is re-pushed with a bumped
-// version and stale entries are dropped at pop time.
-type canonEnt struct {
-	color uint32
-	sig   uint64
-	id    int32
-	ver   uint32
-}
-
-// less orders candidates by (color, assigned-neighborhood hash, id) —
-// every component isomorphism-invariant except the final id, which only
-// breaks ties between vertices the first two could not separate.
-//
-//joinpebble:hotpath
-func (e canonEnt) less(o canonEnt) bool {
-	// Frontier first: a vertex adjacent to the assigned prefix
-	// (ver > 0) always beats an untouched one, keeping the order
-	// contiguous within a component. Without this, a color class whose
-	// members are still untouched could be popped after earlier
-	// assignments broke its symmetry, and the id tie-break below would
-	// become label-dependent. Untouched ties then only arise when the
-	// frontier is empty — at the start of a fresh component, where the
-	// candidates really are interchangeable.
-	et, ot := e.ver > 0, o.ver > 0
-	if et != ot {
-		return et
-	}
-	if e.color != o.color {
-		return e.color < o.color
-	}
-	if e.sig != o.sig {
-		return e.sig < o.sig
-	}
-	return e.id < o.id
+	color  []uint32      // current color (dense rank) per vertex
+	sig    []uint64      // signature hash per vertex, input to re-ranking
+	sorted []uint64      // sort/dedupe buffer for rank assignment
+	order  []int32       // component-labeling BFS queue, then vertices in (color, id) order
+	count  []int         // counting-sort buckets, one per color or canonical id plus one
+	perm   []int32       // vertex -> canonical id
+	comp   []int32       // vertex -> component id
+	cinfo  []uint64      // per-component (order, size) packed
+	heap   []frontierEnt // frontier min-heap of touched, unassigned vertices
+	pos    []int32       // heap slot per vertex, -1 until first touched
+	ekeys  []uint64      // canonical edge keys
+	etmp   []uint64      // counting-sort buffer for the edge keys
 }
 
 // NewCanonScratch returns an empty scratch; buffers are sized on first
 // use.
 func NewCanonScratch() *CanonScratch { return &CanonScratch{} }
 
-// grow sizes every buffer for an n-vertex, m-edge graph with maximum
-// degree maxDeg.
-func (sc *CanonScratch) grow(n, m, maxDeg int) {
+// grow sizes every buffer for an n-vertex, m-edge graph.
+func (sc *CanonScratch) grow(n, m int) {
 	if cap(sc.color) < n {
 		sc.color = make([]uint32, n)
 		sc.sig = make([]uint64, n)
 		sc.sorted = make([]uint64, n)
-		sc.queue = make([]int32, n)
+		sc.order = make([]int32, n)
+		sc.count = make([]int, n+1)
 		sc.perm = make([]int32, n)
 		sc.comp = make([]int32, n)
 		sc.cinfo = make([]uint64, n)
-		sc.sigAdj = make([]uint64, n)
-		sc.ver = make([]uint32, n)
-	}
-	// Heap peak: one initial entry per vertex plus at most one re-push
-	// per edge (a push happens only when an assigned endpoint touches a
-	// still-unassigned one).
-	if cap(sc.heap) < n+m+1 {
-		sc.heap = make([]canonEnt, n+m+1)
-	}
-	if cap(sc.nbr) < maxDeg {
-		sc.nbr = make([]uint64, maxDeg)
+		sc.heap = make([]frontierEnt, n)
+		sc.pos = make([]int32, n)
 	}
 	if cap(sc.ekeys) < m {
 		sc.ekeys = make([]uint64, m)
+		sc.etmp = make([]uint64, m)
 	}
 	sc.color = sc.color[:n]
 	sc.sig = sc.sig[:n]
 	sc.sorted = sc.sorted[:n]
-	sc.queue = sc.queue[:n]
+	sc.order = sc.order[:n]
+	sc.count = sc.count[:n+1]
 	sc.perm = sc.perm[:n]
 	sc.comp = sc.comp[:n]
 	sc.cinfo = sc.cinfo[:n]
-	sc.sigAdj = sc.sigAdj[:n]
-	sc.ver = sc.ver[:n]
-	sc.nbr = sc.nbr[:maxDeg]
+	sc.heap = sc.heap[:n]
+	sc.pos = sc.pos[:n]
 	sc.ekeys = sc.ekeys[:m]
+	sc.etmp = sc.etmp[:m]
 }
 
 // Canonicalize computes the canonical labeling of g — perm[v] is the
@@ -186,13 +151,7 @@ func Canonicalize(g *Graph, sc *CanonScratch) ([]int32, Fingerprint) {
 		return nil, Fingerprint{Hi: mix64(canonSeedHi, 0), Lo: mix64(canonSeedLo, 0)}
 	}
 	c := &g.csr
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		if d := c.start[v+1] - c.start[v]; d > maxDeg {
-			maxDeg = d
-		}
-	}
-	sc.grow(n, m, maxDeg)
+	sc.grow(n, m)
 
 	// Initial colors: (degree, component order, component size) ranks.
 	// The component terms separate same-degree vertices of structurally
@@ -201,15 +160,18 @@ func Canonicalize(g *Graph, sc *CanonScratch) ([]int32, Fingerprint) {
 	// components.
 	labelComponents(c, n, sc)
 	for v := 0; v < n; v++ {
-		h := mix64(canonSeedHi, uint64(c.start[v+1]-c.start[v]))
+		h := mix64(canonSeedHi, uint64(c.degree(v)))
 		sc.sig[v] = mix64(h, sc.cinfo[sc.comp[v]])
 	}
 	distinct := rankColors(sc, n)
 
 	// Iterated refinement to a fixed point: the distinct-color count is
 	// strictly monotone until it stabilizes, so this runs at most n
-	// rounds (2-3 in practice for the generated families).
+	// rounds (2-3 in practice for the generated families). The last
+	// round leaves the partition as it was but renumbers its colors, so
+	// the order is sorted once more for canonicalOrder.
 	for {
+		sortByColor(sc, n, distinct)
 		refinePass(c, sc, n)
 		next := rankColors(sc, n)
 		if next == distinct {
@@ -217,18 +179,13 @@ func Canonicalize(g *Graph, sc *CanonScratch) ([]int32, Fingerprint) {
 		}
 		distinct = next
 	}
+	sortByColor(sc, n, distinct)
 
 	canonicalOrder(c, sc, n)
 	fp := edgeListFingerprint(g, sc, n, m)
 	perm := make([]int32, n)
 	copy(perm, sc.perm)
 	return perm, fp
-}
-
-// CanonicalFingerprint is Canonicalize without keeping the labeling.
-func CanonicalFingerprint(g *Graph, sc *CanonScratch) Fingerprint {
-	_, fp := Canonicalize(g, sc)
-	return fp
 }
 
 const (
@@ -250,7 +207,7 @@ func mix64(h, x uint64) uint64 {
 
 // labelComponents fills sc.comp with a component id per vertex and
 // sc.cinfo[ci] with a hash of the component's (order, size), returning
-// the component count. Plain BFS on the scratch queue.
+// the component count. Plain BFS on sc.order as the queue.
 //
 //joinpebble:hotpath
 func labelComponents(c *csr, n int, sc *CanonScratch) int {
@@ -267,10 +224,10 @@ func labelComponents(c *csr, n int, sc *CanonScratch) int {
 		order, slots := 0, 0
 		head, tail := 0, 0
 		sc.comp[root] = ci
-		sc.queue[tail] = int32(root)
+		sc.order[tail] = int32(root)
 		tail++
 		for head < tail {
-			u := int(sc.queue[head])
+			u := int(sc.order[head])
 			head++
 			order++
 			slots += c.start[u+1] - c.start[u]
@@ -278,7 +235,7 @@ func labelComponents(c *csr, n int, sc *CanonScratch) int {
 				w := c.vert[i]
 				if sc.comp[w] < 0 {
 					sc.comp[w] = ci
-					sc.queue[tail] = int32(w)
+					sc.order[tail] = int32(w)
 					tail++
 				}
 			}
@@ -289,24 +246,42 @@ func labelComponents(c *csr, n int, sc *CanonScratch) int {
 	return nc
 }
 
-// refinePass computes each vertex's next signature from its current
-// color and the sorted multiset of its neighbors' colors.
+// sortByColor fills sc.order with the n vertices in (color, id) order:
+// one stable counting sort over the k dense color ranks.
+//
+//joinpebble:hotpath
+func sortByColor(sc *CanonScratch, n, k int) {
+	cnt := sc.count[:k+1]
+	clear(cnt)
+	for v := 0; v < n; v++ {
+		cnt[sc.color[v]+1]++
+	}
+	for i := 1; i < k; i++ {
+		cnt[i] += cnt[i-1]
+	}
+	for v := 0; v < n; v++ {
+		col := sc.color[v]
+		sc.order[cnt[col]] = int32(v)
+		cnt[col]++
+	}
+}
+
+// refinePass computes each vertex's next signature: its own color, then
+// its neighbors' colors in ascending order, folded by mix64. Walking the
+// sources in sc.order (ascending color) and folding each source's color
+// into every neighbor's running hash delivers each vertex its neighbor
+// colors already sorted, so no per-vertex sort is needed.
 //
 //joinpebble:hotpath
 func refinePass(c *csr, sc *CanonScratch, n int) {
 	for v := 0; v < n; v++ {
-		lo, hi := c.start[v], c.start[v+1]
-		k := 0
-		for i := lo; i < hi; i++ {
-			sc.nbr[k] = uint64(sc.color[c.vert[i]])
-			k++
+		sc.sig[v] = mix64(canonSeedHi, uint64(sc.color[v]))
+	}
+	for _, u := range sc.order[:n] {
+		cu := uint64(sc.color[u])
+		for _, w := range c.vert[c.start[u]:c.start[u+1]] {
+			sc.sig[w] = mix64(sc.sig[w], cu)
 		}
-		sortU64(sc.nbr[:k])
-		h := mix64(canonSeedHi, uint64(sc.color[v]))
-		for i := 0; i < k; i++ {
-			h = mix64(h, sc.nbr[i])
-		}
-		sc.sig[v] = h
 	}
 }
 
@@ -342,115 +317,164 @@ func rankColors(sc *CanonScratch, n int) int {
 	return k
 }
 
-// sortU64 sorts small spans by insertion (neighbor lists are short for
-// most families) and defers long ones to the generic sort.
+// frontierEnt is a frontier vertex in the canonical-order heap, keyed
+// by its color and the hash of its assigned neighbors' canonical ids.
+type frontierEnt struct {
+	sig   uint64 // xor of mix64(canonSeedLo, id+1) over assigned neighbors
+	color uint32
+	v     int32
+}
+
+// less orders frontier vertices by (color, assigned-neighborhood hash,
+// id) — every component isomorphism-invariant except the final id,
+// which only breaks ties between vertices the first two could not
+// separate.
 //
 //joinpebble:hotpath
-func sortU64(a []uint64) {
-	if len(a) > 24 {
-		slices.Sort(a)
-		return
+func (e frontierEnt) less(o frontierEnt) bool {
+	if e.color != o.color {
+		return e.color < o.color
 	}
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
+	if e.sig != o.sig {
+		return e.sig < o.sig
 	}
+	return e.v < o.v
 }
 
 // canonicalOrder assigns canonical ids in sc.perm, one vertex at a
-// time: always the minimum (color, assigned-neighborhood hash, id)
-// candidate next. Assigning a vertex folds its fresh canonical id into
-// every unassigned neighbor's hash (xor of per-id mixes, so the value
-// is independent of assignment order within the set) and re-pushes the
-// neighbor; the heap drops stale versions at pop time. Ties that reach
-// the final id component are between vertices with identical color and
-// identical assigned neighborhoods — automorphic in the generated
-// families, so the id choice cannot change the canonical edge list.
+// time: the least frontier vertex when the frontier is not empty, else
+// the least untouched vertex in (color, id) order, which is the first
+// unassigned entry of sc.order. A vertex joins the frontier when its
+// first neighbor is assigned, so an untouched vertex never outranks a
+// frontier one and the order stays contiguous within a component.
+// Assigning a vertex folds its fresh canonical id into every unassigned
+// neighbor's hash (xor of per-id mixes, so the value is independent of
+// assignment order within the set) and re-keys that neighbor's heap
+// entry in place. Ties that reach the final id component are between
+// vertices with identical color and identical assigned neighborhoods —
+// automorphic in the generated families, so the id choice cannot change
+// the canonical edge list.
 //
 //joinpebble:hotpath
 func canonicalOrder(c *csr, sc *CanonScratch, n int) {
-	hn := 0
 	for v := 0; v < n; v++ {
 		sc.perm[v] = -1
-		sc.sigAdj[v] = 0
-		sc.ver[v] = 0
-		hn = heapPush(sc.heap, hn, canonEnt{color: sc.color[v], id: int32(v)})
+		sc.pos[v] = -1
 	}
-	next := int32(0)
-	for hn > 0 {
-		var e canonEnt
-		e, hn = heapPop(sc.heap, hn)
-		v := int(e.id)
-		if sc.perm[v] >= 0 || sc.ver[v] != e.ver {
-			continue
+	h := sc.heap
+	hn, untouched := 0, 0
+	for id := 0; id < n; id++ {
+		var v int32
+		if hn > 0 {
+			v = h[0].v
+			hn--
+			frontierPop(sc, hn)
+		} else {
+			for sc.perm[sc.order[untouched]] >= 0 {
+				untouched++
+			}
+			v = sc.order[untouched]
 		}
-		sc.perm[v] = next
-		id := uint64(next)
-		next++
-		for i := c.start[v]; i < c.start[v+1]; i++ {
-			w := c.vert[i]
+		sc.perm[v] = int32(id)
+		mix := mix64(canonSeedLo, uint64(id)+1)
+		for _, w := range c.vert[c.start[v]:c.start[v+1]] {
 			if sc.perm[w] >= 0 {
 				continue
 			}
-			sc.sigAdj[w] ^= mix64(canonSeedLo, id+1)
-			sc.ver[w]++
-			hn = heapPush(sc.heap, hn, canonEnt{color: sc.color[w], sig: sc.sigAdj[w], id: int32(w), ver: sc.ver[w]})
+			i := int(sc.pos[w])
+			if i < 0 {
+				frontierUp(sc, frontierEnt{sig: mix, color: sc.color[w], v: int32(w)}, hn)
+				hn++
+				continue
+			}
+			e := h[i]
+			e.sig ^= mix
+			if i > 0 && e.less(h[(i-1)/2]) {
+				frontierUp(sc, e, i)
+			} else {
+				frontierDown(sc, e, i, hn)
+			}
 		}
 	}
 }
 
-// heapPush inserts e into the first hn slots of h (a binary min-heap
-// under canonEnt.less) and returns the new length. Capacity is
-// preallocated by grow; no append.
+// frontierUp places e at heap slot i or, past every ancestor it beats,
+// nearer the root, shifting those ancestors down and keeping sc.pos in
+// step.
 //
 //joinpebble:hotpath
-func heapPush(h []canonEnt, hn int, e canonEnt) int {
-	i := hn
-	h[i] = e
+func frontierUp(sc *CanonScratch, e frontierEnt, i int) {
+	h := sc.heap
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h[i].less(h[p]) {
+		if !e.less(h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
+		sc.pos[h[i].v] = int32(i)
 		i = p
 	}
-	return hn + 1
+	h[i] = e
+	sc.pos[e.v] = int32(i)
 }
 
-// heapPop removes and returns the minimum entry, with the new length.
+// frontierPop refills the root slot, whose entry the caller has taken,
+// once the heap has shrunk to hn entries: the hole walks down the
+// smaller children to a leaf, one comparison per level, and the entry
+// left in slot hn, now past the end, is sifted up from there. Sifting
+// that entry down from the root would cost two comparisons per level,
+// and it usually belongs near the bottom anyway.
 //
 //joinpebble:hotpath
-func heapPop(h []canonEnt, hn int) (canonEnt, int) {
-	top := h[0]
-	hn--
-	h[0] = h[hn]
+func frontierPop(sc *CanonScratch, hn int) {
+	h := sc.heap
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < hn && h[l].less(h[s]) {
-			s = l
-		}
-		if r < hn && h[r].less(h[s]) {
-			s = r
-		}
-		if s == i {
+		s := 2*i + 1
+		if s >= hn {
 			break
 		}
-		h[i], h[s] = h[s], h[i]
+		if r := s + 1; r < hn && h[r].less(h[s]) {
+			s = r
+		}
+		h[i] = h[s]
+		sc.pos[h[i].v] = int32(i)
 		i = s
 	}
-	return top, hn
+	frontierUp(sc, h[hn], i)
+}
+
+// frontierDown places e at slot i of the first hn heap slots or, past
+// every child that beats it, nearer the leaves, shifting those children
+// up and keeping sc.pos in step.
+//
+//joinpebble:hotpath
+func frontierDown(sc *CanonScratch, e frontierEnt, i, hn int) {
+	h := sc.heap
+	for {
+		s := 2*i + 1
+		if s >= hn {
+			break
+		}
+		if r := s + 1; r < hn && h[r].less(h[s]) {
+			s = r
+		}
+		if !h[s].less(e) {
+			break
+		}
+		h[i] = h[s]
+		sc.pos[h[i].v] = int32(i)
+		i = s
+	}
+	h[i] = e
+	sc.pos[e.v] = int32(i)
 }
 
 // edgeListFingerprint hashes the sorted canonical edge list plus the
-// graph's order and size into 128 bits.
+// graph's order and size into 128 bits. An edge's key is its smaller
+// canonical id in the high word and its larger in the low word, so two
+// stable counting passes, by the low word and then the high, put the
+// keys in ascending order.
 //
 //joinpebble:hotpath
 func edgeListFingerprint(g *Graph, sc *CanonScratch, n, m int) Fingerprint {
@@ -462,7 +486,8 @@ func edgeListFingerprint(g *Graph, sc *CanonScratch, n, m int) Fingerprint {
 		}
 		sc.ekeys[i] = uint64(a)<<32 | uint64(b)
 	}
-	slices.Sort(sc.ekeys[:m])
+	countingSortKeys(sc.etmp, sc.ekeys, 0, sc.count[:n+1])
+	countingSortKeys(sc.ekeys, sc.etmp, 32, sc.count[:n+1])
 	hi := mix64(canonSeedHi, uint64(n))
 	lo := mix64(canonSeedLo, uint64(n))
 	hi = mix64(hi, uint64(m))
@@ -472,4 +497,24 @@ func edgeListFingerprint(g *Graph, sc *CanonScratch, n, m int) Fingerprint {
 		lo = mix64(lo, sc.ekeys[i]^0x5BF0_3635_DEAD_BEEF)
 	}
 	return Fingerprint{Hi: hi, Lo: lo}
+}
+
+// countingSortKeys stably scatters src into dst in ascending order of the
+// canonical id held in the 32 bits of each key from bit shift up; cnt
+// holds one bucket per canonical id plus one.
+//
+//joinpebble:hotpath
+func countingSortKeys(dst, src []uint64, shift uint, cnt []int) {
+	clear(cnt)
+	for _, k := range src {
+		cnt[uint32(k>>shift)+1]++
+	}
+	for i := 1; i < len(cnt); i++ {
+		cnt[i] += cnt[i-1]
+	}
+	for _, k := range src {
+		id := uint32(k >> shift)
+		dst[cnt[id]] = k
+		cnt[id]++
+	}
 }

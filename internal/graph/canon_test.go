@@ -1,9 +1,11 @@
 package graph_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"joinpebble/internal/family"
 	"joinpebble/internal/graph"
 )
 
@@ -181,13 +183,13 @@ func TestFingerprintNearMissDistinct(t *testing.T) {
 				t.Fatalf("%s: test bug — degree sequences differ, not a near-miss pair", name)
 			}
 		}
-		fa := graph.CanonicalFingerprint(a, sc)
-		fb := graph.CanonicalFingerprint(b, sc)
+		_, fa := graph.Canonicalize(a, sc)
+		_, fb := graph.Canonicalize(b, sc)
 		if fa == fb {
 			t.Errorf("%s: non-isomorphic graphs share fingerprint %v", name, fa)
 		}
 		rng := rand.New(rand.NewSource(3))
-		if got := graph.CanonicalFingerprint(permuted(rng, b), sc); got != fb {
+		if _, got := graph.Canonicalize(permuted(rng, b), sc); got != fb {
 			t.Errorf("%s: relabeled second graph fingerprints %v, want %v", name, got, fb)
 		}
 	}
@@ -196,7 +198,7 @@ func TestFingerprintNearMissDistinct(t *testing.T) {
 // TestFingerprintMixSeparates: the same structure under different
 // family salts keys differently, and Mix is deterministic.
 func TestFingerprintMixSeparates(t *testing.T) {
-	fp := graph.CanonicalFingerprint(buildSpider(4), nil)
+	_, fp := graph.Canonicalize(buildSpider(4), nil)
 	a := fp.Mix(1, 2)
 	b := fp.Mix(1, 3)
 	if a == b {
@@ -226,6 +228,93 @@ func TestCanonScratchReuse(t *testing.T) {
 	}
 }
 
+// TestCanonicalizeMatchesOracle: Canonicalize returns exactly the
+// labeling and Fingerprint of CanonicalizeOracle, the sorting and
+// lazy-deletion-heap kernels it replaced, on the corpus, every family
+// at sizes 1–60, random graphs with isolated vertices together with
+// their permutations and line graphs, and disjoint unions that repeat
+// isomorphic components — with one scratch reused across all of them.
+func TestCanonicalizeMatchesOracle(t *testing.T) {
+	sc := graph.NewCanonScratch()
+	check := func(name string, g *graph.Graph) {
+		t.Helper()
+		perm, fp := graph.Canonicalize(g, sc)
+		matchesOracle(t, name, g, perm, fp)
+	}
+	for name, g := range corpus(t) {
+		check(name, g)
+	}
+	for _, name := range family.All() {
+		for size := 1; size <= 60; size++ {
+			b, err := family.Build(name, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s-%d", name, size), b.Graph())
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	pool := make([]*graph.Graph, 0, 3000)
+	for i := 0; i < 3000; i++ {
+		g := randomSparseGraph(rng)
+		check(fmt.Sprintf("random-%d", i), g)
+		check(fmt.Sprintf("random-%d-permuted", i), permuted(rng, g))
+		check(fmt.Sprintf("random-%d-line", i), graph.LineGraph(g))
+		pool = append(pool, g)
+	}
+	for i := 0; i < 300; i++ {
+		u := graph.New(0, nil)
+		for k := 2 + rng.Intn(3); k > 0; k-- {
+			part := pool[rng.Intn(len(pool))]
+			if rng.Intn(3) == 0 {
+				b, err := family.Build(family.All()[rng.Intn(len(family.All()))], 1+rng.Intn(8))
+				if err != nil {
+					t.Fatal(err)
+				}
+				part = b.Graph()
+			}
+			u = graph.DisjointUnion(u, part)
+			if rng.Intn(2) == 0 {
+				u = graph.DisjointUnion(u, permuted(rng, part))
+			}
+		}
+		check(fmt.Sprintf("union-%d", i), u)
+		check(fmt.Sprintf("union-%d-permuted", i), permuted(rng, u))
+	}
+}
+
+// randomSparseGraph returns a graph on 1–40 vertices with up to 2n
+// random pairs, so isolated vertices, several components and repeated
+// degrees are common.
+func randomSparseGraph(rng *rand.Rand) *graph.Graph {
+	n := 1 + rng.Intn(40)
+	var edges []graph.Edge
+	for k := rng.Intn(2*n + 1); k > 0; k-- {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+	}
+	return graph.New(n, edges)
+}
+
+// matchesOracle fails t unless perm and fp, Canonicalize's answer for g,
+// equal CanonicalizeOracle's.
+func matchesOracle(t *testing.T, name string, g *graph.Graph, perm []int32, fp graph.Fingerprint) {
+	t.Helper()
+	wantPerm, want := graph.CanonicalizeOracle(g)
+	if fp != want {
+		t.Fatalf("%s (n=%d m=%d): fingerprint %v, oracle %v", name, g.N(), g.M(), fp, want)
+	}
+	if len(perm) != len(wantPerm) {
+		t.Fatalf("%s: labeling length %d, oracle %d", name, len(perm), len(wantPerm))
+	}
+	for v := range perm {
+		if perm[v] != wantPerm[v] {
+			t.Fatalf("%s (n=%d m=%d): vertex %d gets canonical id %d, oracle %d", name, g.N(), g.M(), v, perm[v], wantPerm[v])
+		}
+	}
+}
+
 // FuzzCanonPermutation drives the fingerprint contract over generated
 // instances. For the structured families the cache targets (spiders,
 // complete bipartite, cycles/paths, line graphs) a random relabeling
@@ -236,7 +325,9 @@ func TestCanonScratchReuse(t *testing.T) {
 // and repeated calls must be deterministic — but two relabelings may
 // fingerprint apart (a cache miss, never a wrong hit), because 1-WL
 // refinement plus assigned-neighborhood tie-breaking does not resolve
-// every WL-equivalent non-automorphic tie in arbitrary graphs.
+// every WL-equivalent non-automorphic tie in arbitrary graphs. Both the
+// graph and its relabeling must get CanonicalizeOracle's labeling and
+// fingerprint.
 func FuzzCanonPermutation(f *testing.F) {
 	f.Add(uint8(0), uint8(5), uint8(4), int64(1))
 	f.Add(uint8(1), uint8(3), uint8(7), int64(2))
@@ -275,6 +366,8 @@ func FuzzCanonPermutation(f *testing.F) {
 		permH, got := graph.Canonicalize(h, nil)
 		checkBijection(t, permG, g.N())
 		checkBijection(t, permH, h.N())
+		matchesOracle(t, fmt.Sprintf("kind %d", kind%6), g, permG, want)
+		matchesOracle(t, fmt.Sprintf("kind %d permuted", kind%6), h, permH, got)
 		if structured && got != want {
 			t.Fatalf("kind %d n=(%d,%d) seed %d: permuted fingerprint %v != %v", kind%6, na, nb, seed, got, want)
 		}

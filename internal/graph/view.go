@@ -18,19 +18,6 @@ func NewLineGraphView(g *Graph) *LineGraphView {
 	return &LineGraphView{g: g, c: &g.csr}
 }
 
-// Base returns the underlying graph.
-func (lv *LineGraphView) Base() *Graph { return lv.g }
-
-// N returns the number of view vertices: L(G) has one per edge of G.
-func (lv *LineGraphView) N() int { return len(lv.g.edges) }
-
-// Degree returns deg(u) + deg(v) − 2 for base edge i = {u,v}.
-func (lv *LineGraphView) Degree(i int) int {
-	e := lv.g.edges[i]
-	c := lv.c
-	return c.degree(e.U) + c.degree(e.V) - 2
-}
-
 // HasEdge reports whether view vertices i and j are adjacent: the
 // underlying edges are distinct and share an endpoint.
 func (lv *LineGraphView) HasEdge(i, j int) bool {

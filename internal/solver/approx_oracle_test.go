@@ -20,8 +20,8 @@ import (
 // vertices. That is O(m·|E(L)|) per component. It shares the twin
 // re-hang, the subtree linearization and the small remainder search with
 // pathPartition.
-func rebuildPartition(lg *graph.LineGraphView, skipTwins bool) ([][]int, error) {
-	n := lg.N()
+func rebuildPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) ([][]int, error) {
+	n := cg.M()
 	t := &rebuildTree{
 		spanTree: spanTree{
 			parent: make([]int, n),
@@ -279,7 +279,7 @@ func checkPartition(t *testing.T, name string, g *graph.Graph) (noTwinFailures i
 		lg := graph.NewLineGraphView(cg)
 		for _, skip := range []bool{false, true} {
 			got, gotErr := pathPartition(cg, lg, skip)
-			want, wantErr := rebuildPartition(lg, skip)
+			want, wantErr := rebuildPartition(cg, lg, skip)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s component %d skipTwins=%v: error %v, oracle %v", name, ci, skip, gotErr, wantErr)
 			}
