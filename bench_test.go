@@ -3,7 +3,7 @@ package joinpebble
 // The benchmark harness: one BenchmarkE<n> per experiment in DESIGN.md's
 // per-experiment index (the paper's "tables and figures" are its lemmas
 // and theorems — see EXPERIMENTS.md), plus micro-benchmarks for the load-
-// bearing kernels (line graph construction, Held–Karp, the solvers, the
+// bearing kernels (line graph construction, the exact search, the solvers, the
 // join algorithms). Run with:
 //
 //	go test -bench=. -benchmem
@@ -114,13 +114,13 @@ func BenchmarkLineGraph(b *testing.B) {
 	}
 }
 
-func BenchmarkHeldKarp(b *testing.B) {
+func BenchmarkExactTSP(b *testing.B) {
 	for _, n := range []int{10, 14, 18} {
 		lg := graph.LineGraph(family.Spider(n / 2).Graph())
 		in := tsp.NewInstance(lg)
 		b.Run(fmt.Sprintf("cities=%d", lg.N()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := tsp.Exact(in); err != nil {
+				if _, _, err := tsp.Exact(context.Background(), in); err != nil {
 					b.Fatal(err)
 				}
 			}

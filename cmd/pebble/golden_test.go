@@ -189,7 +189,7 @@ func TestGoldenMetricsJSON(t *testing.T) {
 }
 
 // TestGoldenDegraded: forcing the exact solver onto a 40-edge component
-// trips the Held–Karp budget deterministically; without -strict the run
+// trips the exact-search budget deterministically; without -strict the run
 // completes on the approximation rung, exits 0, and prints the DEGRADED
 // provenance line.
 func TestGoldenDegraded(t *testing.T) {

@@ -82,7 +82,7 @@ func TestRunEquijoinSolverRejectsHardGraph(t *testing.T) {
 }
 
 func TestNamedSolversResolve(t *testing.T) {
-	for _, name := range []string{"auto", "exact", "exact-bnb", "approx-1.25", "greedy", "cycle-cover", "equijoin", "matching", "naive"} {
+	for _, name := range []string{"auto", "exact", "approx-1.25", "greedy", "cycle-cover", "equijoin", "matching", "naive"} {
 		if _, err := solver.ByName(name); err != nil {
 			t.Errorf("solver %q not found: %v", name, err)
 		}

@@ -83,7 +83,10 @@ func incidenceReduction() {
 	fmt.Printf("  G: %d vertices, %d edges; B = incidence graph %dx%d with %d edges\n",
 		g.N(), g.M(), r.B.NLeft(), r.B.NRight(), r.B.M())
 
-	_, optTour := tsp.Solve(tsp.NewInstance(g))
+	_, optTour, err := tsp.Exact(context.Background(), tsp.NewInstance(g))
+	if err != nil {
+		log.Fatal(err)
+	}
 	optPebble, err := solver.OptimalCost(r.B.Graph())
 	if err != nil {
 		log.Fatal(err)

@@ -84,7 +84,7 @@ func run(pass *analysis.Pass) error {
 // checkFunc applies both rules to one function body: every loop that
 // fires an expansion checkpoint needs an in-loop cancellation check,
 // and a self-recursive function that fires one needs a check in its
-// own body (its loops may just recurse, as in branch and bound).
+// own body (its loops may just recurse, as in a depth-first search).
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, self types.Object, pos token.Pos, what string) {
 	info := pass.TypesInfo
 

@@ -41,7 +41,7 @@ var (
 	// MetricNameRE is the grammar for counter/histogram/timer names.
 	MetricNameRE = regexp.MustCompile(`^[a-z0-9_/]+$`)
 	// SpanNameRE is the grammar for span names; the extra characters
-	// admit the solver display names ("greedy+2opt", "exact-bnb",
+	// admit the solver display names ("greedy+2opt", "path-cover",
 	// "approx-1.25(no-twin-elim)") that double as root spans.
 	SpanNameRE = regexp.MustCompile(`^[a-z0-9_/+\-.()]+$`)
 )

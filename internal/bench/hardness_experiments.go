@@ -217,7 +217,6 @@ func E14Ratios() (*Table, error) {
 	lineup := []solver.Solver{
 		solver.Naive{}, solver.Greedy{}, solver.GreedyImproved{},
 		solver.PathCover{}, solver.CycleCover{}, solver.Approx125{},
-		solver.ExactBnB{},
 	}
 	for _, s := range lineup {
 		statsFor[s.Name()] = &stat{}

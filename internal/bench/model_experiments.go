@@ -156,7 +156,7 @@ func E4LineGraph() (*Table, error) {
 		}
 		lg := graph.LineGraph(c.g)
 		_, ham := graph.HamiltonianPath(lg)
-		_, tspCost, err := tsp.Exact(tsp.NewInstance(lg))
+		_, tspCost, err := tsp.Exact(context.Background(), tsp.NewInstance(lg))
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,7 @@ package bench
 // PerfSuite pins the hot-path benchmarks that cmd/bench measures and
 // regression-checks: the CSR code paths (span lookups, implicit
 // line-graph views, multi-component solving, the linear equijoin
-// build and solve). The committed
+// build and solve, the exact search). The committed
 // BENCH_*-legacy.json reports measured the pre-optimization paths under
 // the same series names; they stay as history.
 //
@@ -27,6 +27,7 @@ import (
 	"joinpebble/internal/obs"
 	"joinpebble/internal/schemecache"
 	"joinpebble/internal/solver"
+	"joinpebble/internal/tsp"
 	"joinpebble/internal/workload"
 )
 
@@ -237,7 +238,7 @@ func PerfSuite() []PerfCase {
 		{
 			// The disarmed fault-injection fast path: one atomic load, no
 			// branches taken. This series pins the claim that shipping the
-			// sites in hot loops (Held–Karp checkpoints, component solves)
+			// sites in hot loops (exact-search checkpoints, component solves)
 			// is free when nothing is armed; the solver series above prove
 			// it end to end against the pre-injection baseline.
 			Name: "faultinject/disarmed-fire",
@@ -333,7 +334,32 @@ func PerfSuite() []PerfCase {
 		},
 	}
 	cases = append(cases, spiderScaling()...)
-	return append(cases, equijoinScaling()...)
+	cases = append(cases, equijoinScaling()...)
+	return append(cases, exactSeries()...)
+}
+
+// exactSeries times the exact TSP(1,2) search behind Proposition 2.2's
+// optimal pebbling on the line graphs of the spiders with m = 16..22
+// edges, up to tsp.MaxExactCities, the exact rung's default limit. Its
+// time and memory double with every edge, so B/op matters as much as
+// ns/op here.
+func exactSeries() []PerfCase {
+	var cases []PerfCase
+	ctx := context.Background()
+	for _, m := range []int{16, 18, 20, 22} {
+		in := tsp.NewInstance(graph.LineGraph(family.Spider(m / 2).Graph()))
+		cases = append(cases, PerfCase{
+			Name: fmt.Sprintf("tsp/exact-m%d", m),
+			Run: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, _, err := tsp.Exact(ctx, in); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		})
+	}
+	return cases
 }
 
 // spiderScaling is the Theorem 3.1 linear-time series: approx-1.25 on

@@ -89,7 +89,9 @@ func WriteReport(path string, r *Report) error {
 	return nil
 }
 
-// LoadReport reads a BENCH_*.json file.
+// LoadReport reads a BENCH_*.json file. It rejects a report in which a
+// series name repeats: Compare pairs series by name, so a repeat would
+// pair one of its measurements with the wrong one of the other report.
 func LoadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -101,6 +103,13 @@ func LoadReport(path string) (*Report, error) {
 	}
 	if r.Schema != SchemaVersion {
 		return nil, fmt.Errorf("bench: %s has schema %d, want %d", path, r.Schema, SchemaVersion)
+	}
+	seen := make(map[string]bool, len(r.Series))
+	for _, s := range r.Series {
+		if seen[s.Name] {
+			return nil, fmt.Errorf("bench: %s repeats series %q", path, s.Name)
+		}
+		seen[s.Name] = true
 	}
 	return &r, nil
 }
@@ -203,10 +212,6 @@ func (c *Comparison) FailureMessage(tolerance float64) string {
 // Compare diffs cur against base by series name.
 func Compare(base, cur *Report) *Comparison {
 	c := &Comparison{}
-	inCur := make(map[string]bool, len(cur.Series))
-	for _, s := range cur.Series {
-		inCur[s.Name] = true
-	}
 	for _, bs := range base.Series {
 		cs, ok := cur.Find(bs.Name)
 		if !ok {

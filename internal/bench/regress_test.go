@@ -58,6 +58,24 @@ func TestLoadReportRejectsWrongSchema(t *testing.T) {
 	}
 }
 
+// TestLoadReportRejectsRepeatedSeries: a report that holds a/x at 100
+// ns and again at 10 ns would read as a 10x regression against itself,
+// because Compare pairs series by name; LoadReport refuses it.
+func TestLoadReportRejectsRepeatedSeries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_x.json")
+	r := &Report{Schema: SchemaVersion, Date: "2026-01-02", Series: []Series{
+		{Name: "a/x", Iterations: 1, NsPerOp: 100},
+		{Name: "b/y", Iterations: 1, NsPerOp: 50},
+		{Name: "a/x", Iterations: 1, NsPerOp: 10},
+	}}
+	if err := WriteReport(path, r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadReport(path); err == nil {
+		t.Fatal("LoadReport accepted a report that repeats series a/x")
+	}
+}
+
 // TestLatestReportSkipsLegacyAndSelf pins the baseline auto-pick rules:
 // newest first, never a -legacy report, never the file being written.
 func TestLatestReportSkipsLegacyAndSelf(t *testing.T) {

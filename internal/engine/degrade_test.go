@@ -23,7 +23,7 @@ func spiderInstance() *Instance {
 
 // budgetFault is the deterministic lever the degradation tests pull: a
 // wrapped budget sentinel injected at the engine's rung site, so the
-// planned rung fails exactly the way a real Held–Karp budget trip does.
+// planned rung fails exactly the way a real exact-search budget trip does.
 func budgetFault(times int) faultinject.Fault {
 	return faultinject.Fault{
 		Err:   fmt.Errorf("%w: injected for test", solver.ErrBudgetExceeded),
@@ -222,12 +222,12 @@ func TestExplicitSolverStillDegrades(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Arm(SiteRung, budgetFault(1))
 
-	p := Planner{Solver: solver.ExactBnB{}}
+	p := Planner{Solver: solver.Greedy{}}
 	res, err := p.Run(context.Background(), spiderInstance())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded || res.Attempts[0].Solver != "exact-bnb" {
+	if !res.Degraded || res.Attempts[0].Solver != "greedy" {
 		t.Fatalf("override rung provenance wrong: %+v", res.Attempts)
 	}
 }

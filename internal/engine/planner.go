@@ -399,7 +399,7 @@ func qualityFor(name string) string {
 	switch name {
 	case "equijoin":
 		return "perfect: π = m (Thm 4.1)"
-	case "exact", "exact-bnb":
+	case "exact":
 		return "optimal (exact search)"
 	case "approx-1.25":
 		return "π ≤ 1.25m (Thm 3.1)"

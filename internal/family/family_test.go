@@ -1,6 +1,7 @@
 package family
 
 import (
+	"context"
 	"testing"
 
 	"joinpebble/internal/core"
@@ -81,10 +82,10 @@ func TestSpiderLineGraphIsCliquePlusPendants(t *testing.T) {
 
 func TestSpiderOptimalCostAgainstExactTSP(t *testing.T) {
 	// Proposition 2.2: π(G) = optimal tour cost of L(G) + 1. Check the
-	// closed form against Held–Karp for every n the solver can reach.
+	// closed form against the exact search for every n it can reach.
 	for n := 1; n <= 9; n++ {
 		lg := graph.LineGraph(Spider(n).Graph())
-		_, cost, err := tsp.Exact(tsp.NewInstance(lg))
+		_, cost, err := tsp.Exact(context.Background(), tsp.NewInstance(lg))
 		if err != nil {
 			t.Fatal(err)
 		}

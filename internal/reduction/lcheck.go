@@ -1,10 +1,11 @@
 package reduction
 
 import (
+	"context"
 	"fmt"
 
 	"joinpebble/internal/core"
-	"joinpebble/internal/graph"
+	"joinpebble/internal/solver"
 	"joinpebble/internal/tsp"
 )
 
@@ -31,9 +32,14 @@ type LCheck struct {
 // and property 2 over the provided H tours (plus the optimal H tour).
 func CheckDegree4To3(r *Degree4To3, hTours []tsp.Tour) (*LCheck, error) {
 	gin, hin := r.Instances()
-	_, optG := tsp.Solve(gin)
-	optTourG, _ := tsp.Solve(gin)
-	_, optH := tsp.Solve(hin)
+	optTourG, optG, err := tsp.Exact(context.TODO(), gin)
+	if err != nil {
+		return nil, err
+	}
+	optTourH, optH, err := tsp.Exact(context.TODO(), hin)
+	if err != nil {
+		return nil, err
+	}
 
 	// Property 1 witness: lifting the optimal G tour must cost at least
 	// OPT(H) (by optimality) and bounds it from above.
@@ -50,7 +56,6 @@ func CheckDegree4To3(r *Degree4To3, hTours []tsp.Tour) (*LCheck, error) {
 		check.Alpha = float64(optH) / float64(optG)
 	}
 
-	optTourH, _ := tsp.Solve(hin)
 	tours := append([]tsp.Tour{optTourH}, hTours...)
 	for _, t := range tours {
 		back, err := r.BackTour(t)
@@ -73,10 +78,12 @@ func CheckDegree4To3(r *Degree4To3, hTours []tsp.Tour) (*LCheck, error) {
 // plus the given extra schemes) satisfy property 2 with β = 1.
 func CheckIncidence(r *TSPToPebble, extraSchemes []core.Scheme) (*LCheck, error) {
 	gin := tsp.NewInstance(r.G)
-	optTourG, optG := tsp.Solve(gin)
+	optTourG, optG, err := tsp.Exact(context.TODO(), gin)
+	if err != nil {
+		return nil, err
+	}
 	bg := r.B.Graph()
-
-	optB, err := solverOptimalCost(bg)
+	optB, err := solver.OptimalCost(bg)
 	if err != nil {
 		return nil, err
 	}
@@ -119,23 +126,4 @@ func CheckIncidence(r *TSPToPebble, extraSchemes []core.Scheme) (*LCheck, error)
 		check.Samples++
 	}
 	return check, nil
-}
-
-// solverOptimalCost computes π̂ exactly via the line-graph TSP, kept
-// local to avoid importing the solver package (which would be a cycle if
-// solver ever grows reduction-aware heuristics).
-func solverOptimalCost(g *graph.Graph) (int, error) {
-	total := 0
-	for _, comp := range g.Components() {
-		if len(comp) < 2 {
-			continue
-		}
-		cg, _ := g.InducedSubgraph(comp)
-		_, cost, err := tsp.Exact(tsp.NewInstance(graph.LineGraph(cg)))
-		if err != nil {
-			return 0, err
-		}
-		total += cost + 2 // tour cost + initial placements
-	}
-	return total, nil
 }

@@ -1,12 +1,14 @@
 package reduction
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"joinpebble/internal/core"
 	"joinpebble/internal/graph"
+	"joinpebble/internal/solver"
 	"joinpebble/internal/tsp"
 )
 
@@ -363,8 +365,11 @@ func TestIncidenceOptimaMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, optG := tsp.Solve(tsp.NewInstance(g))
-		optB, err := solverOptimalCost(r.B.Graph())
+		_, optG, err := tsp.Exact(context.Background(), tsp.NewInstance(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		optB, err := solver.OptimalCost(r.B.Graph())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +438,7 @@ func TestHamPathDecisionViaPebbling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := solverOptimalCost(r.B.Graph())
+		opt, err := solver.OptimalCost(r.B.Graph())
 		if err != nil {
 			t.Fatal(err)
 		}

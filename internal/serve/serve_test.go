@@ -144,6 +144,8 @@ func TestSolverOverrides(t *testing.T) {
 			t.Errorf("solver %q, degraded %v, attempts %+v; want a fall from exact to approx-1.25", r.Solver, r.Degraded, r.Attempts)
 		}
 	})
+	// exact-bnb names no solver: an unserved name is refused the same
+	// way whether or not the CLIs know it.
 	for _, name := range []string{"greedy", "greedy+2opt", "path-cover", "cycle-cover", "exact-bnb"} {
 		t.Run("refused-"+name, func(t *testing.T) {
 			for _, ep := range []string{"/v1/solve", "/v1/plan"} {

@@ -214,10 +214,6 @@ func BuildInvertedIndex(setsToIndex []Set) *InvertedIndex {
 	return idx
 }
 
-// Postings returns the ids of indexed sets containing e, in ascending id
-// order. The slice is owned by the index.
-func (idx *InvertedIndex) Postings(e uint32) []int { return idx.postings[e] }
-
 // Size returns the number of indexed sets.
 func (idx *InvertedIndex) Size() int { return idx.size }
 

@@ -40,7 +40,7 @@ func (e Exact) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 		}
 		in := tsp.NewInstance(graph.LineGraph(cg))
 		ts := sp.Start("held_karp")
-		tour, _, err := tsp.ExactContext(ctx, in)
+		tour, _, err := tsp.Exact(ctx, in)
 		ts.End()
 		if err != nil {
 			return nil, err

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -92,49 +91,6 @@ func (CycleCover) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error
 	})
 }
 
-// ExactBnB is an exact solver using branch-and-bound instead of
-// Held–Karp: slower in the worst case but without the 2^m memory, so it
-// reaches somewhat larger sparse components. MaxNodes caps the search
-// per component (0 = unlimited); hitting the cap is an error, not a
-// silent approximation — unless Anytime is set.
-type ExactBnB struct {
-	MaxNodes int64
-	// Anytime accepts the search's best-so-far incumbent tour when the
-	// node cap or the context deadline stops it before exhaustion. The
-	// scheme is still simulator-verified and within the universal 2m
-	// bound (the incumbent is seeded with a full nearest-neighbour
-	// tour); only the optimality proof is given up.
-	Anytime bool
-}
-
-// Name implements Solver.
-func (ExactBnB) Name() string { return "exact-bnb" }
-
-// Solve implements Solver.
-func (e ExactBnB) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	return solvePerComponent(ctx, g, "exact-bnb", func(ctx context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
-		in := tsp.NewInstance(graph.LineGraph(cg))
-		ts := sp.Start("branch_and_bound")
-		tour, _, exhausted := tsp.BranchAndBoundContext(ctx, in, e.MaxNodes)
-		ts.End()
-		if !exhausted {
-			cause := ctx.Err()
-			switch {
-			case e.Anytime && (cause == nil || errors.Is(cause, context.DeadlineExceeded)):
-				// Node cap or soft deadline with Anytime set: keep the
-				// incumbent; only the optimality proof is given up. An
-				// explicit cancel still aborts below — the caller is
-				// abandoning the work, not trading quality for time.
-			case cause != nil:
-				return nil, cause
-			default:
-				return nil, fmt.Errorf("%w: branch-and-bound node cap %d hit on component with %d edges", ErrBudgetExceeded, e.MaxNodes, cg.M())
-			}
-		}
-		return []int(tour), nil
-	})
-}
-
 // Route identifies a rung of the routing ladder: the structural fact
 // about an instance that determines which solver handles it. RouteTable
 // describes the rungs; the engine planner is the one place that walks
@@ -148,7 +104,7 @@ const (
 	// pebbler of Theorems 3.2/4.1 applies and π = m is achieved.
 	RoutePerfect Route = iota
 	// RouteExact: every component's edge count fits the exponential
-	// search budget, so the Held–Karp exact solver is affordable.
+	// search budget, so the exact search is affordable.
 	RouteExact
 	// RouteApprox: fall back to the Theorem 3.1 1.25-approximation,
 	// polynomial on any input.
@@ -177,7 +133,7 @@ func All() []Solver {
 // specialists — the single source the CLIs resolve -solver flags
 // against.
 func Named() []Solver {
-	return append(All(), Equijoin{}, MatchingSolver{}, ExactBnB{})
+	return append(All(), Equijoin{}, MatchingSolver{})
 }
 
 // ByName resolves a solver by its Name. "auto" and "" resolve to a nil

@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
-	"joinpebble/internal/core"
 	"joinpebble/internal/faultinject"
 	"joinpebble/internal/graph"
+	"joinpebble/internal/tsp"
 )
 
 // pathGraph returns the path on n vertices: n-1 edges, one component.
@@ -105,14 +104,14 @@ func TestInjectedBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestExactDeadlineMidComponent is the regression test for the
-// cancellation gap this PR closes: tsp.Exact used to run uninterruptible
-// once a component started, so a deadline expiring inside one big
-// component was only noticed at the (nonexistent) next component
-// boundary. Now the Held–Karp subset loop checks ctx at checkpoints: the
-// solve must return the deadline error in bounded wall time, far below
-// the multi-second full search on a 22-edge component.
+// TestExactDeadlineMidComponent: a deadline that expires inside one
+// component's exact search ends the solve with the deadline error in
+// bounded wall time, not at the (nonexistent) next component boundary.
+// A delay armed once at the search's checkpoint site outlasts the
+// deadline, so the deadline expires mid-search however fast the host.
 func TestExactDeadlineMidComponent(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Arm(tsp.SiteExactExpand, faultinject.Fault{Delay: 10 * time.Second, Times: 1})
 	g := pathGraph(23) // 22 edges, one component: 2^22-subset search
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -122,43 +121,11 @@ func TestExactDeadlineMidComponent(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if elapsed > 10*time.Second {
+	if n := faultinject.Fired(tsp.SiteExactExpand); n != 1 {
+		t.Fatalf("checkpoint site fired %d times, want 1", n)
+	}
+	if elapsed > 5*time.Second {
 		t.Fatalf("mid-component cancellation took %v, want bounded unwind", elapsed)
-	}
-}
-
-// TestExactBnBAnytime: with Anytime set, a node cap that stops the
-// search yields the verified incumbent instead of ErrBudgetExceeded; the
-// strict configuration still errors.
-func TestExactBnBAnytime(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := graph.RandomConnectedGraph(rng, 14, 26, 0)
-
-	if _, err := (ExactBnB{MaxNodes: 10}).Solve(context.Background(), g.Clone()); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("strict cap: err = %v, want ErrBudgetExceeded", err)
-	}
-
-	scheme, cost, err := SolveAndVerify(context.Background(), ExactBnB{MaxNodes: 10, Anytime: true}, g.Clone())
-	if err != nil {
-		t.Fatalf("anytime cap: %v", err)
-	}
-	if len(scheme) == 0 {
-		t.Fatal("anytime cap returned an empty scheme")
-	}
-	if ub := core.UpperBound(g); cost > ub {
-		t.Fatalf("anytime cost %d exceeds the universal bound %d", cost, ub)
-	}
-}
-
-// TestExactBnBPreCanceled: an already-canceled context aborts before any
-// component starts, anytime or not.
-func TestExactBnBPreCanceled(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := graph.RandomConnectedGraph(rng, 16, 30, 0)
-	canceled, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
-	if _, err := (ExactBnB{Anytime: true}).Solve(canceled, g); !errors.Is(err, context.Canceled) {
-		t.Fatalf("explicit cancel: err = %v, want context.Canceled", err)
 	}
 }
 

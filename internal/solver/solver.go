@@ -21,7 +21,7 @@ import (
 
 // ErrBudgetExceeded marks failures where an instance is structurally fine
 // but too large for the requested solver's search budget (exact edge
-// limits, branch-and-bound node caps, decision budgets). Callers that
+// limits, decision budgets). Callers that
 // want to degrade to an approximation match it with errors.Is.
 var ErrBudgetExceeded = errors.New("solver: search budget exceeded")
 
@@ -150,9 +150,7 @@ func runComponentOrder(ctx context.Context, name string, cg *graph.Graph, sp *ob
 // promptly. The first failing component (error or recovered panic) ends
 // the walk, but the caller's own cancellation outranks its error. A
 // cancellation that arrives only after every component finished is
-// deliberately ignored: anytime component solves (ExactBnB.Anytime) may
-// hand back a finished incumbent right as a soft deadline expires, and
-// a complete verified solve beats a discarded one.
+// deliberately ignored: a complete verified solve beats a discarded one.
 func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn connectedOrderFunc) (core.Scheme, error) {
 	if g.M() == 0 {
 		return core.Scheme{}, nil

@@ -393,31 +393,6 @@ func TestGreedySolversProduceValidSchemes(t *testing.T) {
 	}
 }
 
-func TestExactBnBMatchesHeldKarp(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 15; trial++ {
-		g := randomConnectedBip(rng)
-		_, hk, err := SolveAndVerify(context.Background(), Exact{}, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, bb, err := SolveAndVerify(context.Background(), ExactBnB{}, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hk != bb {
-			t.Fatalf("trial %d: held-karp=%d bnb=%d", trial, hk, bb)
-		}
-	}
-}
-
-func TestExactBnBNodeCapErrors(t *testing.T) {
-	g := family.Spider(6).Graph()
-	if _, err := (ExactBnB{MaxNodes: 5}).Solve(context.Background(), g); err == nil {
-		t.Fatal("tiny node cap must surface an error, not a silent approximation")
-	}
-}
-
 func TestCycleCoverNearOptimal(t *testing.T) {
 	// The §4 remark cites a 7/6 approximation; require the cycle-cover
 	// solver's effective cost within 7/6 of optimal plus one move of

@@ -3,63 +3,61 @@ package tsp
 import (
 	"context"
 	"fmt"
-	"math"
+	"math/bits"
 
 	"joinpebble/internal/faultinject"
 	"joinpebble/internal/obs"
 )
 
-// Exact-search effort counters: the intermediate quantities the solvers'
-// exponential bounds talk about, accumulated in locals inside the search
-// loops and flushed once per call so the hot loops stay counter-free.
-// The bindings are scope-aware: searches invoked with a scoped context
-// (an engine solve) flush into their request's obs.Scope; the handle is
-// resolved once per search call, never inside the loops.
-var (
-	cHeldKarpStates = obs.ScopedCounter("tsp/heldkarp/states_expanded")
-	cBnBNodes       = obs.ScopedCounter("tsp/bnb/nodes_expanded")
-)
+// cHeldKarpStates counts the (subset, end city) states the exact search
+// evaluates: n·2^(n−1) for a finished search, the intermediate quantity
+// its exponential bound talks about. It is accumulated in a local inside
+// the subset loop and flushed once per call, so the loop stays
+// counter-free. The binding is scope-aware: a search run under a scoped
+// context (an engine solve) flushes into its request's obs.Scope.
+var cHeldKarpStates = obs.ScopedCounter("tsp/heldkarp/states_expanded")
 
-// Fault-injection sites (see the registry in DESIGN.md). Both sit at the
-// search loops' cancellation checkpoints, so an armed Delay reliably
-// pushes a deadline past expiry mid-component — the scenario the engine's
-// degradation ladder must survive.
-const (
-	// SiteExactExpand fires every checkpointMask+1 Held–Karp subset
-	// expansions; an injected error aborts the search with that error.
-	SiteExactExpand = "tsp/exact/expand"
-	// SiteBnBExpand fires every checkpointMask+1 branch-and-bound node
-	// expansions; an injected error aborts the search as if canceled,
-	// returning the incumbent.
-	SiteBnBExpand = "tsp/bnb/expand"
-)
+// SiteExactExpand is the fault-injection site (see the registry in
+// DESIGN.md) at the subset loop's cancellation checkpoint: it fires every
+// checkpointMask+1 subsets, so an armed Delay reliably pushes a deadline
+// past expiry mid-component — the scenario the engine's degradation
+// ladder must survive. An injected error aborts the search with that
+// error.
+const SiteExactExpand = "tsp/exact/expand"
 
-// checkpointMask spaces the cancellation checks in both search loops:
-// ctx.Err is consulted every checkpointMask+1 expansions, so a canceled
-// context unwinds a component within a bounded number of expansions
-// instead of only at component boundaries.
+// checkpointMask spaces the cancellation checks in the subset loop:
+// ctx.Err is consulted every checkpointMask+1 subsets, so a canceled
+// context unwinds a component within a bounded number of subsets instead
+// of only at component boundaries.
 const checkpointMask = 0x3FF
 
-// MaxExactCities bounds the Held–Karp solver: the DP table has
-// 2^n * n uint16 entries, so 24 cities ≈ 800 MB is the practical ceiling;
-// we stop well short of it.
+// MaxExactCities bounds the exact search: it keeps 5 bytes per subset of
+// cities, so 22 cities take 2^22 subsets and 21 MB, and each further
+// city doubles both the memory and the time (the tsp/exact-m* bench
+// series).
 const MaxExactCities = 22
 
-// Exact computes an optimal tour by Held–Karp dynamic programming over
-// vertex subsets: dp[S][v] = cheapest path visiting exactly the cities in
-// S and ending at v. O(2^n · n²) time, O(2^n · n) space. It returns an
-// error for instances above MaxExactCities; callers should fall back to
-// BranchAndBound or a heuristic.
-func Exact(in *Instance) (Tour, int, error) {
-	return ExactContext(context.Background(), in)
-}
-
-// ExactContext is Exact bounded by ctx: the subset loop checks ctx at
-// every checkpoint (checkpointMask+1 subset expansions), so cancellation
-// unwinds promptly even inside one huge component. Held–Karp has no
-// usable partial answer — a canceled search returns ctx.Err() and the
-// caller is expected to fall down the solver ladder.
-func ExactContext(ctx context.Context, in *Instance) (Tour, int, error) {
+// Exact computes an optimal tour by dynamic programming over subsets of
+// cities. Held–Karp keeps the cheapest path for every (subset, end)
+// pair; with step costs in {1, 2} a subset S needs only two facts, its
+// fewest jumps J[S] over all paths that visit exactly S, and the set
+// E[S] of end cities that achieve them. City v ends a path over S with
+//
+//	f(S, v) = J[S∖v] + [no city of E[S∖v] is a good neighbour of v]
+//
+// jumps, because any path over S∖v costs at least J[S∖v] and one that
+// ends in E[S∖v] costs exactly that. O(2^n · n) time and 5 bytes per
+// subset. The tour ends at the lowest city of E[full] and is rebuilt by
+// walking back, taking at each step the lowest predecessor that keeps
+// the path optimal — Held–Karp's own tie-break, so the tour is the one
+// Held–Karp returns.
+//
+// The subset loop checks ctx every checkpointMask+1 subsets, so
+// cancellation unwinds promptly even inside one large component. The
+// search has no usable partial answer: a canceled search returns
+// ctx.Err() and the caller is expected to fall down the solver ladder.
+// Instances above MaxExactCities are an error.
+func Exact(ctx context.Context, in *Instance) (Tour, int, error) {
 	n := in.N()
 	if n == 0 {
 		return Tour{}, 0, nil
@@ -71,32 +69,19 @@ func ExactContext(ctx context.Context, in *Instance) (Tour, int, error) {
 		return nil, 0, fmt.Errorf("tsp: %d cities exceeds exact limit %d", n, MaxExactCities)
 	}
 
-	const inf = math.MaxUint16
-	size := 1 << n
-	dp := make([]uint16, size*n)
-	parent := make([]int8, size*n)
-	for i := range dp {
-		dp[i] = inf
-	}
-	for v := 0; v < n; v++ {
-		dp[(1<<v)*n+v] = 0
-		parent[(1<<v)*n+v] = -1
-	}
-
-	// Precompute weights into a flat matrix for speed.
-	w := make([]uint16, n*n)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u != v {
-				w[u*n+v] = uint16(in.Weight(u, v))
-			}
+	good := make([]uint32, n)
+	for v := range good {
+		for _, u := range in.Good.Neighbors(v) {
+			good[v] |= 1 << u
 		}
 	}
-
+	size := uint32(1) << n
+	jumps := make([]uint8, size)
+	ends := make([]uint32, size)
 	var states int64
-	for s := 1; s < size; s++ {
+	for s := uint32(1); s < size; s++ {
 		if s&checkpointMask == 0 {
-			if err := faultinject.Fire(SiteExactExpand); err != nil {
+			if err := faultinject.FireContext(ctx, SiteExactExpand); err != nil {
 				cHeldKarpStates.Add(ctx, states)
 				return nil, 0, err
 			}
@@ -105,160 +90,56 @@ func ExactContext(ctx context.Context, in *Instance) (Tour, int, error) {
 				return nil, 0, err
 			}
 		}
-		base := s * n
-		for v := 0; v < n; v++ {
-			cur := dp[base+v]
-			if cur == inf || s&(1<<v) == 0 {
-				continue
-			}
-			states++
-			for u := 0; u < n; u++ {
-				if s&(1<<u) != 0 {
-					continue
-				}
-				ns := s | 1<<u
-				cand := cur + w[v*n+u]
-				if cand < dp[ns*n+u] {
-					dp[ns*n+u] = cand
-					parent[ns*n+u] = int8(v)
-				}
+		states += int64(bits.OnesCount32(s))
+		best, end := uint8(n), uint32(0) // more jumps than any path has
+		for rest := s; rest != 0; rest &= rest - 1 {
+			v := bits.TrailingZeros32(rest)
+			f := endJumps(jumps, ends, good, s, v)
+			if f < best {
+				best, end = f, 1<<v
+			} else if f == best {
+				end |= 1 << v
 			}
 		}
+		jumps[s], ends[s] = best, end
 	}
-
 	cHeldKarpStates.Add(ctx, states)
 
-	full := size - 1
-	best, bestEnd := uint16(inf), -1
-	for v := 0; v < n; v++ {
-		if dp[full*n+v] < best {
-			best = dp[full*n+v]
-			bestEnd = v
-		}
-	}
-
-	// Reconstruct.
-	tour := make(Tour, 0, n)
-	s, v := full, bestEnd
-	for v != -1 {
-		tour = append(tour, v)
-		p := int(parent[s*n+v])
+	// Walk back from the lowest optimal end city.
+	s := size - 1
+	v := bits.TrailingZeros32(ends[s])
+	f := jumps[s]
+	tour := make(Tour, n)
+	for i := n - 1; i > 0; i-- {
+		tour[i] = v
 		s &^= 1 << v
-		v = p
+		for rest := s; ; rest &= rest - 1 {
+			u := bits.TrailingZeros32(rest)
+			fu := endJumps(jumps, ends, good, s, u)
+			step := fu
+			if good[v]&(1<<u) == 0 {
+				step++
+			}
+			if step == f {
+				v, f = u, fu
+				break
+			}
+		}
 	}
-	// Reverse into visit order.
-	for i, j := 0, len(tour)-1; i < j; i, j = i+1, j-1 {
-		tour[i], tour[j] = tour[j], tour[i]
-	}
-	return tour, int(best), nil
+	tour[0] = v
+	return tour, n - 1 + int(jumps[size-1]), nil
 }
 
-// BranchAndBound computes an optimal tour by depth-first search with
-// pruning. It extends Exact's reach for sparse good graphs (where the
-// jump lower bound prunes aggressively) but remains exponential in the
-// worst case. maxNodes caps the search; 0 means unlimited. If the cap is
-// hit it returns the best tour found plus ok=false.
-func BranchAndBound(in *Instance, maxNodes int64) (Tour, int, bool) {
-	return BranchAndBoundContext(context.Background(), in, maxNodes)
-}
-
-// BranchAndBoundContext is BranchAndBound bounded by ctx. The search is
-// *anytime*: it seeds an incumbent with nearest neighbour before the
-// first expansion, so when ctx expires (checked every checkpointMask+1
-// node expansions, well inside one component) it returns the best tour
-// found so far with exhausted=false instead of nothing — the caller gets
-// a valid, possibly suboptimal tour and can tell optimality was not
-// proven. The node cap reports the same way.
-func BranchAndBoundContext(ctx context.Context, in *Instance, maxNodes int64) (Tour, int, bool) {
-	n := in.N()
-	if n == 0 {
-		return Tour{}, 0, true
+// endJumps is f(s, v): the fewest jumps of a path that visits exactly
+// the cities of s and ends at v, read from the tables of s∖v. The path
+// over {v} alone has none.
+func endJumps(jumps []uint8, ends, good []uint32, s uint32, v int) uint8 {
+	t := s &^ (1 << v)
+	if t == 0 {
+		return 0
 	}
-	// Seed the incumbent with nearest neighbour so pruning bites early
-	// and a canceled search still has a full tour to hand back.
-	bestTour, bestCost := NearestNeighbor(in)
-	used := make([]bool, n)
-	path := make(Tour, 0, n)
-	var nodes int64
-	exhausted := true
-	stopped := false // cancellation or injected abort; sticky like the cap
-
-	// Remaining-deficit lower bound: each unvisited vertex still needs
-	// good incidences; recompute cheaply from static degrees. We use the
-	// simple bound remaining-steps >= #unvisited (each costs >= 1).
-	var dfs func(v, cost int)
-	dfs = func(v, cost int) {
-		nodes++
-		if stopped {
-			return
-		}
-		if nodes&checkpointMask == 0 {
-			if err := faultinject.Fire(SiteBnBExpand); err != nil {
-				stopped, exhausted = true, false
-				return
-			}
-			if ctx.Err() != nil {
-				stopped, exhausted = true, false
-				return
-			}
-		}
-		if maxNodes > 0 && nodes > maxNodes {
-			exhausted = false
-			return
-		}
-		if len(path) == n {
-			if cost < bestCost {
-				bestCost = cost
-				bestTour = append(bestTour[:0], path...)
-			}
-			return
-		}
-		if cost+(n-len(path)) >= bestCost {
-			return // even all-good completion cannot beat the incumbent
-		}
-		// Try good continuations first; they lead to cheap tours sooner.
-		for _, u := range in.Good.Neighbors(v) {
-			if !used[u] {
-				used[u] = true
-				path = append(path, u)
-				dfs(u, cost+1)
-				path = path[:len(path)-1]
-				used[u] = false
-			}
-		}
-		if cost+1+(n-len(path)) >= bestCost {
-			return // a jump plus all-good completion is already too costly
-		}
-		for u := 0; u < n; u++ {
-			if !used[u] && !in.Good.HasEdge(v, u) {
-				used[u] = true
-				path = append(path, u)
-				dfs(u, cost+2)
-				path = path[:len(path)-1]
-				used[u] = false
-			}
-		}
+	if ends[t]&good[v] == 0 {
+		return jumps[t] + 1
 	}
-	for s := 0; s < n && !stopped; s++ {
-		used[s] = true
-		path = append(path, s)
-		dfs(s, 0)
-		path = path[:0]
-		used[s] = false
-	}
-	cBnBNodes.Add(ctx, nodes)
-	return bestTour, bestCost, exhausted
-}
-
-// Solve returns an optimal tour using Exact when the instance fits and
-// BranchAndBound (unbounded) otherwise.
-func Solve(in *Instance) (Tour, int) {
-	if in.N() <= MaxExactCities {
-		t, c, err := Exact(in)
-		if err == nil {
-			return t, c
-		}
-	}
-	t, c, _ := BranchAndBound(in, 0)
-	return t, c
+	return jumps[t]
 }

@@ -5,7 +5,7 @@ package tsp
 // lowest-numbered unvisited city. Starting cities are tried from every
 // vertex and the best result kept, so the heuristic is deterministic.
 // On TSP(1,2) it is never worse than 2x optimal (every step costs at most
-// 2) and typically far closer; it seeds BranchAndBound's incumbent.
+// 2) and typically far closer.
 func NearestNeighbor(in *Instance) (Tour, int) {
 	n := in.N()
 	if n == 0 {

@@ -1,6 +1,7 @@
 package tsp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -161,7 +162,7 @@ func TestCycleCoverTourNearOptimal(t *testing.T) {
 		n := 5 + rng.Intn(6)
 		g := randConn(rng, n)
 		in := NewInstance(g)
-		_, opt, err := Exact(in)
+		_, opt, err := Exact(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}

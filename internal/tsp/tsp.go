@@ -37,10 +37,6 @@ func (in *Instance) Weight(u, v int) int {
 	return 2
 }
 
-// MaxGoodDegree returns the largest number of weight-1 edges at any city —
-// the k in TSP-k(1,2) (§4).
-func (in *Instance) MaxGoodDegree() int { return in.Good.MaxDegree() }
-
 // Tour is a visit order over all cities, each exactly once.
 type Tour []int
 

@@ -1,6 +1,7 @@
 package tsp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -98,7 +99,7 @@ func TestJumpLowerBoundComponents(t *testing.T) {
 
 func TestExactOnPath(t *testing.T) {
 	in := pathInstance(6)
-	tour, cost, err := Exact(in)
+	tour, cost, err := Exact(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,33 +116,12 @@ func TestExactOnMatchingGoodGraph(t *testing.T) {
 	// all 3 good edges and 2 jumps: cost 3*1 + 2*2 = 7.
 	g := graph.New(6, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 4, V: 5}})
 	in := NewInstance(g)
-	_, cost, err := Exact(in)
+	_, cost, err := Exact(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost != 7 {
 		t.Fatalf("cost=%d want 7", cost)
-	}
-}
-
-func TestExactMatchesBranchAndBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 25; trial++ {
-		n := 4 + rng.Intn(6)
-		m := n - 1 + rng.Intn(n)
-		g := graph.RandomConnectedGraph(rng, n, m, 0)
-		in := NewInstance(g)
-		_, ce, err := Exact(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, cb, ok := BranchAndBound(in, 0)
-		if !ok {
-			t.Fatal("unbounded BnB must exhaust")
-		}
-		if ce != cb {
-			t.Fatalf("trial %d: exact=%d bnb=%d on %v", trial, ce, cb, g)
-		}
 	}
 }
 
@@ -153,7 +133,7 @@ func TestExactRespectsBounds(t *testing.T) {
 		n := 3 + r.Intn(7)
 		g := randConn(r, n)
 		in := NewInstance(g)
-		tour, cost, err := Exact(in)
+		tour, cost, err := Exact(context.Background(), in)
 		if err != nil {
 			return false
 		}
@@ -172,7 +152,7 @@ func TestExactRejectsLargeInstance(t *testing.T) {
 	for v := 1; v <= MaxExactCities; v++ {
 		path = append(path, graph.Edge{U: v - 1, V: v})
 	}
-	if _, _, err := Exact(NewInstance(graph.New(MaxExactCities+1, path))); err == nil {
+	if _, _, err := Exact(context.Background(), NewInstance(graph.New(MaxExactCities+1, path))); err == nil {
 		t.Fatal("oversized instance must be rejected")
 	}
 }
@@ -253,26 +233,26 @@ func TestGreedyPathCoverValid(t *testing.T) {
 }
 
 func TestSolveSmallAndEmpty(t *testing.T) {
-	if tour, cost := Solve(NewInstance(graph.New(0, nil))); len(tour) != 0 || cost != 0 {
+	ctx := context.Background()
+	if tour, cost, err := Exact(ctx, NewInstance(graph.New(0, nil))); err != nil || len(tour) != 0 || cost != 0 {
 		t.Fatal("empty instance")
 	}
-	if tour, cost := Solve(NewInstance(graph.New(1, nil))); len(tour) != 1 || cost != 0 {
+	if tour, cost, err := Exact(ctx, NewInstance(graph.New(1, nil))); err != nil || len(tour) != 1 || cost != 0 {
 		t.Fatal("single city")
 	}
-	in := pathInstance(5)
-	if _, cost := Solve(in); cost != 4 {
+	if _, cost, err := Exact(ctx, pathInstance(5)); err != nil || cost != 4 {
 		t.Fatal("solve on path")
 	}
 }
 
 func TestHeldKarpAgainstBruteForceTiny(t *testing.T) {
-	// Exhaustive permutation check on all 4-city instances over a few
-	// random good graphs.
+	// Exhaustive permutation check of the Held–Karp oracle and Exact on
+	// 4-city instances over a few random good graphs.
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 20; trial++ {
 		g := graph.RandomBipartite(rng, 2, 2, 0.5).Graph()
 		in := NewInstance(g)
-		_, got, err := Exact(in)
+		_, got, err := Exact(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,8 +273,8 @@ func TestHeldKarpAgainstBruteForceTiny(t *testing.T) {
 			}
 		}
 		rec(0)
-		if got != best {
-			t.Fatalf("trial %d: held-karp=%d brute=%d", trial, got, best)
+		if _, hk := heldKarp(in); hk != best || got != best {
+			t.Fatalf("trial %d: held-karp=%d exact=%d brute=%d", trial, hk, got, best)
 		}
 	}
 }
