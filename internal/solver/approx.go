@@ -13,15 +13,27 @@ import (
 var (
 	tPathPartition = obs.ScopedTimer("solver/phase/path_partition")
 	cPathPieces    = obs.ScopedCounter("solver/approx/path_pieces")
+	cWalkCertified = obs.ScopedCounter("solver/walk/certified")
 )
 
-// Approx125 implements the constructive proof of Theorem 3.1 / Lemma 3.1:
-// for a connected component with m edges it finds a pebbling scheme of
-// effective cost at most m + floor((m−1)/4) — the paper's 1.25m bound
-// (exactly 1.25m−1 when 4 divides m) — in time linear in the component.
-// It partitions the vertices of the (claw-free) line graph into
-// vertex-disjoint paths, all but the last of size at least 4, in three
-// steps:
+// Approx125 is the Theorem 3.1 / Lemma 3.1 rung: for a connected
+// component with m edges it finds a pebbling scheme of effective cost at
+// most m + floor((m−1)/4) — the paper's 1.25m bound (exactly 1.25m−1
+// when 4 divides m) — in time linear in the component.
+//
+// Each component first runs a greedy walk over the line graph (see
+// lineWalk). When the walk's jumps equal the leaf-deficit lower bound of
+// Theorem 3.3's proof — zero for a perfect walk — no tour does better,
+// and the walk is returned at once. Otherwise the rung also runs the
+// construction below and keeps it unless the walk has strictly fewer
+// jumps, so no component costs more than the construction does alone,
+// and the bound holds whichever order is kept. Both counts are checked
+// at run time: a walk below its lower bound, or a kept order above
+// floor((m−1)/4) jumps, is an error.
+//
+// The construction is the constructive proof itself. It partitions the
+// vertices of the (claw-free) line graph into vertex-disjoint paths, all
+// but the last of size at least 4, in three steps:
 //
 //  1. one DFS tree of the line graph, rooted at line-graph vertex 0
 //     (every node has at most two children, else three pairwise
@@ -51,9 +63,10 @@ var (
 // of 3 vertices, so it never changes which subtree is stripped.
 type Approx125 struct {
 	// SkipTwinElimination disables step 3 — an ablation knob for the E19
-	// experiment. Without twin elimination the stripped subtree need not
-	// be a path and the construction legitimately fails on some inputs
-	// (Solve returns an error); never set it outside experiments.
+	// experiment — and the walk, so the rung runs the construction alone.
+	// Without twin elimination the stripped subtree need not be a path
+	// and the construction legitimately fails on some inputs (Solve
+	// returns an error); never set it outside experiments.
 	SkipTwinElimination bool
 }
 
@@ -86,12 +99,26 @@ func (a Approx125) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, erro
 }
 
 func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, skipTwins bool) ([]int, error) {
+	m := cg.M()
+	var walk []int
+	walkJumps := m // more jumps than any order has
+	if !skipTwins {
+		var bound int
+		walk, walkJumps, bound = walkComponent(sp, cg)
+		if walkJumps < bound {
+			return nil, fmt.Errorf("solver: walk has %d jumps, below the lower bound %d", walkJumps, bound)
+		}
+		if walkJumps == bound {
+			cWalkCertified.Inc(ctx)
+			return withinThm31(walk, walkJumps, m)
+		}
+	}
 	lgSpan := sp.Start("line_graph")
 	lg := graph.NewLineGraphView(cg)
 	lgSpan.End()
 	partStart := obs.Now()
 	partSpan := sp.Start("path_partition")
-	pieces, err := pathPartition(cg, lg, skipTwins)
+	order, pieces, err := pathPartition(cg, lg, skipTwins)
 	partSpan.End()
 	tPathPartition.Observe(ctx, obs.Since(partStart))
 	if err != nil {
@@ -99,34 +126,187 @@ func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, sk
 	}
 	cPathPieces.Add(ctx, int64(len(pieces)))
 	partSpan.SetInt("pieces", int64(len(pieces)))
-	order := make([]int, 0, cg.M())
-	for _, p := range pieces {
-		order = append(order, p...)
+	jumps := core.EdgeOrderCost(cg, order) - 1 - m // π̂ = 1 + m + J
+	if walkJumps < jumps {
+		order, jumps = walk, walkJumps
 	}
-	// Bound check: the construction promises all but the final piece have
-	// >= 4 vertices. Surface a violation as an error rather than a silent
-	// quality regression.
-	for i, p := range pieces {
-		if len(p) < 4 && i != len(pieces)-1 {
-			return nil, fmt.Errorf("solver: internal piece %d has %d < 4 vertices", i, len(p))
-		}
+	return withinThm31(order, jumps, m)
+}
+
+// withinThm31 returns order if its jumps keep the component within
+// Theorem 3.1's m + ⌊(m−1)/4⌋, and an error otherwise: a violation
+// surfaces rather than ships as a silent quality regression.
+func withinThm31(order []int, jumps, m int) ([]int, error) {
+	if jumps > (m-1)/4 {
+		return nil, fmt.Errorf("solver: order over %d edges has %d jumps, above Thm 3.1's %d", m, jumps, (m-1)/4)
 	}
 	return order, nil
+}
+
+// walkComponent runs the greedy walk over L(cg), cg connected, under a
+// "walk" span. It returns the walk's edge order, its jumps, and the
+// leaf-deficit lower bound on the jumps of any tour of L(cg): the walk
+// is optimal when the two are equal.
+func walkComponent(sp *obs.Span, cg *graph.Graph) (order []int, jumps, bound int) {
+	ws := sp.Start("walk")
+	var w lineWalk
+	bound = w.init(cg)
+	jumps = w.run()
+	ws.SetInt("jumps", int64(jumps))
+	ws.End()
+	return w.order, jumps, bound
+}
+
+// lineWalk is a greedy trail over L(g) read off g's incident-edge spans,
+// with no line graph built. From the current edge it continues at the
+// endpoint with fewer unvisited edges, or failing that at the other one,
+// taking the endpoint's first unvisited edge; when both endpoints are
+// exhausted it jumps to a vertex with the fewest unvisited edges. A
+// bucket queue keyed by remaining degree finds that vertex in O(1), and
+// one forward-only cursor per vertex finds each next edge, so the walk
+// is O(|V(g)| + |E(g)|). Every slice is carved from one allocation.
+//
+// Restarting at a vertex of least remaining degree starts each trail at
+// a leaf of what is left where there is one, and continuing at the
+// scarcer endpoint uses up a vertex's last edges before they are
+// stranded. Neither makes the walk optimal, so the rung keeps Theorem
+// 3.1's construction as its fallback.
+type lineWalk struct {
+	g     *graph.Graph
+	order []int // the walk, order[:k] taken
+	k     int
+	seen  []int // per edge: 1 once taken
+	rem   []int // per vertex: incident edges not yet taken
+	cur   []int // per vertex: every incident edge before this span position is taken
+	vert  []int // the vertices in ascending rem order
+	pos   []int // position of each vertex in vert
+	bin   []int // bin[d]: position in vert of the first vertex with rem d
+}
+
+// init sizes the arena for g, fills the bucket queue and returns the
+// leaf-deficit lower bound from Theorem 3.3's proof: in a tour of L(g)
+// each city has at most min(deg, 2) good incidences, the two ends one
+// each and every other city two, so 2J >= Σ_e max(0, 2 − deg_L(e)) − 2,
+// where edge (u,v) has line-graph degree deg u + deg v − 2. L(g) of a
+// connected g is connected, so no component term applies.
+func (w *lineWalk) init(g *graph.Graph) (bound int) {
+	n, m := g.N(), g.M()
+	buf := make([]int, 2*m+5*n+1)
+	w.g = g
+	w.order, buf = buf[:m:m], buf[m:]
+	w.seen, buf = buf[:m:m], buf[m:]
+	w.rem, buf = buf[:n:n], buf[n:]
+	w.cur, buf = buf[:n:n], buf[n:]
+	w.vert, buf = buf[:n:n], buf[n:]
+	w.pos, w.bin = buf[:n:n], buf[n:] // bin has n+1 slots: degrees 0..n
+	for v := range w.rem {
+		d := g.Degree(v)
+		w.rem[v] = d
+		w.bin[d]++
+	}
+	// Counting sort of the vertices by degree: bin[d] ends at the first
+	// position past bucket d, then shifts down to its first position.
+	for d := 1; d < len(w.bin); d++ {
+		w.bin[d] += w.bin[d-1]
+	}
+	for v := n - 1; v >= 0; v-- {
+		d := w.rem[v]
+		w.bin[d]--
+		w.pos[v] = w.bin[d]
+		w.vert[w.bin[d]] = v
+	}
+	deficit := -2
+	for i := 0; i < m; i++ {
+		e := g.EdgeAt(i)
+		if d := w.rem[e.U] + w.rem[e.V] - 2; d < 2 {
+			deficit += 2 - d
+		}
+	}
+	if deficit > 0 {
+		bound = (deficit + 1) / 2
+	}
+	return bound
+}
+
+// run walks every edge and returns the number of jumps, one per trail
+// after the first. A new trail's first edge has no endpoint on the
+// previous edge (both of those are exhausted), so every restart is a
+// jump and no continuation is.
+//
+//joinpebble:hotpath
+func (w *lineWalk) run() (jumps int) {
+	for w.k < len(w.order) {
+		if w.k > 0 {
+			jumps++
+		}
+		u, v := w.take(w.vert[w.bin[1]])
+		for {
+			x := u
+			if ru, rv := w.rem[u], w.rem[v]; rv > 0 && (ru == 0 || rv < ru) {
+				x = v
+			}
+			if w.rem[x] == 0 {
+				break
+			}
+			u, v = w.take(x)
+		}
+	}
+	return jumps
+}
+
+// take appends x's first unvisited edge to the walk and returns its
+// endpoints; x must have one.
+//
+//joinpebble:hotpath
+func (w *lineWalk) take(x int) (u, v int) {
+	inc := w.g.IncidentEdges(x)
+	i := w.cur[x]
+	for w.seen[inc[i]] != 0 {
+		i++
+	}
+	w.cur[x] = i + 1
+	e := inc[i]
+	w.seen[e] = 1
+	w.order[w.k] = e
+	w.k++
+	ed := w.g.EdgeAt(e)
+	w.drop(ed.U)
+	w.drop(ed.V)
+	return ed.U, ed.V
+}
+
+// drop moves v from bucket rem[v] to bucket rem[v]−1: v swaps places
+// with the first vertex of its bucket, which then starts one later.
+//
+//joinpebble:hotpath
+func (w *lineWalk) drop(v int) {
+	d := w.rem[v]
+	w.rem[v] = d - 1
+	q := w.bin[d]
+	w.bin[d] = q + 1
+	if p := w.pos[v]; p != q {
+		u := w.vert[q]
+		w.vert[p], w.pos[u] = u, p
+		w.vert[q], w.pos[v] = v, q
+	}
 }
 
 // pathPartition splits the vertices of L(cg), cg connected, into
 // vertex-disjoint paths, all of size >= 4 except possibly the last. It
 // builds one DFS tree and strips pieces in one post-order sweep (see
 // Approx125); lg answers the adjacency tests of twin elimination and
-// the final remainder.
-func pathPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) ([][]int, error) {
+// the final remainder. The pieces are laid end to end in order, a visit
+// order over every edge of cg, and each piece is a window of it.
+func pathPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) (order []int, pieces [][]int, err error) {
 	t := newSpanTree(cg)
-	var pieces [][]int
+	m := cg.M()
+	order = t.order
+	pieces = make([][]int, 0, m/4+1)
 	visited, covered := 0, 0
 	for {
 		v, ok := t.next()
 		if !ok {
-			return nil, fmt.Errorf("solver: node %d has > 2 children in claw-free DFS tree", v)
+			return nil, nil, fmt.Errorf("solver: node %d has > 2 children in claw-free DFS tree", v)
 		}
 		if v < 0 {
 			break
@@ -137,12 +317,12 @@ func pathPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) ([]
 		}
 		if !skipTwins {
 			if err := t.eliminateTwinsBelow(lg, v); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
-		path, err := t.subtreeAsPath(v)
+		path, err := t.subtreeAsPath(order[covered:covered], v)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if p := t.parent[v]; p >= 0 {
 			t.removeChild(p, v)
@@ -150,26 +330,27 @@ func pathPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) ([]
 		pieces = append(pieces, path)
 		covered += len(path)
 	}
-	if visited != cg.M() {
-		return nil, fmt.Errorf("solver: line graph is disconnected: DFS reached %d of %d vertices", visited, cg.M())
+	if visited != m {
+		return nil, nil, fmt.Errorf("solver: line graph is disconnected: DFS reached %d of %d vertices", visited, m)
 	}
-	if rest := cg.M() - covered; rest > 0 {
+	if rest := m - covered; rest > 0 {
 		// Fewer than 4 vertices remain, all under the root. Search them
 		// in ascending order, as the rebuild loop did.
-		verts := t.appendSubtree(make([]int, 0, rest), 0)
+		verts := t.appendSubtree(order[covered:covered], 0)
 		slices.Sort(verts)
 		path, ok := hamPathSmall(lg, verts)
 		if !ok {
-			return nil, fmt.Errorf("solver: connected remainder of size %d has no Hamiltonian path", rest)
+			return nil, nil, fmt.Errorf("solver: connected remainder of size %d has no Hamiltonian path", rest)
 		}
 		pieces = append(pieces, path)
 	}
-	return pieces, nil
+	return order, pieces, nil
 }
 
 // spanTree is the DFS spanning tree of L(g) rooted at line-graph vertex
-// 0, with the state the strip sweep keeps per node. Every slice is sized
-// once per component; only the output pieces are allocated after that.
+// 0, with the state the strip sweep keeps per node, and the order the
+// stripped pieces are written to. Every slice is sized once per
+// component, and the int slices share one allocation.
 //
 // Child lists exploit the claw-free DFS-tree invariant that no node ever
 // has more than two children (three children are pairwise non-adjacent
@@ -186,19 +367,21 @@ type spanTree struct {
 	stack  []int      // DFS stack of line-graph vertices, stack[:sp] live
 	sp     int
 	cur    []int // per base vertex: every incident edge before this span position is visited
+	order  []int // the stripped pieces, end to end
 }
 
 func newSpanTree(g *graph.Graph) *spanTree {
 	n := g.M()
+	buf := make([]int, 4*n+g.N())
 	t := &spanTree{
-		g:      g,
-		parent: make([]int, n),
-		kids:   make([][2]int32, n),
-		nkid:   make([]uint8, n),
-		size:   make([]int, n),
-		stack:  make([]int, n),
-		cur:    make([]int, g.N()),
+		g:    g,
+		kids: make([][2]int32, n),
+		nkid: make([]uint8, n),
 	}
+	t.parent, buf = buf[:n:n], buf[n:]
+	t.size, buf = buf[:n:n], buf[n:]
+	t.stack, buf = buf[:n:n], buf[n:]
+	t.order, t.cur = buf[:n:n], buf[n:]
 	for i := range t.parent {
 		t.parent[i] = -2
 	}
@@ -370,13 +553,12 @@ func (t *spanTree) rehangTwins(lg *graph.LineGraphView, p, l1, l2 int) error {
 // subtreeAsPath linearizes the subtree rooted at r, which after twin
 // elimination is a path-shaped tree: r has at most two children and each
 // child subtree is a downward chain (a 3-node chain is the largest
-// possible, since r is the lowest node with >= 4 descendants). The
-// returned vertex sequence is a path in the line graph, sized exactly
-// from size[r].
-func (t *spanTree) subtreeAsPath(r int) ([]int, error) {
-	out := make([]int, 0, t.size[r])
-	// chain walks the downward chain from start, appending to out; the
-	// exact capacity above means the appends never reallocate.
+// possible, since r is the lowest node with >= 4 descendants). It
+// appends the vertex sequence, a path in the line graph, to out, which
+// must be empty; with capacity for size[r] vertices, out never
+// reallocates.
+func (t *spanTree) subtreeAsPath(out []int, r int) ([]int, error) {
+	// chain walks the downward chain from start, appending to out.
 	chain := func(start int) ([]int, error) {
 		v := start
 		for {

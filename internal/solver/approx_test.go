@@ -28,7 +28,7 @@ func TestApprox125Linear(t *testing.T) {
 		best := time.Duration(math.MaxInt64)
 		for rep := 0; rep < 5; rep++ {
 			start := obs.Now()
-			if _, err := pathPartition(cg, lg, false); err != nil {
+			if _, _, err := pathPartition(cg, lg, false); err != nil {
 				t.Fatalf("m=%d: %v", m, err)
 			}
 			best = min(best, obs.Since(start))
@@ -47,7 +47,7 @@ func TestApprox125Linear(t *testing.T) {
 // that silently misses edges.
 func TestPathPartitionRejectsDisconnected(t *testing.T) {
 	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	if pieces, err := pathPartition(g, graph.NewLineGraphView(g), false); err == nil {
+	if _, pieces, err := pathPartition(g, graph.NewLineGraphView(g), false); err == nil {
 		t.Fatalf("disconnected graph partitioned into %v", pieces)
 	}
 }

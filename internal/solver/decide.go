@@ -7,7 +7,6 @@ import (
 	"joinpebble/internal/core"
 	"joinpebble/internal/graph"
 	"joinpebble/internal/obs"
-	"joinpebble/internal/tsp"
 )
 
 // Decide outcome counters: how often each rung of the decision ladder
@@ -47,8 +46,9 @@ func Decide(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 		return true, nil
 	}
 	// A cheap certificate: if any polynomial solver achieves <= K we are
-	// done without exact search.
-	for _, s := range []Solver{Greedy{}, Approx125{}, GreedyImproved{}} {
+	// done without exact search. Approx-1.25 goes first: it never builds
+	// the line graph, and the greedy solvers do.
+	for _, s := range []Solver{Approx125{}, Greedy{}, GreedyImproved{}} {
 		scheme, err := s.Solve(ctx, g)
 		if err != nil {
 			return false, err
@@ -128,23 +128,4 @@ func ApproxWithin(ctx context.Context, g *graph.Graph, eps float64) (core.Scheme
 	// materialized (the m-based check is conservative); fall back to
 	// exact, which trivially satisfies any eps.
 	return Exact{}.Solve(ctx, g)
-}
-
-// HamiltonianLineGraphDecision decides Proposition 2.1's special case
-// π(G) = m by searching L(G) for a Hamiltonian path per component —
-// the K = m instance of PEBBLE(D).
-func HamiltonianLineGraphDecision(g *graph.Graph) (bool, error) {
-	for _, comp := range g.Components() {
-		if len(comp) < 2 {
-			continue
-		}
-		cg, _ := g.InducedSubgraph(comp)
-		if cg.M() > tsp.MaxExactCities {
-			return false, fmt.Errorf("%w: component with %d edges exceeds decision budget", ErrBudgetExceeded, cg.M())
-		}
-		if _, ok := graph.HamiltonianPath(graph.LineGraph(cg)); !ok {
-			return false, nil
-		}
-	}
-	return true, nil
 }

@@ -94,11 +94,11 @@ func TestApproxWithinEmpty(t *testing.T) {
 }
 
 func TestHamiltonianLineGraphDecision(t *testing.T) {
-	ok, err := HamiltonianLineGraphDecision(graph.CompleteBipartite(3, 3).Graph())
+	ok, err := hamiltonianLineGraphDecision(graph.CompleteBipartite(3, 3).Graph())
 	if err != nil || !ok {
 		t.Fatalf("K33 pebbles perfectly: %v %v", ok, err)
 	}
-	ok, err = HamiltonianLineGraphDecision(family.Spider(3).Graph())
+	ok, err = hamiltonianLineGraphDecision(family.Spider(3).Graph())
 	if err != nil || ok {
 		t.Fatalf("spider-3 does not: %v %v", ok, err)
 	}
@@ -106,11 +106,11 @@ func TestHamiltonianLineGraphDecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 15; trial++ {
 		g := randomConnectedBip(rng)
-		viaHam, err := HamiltonianLineGraphDecision(g)
+		viaHam, err := hamiltonianLineGraphDecision(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaCost, err := HasPerfectScheme(g)
+		viaCost, err := hasPerfectScheme(g)
 		if err != nil {
 			t.Fatal(err)
 		}

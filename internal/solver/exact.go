@@ -15,7 +15,8 @@ import (
 // connected component, solve TSP(1,2) on the line graph exactly and
 // translate the tour back into a pebbling. Exponential in the component's
 // edge count (PEBBLE(D) is NP-complete, Theorem 4.2); components above
-// MaxEdges are rejected.
+// MaxEdges are rejected. A component whose greedy walk (see lineWalk)
+// has no jump skips the search: its walk is already optimal.
 type Exact struct {
 	// MaxEdges caps the per-component edge count (the TSP city count).
 	// Zero means tsp.MaxExactCities.
@@ -37,6 +38,11 @@ func (e Exact) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 		}
 		if cg.M() > limit {
 			return nil, fmt.Errorf("%w: component with %d edges exceeds exact limit %d", ErrBudgetExceeded, cg.M(), limit)
+		}
+		// A walk with no jump costs π = m, optimal by Lemma 2.1, so the
+		// search would only find another tour of the same cost.
+		if walk, jumps, _ := walkComponent(sp, cg); jumps == 0 {
+			return walk, nil
 		}
 		in := tsp.NewInstance(graph.LineGraph(cg))
 		ts := sp.Start("held_karp")
@@ -67,15 +73,4 @@ func OptimalEffectiveCost(g *graph.Graph) (int, error) {
 		return 0, err
 	}
 	return c - core.Betti0(g), nil
-}
-
-// HasPerfectScheme decides Definition 2.3 exactly: whether π(G) = m. By
-// Proposition 2.1 this holds iff every component's line graph has a
-// Hamiltonian path.
-func HasPerfectScheme(g *graph.Graph) (bool, error) {
-	eff, err := OptimalEffectiveCost(g)
-	if err != nil {
-		return false, err
-	}
-	return eff == g.M(), nil
 }

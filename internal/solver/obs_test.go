@@ -140,13 +140,20 @@ func TestDecideCounters(t *testing.T) {
 // TestSpanNamesAreStable pins the phase-span vocabulary: renames break
 // trace consumers the same way metric renames break dashboards.
 func TestSpanNamesAreStable(t *testing.T) {
-	// K_{2,2}: complete bipartite, so the equijoin solver accepts it too.
-	g := graph.New(4, []graph.Edge{{U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}})
+	// A hub with legs of one, one and two edges: L(G) has a Hamiltonian
+	// path, but the walk jumps once and its lower bound is 0, so neither
+	// rung returns the walk and the later phases run too.
+	g := graph.New(5, []graph.Edge{{U: 0, V: 3}, {U: 0, V: 4}, {U: 1, V: 3}, {U: 2, V: 3}})
+	// K_{2,2}: complete bipartite, for the equijoin solver.
+	k22 := graph.New(4, []graph.Edge{{U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}})
 	spans := scopedSolve(t, func(ctx context.Context) {
-		for _, s := range []Solver{Approx125{}, Exact{}, Equijoin{}} {
+		for _, s := range []Solver{Approx125{}, Exact{}} {
 			if _, err := s.Solve(ctx, g); err != nil {
 				t.Fatalf("%s: %v", s.Name(), err)
 			}
+		}
+		if _, err := (Equijoin{}).Solve(ctx, k22); err != nil {
+			t.Fatalf("equijoin: %v", err)
 		}
 	})
 	got := make(map[string]bool)
@@ -156,7 +163,7 @@ func TestSpanNamesAreStable(t *testing.T) {
 	for _, want := range []string{
 		"approx-1.25", "exact", "equijoin",
 		"component_split", "component_solve", "scheme_build",
-		"line_graph", "path_partition", "held_karp", "zigzag_order",
+		"walk", "line_graph", "path_partition", "held_karp", "zigzag_order",
 	} {
 		if !got[want] {
 			t.Errorf("span %q missing from trace; got %v", want, got)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"joinpebble/internal/family"
 	"joinpebble/internal/faultinject"
 	"joinpebble/internal/graph"
 	"joinpebble/internal/tsp"
@@ -109,10 +110,12 @@ func TestInjectedBudgetExhaustion(t *testing.T) {
 // bounded wall time, not at the (nonexistent) next component boundary.
 // A delay armed once at the search's checkpoint site outlasts the
 // deadline, so the deadline expires mid-search however fast the host.
+// The graph is Spider(11), 22 edges in one component: its walk jumps,
+// so the rung cannot skip the search the way it does on a path.
 func TestExactDeadlineMidComponent(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Arm(tsp.SiteExactExpand, faultinject.Fault{Delay: 10 * time.Second, Times: 1})
-	g := pathGraph(23) // 22 edges, one component: 2^22-subset search
+	g := family.Spider(11).Graph() // 2^22-subset search
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()

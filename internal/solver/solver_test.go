@@ -457,11 +457,11 @@ func TestOptimalCostInvariantUnderEdgeOrder(t *testing.T) {
 }
 
 func TestHasPerfectScheme(t *testing.T) {
-	ok, err := HasPerfectScheme(graph.CompleteBipartite(3, 3).Graph())
+	ok, err := hasPerfectScheme(graph.CompleteBipartite(3, 3).Graph())
 	if err != nil || !ok {
 		t.Fatalf("K_{3,3} pebbles perfectly: ok=%v err=%v", ok, err)
 	}
-	ok, err = HasPerfectScheme(family.Spider(3).Graph())
+	ok, err = hasPerfectScheme(family.Spider(3).Graph())
 	if err != nil || ok {
 		t.Fatalf("spider-3 cannot pebble perfectly: ok=%v err=%v", ok, err)
 	}

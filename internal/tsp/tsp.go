@@ -83,41 +83,6 @@ func (in *Instance) Jumps(t Tour) int {
 	return j
 }
 
-// JumpLowerBound returns a lower bound on J for any tour, generalizing
-// the B+/B− counting in Theorem 3.3's proof: a vertex with g good edges
-// has at most min(g,2) good tour incidences, internal vertices have two
-// incidences and the two endpoints one each, so
-//
-//	2J >= sum_v max(0, 2−deg(v)) − 2.
-func (in *Instance) JumpLowerBound() int {
-	deficit := 0
-	for v := 0; v < in.N(); v++ {
-		if d := in.Good.Degree(v); d < 2 {
-			deficit += 2 - d
-		}
-	}
-	deficit -= 2
-	lb := 0
-	if deficit > 0 {
-		lb = (deficit + 1) / 2
-	}
-	// A tour must also jump between connected components of the good
-	// graph at least once per component boundary.
-	if c := in.Good.ComponentCount() - 1; c > lb {
-		lb = c
-	}
-	return lb
-}
-
-// CostLowerBound returns a lower bound on the optimal tour cost:
-// n−1 + JumpLowerBound.
-func (in *Instance) CostLowerBound() int {
-	if in.N() == 0 {
-		return 0
-	}
-	return in.N() - 1 + in.JumpLowerBound()
-}
-
 // CostUpperBound returns the universal upper bound 2(n−1): every step
 // costs at most 2.
 func (in *Instance) CostUpperBound() int {

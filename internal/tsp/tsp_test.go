@@ -61,42 +61,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestJumpLowerBoundLeafCounting(t *testing.T) {
-	// K_n plus n pendant leaves: the L(G_n) structure from Theorem 3.3.
-	// n leaves of degree 1 give 2J >= n - 2.
-	n := 6
-	var gEdges []graph.Edge
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			gEdges = append(gEdges, graph.Edge{U: i, V: j})
-		}
-	}
-	for i := 0; i < n; i++ {
-		gEdges = append(gEdges, graph.Edge{U: i, V: n + i})
-	}
-	g := graph.New(2*n, gEdges)
-	in := NewInstance(g)
-	if lb := in.JumpLowerBound(); lb != (n-2+1)/2 {
-		t.Fatalf("jump lower bound=%d want %d", lb, (n-2+1)/2)
-	}
-}
-
-func TestJumpLowerBoundComponents(t *testing.T) {
-	// Two disjoint triangles: no degree deficit, but one inter-component
-	// jump is forced.
-	var gEdges []graph.Edge
-	for _, tri := range [][3]int{{0, 1, 2}, {3, 4, 5}} {
-		gEdges = append(gEdges, graph.Edge{U: tri[0], V: tri[1]})
-		gEdges = append(gEdges, graph.Edge{U: tri[1], V: tri[2]})
-		gEdges = append(gEdges, graph.Edge{U: tri[2], V: tri[0]})
-	}
-	g := graph.New(6, gEdges)
-	in := NewInstance(g)
-	if lb := in.JumpLowerBound(); lb != 1 {
-		t.Fatalf("component bound=%d want 1", lb)
-	}
-}
-
 func TestExactOnPath(t *testing.T) {
 	in := pathInstance(6)
 	tour, cost, err := Exact(context.Background(), in)
@@ -140,11 +104,24 @@ func TestExactRespectsBounds(t *testing.T) {
 		if in.Validate(tour) != nil {
 			return false
 		}
-		return cost >= in.CostLowerBound() && cost <= in.CostUpperBound()
+		return cost >= in.N()-1+jumpLowerBound(g) && cost <= in.CostUpperBound()
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// jumpLowerBound is the B+/B− counting of Theorem 3.3's proof on a good
+// graph: a city with d good edges has at most min(d, 2) good tour
+// incidences, the two ends one each and every other city two, so
+// 2J >= Σ_v max(0, 2 − d(v)) − 2; a tour also jumps at least once
+// between consecutive components of the good graph.
+func jumpLowerBound(good *graph.Graph) int {
+	deficit := -2
+	for v := 0; v < good.N(); v++ {
+		deficit += max(0, 2-good.Degree(v))
+	}
+	return max((deficit+1)/2, good.ComponentCount()-1, 0)
 }
 
 func TestExactRejectsLargeInstance(t *testing.T) {
