@@ -30,10 +30,7 @@ func gen(t *testing.T, kind, out string, n int) string {
 
 func TestGenerateSpiderGraph(t *testing.T) {
 	out := gen(t, "spider", "graph", 4)
-	b, err := graph.ReadBipartite(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := readBipartite(t, out)
 	if b.M() != 8 || b.NLeft() != 5 || b.NRight() != 4 {
 		t.Fatalf("spider output wrong: %v", b)
 	}
@@ -41,10 +38,7 @@ func TestGenerateSpiderGraph(t *testing.T) {
 
 func TestGenerateEquijoinGraphParses(t *testing.T) {
 	out := gen(t, "equijoin", "graph", 0)
-	b, err := graph.ReadBipartite(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := readBipartite(t, out)
 	if b.NLeft() != 20 || b.NRight() != 20 {
 		t.Fatalf("sides %dx%d", b.NLeft(), b.NRight())
 	}
@@ -59,9 +53,7 @@ func TestGenerateRelationsOutput(t *testing.T) {
 
 func TestGenerateSpatialGraph(t *testing.T) {
 	out := gen(t, "spatial", "graph", 0)
-	if _, err := graph.ReadBipartite(strings.NewReader(out)); err != nil {
-		t.Fatal(err)
-	}
+	readBipartite(t, out)
 }
 
 func TestGeneratePlanOutput(t *testing.T) {
@@ -103,4 +95,18 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	if gen(t, "equijoin", "graph", 0) != gen(t, "equijoin", "graph", 0) {
 		t.Fatal("same flags and seed must reproduce output")
 	}
+}
+
+// readBipartite parses joingen's graph output, which is a join graph.
+func readBipartite(t *testing.T, out string) *graph.Bipartite {
+	t.Helper()
+	v, err := graph.Read(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, ok := v.(*graph.Bipartite)
+	if !ok {
+		t.Fatalf("output parsed as %T, want a bipartite graph", v)
+	}
+	return b
 }

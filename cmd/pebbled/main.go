@@ -12,15 +12,17 @@
 // Requests pass admission control — a bounded-concurrency semaphore
 // with a bounded wait queue; past capacity the server answers 429 with
 // Retry-After instead of queuing unboundedly — and run under a
-// per-request deadline carved into the engine's degradation ladder, so
-// a slow solve degrades (exact → approx-1.25 → naive) inside its
-// budget. SIGINT/SIGTERM drain gracefully: readiness flips, the
-// listener closes, in-flight solves finish under -drain-timeout, then
-// the observability artifacts are flushed.
+// per-request deadline carved into the engine's degradation ladder
+// (each non-final rung may spend half of what remains), so a slow solve
+// degrades (exact → approx-1.25 → naive) inside its budget.
+// SIGINT/SIGTERM drain gracefully: readiness flips, the listener
+// closes, in-flight solves finish under -drain-timeout, then the
+// observability artifacts are flushed.
 //
-// All solves share the process-wide scheme cache (-cache-size; 0
+// All requests share one scheme cache (-cache-size, default 64MiB; 0
 // disables it), so repeated shapes are answered from cache across
-// requests.
+// requests. pebbled is the only command that keeps a cache: it is the
+// only one that solves the same shapes again and again.
 package main
 
 import (
@@ -33,6 +35,7 @@ import (
 	"time"
 
 	"joinpebble/internal/engine/cmdutil"
+	"joinpebble/internal/schemecache"
 	"joinpebble/internal/serve"
 )
 
@@ -43,8 +46,7 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", time.Second, "max wait for a solve slot before 429")
 	requestTimeout := flag.Duration("request-timeout", 5*time.Second, "per-request solve deadline cap")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight solves on shutdown")
-	rungFraction := flag.Float64("rung-fraction", 0, "share of the remaining deadline a non-final ladder rung may spend (0 = engine default)")
-	exactLimit := flag.Int("exact-limit", 0, "exact-rung per-component edge cap (0 = solver default)")
+	cacheSize := flag.String("cache-size", "64MiB", "scheme cache capacity in bytes (KB/MB/GB or KiB/MiB/GiB suffixes); 0 disables the cache")
 	obsFlags := cmdutil.BindFlags(flag.CommandLine, "pebbled", true)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pebbled [flags]\nserves the joinpebble /v1 API until SIGINT/SIGTERM, then drains\n")
@@ -52,6 +54,10 @@ func main() {
 	}
 	flag.Parse()
 
+	cache, err := newCache(*cacheSize)
+	if err != nil {
+		cmdutil.Exit("pebbled", err)
+	}
 	if err := obsFlags.Start(); err != nil {
 		cmdutil.Exit("pebbled", err)
 	}
@@ -70,8 +76,7 @@ func main() {
 		QueueTimeout:   *queueTimeout,
 		RequestTimeout: *requestTimeout,
 		DrainTimeout:   *drainTimeout,
-		RungFraction:   *rungFraction,
-		ExactLimit:     *exactLimit,
+		Cache:          cache,
 	})
 	if err != nil {
 		cmdutil.Exit("pebbled", err)
@@ -89,4 +94,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pebbled: drained")
 	}
 	cmdutil.Exit("pebbled", err)
+}
+
+// newCache builds the scheme cache -cache-size asks for, or none at
+// size 0.
+func newCache(size string) (*schemecache.Cache, error) {
+	n, err := cmdutil.ParseByteSize(size)
+	if err != nil {
+		return nil, cmdutil.Usagef("-cache-size: %v", err)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	return schemecache.New(n, 0), nil
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"joinpebble/internal/engine/cmdutil"
 	"joinpebble/internal/obs"
 )
 
@@ -96,4 +97,33 @@ func termWhenReady(bin string) error {
 		return fmt.Errorf("pebbled exited without draining:\n%s", stderr.String())
 	}
 	return nil
+}
+
+// TestCacheSizeFlag pins the scheme-cache knob: a positive -cache-size
+// builds a cache of that capacity, 0 builds none, and a malformed size
+// is a usage error.
+func TestCacheSizeFlag(t *testing.T) {
+	for _, tc := range []struct {
+		size string
+		want int64 // capacity; 0 means no cache
+	}{
+		{"1MiB", 1 << 20},
+		{"64MiB", 64 << 20},
+		{"0", 0},
+	} {
+		c, err := newCache(tc.size)
+		switch {
+		case err != nil:
+			t.Errorf("-cache-size %s: %v", tc.size, err)
+		case tc.want == 0 && c != nil:
+			t.Errorf("-cache-size %s built a cache", tc.size)
+		case tc.want > 0 && c == nil:
+			t.Errorf("-cache-size %s built no cache", tc.size)
+		case tc.want > 0 && c.Stats().Capacity != tc.want:
+			t.Errorf("-cache-size %s capacity = %d, want %d", tc.size, c.Stats().Capacity, tc.want)
+		}
+	}
+	if _, err := newCache("lots"); !cmdutil.IsUsage(err) {
+		t.Errorf("-cache-size lots: err = %v, want a usage error", err)
+	}
 }

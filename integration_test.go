@@ -29,7 +29,7 @@ func TestEndToEndEquijoin(t *testing.T) {
 	}
 
 	// Every algorithm computes the same result set.
-	want := join.NestedLoop(ls, rs, join.EqInt)
+	want := join.NestedLoop(ls, rs, func(l, r int64) bool { return l == r })
 	for _, algo := range []struct {
 		name  string
 		pairs []Pair

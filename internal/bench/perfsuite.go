@@ -1,9 +1,9 @@
 package bench
 
 // PerfSuite pins the hot-path benchmarks that cmd/bench measures and
-// regression-checks: the CSR code paths (span lookups, implicit
-// line-graph views, multi-component solving, the linear equijoin
-// build and solve, the exact search). The committed
+// regression-checks: the CSR code paths (span lookups, multi-component
+// solving, the linear approximation and equijoin solves, the equijoin
+// build, the exact search). The committed
 // BENCH_*-legacy.json reports measured the pre-optimization paths under
 // the same series names; they stay as history.
 //
@@ -334,6 +334,7 @@ func PerfSuite() []PerfCase {
 		},
 	}
 	cases = append(cases, spiderScaling()...)
+	cases = append(cases, randomScaling()...)
 	cases = append(cases, equijoinScaling()...)
 	return append(cases, exactSeries()...)
 }
@@ -366,8 +367,8 @@ func exactSeries() []PerfCase {
 // spiders with m = 500..8000 edges. The m8000 case records the fitted
 // log-log slope (see recordScaling): near 1 for a linear solve, near 3
 // for a per-strip walk over the line graph, whose hub clique has m²/8
-// edges. Both arms run the implicit view: a materialized line graph of
-// the m8000 spider would hold 8M edges.
+// edges. The rung never materializes the line graph, which for the
+// m8000 spider would hold 8M edges.
 func spiderScaling() []PerfCase {
 	sizes := []int{500, 1000, 2000, 4000, 8000}
 	nsPerOp := make([]float64, len(sizes))
@@ -391,6 +392,50 @@ func spiderScaling() []PerfCase {
 		}
 	}
 	return cases
+}
+
+// randomScaling is approx-1.25 on random connected graphs with n = 2m/5
+// vertices and m = 500..8000 edges. The walk is certified on every
+// spider, so spiderScaling times the walk alone; on these graphs it is
+// not, so the rung also runs Theorem 3.1's construction, and this series
+// keeps the construction's linear time in view. Each case records the
+// solver/walk/certified count of one scoped solve ("certified"), and the
+// m8000 case the fitted log-log slope.
+func randomScaling() []PerfCase {
+	sizes := []int{500, 1000, 2000, 4000, 8000}
+	nsPerOp := make([]float64, len(sizes))
+	cases := make([]PerfCase, len(sizes))
+	ctx := context.Background()
+	for i, m := range sizes {
+		g := graph.RandomConnectedGraph(rand.New(rand.NewSource(perfSeed)), 2*m/5, m, 0)
+		s := solver.Approx125{}
+		extra := map[string]float64{"certified": certifiedWalks(s, g)}
+		cases[i] = PerfCase{
+			Name:  fmt.Sprintf("approx125/random-m%d", m),
+			Extra: extra,
+			Run: func(b *testing.B) {
+				for j := 0; j < b.N; j++ {
+					if _, err := s.Solve(ctx, g.Clone()); err != nil {
+						b.Fatal(err)
+					}
+				}
+				recordScaling(b, extra, sizes, nsPerOp, i)
+			},
+		}
+	}
+	return cases
+}
+
+// certifiedWalks runs s once on g under a request scope and returns the
+// scope's solver/walk/certified count: the components whose walk met
+// its lower bound, so that no construction ran for them.
+func certifiedWalks(s solver.Solver, g *graph.Graph) float64 {
+	sc := obs.NewScope("bench/certified")
+	defer sc.Close()
+	if _, err := s.Solve(obs.WithScope(context.Background(), sc), g.Clone()); err != nil {
+		panic("bench: " + s.Name() + " failed: " + err.Error())
+	}
+	return float64(sc.Snapshot().Counters["solver/walk/certified"])
 }
 
 // equijoinScaling is the Theorem 3.2 linear-time trio of series on

@@ -19,15 +19,6 @@ func UpperBound(g *graph.Graph) int {
 	return 2 * g.M()
 }
 
-// EffectiveBounds returns Lemma 2.3's bounds on the effective cost:
-// m <= π(G) <= (2m−1 per component), i.e. 2m−β₀ overall.
-func EffectiveBounds(g *graph.Graph) (lo, hi int) {
-	if g.M() == 0 {
-		return 0, 0
-	}
-	return g.M(), 2*g.M() - Betti0(g)
-}
-
 // Perfect reports whether the scheme is a perfect pebbling of g
 // (Definition 2.3): valid, complete and with effective cost exactly m.
 func Perfect(g *graph.Graph, s Scheme) bool {

@@ -96,95 +96,3 @@ func EdgeOrderFromScheme(g *graph.Graph, s Scheme) ([]int, error) {
 	}
 	return res.EdgeOrder, nil
 }
-
-// Compact removes removable waste from a valid complete scheme: any
-// configuration that deletes no new edge and whose neighbors are within
-// one pebble move of each other is dropped. The result is a valid
-// complete scheme of equal or lower cost — never higher. It runs to a
-// fixpoint; each pass is linear in the scheme length.
-func Compact(g *graph.Graph, s Scheme) (Scheme, error) {
-	cur := append(Scheme(nil), s...)
-	if _, err := Verify(g, cur); err != nil {
-		return nil, err
-	}
-	for {
-		// Mark which configs delete a new edge under replay.
-		deletes := make([]bool, len(cur))
-		seen := make([]bool, g.M())
-		for i, c := range cur {
-			if idx, ok := g.EdgeIndex(c.A, c.B); ok && !seen[idx] {
-				seen[idx] = true
-				deletes[i] = true
-			}
-		}
-		dropped := false
-		out := cur[:0:0]
-		for i := 0; i < len(cur); i++ {
-			if deletes[i] {
-				out = append(out, cur[i])
-				continue
-			}
-			// Wasted config: droppable if the bridge stays a legal move.
-			prevOK := len(out) == 0
-			var succ *Config
-			if i+1 < len(cur) {
-				succ = &cur[i+1]
-			}
-			if !prevOK && (succ == nil || succ.MovesFrom(out[len(out)-1]) == 1) {
-				dropped = true
-				continue
-			}
-			if prevOK && succ != nil {
-				// Leading waste: the successor simply becomes first.
-				dropped = true
-				continue
-			}
-			if succ == nil && len(out) > 0 {
-				// Trailing waste: always droppable.
-				dropped = true
-				continue
-			}
-			out = append(out, cur[i])
-		}
-		cur = out
-		if !dropped {
-			break
-		}
-	}
-	if _, err := Verify(g, cur); err != nil {
-		return nil, fmt.Errorf("core: compaction broke the scheme: %w", err)
-	}
-	return cur, nil
-}
-
-// Concat joins schemes for disjoint parts of a graph into one scheme for
-// the whole. The additivity lemma (Lemma 2.2) guarantees the result is
-// optimal when the parts are the connected components and each part's
-// scheme is optimal: π̂(G ⊔ H) = π̂(G) + π̂(H). Bridging from one part to
-// the next costs two moves, exactly the +1-per-extra-component that π̂
-// carries over π.
-func Concat(parts ...Scheme) Scheme {
-	var out Scheme
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		if len(out) == 0 {
-			out = append(out, p...)
-			continue
-		}
-		last := out[len(out)-1]
-		switch p[0].MovesFrom(last) {
-		case 0:
-			// Same configuration; drop the duplicate.
-			out = append(out, p[1:]...)
-		case 1:
-			out = append(out, p...)
-		default:
-			// Two-move bridge: move pebble A into the new part first.
-			out = append(out, Config{A: p[0].A, B: last.B})
-			out = append(out, p...)
-		}
-	}
-	return out
-}

@@ -120,68 +120,8 @@ func TestEdgeOrderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompactRemovesWaste(t *testing.T) {
-	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	// Wasteful detour: (0,1) delete, (0,2) waste, (1,2) delete.
-	s := Scheme{{0, 1}, {0, 2}, {1, 2}}
-	compacted, err := Compact(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compacted.Cost() >= s.Cost() {
-		t.Fatalf("compaction did not help: %d vs %d", compacted.Cost(), s.Cost())
-	}
-	if !Perfect(g, compacted) {
-		t.Fatal("compacted scheme should be perfect here")
-	}
-}
-
-func TestCompactKeepsNecessaryBridges(t *testing.T) {
-	// Matching: the intermediate jump configs are wasted but necessary
-	// (neighbors are two moves apart), so compaction must keep them.
-	g := graph.Matching(3).Graph()
-	s := NaiveScheme(g)
-	compacted, err := Compact(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compacted.Cost() != 2*g.M() {
-		t.Fatalf("matching cost must stay 2m, got %d", compacted.Cost())
-	}
-}
-
-func TestCompactNeverIncreasesCost(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	cfg := &quick.Config{MaxCount: 50, Rand: rng}
-	err := quick.Check(func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		b := graph.RandomBipartite(r, 2+r.Intn(4), 2+r.Intn(4), 0.5)
-		g := b.Graph()
-		if g.M() == 0 {
-			return true
-		}
-		s := NaiveScheme(g)
-		compacted, err := Compact(g, s)
-		if err != nil {
-			return false
-		}
-		cost, err := Verify(g, compacted)
-		return err == nil && cost <= s.Cost()
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompactRejectsInvalidScheme(t *testing.T) {
-	g := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if _, err := Compact(g, Scheme{{0, 1}}); err == nil {
-		t.Fatal("incomplete scheme must be rejected")
-	}
-}
-
 func TestConcatAdditivity(t *testing.T) {
-	// Lemma 2.2: π̂(G ⊔ H) = π̂(G) + π̂(H), realized by Concat.
+	// Lemma 2.2: π̂(G ⊔ H) = π̂(G) + π̂(H), realized by concat.
 	g := graph.New(2, []graph.Edge{{U: 0, V: 1}})
 	h := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 
@@ -193,7 +133,7 @@ func TestConcatAdditivity(t *testing.T) {
 	for i, c := range sh {
 		shShifted[i] = Config{A: c.A + g.N(), B: c.B + g.N()}
 	}
-	combined := Concat(sg, shShifted)
+	combined := concat(sg, shShifted)
 	cost, err := Verify(u, combined)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +145,7 @@ func TestConcatAdditivity(t *testing.T) {
 
 func TestConcatSkipsEmpty(t *testing.T) {
 	s := Scheme{{0, 1}}
-	out := Concat(nil, s, Scheme{})
+	out := concat(nil, s, Scheme{})
 	if len(out) != 1 {
 		t.Fatalf("concat with empties: %v", out)
 	}
@@ -220,7 +160,7 @@ func TestConcatManyComponents(t *testing.T) {
 	for i := 0; i < m; i++ {
 		parts[i] = Scheme{{A: b.LeftVertex(i), B: b.RightVertex(i)}}
 	}
-	s := Concat(parts...)
+	s := concat(parts...)
 	cost, err := Verify(g, s)
 	if err != nil {
 		t.Fatal(err)
@@ -231,4 +171,36 @@ func TestConcatManyComponents(t *testing.T) {
 	if s.EffectiveCost(g) != m {
 		t.Fatalf("effective=%d want m=%d", s.EffectiveCost(g), m)
 	}
+}
+
+// concat joins schemes for disjoint parts of a graph into one scheme for
+// the whole. The additivity lemma (Lemma 2.2) guarantees the result is
+// optimal when the parts are the connected components and each part's
+// scheme is optimal: π̂(G ⊔ H) = π̂(G) + π̂(H). Bridging from one part to
+// the next costs two moves, exactly the +1-per-extra-component that π̂
+// carries over π.
+func concat(parts ...Scheme) Scheme {
+	var out Scheme
+	for _, p := range parts {
+		if len(p) == 0 {
+			continue
+		}
+		if len(out) == 0 {
+			out = append(out, p...)
+			continue
+		}
+		last := out[len(out)-1]
+		switch p[0].MovesFrom(last) {
+		case 0:
+			// Same configuration; drop the duplicate.
+			out = append(out, p[1:]...)
+		case 1:
+			out = append(out, p...)
+		default:
+			// Two-move bridge: move pebble A into the new part first.
+			out = append(out, Config{A: p[0].A, B: last.B})
+			out = append(out, p...)
+		}
+	}
+	return out
 }

@@ -96,36 +96,6 @@ func VerifyK(g *graph.Graph, s *KScheme) (int, error) {
 	return s.Cost(), nil
 }
 
-// FromScheme converts a two-pebble Scheme into the equivalent KScheme
-// with k = 2, preserving the cost accounting (π̂ = moves).
-func FromScheme(s Scheme) *KScheme {
-	ks := &KScheme{K: 2}
-	if len(s) == 0 {
-		return ks
-	}
-	ks.Moves = append(ks.Moves,
-		KMove{Pebble: 0, To: s[0].A},
-		KMove{Pebble: 1, To: s[0].B})
-	for i := 1; i < len(s); i++ {
-		prev, cur := s[i-1], s[i]
-		switch {
-		case cur.A == prev.A:
-			ks.Moves = append(ks.Moves, KMove{Pebble: 1, To: cur.B})
-		case cur.B == prev.B:
-			ks.Moves = append(ks.Moves, KMove{Pebble: 0, To: cur.A})
-		case cur.A == prev.B:
-			ks.Moves = append(ks.Moves, KMove{Pebble: 0, To: cur.B})
-		case cur.B == prev.A:
-			ks.Moves = append(ks.Moves, KMove{Pebble: 1, To: cur.A})
-		default:
-			// Scheme transitions move exactly one pebble, so one of the
-			// cases above always fires for valid schemes.
-			ks.Moves = append(ks.Moves, KMove{Pebble: 0, To: cur.A}, KMove{Pebble: 1, To: cur.B})
-		}
-	}
-	return ks
-}
-
 // GreedyK builds a k-pebble scheme greedily: repeatedly make the move
 // that deletes the most remaining edges, breaking ties by lowest vertex;
 // when no single move deletes anything, seed the two pebbles with the
@@ -250,11 +220,3 @@ func leastUsefulPair(k int, usefulness func(int) int) (int, int) {
 	}
 	return p1, p2
 }
-
-// KSpiderMoves returns the number of moves the 3-pebble strategy needs
-// on the spider G_n: park one pebble on the center forever, walk a
-// second along the middles, and let the third collect the leaves —
-// 1 + 2n = m + 1 moves, the same as a perfect two-pebble scheme on an
-// easy graph. The Theorem 3.3 lower bound (π = 1.25m − 1 with two
-// pebbles) is therefore a strictly two-pebble phenomenon.
-func KSpiderMoves(n int) int { return 2*n + 1 }

@@ -121,10 +121,6 @@ func TestBoundsLemma21(t *testing.T) {
 	if UpperBound(g) != 6 {
 		t.Fatalf("upper=%d", UpperBound(g))
 	}
-	lo, hi := EffectiveBounds(g)
-	if lo != 3 || hi != 5 {
-		t.Fatalf("effective bounds=(%d,%d) want (3,5)", lo, hi)
-	}
 }
 
 func TestBoundsEmptyGraph(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"joinpebble/internal/core"
 	"joinpebble/internal/graph"
@@ -30,27 +29,6 @@ var (
 // CachedSolverName is the provenance label a cache-served scheme
 // carries in Result.Solver, Result.Attempts, and scope events.
 const CachedSolverName = "cached"
-
-// sharedCache is the process-wide cache the CLIs install via cmdutil
-// (-cache-size; 0 installs none). Zero-value Planners fall back to it,
-// so every command's solves share one cache without plumbing; library
-// users and tests that never install one run cache-free.
-var sharedCache atomic.Pointer[schemecache.Cache]
-
-// SetSharedCache installs (or, with nil, removes) the process-wide
-// scheme cache that Planners without an explicit Cache use.
-func SetSharedCache(c *schemecache.Cache) {
-	if c == nil {
-		sharedCache.Store((*schemecache.Cache)(nil))
-		return
-	}
-	sharedCache.Store(c)
-}
-
-// SharedCache returns the installed process-wide cache, or nil.
-func SharedCache() *schemecache.Cache {
-	return sharedCache.Load()
-}
 
 // canonScratch pools fingerprint scratch buffers across concurrent
 // runs, the same steady-state-zero-alloc posture as the solver arenas.

@@ -322,9 +322,8 @@ func TestCacheQualityProvenance(t *testing.T) {
 	}
 }
 
-// TestNoCacheMeansNoCacheRung: a zero-value Planner with no shared
-// cache installed never reports cached provenance and never pays the
-// fingerprint.
+// TestNoCacheMeansNoCacheRung: a zero-value Planner never reports
+// cached provenance and never pays the fingerprint.
 func TestNoCacheMeansNoCacheRung(t *testing.T) {
 	var p Planner
 	in := FromBipartite("spider", family.Spider(4))
@@ -341,33 +340,6 @@ func TestNoCacheMeansNoCacheRung(t *testing.T) {
 				t.Fatal("cache-free planner recorded a cache attempt")
 			}
 		}
-	}
-}
-
-// TestSharedCacheFallback: a zero-value Planner picks up the installed
-// process-wide cache, and SetSharedCache(nil) removes it.
-func TestSharedCacheFallback(t *testing.T) {
-	defer SetSharedCache(nil)
-	SetSharedCache(testCache())
-	var p Planner
-	in := FromBipartite("spider", family.Spider(4))
-	if _, err := p.Run(context.Background(), in); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Solver != CachedSolverName {
-		t.Fatalf("shared cache not consulted: solver %q", res.Solver)
-	}
-	SetSharedCache(nil)
-	res, err = p.Run(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Solver == CachedSolverName {
-		t.Fatal("cleared shared cache still serving hits")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package cmdutil holds the plumbing every joinpebble command shares:
 // usage-error classification with consistent exit codes, the
 // -metrics/-trace-out/-pprof observability flags with their write-out
-// logic, and the -cache-size scheme-cache knob.
+// logic, and byte-size parsing for pebbled's -cache-size.
 // Keeping it beside the engine makes the four CLIs thin adapters over
 // the engine pipeline instead of four diverging copies of the same glue.
 package cmdutil
@@ -17,10 +17,8 @@ import (
 	"strings"
 	"time"
 
-	"joinpebble/internal/engine"
 	"joinpebble/internal/obs"
 	"joinpebble/internal/obs/obshttp"
-	"joinpebble/internal/schemecache"
 )
 
 // UsageError marks a command-line usage mistake (unknown flag value,
@@ -76,27 +74,21 @@ var osExit = os.Exit
 // Obs bundles the observability flags shared by the commands and writes
 // the artifacts out after a run. Zero value = all outputs disabled.
 type Obs struct {
-	cmd       string
-	Metrics   string // -metrics: JSON snapshot path
-	TraceOut  string // -trace-out: per-scope Chrome traces + flight recorder dir
-	PProf     string // -pprof: expvar/pprof listen address
-	CacheSize string // -cache-size: scheme cache capacity (byte-size string)
+	cmd      string
+	Metrics  string // -metrics: JSON snapshot path
+	TraceOut string // -trace-out: per-scope Chrome traces + flight recorder dir
+	PProf    string // -pprof: expvar/pprof listen address
 
 	pprofSrv *obshttp.Server // live debug server; drained in Finish
 }
 
-// DefaultCacheSize is the scheme cache capacity the CLIs run with
-// unless -cache-size overrides it.
-const DefaultCacheSize = "64MiB"
-
-// BindFlags registers the shared observability and scheme-cache flags
-// on fs. pprof is only offered to the long-running commands
-// (experiments, bench); the one-shot commands pass withPProf=false.
+// BindFlags registers the shared observability flags on fs. pprof is
+// only offered to the long-running commands (experiments, bench,
+// pebbled); the one-shot commands pass withPProf=false.
 func BindFlags(fs *flag.FlagSet, cmd string, withPProf bool) *Obs {
 	o := &Obs{cmd: cmd}
 	fs.StringVar(&o.Metrics, "metrics", "", "write the metrics snapshot as JSON to this file")
 	fs.StringVar(&o.TraceOut, "trace-out", "", "write per-solve Chrome traces and flightrecorder.json into this directory")
-	fs.StringVar(&o.CacheSize, "cache-size", DefaultCacheSize, "scheme cache capacity in bytes (KB/MB/GB or KiB/MiB/GiB suffixes); 0 disables the cache")
 	if withPProf {
 		fs.StringVar(&o.PProf, "pprof", "", "serve net/http/pprof and expvar on this address")
 	}
@@ -130,28 +122,10 @@ func ParseByteSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// installCache installs (or, at size 0, clears) the process-wide scheme
-// cache the engine's planners fall back to, per -cache-size.
-func (o *Obs) installCache() error {
-	size, err := ParseByteSize(o.CacheSize)
-	if err != nil {
-		return Usagef("-cache-size: %v", err)
-	}
-	if size == 0 {
-		engine.SetSharedCache(nil)
-		return nil
-	}
-	engine.SetSharedCache(schemecache.New(size, 0))
-	return nil
-}
-
-// Start installs the scheme cache, trace directory, and pprof server
-// the parsed flags ask for. Call it right after flag parsing, before
-// any instrumented work.
+// Start sets up the trace directory and pprof server the parsed flags
+// ask for. Call it right after flag parsing, before any instrumented
+// work.
 func (o *Obs) Start() error {
-	if err := o.installCache(); err != nil {
-		return err
-	}
 	if o.PProf != "" {
 		srv, err := obshttp.Start(o.PProf)
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"joinpebble/internal/engine"
 	"joinpebble/internal/obs"
 )
 
@@ -81,38 +80,5 @@ func TestBindFlagsAndFinish(t *testing.T) {
 	var snap obs.Snapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("-metrics file is not a snapshot: %v", err)
-	}
-}
-
-// TestCacheSizeFlag pins the one scheme-cache knob: a positive
-// -cache-size installs a shared cache of that capacity, and
-// -cache-size 0 then leaves none installed.
-func TestCacheSizeFlag(t *testing.T) {
-	prev := engine.SharedCache()
-	defer engine.SetSharedCache(prev)
-	for _, tc := range []struct {
-		size string
-		want int64 // installed capacity; 0 means no cache
-	}{
-		{"1MiB", 1 << 20},
-		{"0", 0},
-	} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		o := BindFlags(fs, "test", false)
-		if err := fs.Parse([]string{"-cache-size", tc.size}); err != nil {
-			t.Fatal(err)
-		}
-		if err := o.Start(); err != nil {
-			t.Fatal(err)
-		}
-		c := engine.SharedCache()
-		switch {
-		case tc.want == 0 && c != nil:
-			t.Errorf("-cache-size %s installed a cache", tc.size)
-		case tc.want > 0 && c == nil:
-			t.Errorf("-cache-size %s installed no cache", tc.size)
-		case tc.want > 0 && c.Stats().Capacity != tc.want:
-			t.Errorf("-cache-size %s capacity = %d, want %d", tc.size, c.Stats().Capacity, tc.want)
-		}
 	}
 }

@@ -12,12 +12,14 @@
 // exact search under a size budget, the Theorem 3.1 approximation
 // otherwise — returning a single verified Result.
 //
-// The CLIs (pebble, joingen, experiments, bench) and the experiment
-// registry consume this layer instead of hand-rolled per-predicate
-// switches, and a future serving daemon batches Instances through the
-// same Planner. Solves honor context.Context cancellation down into the
-// solver's component walk. A solve runs on its caller's goroutine; how
-// many run at once is the caller's decision (pebbled's admission).
+// The CLIs (pebble, joingen, experiments, bench), the experiment
+// registry and the pebbled service (internal/serve) consume this layer
+// instead of hand-rolled per-predicate switches. Solves honor
+// context.Context cancellation down into the solver's component walk. A
+// solve runs on its caller's goroutine; how many run at once is the
+// caller's decision (pebbled's admission). Only pebbled solves many
+// requests in one process, so only its planners carry a scheme cache
+// (Planner.Cache).
 package engine
 
 import (
@@ -91,15 +93,6 @@ func NewInstance(p Predicate, l, r *relation.Relation) (*Instance, error) {
 		Bip:        b,
 		Guarantees: p.Guarantees(),
 	}, nil
-}
-
-// FromRelations is NewInstance with the family resolved by name.
-func FromRelations(family string, l, r *relation.Relation) (*Instance, error) {
-	p, ok := Lookup(family)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (known: %v)", ErrUnknownFamily, family, Families())
-	}
-	return NewInstance(p, l, r)
 }
 
 // FromBipartite ingests an existing join graph under a family label. If

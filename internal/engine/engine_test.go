@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -34,7 +35,7 @@ func TestFamiliesRegistered(t *testing.T) {
 
 func TestFromRelationsUnknownFamily(t *testing.T) {
 	l := relation.FromInts("R", []int64{1})
-	_, err := FromRelations("bogus", l, l)
+	_, err := fromRelations("bogus", l, l)
 	if !errors.Is(err, ErrUnknownFamily) {
 		t.Fatalf("want ErrUnknownFamily, got %v", err)
 	}
@@ -182,7 +183,7 @@ func TestPlannerRunHonorsCancellation(t *testing.T) {
 func TestInstanceAuditPairs(t *testing.T) {
 	ls := []int64{1, 1, 2}
 	rs := []int64{1, 2, 2}
-	in, err := FromRelations("equijoin", relation.FromInts("R", ls), relation.FromInts("S", rs))
+	in, err := fromRelations("equijoin", relation.FromInts("R", ls), relation.FromInts("S", rs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,4 +197,13 @@ func TestInstanceAuditPairs(t *testing.T) {
 	if _, err := FromGraph(in.Graph()).AuditPairs(nil); err == nil {
 		t.Fatal("audit without a join graph must error")
 	}
+}
+
+// fromRelations is NewInstance with the family resolved by name.
+func fromRelations(family string, l, r *relation.Relation) (*Instance, error) {
+	p, ok := Lookup(family)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q (known: %v)", ErrUnknownFamily, family, Families())
+	}
+	return NewInstance(p, l, r)
 }

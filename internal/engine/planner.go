@@ -57,12 +57,8 @@ type Attempt struct {
 // is the only router: it walks solver.RouteTable itself. The zero value
 // is ready to use.
 type Planner struct {
-	// ExactLimit caps the exact rung's per-component edge count; zero
-	// means tsp.MaxExactCities.
-	ExactLimit int
 	// Solver, when non-nil, overrides routing: every instance goes to
-	// this solver regardless of structure (the CLI -solver flag). An
-	// Exact whose MaxEdges is zero runs under ExactLimit.
+	// this solver regardless of structure (the CLI -solver flag).
 	// Degradation still applies unless Degrade.Off is set: an explicit
 	// solver that trips its budget falls down the ladder like a routed
 	// one.
@@ -78,21 +74,9 @@ type Planner struct {
 	// matchable via the solver sentinels it wraps.
 	Degrade solver.LadderPolicy
 	// Cache, when non-nil, is the scheme cache consulted before the
-	// planned rung and filled after undegraded solves. When nil, Run
-	// falls back to the process-wide cache installed via
-	// SetSharedCache; if neither exists, runs are cache-free (the
-	// zero-value Planner in a test process stays byte-identical to the
-	// pre-cache engine).
+	// planned rung and filled after undegraded solves. When nil, runs
+	// are cache-free.
 	Cache *schemecache.Cache
-}
-
-// cacheFor resolves the cache a run uses: the Planner's own, else the
-// shared one, else none.
-func (p *Planner) cacheFor() *schemecache.Cache {
-	if p.Cache != nil {
-		return p.Cache
-	}
-	return SharedCache()
 }
 
 // Plan is a routing decision: the rung, the solver implementing it, and
@@ -117,21 +101,16 @@ func (p *Planner) plan(ctx context.Context, in *Instance) Plan {
 	table := solver.RouteTable()
 	row := table[len(table)-1]
 	for _, r := range table {
-		if (guaranteed && r.Route == solver.RoutePerfect) || r.Applies(in.Graph(), p.ExactLimit) {
+		if (guaranteed && r.Route == solver.RoutePerfect) || r.Applies(in.Graph()) {
 			row = r
 			break
 		}
 	}
 	if p.Solver != nil {
 		cPlanOverride.Inc(ctx)
-		s := p.Solver
-		if e, ok := s.(solver.Exact); ok && e.MaxEdges == 0 {
-			// An explicit exact solver is held to the planner's limit too.
-			s = solver.Exact{MaxEdges: p.ExactLimit}
-		}
-		return Plan{Route: row.Route, Solver: s, Reason: fmt.Sprintf("explicit solver %s", s.Name())}
+		return Plan{Route: row.Route, Solver: p.Solver, Reason: fmt.Sprintf("explicit solver %s", p.Solver.Name())}
 	}
-	plan := Plan{Route: row.Route, Solver: row.New(p.ExactLimit), Reason: row.Reason}
+	plan := Plan{Route: row.Route, Solver: row.New(), Reason: row.Reason}
 	if guaranteed {
 		cPlanGuaranteed.Inc(ctx)
 		plan.Reason = fmt.Sprintf("family %s guarantees complete-bipartite components (Thm 3.2)", in.Family)
@@ -244,7 +223,7 @@ func (p *Planner) run(ctx context.Context, in *Instance, sc *obs.Scope) (*Result
 	sp.SetInt("edges", int64(g.M()))
 	sp.SetInt("route", int64(plan.Route))
 
-	cs := cacheState{cache: p.cacheFor()}
+	cs := cacheState{cache: p.Cache}
 	rungs := p.ladder(ctx, in, plan, g, &cs)
 
 	var attempts []Attempt

@@ -35,14 +35,6 @@ func Spider(n int) *graph.Bipartite {
 	return graph.NewBipartite(n+1, n, edges)
 }
 
-// SpiderInnerEdge returns the edge index of the i-th inner edge c–u_i of
-// Spider(n).
-func SpiderInnerEdge(i int) int { return 2 * i }
-
-// SpiderOuterEdge returns the edge index of the i-th outer edge u_i–l_i of
-// Spider(n).
-func SpiderOuterEdge(i int) int { return 2*i + 1 }
-
 // SpiderOptimalEffectiveCost returns the exact optimal effective pebbling
 // cost of Spider(n). In L(G_n) the n pendant leaves each have a single
 // good edge, so any tour needs J >= ceil((n−2)/2) jumps (the B+/B−
@@ -53,35 +45,6 @@ func SpiderOuterEdge(i int) int { return 2*i + 1 }
 // Verified against the exact solver in the family and experiment tests.
 func SpiderOptimalEffectiveCost(n int) int {
 	return 2*n + (n-1)/2
-}
-
-// SpiderOptimalScheme constructs an optimal pebbling scheme for
-// Spider(n) explicitly, realizing SpiderOptimalEffectiveCost(n) at any
-// size (the exact solver can only confirm it for small n). The deletion
-// order is the pairing tour of L(G_n): consecutive inner edges are
-// bridged through the clique while their outer pendants are picked up at
-// segment ends, one jump per pair of inner edges:
-//
-//	outer_1 inner_1 inner_2 outer_2 | outer_3 inner_3 inner_4 outer_4 | ...
-//
-// Each four-edge segment is jump-free (outer_i shares u_i with inner_i;
-// inner_i shares the center with inner_{i+1}); segments are separated by
-// one jump, giving J = ceil((n−2)/2) — matching the B+/B− lower bound of
-// Theorem 3.3's proof, so the scheme is optimal.
-func SpiderOptimalScheme(n int) ([]int, error) {
-	var order []int
-	for i := 0; i+1 < n; i += 2 {
-		order = append(order,
-			SpiderOuterEdge(i), SpiderInnerEdge(i),
-			SpiderInnerEdge(i+1), SpiderOuterEdge(i+1))
-	}
-	if n%2 == 1 {
-		order = append(order, SpiderInnerEdge(n-1), SpiderOuterEdge(n-1))
-	}
-	if len(order) != 2*n {
-		return nil, fmt.Errorf("family: pairing order covers %d of %d edges", len(order), 2*n)
-	}
-	return order, nil
 }
 
 // Name labels the standard families for experiment tables.

@@ -2,6 +2,7 @@ package family
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"joinpebble/internal/core"
@@ -38,11 +39,11 @@ func TestSpiderEdgeIndexHelpers(t *testing.T) {
 	n := 4
 	b := Spider(n)
 	for i := 0; i < n; i++ {
-		l, r := b.EdgeAt(SpiderInnerEdge(i))
+		l, r := b.EdgeAt(spiderInnerEdge(i))
 		if l != 0 || r != i {
 			t.Fatalf("inner edge %d is (%d,%d)", i, l, r)
 		}
-		l, r = b.EdgeAt(SpiderOuterEdge(i))
+		l, r = b.EdgeAt(spiderOuterEdge(i))
 		if l != 1+i || r != i {
 			t.Fatalf("outer edge %d is (%d,%d)", i, l, r)
 		}
@@ -72,7 +73,7 @@ func TestSpiderLineGraphIsCliquePlusPendants(t *testing.T) {
 		// Inner edges pairwise adjacent (the clique).
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if !lg.HasEdge(SpiderInnerEdge(i), SpiderInnerEdge(j)) {
+				if !lg.HasEdge(spiderInnerEdge(i), spiderInnerEdge(j)) {
 					t.Fatalf("n=%d: inner edges %d,%d not adjacent in L", n, i, j)
 				}
 			}
@@ -122,7 +123,7 @@ func TestSpiderOptimalSchemeRealizesClosedForm(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 13, 64, 501} {
 		b := Spider(n)
 		g := b.Graph()
-		order, err := SpiderOptimalScheme(n)
+		order, err := spiderOptimalScheme(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,3 +181,40 @@ func TestSpiderRejectsZero(t *testing.T) {
 	}()
 	Spider(0)
 }
+
+// spiderOptimalScheme constructs an optimal pebbling scheme for
+// Spider(n) explicitly, realizing SpiderOptimalEffectiveCost(n) at any
+// size (the exact solver can only confirm it for small n). The deletion
+// order is the pairing tour of L(G_n): consecutive inner edges are
+// bridged through the clique while their outer pendants are picked up at
+// segment ends, one jump per pair of inner edges:
+//
+//	outer_1 inner_1 inner_2 outer_2 | outer_3 inner_3 inner_4 outer_4 | ...
+//
+// Each four-edge segment is jump-free (outer_i shares u_i with inner_i;
+// inner_i shares the center with inner_{i+1}); segments are separated by
+// one jump, giving J = ceil((n−2)/2) — matching the B+/B− lower bound of
+// Theorem 3.3's proof, so the scheme is optimal.
+func spiderOptimalScheme(n int) ([]int, error) {
+	var order []int
+	for i := 0; i+1 < n; i += 2 {
+		order = append(order,
+			spiderOuterEdge(i), spiderInnerEdge(i),
+			spiderInnerEdge(i+1), spiderOuterEdge(i+1))
+	}
+	if n%2 == 1 {
+		order = append(order, spiderInnerEdge(n-1), spiderOuterEdge(n-1))
+	}
+	if len(order) != 2*n {
+		return nil, fmt.Errorf("family: pairing order covers %d of %d edges", len(order), 2*n)
+	}
+	return order, nil
+}
+
+// spiderInnerEdge returns the edge index of the i-th inner edge c–u_i of
+// Spider(n).
+func spiderInnerEdge(i int) int { return 2 * i }
+
+// spiderOuterEdge returns the edge index of the i-th outer edge u_i–l_i of
+// Spider(n).
+func spiderOuterEdge(i int) int { return 2*i + 1 }

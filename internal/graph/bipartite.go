@@ -80,12 +80,6 @@ func (b *Bipartite) EdgeAt(i int) (l, r int) {
 	return e.V, e.U - b.nLeft
 }
 
-// LeftDegree returns the degree of left vertex l.
-func (b *Bipartite) LeftDegree(l int) int { return b.g.Degree(b.LeftVertex(l)) }
-
-// RightDegree returns the degree of right vertex r.
-func (b *Bipartite) RightDegree(r int) int { return b.g.Degree(b.RightVertex(r)) }
-
 // Equal reports whether b and c have the same side sizes and edge sets.
 func (b *Bipartite) Equal(c *Bipartite) bool {
 	return b.nLeft == c.nLeft && b.nRight == c.nRight && b.g.Equal(c.g)

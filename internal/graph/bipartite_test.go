@@ -25,10 +25,11 @@ func TestBipartiteNumbering(t *testing.T) {
 
 func TestBipartiteDegrees(t *testing.T) {
 	b := NewBipartite(2, 2, []Edge{{U: 0, V: 0}, {U: 0, V: 1}, {U: 1, V: 1}})
-	if b.LeftDegree(0) != 2 || b.LeftDegree(1) != 1 {
+	g := b.Graph()
+	if g.Degree(b.LeftVertex(0)) != 2 || g.Degree(b.LeftVertex(1)) != 1 {
 		t.Fatal("left degrees")
 	}
-	if b.RightDegree(0) != 1 || b.RightDegree(1) != 2 {
+	if g.Degree(b.RightVertex(0)) != 1 || g.Degree(b.RightVertex(1)) != 2 {
 		t.Fatal("right degrees")
 	}
 }
@@ -90,7 +91,7 @@ func TestCompleteBipartite(t *testing.T) {
 		t.Fatal("K_{3,4} should be connected")
 	}
 	for l := 0; l < 3; l++ {
-		if b.LeftDegree(l) != 4 {
+		if b.Graph().Degree(b.LeftVertex(l)) != 4 {
 			t.Fatal("left degree in complete bipartite")
 		}
 	}

@@ -58,7 +58,9 @@ func TestCSRMatchesMap(t *testing.T) {
 
 // TestLineGraphMatchesReference pins the fast builder to the map-backed
 // original: identical vertex count, edge multiset, and edge order (the
-// solver's determinism depends on the order).
+// solver's determinism depends on the order). It also pins the
+// adjacency test approx-1.25 reads instead of a line graph: two
+// distinct edges are adjacent in L(G) iff they share an endpoint.
 func TestLineGraphMatchesReference(t *testing.T) {
 	for gi, g := range randomGraphs(t) {
 		fast := LineGraph(g.Clone())
@@ -75,40 +77,11 @@ func TestLineGraphMatchesReference(t *testing.T) {
 			if !slices.Equal(fast.Neighbors(v), ref.Neighbors(v)) {
 				t.Fatalf("graph %d: L(G) adjacency of %d differs: %v vs %v", gi, v, fast.Neighbors(v), ref.Neighbors(v))
 			}
-		}
-	}
-}
-
-// TestLineGraphViewMatchesMaterialized checks the implicit view answers
-// every adjacency query exactly like a materialized line graph.
-func TestLineGraphViewMatchesMaterialized(t *testing.T) {
-	for gi, g := range randomGraphs(t) {
-		view := NewLineGraphView(g.Clone())
-		ref := lineGraphReference(g.Clone())
-		if g.M() != ref.N() {
-			t.Fatalf("graph %d: view has %d vertices, reference %d", gi, g.M(), ref.N())
-		}
-		var buf []int
-		for i := 0; i < ref.N(); i++ {
-			buf = view.AppendNeighbors(buf[:0], i)
-			if !sameSet(buf, ref.Neighbors(i)) {
-				t.Fatalf("graph %d: view neighbors of %d = %v, want set %v", gi, i, buf, ref.Neighbors(i))
-			}
-			for j := 0; j < ref.N(); j++ {
-				if got, want := view.HasEdge(i, j), ref.HasEdge(i, j); got != want {
-					t.Fatalf("graph %d: view HasEdge(%d,%d) = %v, want %v", gi, i, j, got, want)
+			for w := 0; w < ref.N(); w++ {
+				if shares := g.EdgeAt(v).SharesEndpoint(g.EdgeAt(w)); w != v && shares != ref.HasEdge(v, w) {
+					t.Fatalf("graph %d: edges %d and %d share an endpoint = %v, L(G) adjacency %v", gi, v, w, shares, !shares)
 				}
 			}
 		}
 	}
-}
-
-func sameSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as, bs := slices.Clone(a), slices.Clone(b)
-	slices.Sort(as)
-	slices.Sort(bs)
-	return slices.Equal(as, bs)
 }

@@ -5,28 +5,6 @@ import (
 	"io"
 )
 
-// WriteDOT renders g in Graphviz DOT format for visualization.
-func WriteDOT(w io.Writer, g *Graph, name string) error {
-	if name == "" {
-		name = "G"
-	}
-	if _, err := fmt.Fprintf(w, "graph %s {\n", name); err != nil {
-		return err
-	}
-	for v := 0; v < g.N(); v++ {
-		if _, err := fmt.Fprintf(w, "  %d;\n", v); err != nil {
-			return err
-		}
-	}
-	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(w, "  %d -- %d;\n", e.U, e.V); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
-}
-
 // WriteDOTBipartite renders a join graph in DOT with the two sides
 // ranked left and right and labeled r<i>/s<j>.
 func WriteDOTBipartite(w io.Writer, b *Bipartite, name string) error {

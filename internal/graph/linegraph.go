@@ -9,9 +9,9 @@ package graph
 // Edges are emitted per base vertex, each pair of its incident edges
 // once, so construction is one pass with no hashing. Edge and neighbor
 // order are identical to the straightforward map-backed construction the
-// tests keep as an oracle. Callers that only need to walk L(G)
-// neighborhoods should prefer NewLineGraphView, which skips
-// materialization entirely.
+// tests keep as an oracle. Callers that only need L(G) adjacency
+// should ask Edge.SharesEndpoint and walk IncidentEdges instead, which
+// skips materialization entirely.
 func LineGraph(g *Graph) *Graph {
 	c := &g.csr
 	// Two distinct simple edges share at most one endpoint, so each

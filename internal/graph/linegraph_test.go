@@ -130,8 +130,8 @@ func TestIncidenceGraph(t *testing.T) {
 	}
 	// Every right vertex (edge of g) must have degree exactly 2.
 	for e := 0; e < b.NRight(); e++ {
-		if b.RightDegree(e) != 2 {
-			t.Fatalf("edge vertex %d degree %d", e, b.RightDegree(e))
+		if d := b.Graph().Degree(b.RightVertex(e)); d != 2 {
+			t.Fatalf("edge vertex %d degree %d", e, d)
 		}
 	}
 }
@@ -248,7 +248,7 @@ func TestHamiltonianPathEmptyAndSingle(t *testing.T) {
 
 // lineGraphReference is the straightforward map-backed line-graph
 // construction: the oracle the differential tests compare LineGraph and
-// LineGraphView against.
+// Edge.SharesEndpoint against.
 func lineGraphReference(g *Graph) *mapGraph {
 	lg := newMapGraph(g.M())
 	for v := 0; v < g.N(); v++ {

@@ -122,7 +122,7 @@ func SortMergeZigzag[K cmp.Ordered](ls, rs []K) []Pair {
 
 // EquiGraph builds the equijoin join graph by grouping tuples on their
 // value — O(|L| + |R| + m) instead of the cross-product scan of Graph.
-// The result is identical to Graph(ls, rs, EqInt).
+// The result is identical to Graph over integer equality.
 func EquiGraph(ls, rs []int64) *graph.Bipartite {
 	groups := make(map[int64][]int, len(rs))
 	for j, v := range rs {

@@ -189,12 +189,6 @@ func equalPairs(a, b []Pair) bool {
 
 // Predicates for the three join classes of §3.
 
-// EqInt is the equijoin predicate over integers.
-func EqInt(l, r int64) bool { return l == r }
-
-// EqString is the equijoin predicate over strings.
-func EqString(l, r string) bool { return l == r }
-
 // Contains is the set-containment predicate r.A ⊆ s.B of §3.2.
 func Contains(l, r sets.Set) bool { return l.SubsetOf(r) }
 

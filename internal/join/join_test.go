@@ -12,7 +12,7 @@ import (
 func TestGraphBuildsJoinGraph(t *testing.T) {
 	ls := []int64{1, 2, 2}
 	rs := []int64{2, 3}
-	b := Graph(ls, rs, EqInt)
+	b := Graph(ls, rs, eqInt)
 	if b.M() != 2 || !b.HasEdge(1, 0) || !b.HasEdge(2, 0) {
 		t.Fatalf("join graph %v", b)
 	}
@@ -21,8 +21,8 @@ func TestGraphBuildsJoinGraph(t *testing.T) {
 func TestNestedLoopMatchesGraph(t *testing.T) {
 	ls := []int64{1, 2, 3, 2}
 	rs := []int64{2, 2, 4}
-	pairs := NestedLoop(ls, rs, EqInt)
-	b := Graph(ls, rs, EqInt)
+	pairs := NestedLoop(ls, rs, eqInt)
+	b := Graph(ls, rs, eqInt)
 	if len(pairs) != b.M() {
 		t.Fatalf("%d pairs vs %d edges", len(pairs), b.M())
 	}
@@ -40,7 +40,7 @@ func TestHashJoinEqualsNestedLoop(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		ls := randInts(r, 20, 6)
 		rs := randInts(r, 25, 6)
-		return equalPairs(HashJoin(ls, rs), NestedLoop(ls, rs, EqInt))
+		return equalPairs(HashJoin(ls, rs), NestedLoop(ls, rs, eqInt))
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestSortMergeVariantsEqualNestedLoop(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		ls := randInts(rng, 15, 5)
 		rs := randInts(rng, 18, 5)
-		want := NestedLoop(ls, rs, EqInt)
+		want := NestedLoop(ls, rs, eqInt)
 		if !equalPairs(SortMerge(ls, rs), want) {
 			t.Fatalf("trial %d: SortMerge result differs", trial)
 		}
@@ -73,7 +73,7 @@ func TestSortMergeZigzagIsPerfect(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		b := Graph(ls, rs, EqInt)
+		b := Graph(ls, rs, eqInt)
 		audit, err := AuditPairs(b, pairs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -93,7 +93,7 @@ func TestSortMergeRewindCostsJumps(t *testing.T) {
 	rs := []int64{7, 7, 7}
 	pairsRewind := SortMerge(ls, rs)
 	pairsZig := SortMergeZigzag(ls, rs)
-	b := Graph(ls, rs, EqInt)
+	b := Graph(ls, rs, eqInt)
 	ar, err := AuditPairs(b, pairsRewind)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestSortMergeRewindCostsJumps(t *testing.T) {
 func TestAuditPairsValidation(t *testing.T) {
 	ls := []int64{1, 2}
 	rs := []int64{1, 2}
-	b := Graph(ls, rs, EqInt)
+	b := Graph(ls, rs, eqInt)
 	if _, err := AuditPairs(b, []Pair{{0, 0}}); err == nil {
 		t.Fatal("missing pairs must fail")
 	}
@@ -211,7 +211,7 @@ func TestSortMergeOverStrings(t *testing.T) {
 	// perfect pebbling.
 	ls := []string{"apple", "banana", "banana", "cherry"}
 	rs := []string{"banana", "banana", "cherry", "date"}
-	want := NestedLoop(ls, rs, EqString)
+	want := NestedLoop(ls, rs, eqString)
 	if !equalPairs(SortMerge(ls, rs), want) {
 		t.Fatal("string sort-merge differs from nested loop")
 	}
@@ -219,7 +219,7 @@ func TestSortMergeOverStrings(t *testing.T) {
 	if !equalPairs(zig, want) {
 		t.Fatal("string zigzag merge differs from nested loop")
 	}
-	b := Graph(ls, rs, EqString)
+	b := Graph(ls, rs, eqString)
 	audit, err := AuditPairs(b, zig)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestEquiGraphMatchesGraph(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		ls := randInts(rng, 25, 6)
 		rs := randInts(rng, 30, 6)
-		want := Graph(ls, rs, EqInt)
+		want := Graph(ls, rs, eqInt)
 		got := EquiGraph(ls, rs)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: grouped equijoin graph differs", trial)
@@ -246,8 +246,8 @@ func TestGraphFromPairsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ls := randInts(rng, 10, 3)
 	rs := randInts(rng, 10, 3)
-	b := Graph(ls, rs, EqInt)
-	pairs := NestedLoop(ls, rs, EqInt)
+	b := Graph(ls, rs, eqInt)
+	pairs := NestedLoop(ls, rs, eqInt)
 	b2 := GraphFromPairs(len(ls), len(rs), pairs)
 	if !b.Equal(b2) {
 		t.Fatal("graph from pairs differs from direct graph")
@@ -300,3 +300,8 @@ func randTriangles(rng *rand.Rand, n int, span float64) []spatial.Polygon {
 	}
 	return out
 }
+
+// eqInt and eqString are the equijoin predicate over integers and
+// strings, for the nested-loop references.
+func eqInt(l, r int64) bool     { return l == r }
+func eqString(l, r string) bool { return l == r }

@@ -9,8 +9,8 @@ import (
 	"joinpebble/internal/schemecache"
 )
 
-// CachePath is the debug endpoint reporting the process-wide scheme
-// cache: shard-aggregated schemecache.Stats plus the engine's cache-rung
+// CachePath is the debug endpoint reporting pebbled's scheme cache:
+// shard-aggregated schemecache.Stats plus the engine's cache-rung
 // counters (hit/miss/insert/evict/translate and the fingerprint timer),
 // so one scrape answers both "how full is the cache" and "is the rung
 // earning its keep".
@@ -18,9 +18,8 @@ const CachePath = "/debug/joinpebble/cache"
 
 // cacheReport is the CachePath JSON payload.
 type cacheReport struct {
-	// Installed is false when no process-wide cache is set (the binary
-	// ran with -cache-size 0, or never installed one); Stats is then
-	// absent.
+	// Installed is false when the server runs without a cache
+	// (pebbled -cache-size 0); Stats is then absent.
 	Installed bool                  `json:"installed"`
 	Stats     *cacheStats           `json:"stats,omitempty"`
 	Counters  map[string]int64      `json:"counters"`
@@ -52,13 +51,13 @@ type cacheStats struct {
 // package).
 const cacheMetricPrefix = "engine/cache/"
 
-// CacheHandlerFor serves the CachePath report: the stats of the cache
-// get returns (engine.SharedCache, or a server's private cache in tests)
-// and the default registry's cache-rung metrics.
-func CacheHandlerFor(get func() *schemecache.Cache) http.Handler {
+// CacheHandlerFor serves the CachePath report: the stats of c (nil
+// when the server runs without a cache) and the default registry's
+// cache-rung metrics.
+func CacheHandlerFor(c *schemecache.Cache) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rep := cacheReport{Counters: map[string]int64{}, Timers: map[string]timerBrief{}}
-		if c := get(); c != nil {
+		if c != nil {
 			st := c.Stats()
 			rep.Installed = true
 			rep.Stats = &cacheStats{

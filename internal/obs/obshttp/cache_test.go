@@ -10,10 +10,10 @@ import (
 	"joinpebble/internal/schemecache"
 )
 
-func scrapeCache(t *testing.T, get func() *schemecache.Cache) cacheReport {
+func scrapeCache(t *testing.T, c *schemecache.Cache) cacheReport {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	CacheHandlerFor(get).ServeHTTP(rec, httptest.NewRequest("GET", CachePath, nil))
+	CacheHandlerFor(c).ServeHTTP(rec, httptest.NewRequest("GET", CachePath, nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -25,7 +25,7 @@ func scrapeCache(t *testing.T, get func() *schemecache.Cache) cacheReport {
 }
 
 func TestCacheHandlerNoCache(t *testing.T) {
-	rep := scrapeCache(t, func() *schemecache.Cache { return nil })
+	rep := scrapeCache(t, nil)
 	if rep.Installed || rep.Stats != nil {
 		t.Errorf("nil cache reported as installed: %+v", rep)
 	}
@@ -40,7 +40,7 @@ func TestCacheHandlerReportsStats(t *testing.T) {
 	}
 	c.Get(graph.Fingerprint{Hi: 1}) //nolint:errcheck // a deliberate miss
 
-	rep := scrapeCache(t, func() *schemecache.Cache { return c })
+	rep := scrapeCache(t, c)
 	if !rep.Installed || rep.Stats == nil {
 		t.Fatalf("cache not reported: %+v", rep)
 	}

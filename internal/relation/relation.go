@@ -179,15 +179,6 @@ func FromRects(name string, vs []spatial.Rect) *Relation {
 	return r
 }
 
-// FromStrings builds a string relation from a slice.
-func FromStrings(name string, vs []string) *Relation {
-	r := New(name, KindString)
-	for _, v := range vs {
-		r.AppendString(v)
-	}
-	return r
-}
-
 // formatValue renders a value in the text format.
 func (r *Relation) formatValue(v Value) string {
 	switch r.Kind {

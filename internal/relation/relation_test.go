@@ -40,7 +40,7 @@ func TestTypedAppendAndExtract(t *testing.T) {
 		t.Fatal("rects")
 	}
 
-	w := FromStrings("w", []string{"a", "b"})
+	w := fromStrings("w", []string{"a", "b"})
 	if w.Strings()[1] != "b" {
 		t.Fatal("strings")
 	}
@@ -62,7 +62,7 @@ func TestWriteReadRoundTripInt(t *testing.T) {
 }
 
 func TestWriteReadRoundTripString(t *testing.T) {
-	r := FromStrings("names", []string{"hello world", "with \"quotes\"", ""})
+	r := fromStrings("names", []string{"hello world", "with \"quotes\"", ""})
 	roundTrip(t, r)
 }
 
@@ -141,4 +141,13 @@ func TestReadSkipsComments(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("len=%d", r.Len())
 	}
+}
+
+// fromStrings builds a string relation from a slice.
+func fromStrings(name string, vs []string) *Relation {
+	r := New(name, KindString)
+	for _, v := range vs {
+		r.AppendString(v)
+	}
+	return r
 }

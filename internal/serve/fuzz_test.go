@@ -9,11 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
-)
 
-// fuzzExactLimit is the fuzz server's exact limit, kept apart so the
-// target can check exact answers against it.
-const fuzzExactLimit = 8
+	"joinpebble/internal/tsp"
+)
 
 // fuzzAnswering are the solvers a /v1 solve may be answered by: the
 // served overrides, which include the ladder's fallbacks. It is spelled
@@ -33,7 +31,6 @@ func FuzzV1(f *testing.F) {
 		MaxRelation:    64,
 		MaxEdges:       256,
 		RequestTimeout: 100 * time.Millisecond,
-		ExactLimit:     fuzzExactLimit,
 	}.withDefaults()
 	s := &Server{cfg: cfg, admission: NewAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueTimeout)}
 	handlers := []func(http.ResponseWriter, *http.Request){s.handleSolve, s.handlePlan, s.handleAudit}
@@ -49,7 +46,7 @@ func FuzzV1(f *testing.F) {
 		{audit, `{"family":"bipartite","left":1,"right":1,"edges":[[0,0]],"pairs":[[5,0]]}`},
 		{audit, `{"family":"bipartite","left":1,"right":1,"edges":[[0,0]],"pairs":[[0,-1]]}`},
 		{audit, `{"family":"bipartite","left":1,"right":1,"edges":[[0,0]],"pairs":[[-1,0]]}`},
-		{solve, `{"family":"bipartite","left":5,"right":5,"edges":[[0,0],[1,0],[1,1],[2,1],[2,2],[3,2],[3,3],[4,3],[4,4]],"solver":"exact","strict":true}`},
+		{solve, `{"family":"bipartite","left":12,"right":12,"edges":[[0,0],[1,0],[1,1],[2,1],[2,2],[3,2],[3,3],[4,3],[4,4],[5,4],[5,5],[6,5],[6,6],[7,6],[7,7],[8,7],[8,8],[9,8],[9,9],[10,9],[10,10],[11,10],[11,11]],"solver":"exact","strict":true}`},
 		{solve, `{"family":"equijoin","left":16,"right":16,"skew":1.2,"seed":1,"solver":"greedy"}`},
 		{solve, `{"family":"bipartite","left":2,"right":2,"edges":[[0,0],[1,0],[1,1]],"solver":"equijoin","strict":true}`},
 		{solve, `{"family":"bipartite","left":2,"right":2,"edges":[[0,0],[0,1],[1,0],[1,1]],"solver":"matching","strict":true}`},
@@ -81,8 +78,8 @@ func FuzzV1(f *testing.F) {
 		switch {
 		case !slices.Contains(fuzzAnswering, r.Solver):
 			t.Fatalf("answered by %q, which /v1 does not serve: %s", r.Solver, w.Body)
-		case r.Solver == "exact" && r.Edges > r.Components*fuzzExactLimit:
-			t.Fatalf("exact answered %d edges in %d components over the exact limit %d", r.Edges, r.Components, fuzzExactLimit)
+		case r.Solver == "exact" && r.Edges > r.Components*tsp.MaxExactCities:
+			t.Fatalf("exact answered %d edges in %d components over the exact limit %d", r.Edges, r.Components, tsp.MaxExactCities)
 		case r.Cost < r.LowerBound || r.Cost > r.UpperBound:
 			t.Fatalf("cost %d outside Lemma 2.1's [%d, %d]", r.Cost, r.LowerBound, r.UpperBound)
 		case r.EffectiveCost != r.Cost-r.Components:

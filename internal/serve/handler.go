@@ -380,16 +380,15 @@ func runAudit(_ context.Context, s *Server, req *SolveRequest) (any, error) {
 }
 
 // servedSolvers are the solver overrides /v1 accepts besides "auto".
-// Each runs in time linear in the instance, or, for exact, within the
-// server's exact limit. The other named solvers build every component's
-// full line graph (cycle-cover also an m×m matrix) before they check
-// ctx, so no request budget bounds them; the CLIs and experiments keep
-// them.
+// Each runs in time linear in the instance, or, for exact, within
+// tsp.MaxExactCities edges per component. The other named solvers
+// build every component's full line graph (cycle-cover also an m×m
+// matrix) before they check ctx, so no request budget bounds them; the
+// CLIs and experiments keep them.
 var servedSolvers = []string{"approx-1.25", "equijoin", "exact", "matching", "naive"}
 
-// planner builds the per-request Planner: the server's ladder knobs,
-// the request's strictness and solver override, and the configured (or
-// process-wide) scheme cache.
+// planner builds the per-request Planner: the request's strictness and
+// solver override, and the server's scheme cache.
 func (s *Server) planner(req *SolveRequest) (*engine.Planner, error) {
 	if req.Solver != "" && req.Solver != "auto" && !slices.Contains(servedSolvers, req.Solver) {
 		return nil, badRequestf("solver %q is not served over /v1 (served: auto, %s)", req.Solver, strings.Join(servedSolvers, ", "))
@@ -399,10 +398,9 @@ func (s *Server) planner(req *SolveRequest) (*engine.Planner, error) {
 		return nil, badRequestf("%v", err)
 	}
 	return &engine.Planner{
-		ExactLimit: s.cfg.ExactLimit,
-		Solver:     sv,
-		Degrade:    solver.LadderPolicy{Off: req.Strict, RungFraction: s.cfg.RungFraction},
-		Cache:      s.cfg.Cache,
+		Solver:  sv,
+		Degrade: solver.LadderPolicy{Off: req.Strict},
+		Cache:   s.cfg.Cache,
 	}, nil
 }
 

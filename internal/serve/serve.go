@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"joinpebble/internal/engine"
 	"joinpebble/internal/faultinject"
 	"joinpebble/internal/obs"
 	"joinpebble/internal/obs/obshttp"
@@ -84,13 +83,6 @@ type Config struct {
 	// DrainTimeout bounds Shutdown's wait for in-flight solves when the
 	// caller's context has no deadline of its own. 0 means 10s.
 	DrainTimeout time.Duration
-	// RungFraction is solver.LadderPolicy.RungFraction for every request:
-	// the share of the remaining deadline a non-final ladder rung may
-	// spend. 0 means the engine default (0.5).
-	RungFraction float64
-	// ExactLimit caps the exact rung's per-component edge count
-	// (engine.Planner.ExactLimit); 0 means the solver default.
-	ExactLimit int
 	// MaxBody caps request body size in bytes; 0 means 1MiB.
 	MaxBody int64
 	// MaxRelation caps per-side relation/vertex counts in requests;
@@ -99,8 +91,8 @@ type Config struct {
 	MaxRelation int
 	// MaxEdges caps raw-bipartite edge lists; 0 means 1<<20.
 	MaxEdges int
-	// Cache, when non-nil, overrides the process-wide scheme cache for
-	// this server's planners (tests); nil uses engine.SharedCache.
+	// Cache, when non-nil, is the scheme cache every request's planner
+	// consults and fills (pebbled's -cache-size); nil runs cache-free.
 	Cache *schemecache.Cache
 }
 
@@ -168,12 +160,7 @@ func Start(cfg Config) (*Server, error) {
 	// pprof handler set separately).
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle(obshttp.FlightRecorderPath, obshttp.FlightRecorderHandler(obs.DefaultRecorder))
-	cacheGet := engine.SharedCache
-	if cfg.Cache != nil {
-		c := cfg.Cache
-		cacheGet = func() *schemecache.Cache { return c }
-	}
-	mux.Handle(obshttp.CachePath, obshttp.CacheHandlerFor(cacheGet))
+	mux.Handle(obshttp.CachePath, obshttp.CacheHandlerFor(cfg.Cache))
 	s.srv = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,

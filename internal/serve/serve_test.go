@@ -18,6 +18,7 @@ import (
 	"joinpebble/internal/obs"
 	"joinpebble/internal/schemecache"
 	"joinpebble/internal/testutil/leakcheck"
+	"joinpebble/internal/tsp"
 )
 
 // startServer boots a server on a loopback ephemeral port and tears it
@@ -114,33 +115,45 @@ func TestPlanAndAuditEndpoints(t *testing.T) {
 	}
 }
 
-// TestSolverOverrides pins what an explicit /v1 solver may do. Exact
-// runs under the server's exact limit, the solvers that build a whole
-// line graph are refused before the instance is built, and a strict run
-// whose solver rejects the instance answers 422.
-func TestSolverOverrides(t *testing.T) {
-	s := startServer(t, Config{ExactLimit: 4})
-	// A 6-edge path: one component over the exact limit, neither a
-	// matching nor complete bipartite.
-	path := func(name string, strict bool) *SolveRequest {
-		return &SolveRequest{
-			Family: "bipartite", Left: 4, Right: 3, Solver: name, Strict: strict,
-			Edges: [][2]int{{0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 2}, {3, 2}},
-		}
+// pathRequest is a bipartite path with m edges: one component, neither
+// a matching nor complete bipartite for m >= 3, and a perfect walk, so
+// the exact rung answers it without a search.
+func pathRequest(m int, solverName string, strict bool) *SolveRequest {
+	r := &SolveRequest{Family: "bipartite", Left: m/2 + 1, Right: (m + 1) / 2, Solver: solverName, Strict: strict}
+	for k := 0; k < m; k++ {
+		r.Edges = append(r.Edges, [2]int{(k + 1) / 2, k / 2})
 	}
+	return r
+}
+
+// TestSolverOverrides pins what an explicit /v1 solver may do. Exact
+// runs up to tsp.MaxExactCities edges per component, the solvers that
+// build a whole line graph are refused before the instance is built,
+// and a strict run whose solver rejects the instance answers 422.
+func TestSolverOverrides(t *testing.T) {
+	s := startServer(t, Config{})
+	limit := tsp.MaxExactCities
+	t.Run("exact-at-limit", func(t *testing.T) {
+		var r SolveResponse
+		post(t, s.URL()+"/v1/solve", pathRequest(limit, "exact", true), http.StatusOK, &r)
+		if r.Solver != "exact" || r.Degraded || r.EffectiveCost != limit {
+			t.Errorf("solver %q, degraded %v, π %d; want exact at π = m = %d", r.Solver, r.Degraded, r.EffectiveCost, limit)
+		}
+	})
+	overLimit := fmt.Sprintf("exact limit %d", limit)
 	for _, name := range []string{"exact", "equijoin", "matching"} {
 		t.Run("strict-"+name, func(t *testing.T) {
 			var e ErrorResponse
-			post(t, s.URL()+"/v1/solve", path(name, true), http.StatusUnprocessableEntity, &e)
-			if name == "exact" && !strings.Contains(e.Error, "exact limit 4") {
-				t.Errorf("error %q, want the server's exact limit 4", e.Error)
+			post(t, s.URL()+"/v1/solve", pathRequest(limit+1, name, true), http.StatusUnprocessableEntity, &e)
+			if name == "exact" && !strings.Contains(e.Error, overLimit) {
+				t.Errorf("error %q, want %q", e.Error, overLimit)
 			}
 		})
 	}
 	t.Run("exact-degrades", func(t *testing.T) {
 		var r SolveResponse
-		post(t, s.URL()+"/v1/solve", path("exact", false), http.StatusOK, &r)
-		if !r.Degraded || r.Solver != "approx-1.25" || len(r.Attempts) == 0 || !strings.Contains(r.Attempts[0].Err, "exact limit 4") {
+		post(t, s.URL()+"/v1/solve", pathRequest(limit+1, "exact", false), http.StatusOK, &r)
+		if !r.Degraded || r.Solver != "approx-1.25" || len(r.Attempts) == 0 || !strings.Contains(r.Attempts[0].Err, overLimit) {
 			t.Errorf("solver %q, degraded %v, attempts %+v; want a fall from exact to approx-1.25", r.Solver, r.Degraded, r.Attempts)
 		}
 	})
@@ -149,7 +162,7 @@ func TestSolverOverrides(t *testing.T) {
 	for _, name := range []string{"greedy", "greedy+2opt", "path-cover", "cycle-cover", "exact-bnb"} {
 		t.Run("refused-"+name, func(t *testing.T) {
 			for _, ep := range []string{"/v1/solve", "/v1/plan"} {
-				post(t, s.URL()+ep, path(name, false), http.StatusBadRequest, nil)
+				post(t, s.URL()+ep, pathRequest(6, name, false), http.StatusBadRequest, nil)
 			}
 			// Refused before the instance is built: the error names the
 			// solver, not the unknown family.
@@ -164,40 +177,43 @@ func TestSolverOverrides(t *testing.T) {
 
 // TestAutoSolverRoutesLikeNoSolver pins that "solver":"auto" means "the
 // engine routes": /v1/solve and /v1/plan answer exactly as they do with
-// no solver, under the server's own exact limit. A 5-edge path is not an
-// equijoin graph and exceeds ExactLimit 4, so both go to approx-1.25.
+// no solver. A path is not an equijoin graph, so one of
+// tsp.MaxExactCities edges routes exact and one edge longer routes
+// approx-1.25.
 func TestAutoSolverRoutesLikeNoSolver(t *testing.T) {
-	s := startServer(t, Config{ExactLimit: 4})
-	path := func(solverName string) *SolveRequest {
-		return &SolveRequest{
-			Family: "bipartite", Left: 3, Right: 3, Solver: solverName,
-			Edges: [][2]int{{0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 2}},
+	s := startServer(t, Config{})
+	for _, tc := range []struct {
+		m                      int
+		route, solver, quality string
+	}{
+		{tsp.MaxExactCities, "exact", "exact", "optimal (exact search)"},
+		{tsp.MaxExactCities + 1, "approx", "approx-1.25", "π ≤ 1.25m (Thm 3.1)"},
+	} {
+		var solves [2]SolveResponse
+		var plans [2]PlanResponse
+		for i, name := range []string{"", "auto"} {
+			post(t, s.URL()+"/v1/solve", pathRequest(tc.m, name, false), http.StatusOK, &solves[i])
+			post(t, s.URL()+"/v1/plan", pathRequest(tc.m, name, false), http.StatusOK, &plans[i])
+			r := &solves[i]
+			if r.Route != tc.route || r.Solver != tc.solver || r.Quality != tc.quality || r.Degraded {
+				t.Errorf("m=%d solver %q: /v1/solve answered route %q, solver %q, reason %q, quality %q, degraded %v",
+					tc.m, name, r.Route, r.Solver, r.Reason, r.Quality, r.Degraded)
+			}
+			if p := plans[i]; p.Route != tc.route || p.Solver != tc.solver {
+				t.Errorf("m=%d solver %q: /v1/plan answered route %q, solver %q, reason %q", tc.m, name, p.Route, p.Solver, p.Reason)
+			}
+			// Wall times are the only fields allowed to differ.
+			r.ElapsedNS = 0
+			for j := range r.Attempts {
+				r.Attempts[j].ElapsedNS = 0
+			}
 		}
-	}
-	var solves [2]SolveResponse
-	var plans [2]PlanResponse
-	for i, name := range []string{"", "auto"} {
-		post(t, s.URL()+"/v1/solve", path(name), http.StatusOK, &solves[i])
-		post(t, s.URL()+"/v1/plan", path(name), http.StatusOK, &plans[i])
-		r := &solves[i]
-		if r.Route != "approx" || r.Solver != "approx-1.25" || r.Quality != "π ≤ 1.25m (Thm 3.1)" || r.Degraded {
-			t.Errorf("solver %q: /v1/solve answered route %q, solver %q, reason %q, quality %q, degraded %v",
-				name, r.Route, r.Solver, r.Reason, r.Quality, r.Degraded)
+		if !reflect.DeepEqual(solves[0], solves[1]) {
+			t.Errorf("m=%d: /v1/solve with auto %+v, without a solver %+v", tc.m, solves[1], solves[0])
 		}
-		if p := plans[i]; p.Route != "approx" || p.Solver != "approx-1.25" {
-			t.Errorf("solver %q: /v1/plan answered route %q, solver %q, reason %q", name, p.Route, p.Solver, p.Reason)
+		if plans[0] != plans[1] {
+			t.Errorf("m=%d: /v1/plan with auto %+v, without a solver %+v", tc.m, plans[1], plans[0])
 		}
-		// Wall times are the only fields allowed to differ.
-		r.ElapsedNS = 0
-		for j := range r.Attempts {
-			r.Attempts[j].ElapsedNS = 0
-		}
-	}
-	if !reflect.DeepEqual(solves[0], solves[1]) {
-		t.Errorf("/v1/solve with auto %+v, without a solver %+v", solves[1], solves[0])
-	}
-	if plans[0] != plans[1] {
-		t.Errorf("/v1/plan with auto %+v, without a solver %+v", plans[1], plans[0])
 	}
 }
 

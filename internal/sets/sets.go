@@ -34,18 +34,6 @@ func New(elems ...uint32) Set {
 	return Set{elems: out}
 }
 
-// FromSorted wraps an already sorted, deduplicated slice without copying.
-// It panics if the input violates the invariant; use New for untrusted
-// input.
-func FromSorted(elems []uint32) Set {
-	for i := 1; i < len(elems); i++ {
-		if elems[i-1] >= elems[i] {
-			panic(fmt.Sprintf("sets: FromSorted input not strictly increasing at %d", i))
-		}
-	}
-	return Set{elems: elems}
-}
-
 // Len returns the cardinality.
 func (s Set) Len() int { return len(s.elems) }
 
@@ -114,25 +102,6 @@ func (s Set) Union(t Set) Set {
 	}
 	out = append(out, s.elems[i:]...)
 	out = append(out, t.elems[j:]...)
-	return Set{elems: out}
-}
-
-// Intersect returns s ∩ t.
-func (s Set) Intersect(t Set) Set {
-	var out []uint32
-	i, j := 0, 0
-	for i < len(s.elems) && j < len(t.elems) {
-		switch {
-		case s.elems[i] < t.elems[j]:
-			i++
-		case s.elems[i] > t.elems[j]:
-			j++
-		default:
-			out = append(out, s.elems[i])
-			i++
-			j++
-		}
-	}
 	return Set{elems: out}
 }
 

@@ -113,12 +113,9 @@ func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, sk
 			return withinThm31(walk, walkJumps, m)
 		}
 	}
-	lgSpan := sp.Start("line_graph")
-	lg := graph.NewLineGraphView(cg)
-	lgSpan.End()
 	partStart := obs.Now()
 	partSpan := sp.Start("path_partition")
-	order, pieces, err := pathPartition(cg, lg, skipTwins)
+	order, pieces, err := pathPartition(cg, skipTwins)
 	partSpan.End()
 	tPathPartition.Observe(ctx, obs.Since(partStart))
 	if err != nil {
@@ -294,10 +291,11 @@ func (w *lineWalk) drop(v int) {
 // pathPartition splits the vertices of L(cg), cg connected, into
 // vertex-disjoint paths, all of size >= 4 except possibly the last. It
 // builds one DFS tree and strips pieces in one post-order sweep (see
-// Approx125); lg answers the adjacency tests of twin elimination and
-// the final remainder. The pieces are laid end to end in order, a visit
-// order over every edge of cg, and each piece is a window of it.
-func pathPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) (order []int, pieces [][]int, err error) {
+// Approx125). Its only line-graph question, in twin elimination and the
+// final remainder, is whether two edges share an endpoint. The pieces
+// are laid end to end in order, a visit order over every edge of cg,
+// and each piece is a window of it.
+func pathPartition(cg *graph.Graph, skipTwins bool) (order []int, pieces [][]int, err error) {
 	t := newSpanTree(cg)
 	m := cg.M()
 	order = t.order
@@ -316,7 +314,7 @@ func pathPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) (or
 			continue
 		}
 		if !skipTwins {
-			if err := t.eliminateTwinsBelow(lg, v); err != nil {
+			if err := t.eliminateTwinsBelow(v); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -338,7 +336,7 @@ func pathPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) (or
 		// in ascending order, as the rebuild loop did.
 		verts := t.appendSubtree(order[covered:covered], 0)
 		slices.Sort(verts)
-		path, ok := hamPathSmall(lg, verts)
+		path, ok := hamPathSmall(cg, verts)
 		if !ok {
 			return nil, nil, fmt.Errorf("solver: connected remainder of size %d has no Hamiltonian path", rest)
 		}
@@ -395,11 +393,10 @@ func newSpanTree(g *graph.Graph) *spanTree {
 // next advances the DFS until a node's visit ends and returns that node,
 // or -1 once the walk is complete. A node's next child is the first
 // unvisited edge in its U endpoint's incident-edge span, else in its V
-// endpoint's: the first unvisited entry of LineGraphView.AppendNeighbors.
-// Visited edges stay visited, so one forward-only cursor per base vertex
-// finds it and the whole walk is O(|V(g)| + |E(g)|). ok is false, with v
-// the parent, when a third child would overflow the slots (impossible on
-// a line graph, which is claw-free).
+// endpoint's. Visited edges stay visited, so one forward-only cursor per
+// base vertex finds it and the whole walk is O(|V(g)| + |E(g)|). ok is
+// false, with v the parent, when a third child would overflow the slots
+// (impossible on a line graph, which is claw-free).
 //
 //joinpebble:hotpath
 func (t *spanTree) next() (v int, ok bool) {
@@ -491,7 +488,7 @@ func (t *spanTree) removeChild(p, c int) {
 // order a scan of the whole tree would take; twins outside the subtree
 // are left alone, since a re-hang moves no vertex between subtrees of
 // size >= 4 and so never changes which subtree is stripped.
-func (t *spanTree) eliminateTwinsBelow(lg *graph.LineGraphView, r int) error {
+func (t *spanTree) eliminateTwinsBelow(r int) error {
 	var ps [2]int
 	n := 0
 	for c := 0; c < int(t.nkid[r]); c++ {
@@ -504,7 +501,7 @@ func (t *spanTree) eliminateTwinsBelow(lg *graph.LineGraphView, r int) error {
 		ps[0], ps[1] = ps[1], ps[0]
 	}
 	for _, p := range ps[:n] {
-		if err := t.rehangTwins(lg, p, int(t.kids[p][0]), int(t.kids[p][1])); err != nil {
+		if err := t.rehangTwins(p, int(t.kids[p][0]), int(t.kids[p][1])); err != nil {
 			return err
 		}
 	}
@@ -512,11 +509,11 @@ func (t *spanTree) eliminateTwinsBelow(lg *graph.LineGraphView, r int) error {
 }
 
 // rehangTwins resolves the twins l1, l2 (in slot order) of p by the
-// re-hanging argument in the paper, along an edge of lg whose existence
-// claw-freeness guarantees. The three vertices stay one subtree in the
-// place p held, and no new twins appear.
-func (t *spanTree) rehangTwins(lg *graph.LineGraphView, p, l1, l2 int) error {
-	if lg.HasEdge(l1, l2) {
+// re-hanging argument in the paper, along a line-graph edge whose
+// existence claw-freeness guarantees. The three vertices stay one
+// subtree in the place p held, and no new twins appear.
+func (t *spanTree) rehangTwins(p, l1, l2 int) error {
+	if t.adjacent(l1, l2) {
 		// Chain the twins: p — l1 — l2. The addChild targets are a leaf
 		// (l1) and nodes that just lost a child, so the two-slot bound
 		// cannot overflow here or in the re-hang below.
@@ -534,10 +531,10 @@ func (t *spanTree) rehangTwins(lg *graph.LineGraphView, p, l1, l2 int) error {
 	}
 	// Claw-freeness at p: {l1, l2, g} ⊆ N(p) cannot be pairwise
 	// non-adjacent; l1-l2 was just ruled out, so one twin sees g.
-	if !lg.HasEdge(l1, g) {
+	if !t.adjacent(l1, g) {
 		l1, l2 = l2, l1
 	}
-	if !lg.HasEdge(l1, g) {
+	if !t.adjacent(l1, g) {
 		return fmt.Errorf("solver: claw-free invariant violated at parent %d", p)
 	}
 	// Re-hang: g — l1 — p — l2 (remove tree edge (g,p), add (g,l1)).
@@ -548,6 +545,12 @@ func (t *spanTree) rehangTwins(lg *graph.LineGraphView, p, l1, l2 int) error {
 	t.parent[p] = l1
 	t.addChild(l1, p)
 	return nil
+}
+
+// adjacent reports whether the distinct line-graph vertices i and j are
+// adjacent: their edges share an endpoint (§2.2).
+func (t *spanTree) adjacent(i, j int) bool {
+	return t.g.EdgeAt(i).SharesEndpoint(t.g.EdgeAt(j))
 }
 
 // subtreeAsPath linearizes the subtree rooted at r, which after twin
@@ -604,11 +607,11 @@ func (t *spanTree) appendSubtree(out []int, r int) []int {
 	return out
 }
 
-// hamPathSmall finds a Hamiltonian path over the <= 3 vertices in perm
-// (any connected graph on at most 3 vertices has one) by brute force,
-// permuting perm in place and trying start vertices and extensions in
-// the order it lists them.
-func hamPathSmall(lg *graph.LineGraphView, perm []int) ([]int, bool) {
+// hamPathSmall finds a Hamiltonian path of L(cg) over the <= 3 distinct
+// edges in perm (any connected graph on at most 3 vertices has one) by
+// brute force, permuting perm in place and trying start vertices and
+// extensions in the order it lists them.
+func hamPathSmall(cg *graph.Graph, perm []int) ([]int, bool) {
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == len(perm) {
@@ -616,7 +619,7 @@ func hamPathSmall(lg *graph.LineGraphView, perm []int) ([]int, bool) {
 		}
 		for i := k; i < len(perm); i++ {
 			perm[k], perm[i] = perm[i], perm[k]
-			if lg.HasEdge(perm[k-1], perm[k]) && rec(k+1) {
+			if cg.EdgeAt(perm[k-1]).SharesEndpoint(cg.EdgeAt(perm[k])) && rec(k+1) {
 				return true
 			}
 			perm[k], perm[i] = perm[i], perm[k]

@@ -15,21 +15,21 @@ import (
 // rebuildPartition is the textbook form of pathPartition, kept as its
 // differential oracle: after every strip it rebuilds the DFS tree of the
 // remaining line graph from the lowest remaining vertex, neighbors in
-// lg.AppendNeighbors order, eliminates twins across the whole tree,
+// appendLineNeighbors order, eliminates twins across the whole tree,
 // smallest parent index first, and strips the lowest subtree with >= 4
 // vertices. That is O(m·|E(L)|) per component. It shares the twin
 // re-hang, the subtree linearization and the small remainder search with
 // pathPartition.
-func rebuildPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) ([][]int, error) {
+func rebuildPartition(cg *graph.Graph, skipTwins bool) ([][]int, error) {
 	n := cg.M()
 	t := &rebuildTree{
 		spanTree: spanTree{
+			g:      cg,
 			parent: make([]int, n),
 			kids:   make([][2]int32, n),
 			nkid:   make([]uint8, n),
 			size:   make([]int, n),
 		},
-		lg:     lg,
 		alive:  make([]bool, n),
 		order:  make([]int, n),
 		frames: make([]dfsFrame, n),
@@ -48,7 +48,7 @@ func rebuildPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) 
 					verts = append(verts, v)
 				}
 			}
-			path, ok := hamPathSmall(lg, verts)
+			path, ok := hamPathSmall(cg, verts)
 			if !ok {
 				return nil, fmt.Errorf("solver: connected remainder of size %d has no Hamiltonian path", aliveCount)
 			}
@@ -80,11 +80,10 @@ func rebuildPartition(cg *graph.Graph, lg *graph.LineGraphView, skipTwins bool) 
 // span [base, end) in nb, next being the scan cursor within the span.
 type dfsFrame struct{ v, base, end, next int }
 
-// rebuildTree is a spanning tree over the alive vertices of lg, rebuilt
-// from scratch for every strip.
+// rebuildTree is a spanning tree over the alive vertices of L(g),
+// rebuilt from scratch for every strip.
 type rebuildTree struct {
 	spanTree
-	lg     *graph.LineGraphView
 	root   int
 	alive  []bool
 	order  []int      // preorder scratch for subtreeSizes
@@ -101,7 +100,7 @@ func (t *rebuildTree) rebuild(root int) error {
 		t.nkid[i] = 0
 	}
 	t.parent[root] = -1
-	t.nb = t.lg.AppendNeighbors(t.nb[:0], root)
+	t.nb = appendLineNeighbors(t.nb[:0], t.g, root)
 	t.frames[0] = dfsFrame{v: root, base: 0, end: len(t.nb), next: 0}
 	sp := 1
 	for sp > 0 {
@@ -116,7 +115,7 @@ func (t *rebuildTree) rebuild(root int) error {
 					return fmt.Errorf("solver: node %d has > 2 children in claw-free DFS tree", f.v)
 				}
 				base := len(t.nb)
-				t.nb = t.lg.AppendNeighbors(t.nb, w)
+				t.nb = appendLineNeighbors(t.nb, t.g, w)
 				t.frames[sp] = dfsFrame{v: w, base: base, end: len(t.nb), next: base}
 				sp++
 				advanced = true
@@ -131,6 +130,23 @@ func (t *rebuildTree) rebuild(root int) error {
 	return nil
 }
 
+// appendLineNeighbors appends the line-graph neighbors of edge i of g
+// to buf: the edges incident to its U endpoint, then to its V endpoint,
+// in incident-edge order, without i. No edge is listed twice, since an
+// edge sharing both endpoints with i would be i. This is the order
+// pathPartition's DFS takes children in.
+func appendLineNeighbors(buf []int, g *graph.Graph, i int) []int {
+	e := g.EdgeAt(i)
+	for _, x := range [2]int{e.U, e.V} {
+		for _, f := range g.IncidentEdges(x) {
+			if f != i {
+				buf = append(buf, f)
+			}
+		}
+	}
+	return buf
+}
+
 // eliminateTwins resolves every pair of leaf siblings in the tree,
 // smallest parent index first.
 func (t *rebuildTree) eliminateTwins() error {
@@ -139,7 +155,7 @@ func (t *rebuildTree) eliminateTwins() error {
 		if !found {
 			return nil
 		}
-		if err := t.rehangTwins(t.lg, p, l1, l2); err != nil {
+		if err := t.rehangTwins(p, l1, l2); err != nil {
 			return err
 		}
 	}
@@ -279,14 +295,13 @@ func approxOracleRandom(fn func(name string, g *graph.Graph)) {
 func checkPartition(t *testing.T, name string, g *graph.Graph) (noTwinFailures int) {
 	t.Helper()
 	for ci, comp := range g.Components() {
-		cg, _ := g.InducedSubgraph(comp)
+		cg, _ := inducedSubgraph(g, comp)
 		if cg.M() == 0 {
 			continue
 		}
-		lg := graph.NewLineGraphView(cg)
 		for _, skip := range []bool{false, true} {
-			_, got, gotErr := pathPartition(cg, lg, skip)
-			want, wantErr := rebuildPartition(cg, lg, skip)
+			_, got, gotErr := pathPartition(cg, skip)
+			want, wantErr := rebuildPartition(cg, skip)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s component %d skipTwins=%v: error %v, oracle %v", name, ci, skip, gotErr, wantErr)
 			}

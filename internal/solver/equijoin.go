@@ -55,7 +55,6 @@ func (Equijoin) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) 
 func zigzagOrder(ctx context.Context, g *graph.Graph, sp *obs.Span) ([]int, error) {
 	zz := sp.Start("zigzag_order")
 	defer zz.End()
-	cWorkersUsed.Inc(ctx)
 	order := make([]int, 0, g.M())
 	inRight := make([]bool, g.N())
 	for _, comp := range g.Components() {

@@ -15,29 +15,22 @@ import (
 // connected component, solve TSP(1,2) on the line graph exactly and
 // translate the tour back into a pebbling. Exponential in the component's
 // edge count (PEBBLE(D) is NP-complete, Theorem 4.2); components above
-// MaxEdges are rejected. A component whose greedy walk (see lineWalk)
-// has no jump skips the search: its walk is already optimal.
-type Exact struct {
-	// MaxEdges caps the per-component edge count (the TSP city count).
-	// Zero means tsp.MaxExactCities.
-	MaxEdges int
-}
+// tsp.MaxExactCities edges are rejected. A component whose greedy walk
+// (see lineWalk) has no jump skips the search: its walk is already
+// optimal.
+type Exact struct{}
 
 // Name implements Solver.
 func (Exact) Name() string { return "exact" }
 
 // Solve implements Solver.
-func (e Exact) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	limit := e.MaxEdges
-	if limit == 0 {
-		limit = tsp.MaxExactCities
-	}
+func (Exact) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	return solvePerComponent(ctx, g, "exact", func(ctx context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
 		if err := faultinject.Fire(SiteExactBudget); err != nil {
 			return nil, err
 		}
-		if cg.M() > limit {
-			return nil, fmt.Errorf("%w: component with %d edges exceeds exact limit %d", ErrBudgetExceeded, cg.M(), limit)
+		if cg.M() > tsp.MaxExactCities {
+			return nil, fmt.Errorf("%w: component with %d edges exceeds exact limit %d", ErrBudgetExceeded, cg.M(), tsp.MaxExactCities)
 		}
 		// A walk with no jump costs π = m, optimal by Lemma 2.1, so the
 		// search would only find another tour of the same cost.

@@ -205,11 +205,10 @@ type RouteSpec struct {
 	Route  Route
 	Reason string
 	// Applies reports whether the rung handles g; the table's last
-	// entry must apply to everything. exactLimit caps the exact rung's
-	// per-component edge count; zero means tsp.MaxExactCities.
-	Applies func(g *graph.Graph, exactLimit int) bool
+	// entry must apply to everything.
+	Applies func(g *graph.Graph) bool
 	// New builds the implementing solver.
-	New func(exactLimit int) Solver
+	New func() Solver
 }
 
 // RouteTable returns the routing ladder in the order the planner tries
@@ -222,30 +221,27 @@ func RouteTable() []RouteSpec {
 		{
 			Route:   RoutePerfect,
 			Reason:  "all components complete bipartite (Thm 4.1)",
-			Applies: func(g *graph.Graph, _ int) bool { return IsEquijoinGraph(g) },
-			New:     func(int) Solver { return Equijoin{} },
+			Applies: IsEquijoinGraph,
+			New:     func() Solver { return Equijoin{} },
 		},
 		{
 			Route:  RouteExact,
 			Reason: "every component within the exact search budget",
-			Applies: func(g *graph.Graph, exactLimit int) bool {
-				if exactLimit == 0 {
-					exactLimit = tsp.MaxExactCities
-				}
+			Applies: func(g *graph.Graph) bool {
 				for _, m := range componentEdgeCounts(g) {
-					if m > exactLimit {
+					if m > tsp.MaxExactCities {
 						return false
 					}
 				}
 				return true
 			},
-			New: func(exactLimit int) Solver { return Exact{MaxEdges: exactLimit} },
+			New: func() Solver { return Exact{} },
 		},
 		{
 			Route:   RouteApprox,
 			Reason:  "1.25-approximation (Thm 3.1)",
-			Applies: func(*graph.Graph, int) bool { return true },
-			New:     func(int) Solver { return Approx125{} },
+			Applies: func(*graph.Graph) bool { return true },
+			New:     func() Solver { return Approx125{} },
 		},
 	}
 }

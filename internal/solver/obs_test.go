@@ -49,9 +49,6 @@ func TestSolveInstrumentation(t *testing.T) {
 	if got := delta("solver/components_solved"); got != 2 {
 		t.Errorf("solver/components_solved delta = %d, want 2", got)
 	}
-	if got := delta("solver/workers_used"); got != 1 {
-		t.Errorf("solver/workers_used delta = %d, want 1 (a solve runs on one goroutine)", got)
-	}
 
 	byName := make(map[string][]obs.SpanRecord)
 	for _, s := range spans {
@@ -163,7 +160,7 @@ func TestSpanNamesAreStable(t *testing.T) {
 	for _, want := range []string{
 		"approx-1.25", "exact", "equijoin",
 		"component_split", "component_solve", "scheme_build",
-		"walk", "line_graph", "path_partition", "held_karp", "zigzag_order",
+		"walk", "path_partition", "held_karp", "zigzag_order",
 	} {
 		if !got[want] {
 			t.Errorf("span %q missing from trace; got %v", want, got)

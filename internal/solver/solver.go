@@ -82,7 +82,6 @@ const (
 var (
 	cSolves           = obs.ScopedCounter("solver/solves")
 	cComponentsSolved = obs.ScopedCounter("solver/components_solved")
-	cWorkersUsed      = obs.ScopedCounter("solver/workers_used")
 	tSplit            = obs.ScopedTimer("solver/phase/component_split")
 	tComponentSolve   = obs.ScopedTimer("solver/phase/component_solve")
 	tSchemeBuild      = obs.ScopedTimer("solver/phase/scheme_build")
@@ -159,7 +158,6 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn conn
 		return nil, err
 	}
 	cSolves.Inc(ctx)
-	cWorkersUsed.Inc(ctx)
 	root := obs.StartSpanCtx(ctx, name)
 	defer root.End()
 	root.SetInt("edges", int64(g.M()))

@@ -20,7 +20,7 @@ func hamiltonianLineGraphDecision(g *graph.Graph) (bool, error) {
 		if len(comp) < 2 {
 			continue
 		}
-		cg, _ := g.InducedSubgraph(comp)
+		cg, _ := inducedSubgraph(g, comp)
 		if cg.M() > tsp.MaxExactCities {
 			return false, fmt.Errorf("%w: component with %d edges exceeds decision budget", ErrBudgetExceeded, cg.M())
 		}
@@ -40,7 +40,7 @@ func hasPerfectScheme(g *graph.Graph) (bool, error) {
 		if len(comp) < 2 {
 			continue
 		}
-		cg, _ := g.InducedSubgraph(comp)
+		cg, _ := inducedSubgraph(g, comp)
 		_, cost, err := tsp.Exact(context.Background(), tsp.NewInstance(graph.LineGraph(cg)))
 		if err != nil {
 			return false, err
@@ -56,7 +56,7 @@ func hasPerfectScheme(g *graph.Graph) (bool, error) {
 // alone on cg, connected: the rung's answer before the walk.
 func constructionJumps(t testing.TB, cg *graph.Graph) int {
 	t.Helper()
-	order, _, err := pathPartition(cg, graph.NewLineGraphView(cg), false)
+	order, _, err := pathPartition(cg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func checkWalk(t testing.TB, name string, cg *graph.Graph) walkReport {
 // forEachComponent calls fn on every edge-bearing component of g.
 func forEachComponent(g *graph.Graph, fn func(ci int, cg *graph.Graph)) {
 	for ci, comp := range g.Components() {
-		if cg, _ := g.InducedSubgraph(comp); cg.M() > 0 {
+		if cg, _ := inducedSubgraph(g, comp); cg.M() > 0 {
 			fn(ci, cg)
 		}
 	}
@@ -282,7 +282,7 @@ func FuzzApproxWalk(f *testing.F) {
 				keep = append(keep, v)
 			}
 		}
-		cg, _ := g.InducedSubgraph(keep)
+		cg, _ := inducedSubgraph(g, keep)
 		r := checkWalk(t, fmt.Sprint(cg), cg)
 		_, cost, err := tsp.Exact(context.Background(), tsp.NewInstance(graph.LineGraph(cg)))
 		if err != nil {

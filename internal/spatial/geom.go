@@ -53,11 +53,6 @@ func (r Rect) Contains(s Rect) bool {
 		r.MinY <= s.MinY && s.MaxY <= r.MaxY
 }
 
-// ContainsPoint reports whether p lies in r (boundary inclusive).
-func (r Rect) ContainsPoint(p Point) bool {
-	return r.MinX <= p.X && p.X <= r.MaxX && r.MinY <= p.Y && p.Y <= r.MaxY
-}
-
 // Union returns the bounding rectangle of r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
@@ -149,11 +144,4 @@ func project(p Polygon, axis Point) (lo, hi float64) {
 		hi = math.Max(hi, d)
 	}
 	return lo, hi
-}
-
-// RectPolygon converts a rectangle into the equivalent convex polygon.
-func RectPolygon(r Rect) Polygon {
-	return Polygon{Verts: []Point{
-		{r.MinX, r.MinY}, {r.MaxX, r.MinY}, {r.MaxX, r.MaxY}, {r.MinX, r.MaxY},
-	}}
 }

@@ -93,30 +93,3 @@ func chamfer(r Rect, d float64) Polygon {
 	}
 	return p
 }
-
-// JoinPairs evaluates the SAT overlap predicate over all pairs.
-func (inst *PolygonOverlapInstance) JoinPairs() [][2]int {
-	var out [][2]int
-	for i, r := range inst.R {
-		for j, s := range inst.S {
-			if r.Overlaps(s) {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}
-
-// JoinPairs evaluates the overlap predicate over all pairs; the reference
-// the join graph and the sweep/R-tree algorithms are checked against.
-func (inst *OverlapInstance) JoinPairs() [][2]int {
-	var out [][2]int
-	for i, r := range inst.R {
-		for j, s := range inst.S {
-			if r.Overlaps(s) {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}

@@ -146,7 +146,7 @@ func TestCycleCoverTourValidAndBounded(t *testing.T) {
 		if in.Cost(tour) != cost {
 			t.Fatal("cost mismatch")
 		}
-		if cost > in.CostUpperBound() {
+		if cost > costUpperBound(in) {
 			t.Fatalf("cost %d above universal bound", cost)
 		}
 	}

@@ -82,12 +82,3 @@ func (in *Instance) Jumps(t Tour) int {
 	}
 	return j
 }
-
-// CostUpperBound returns the universal upper bound 2(n−1): every step
-// costs at most 2.
-func (in *Instance) CostUpperBound() int {
-	if in.N() == 0 {
-		return 0
-	}
-	return 2 * (in.N() - 1)
-}

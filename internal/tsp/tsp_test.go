@@ -104,7 +104,7 @@ func TestExactRespectsBounds(t *testing.T) {
 		if in.Validate(tour) != nil {
 			return false
 		}
-		return cost >= in.N()-1+jumpLowerBound(g) && cost <= in.CostUpperBound()
+		return cost >= in.N()-1+jumpLowerBound(g) && cost <= costUpperBound(in)
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +147,8 @@ func TestNearestNeighborValidAndBounded(t *testing.T) {
 		if in.Cost(tour) != cost {
 			t.Fatal("cost mismatch")
 		}
-		if cost > in.CostUpperBound() {
-			t.Fatalf("NN cost %d above universal bound %d", cost, in.CostUpperBound())
+		if cost > costUpperBound(in) {
+			t.Fatalf("NN cost %d above universal bound %d", cost, costUpperBound(in))
 		}
 	}
 }
@@ -254,4 +254,13 @@ func TestHeldKarpAgainstBruteForceTiny(t *testing.T) {
 			t.Fatalf("trial %d: held-karp=%d exact=%d brute=%d", trial, hk, got, best)
 		}
 	}
+}
+
+// costUpperBound is the universal upper bound 2(n−1) on a tour's cost:
+// every step costs at most 2.
+func costUpperBound(in *Instance) int {
+	if in.N() == 0 {
+		return 0
+	}
+	return 2 * (in.N() - 1)
 }
