@@ -54,7 +54,7 @@ func E16Partition() (*Table, error) {
 	// Spatial: grid vs random on clustered data.
 	sp := workload.Spatial{LeftSize: 150, RightSize: 150, Span: 100, MaxExtent: 6, Clusters: 4}
 	lr, rr := sp.Generate(22)
-	bSp := join.Graph(lr.Rects(), rr.Rects(), join.Overlaps)
+	bSp := join.OverlapGraph(lr.Rects(), rr.Rects())
 	if err := row("spatial", "grid(4x4)", bSp, partition.GridSpatial(lr.Rects(), rr.Rects(), 4)); err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func E16Partition() (*Table, error) {
 	sc := workload.SetContainment{LeftSize: 150, RightSize: 150, Universe: 400,
 		LeftMax: 3, RightMax: 9, Correlated: true}
 	ls, rs := sc.Generate(23)
-	bSc := join.Graph(ls.Sets(), rs.Sets(), join.Contains)
+	bSc := join.ContainmentGraph(ls.Sets(), rs.Sets())
 	if err := row("containment", "min-element", bSc, partition.MinElementSet(ls.Sets(), rs.Sets(), 16)); err != nil {
 		return nil, err
 	}

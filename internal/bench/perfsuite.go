@@ -2,10 +2,10 @@ package bench
 
 // PerfSuite pins the hot-path benchmarks that cmd/bench measures and
 // regression-checks: the CSR code paths (span lookups, multi-component
-// solving, the linear approximation and equijoin solves, the equijoin
-// build, the exact search). The committed
-// BENCH_*-legacy.json reports measured the pre-optimization paths under
-// the same series names; they stay as history.
+// solving, the linear approximation and equijoin solves, the equijoin,
+// containment and spatial join-graph builds, the exact search). The
+// committed BENCH_*-legacy.json reports measured the pre-optimization
+// paths under the same series names; they stay as history.
 //
 // Workloads are deterministic (fixed seeds, fixed families) so ns/op is
 // the only thing that varies between runs.
@@ -336,6 +336,7 @@ func PerfSuite() []PerfCase {
 	cases = append(cases, spiderScaling()...)
 	cases = append(cases, randomScaling()...)
 	cases = append(cases, equijoinScaling()...)
+	cases = append(cases, indexJoinScaling()...)
 	return append(cases, exactSeries()...)
 }
 
@@ -491,6 +492,68 @@ func equijoinScaling() []PerfCase {
 		builds, solves, canons = append(builds, build), append(solves, solve), append(canons, canon)
 	}
 	return slices.Concat(builds, solves, canons)
+}
+
+// indexJoinScaling is the containment and spatial join-graph builds,
+// join.ContainmentGraph and join.OverlapGraph, on n×n relations with n
+// from 250 to 4000. The universe and the span grow with n, so a left
+// tuple keeps about as many matches and the output grows linearly: the
+// fitted slope against n reads near 1 for an output-sensitive build and
+// near 2 for a cross-product one. Each case records its edge count and
+// "nested_ratio", its ns/op over that of the nested-loop build of the
+// same relations (join.GraphFromPairs over join.NestedLoop), timed right
+// after it.
+func indexJoinScaling() []PerfCase {
+	sizes := []int{250, 500, 1000, 2000, 4000}
+	containNs, overlapNs := make([]float64, len(sizes)), make([]float64, len(sizes))
+	var contains, overlaps []PerfCase
+	for i, n := range sizes {
+		l, r := workload.SetContainment{LeftSize: n, RightSize: n, Universe: n / 2,
+			LeftMax: 3, RightMax: 12, Correlated: true}.Generate(perfSeed)
+		ls, rs := l.Sets(), r.Sets()
+		contain := PerfCase{Name: fmt.Sprintf("build/containment-n%d", n),
+			Extra: map[string]float64{"edges": float64(join.ContainmentGraph(ls, rs).M())}}
+		contain.Run = func(b *testing.B) {
+			for j := 0; j < b.N; j++ {
+				join.ContainmentGraph(ls, rs)
+			}
+			recordScaling(b, contain.Extra, sizes, containNs, i)
+			contain.Extra["nested_ratio"] = containNs[i] / nestedNs(b, func() {
+				join.GraphFromPairs(n, n, join.NestedLoop(ls, rs, join.Contains))
+			})
+		}
+		l, r = workload.Spatial{LeftSize: n, RightSize: n, Span: 4 * math.Sqrt(float64(n)),
+			MaxExtent: 8}.Generate(perfSeed)
+		lr, rr := l.Rects(), r.Rects()
+		overlap := PerfCase{Name: fmt.Sprintf("build/spatial-n%d", n),
+			Extra: map[string]float64{"edges": float64(join.OverlapGraph(lr, rr).M())}}
+		overlap.Run = func(b *testing.B) {
+			for j := 0; j < b.N; j++ {
+				join.OverlapGraph(lr, rr)
+			}
+			recordScaling(b, overlap.Extra, sizes, overlapNs, i)
+			overlap.Extra["nested_ratio"] = overlapNs[i] / nestedNs(b, func() {
+				join.GraphFromPairs(n, n, join.NestedLoop(lr, rr, join.Overlaps))
+			})
+		}
+		contains, overlaps = append(contains, contain), append(overlaps, overlap)
+	}
+	return slices.Concat(contains, overlaps)
+}
+
+// nestedNs stops b's timer and returns the ns/op of build over as many
+// calls, at least one, as fit in the time b's loop took: the quadratic
+// build would take minutes over b.N calls.
+func nestedNs(b *testing.B, build func()) float64 {
+	b.StopTimer()
+	budget := b.Elapsed()
+	start := obs.Now()
+	calls := 0
+	for calls == 0 || obs.Since(start) < budget {
+		build()
+		calls++
+	}
+	return float64(obs.Since(start).Nanoseconds()) / float64(calls)
 }
 
 // verifyNs stops b's timer and returns the ns/op of core.Verify on g

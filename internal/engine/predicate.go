@@ -87,7 +87,7 @@ func (containmentFamily) Kinds() (relation.Kind, relation.Kind) {
 	return relation.KindSet, relation.KindSet
 }
 func (containmentFamily) Build(l, r *relation.Relation) (*graph.Bipartite, error) {
-	return join.Graph(l.Sets(), r.Sets(), join.Contains), nil
+	return join.ContainmentGraph(l.Sets(), r.Sets()), nil
 }
 func (containmentFamily) Guarantees() Guarantees {
 	// Lemma 3.3: any bipartite graph arises as a containment join graph.
@@ -101,7 +101,7 @@ func (spatialFamily) Kinds() (relation.Kind, relation.Kind) {
 	return relation.KindRect, relation.KindRect
 }
 func (spatialFamily) Build(l, r *relation.Relation) (*graph.Bipartite, error) {
-	return join.Graph(l.Rects(), r.Rects(), join.Overlaps), nil
+	return join.OverlapGraph(l.Rects(), r.Rects()), nil
 }
 func (spatialFamily) Guarantees() Guarantees {
 	// Lemma 3.4: rectangle overlap realizes the hard family (and any

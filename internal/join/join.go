@@ -65,21 +65,6 @@ type Pair struct {
 	L, R int
 }
 
-// Graph builds the join graph of two tuple slices under pred, evaluating
-// the predicate on the full cross product — the reference semantics of
-// §2. Quadratic by design; algorithms are checked against it.
-func Graph[L, R any](ls []L, rs []R, pred func(L, R) bool) *graph.Bipartite {
-	var edges []graph.Edge
-	for i, l := range ls {
-		for j, r := range rs {
-			if pred(l, r) {
-				edges = append(edges, graph.Edge{U: i, V: j})
-			}
-		}
-	}
-	return graph.NewBipartite(len(ls), len(rs), edges)
-}
-
 // GraphFromPairs builds a join graph directly from result pairs. A
 // repeated pair keeps the edge index of its first occurrence.
 func GraphFromPairs(nLeft, nRight int, pairs []Pair) *graph.Bipartite {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"joinpebble/internal/graph"
 	"joinpebble/internal/sets"
 	"joinpebble/internal/spatial"
 )
@@ -12,7 +13,7 @@ import (
 func TestGraphBuildsJoinGraph(t *testing.T) {
 	ls := []int64{1, 2, 2}
 	rs := []int64{2, 3}
-	b := Graph(ls, rs, eqInt)
+	b := nestedLoopGraph(ls, rs, eqInt)
 	if b.M() != 2 || !b.HasEdge(1, 0) || !b.HasEdge(2, 0) {
 		t.Fatalf("join graph %v", b)
 	}
@@ -22,7 +23,7 @@ func TestNestedLoopMatchesGraph(t *testing.T) {
 	ls := []int64{1, 2, 3, 2}
 	rs := []int64{2, 2, 4}
 	pairs := NestedLoop(ls, rs, eqInt)
-	b := Graph(ls, rs, eqInt)
+	b := nestedLoopGraph(ls, rs, eqInt)
 	if len(pairs) != b.M() {
 		t.Fatalf("%d pairs vs %d edges", len(pairs), b.M())
 	}
@@ -73,7 +74,7 @@ func TestSortMergeZigzagIsPerfect(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		b := Graph(ls, rs, eqInt)
+		b := nestedLoopGraph(ls, rs, eqInt)
 		audit, err := AuditPairs(b, pairs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -93,7 +94,7 @@ func TestSortMergeRewindCostsJumps(t *testing.T) {
 	rs := []int64{7, 7, 7}
 	pairsRewind := SortMerge(ls, rs)
 	pairsZig := SortMergeZigzag(ls, rs)
-	b := Graph(ls, rs, eqInt)
+	b := nestedLoopGraph(ls, rs, eqInt)
 	ar, err := AuditPairs(b, pairsRewind)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func TestSortMergeRewindCostsJumps(t *testing.T) {
 func TestAuditPairsValidation(t *testing.T) {
 	ls := []int64{1, 2}
 	rs := []int64{1, 2}
-	b := Graph(ls, rs, eqInt)
+	b := nestedLoopGraph(ls, rs, eqInt)
 	if _, err := AuditPairs(b, []Pair{{0, 0}}); err == nil {
 		t.Fatal("missing pairs must fail")
 	}
@@ -219,7 +220,7 @@ func TestSortMergeOverStrings(t *testing.T) {
 	if !equalPairs(zig, want) {
 		t.Fatal("string zigzag merge differs from nested loop")
 	}
-	b := Graph(ls, rs, eqString)
+	b := nestedLoopGraph(ls, rs, eqString)
 	audit, err := AuditPairs(b, zig)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +235,7 @@ func TestEquiGraphMatchesGraph(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		ls := randInts(rng, 25, 6)
 		rs := randInts(rng, 30, 6)
-		want := Graph(ls, rs, eqInt)
+		want := nestedLoopGraph(ls, rs, eqInt)
 		got := EquiGraph(ls, rs)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: grouped equijoin graph differs", trial)
@@ -246,7 +247,7 @@ func TestGraphFromPairsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ls := randInts(rng, 10, 3)
 	rs := randInts(rng, 10, 3)
-	b := Graph(ls, rs, eqInt)
+	b := nestedLoopGraph(ls, rs, eqInt)
 	pairs := NestedLoop(ls, rs, eqInt)
 	b2 := GraphFromPairs(len(ls), len(rs), pairs)
 	if !b.Equal(b2) {
@@ -299,6 +300,21 @@ func randTriangles(rng *rand.Rand, n int, span float64) []spatial.Polygon {
 		out[i] = p
 	}
 	return out
+}
+
+// nestedLoopGraph builds the join graph of two tuple slices under pred
+// by evaluating the predicate on the full cross product: the reference
+// semantics of §2, quadratic by design.
+func nestedLoopGraph[L, R any](ls []L, rs []R, pred func(L, R) bool) *graph.Bipartite {
+	var edges []graph.Edge
+	for i, l := range ls {
+		for j, r := range rs {
+			if pred(l, r) {
+				edges = append(edges, graph.Edge{U: i, V: j})
+			}
+		}
+	}
+	return graph.NewBipartite(len(ls), len(rs), edges)
 }
 
 // eqInt and eqString are the equijoin predicate over integers and

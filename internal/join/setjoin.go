@@ -1,6 +1,9 @@
 package join
 
-import "joinpebble/internal/sets"
+import (
+	"joinpebble/internal/graph"
+	"joinpebble/internal/sets"
+)
 
 var (
 	mSignatureNL     = newAlgMetrics("join/signature_nested_loop/tuples_compared", "join/signature_nested_loop/pairs_emitted")
@@ -42,15 +45,43 @@ func SignatureNestedLoop(ls, rs []sets.Set) []Pair {
 // left sets match every right tuple. Emission is left-major with right
 // matches in ascending index order.
 func InvertedIndexJoin(ls, rs []sets.Set) []Pair {
-	idx := sets.BuildInvertedIndex(rs)
+	ids, off := supersets(ls, rs)
 	var out []Pair
-	for i, l := range ls {
-		for _, j := range idx.Supersets(l) {
+	for i := range ls {
+		for _, j := range ids[off[i]:off[i+1]] {
 			out = append(out, Pair{L: i, R: j})
 		}
 	}
 	mInvertedIndex.flush(int64(len(ls)), int64(len(out))) // one index probe per left set
 	return out
+}
+
+// ContainmentGraph builds the set-containment join graph (§3.2) with
+// InvertedIndexJoin's index probes: the graph NestedLoop's pairs under
+// Contains make, edge for edge and in the same order, in time linear in
+// the sets' sizes, the posting-list intersections and the output.
+func ContainmentGraph(ls, rs []sets.Set) *graph.Bipartite {
+	ids, off := supersets(ls, rs)
+	edges := make([]graph.Edge, 0, len(ids))
+	for i := range ls {
+		for _, j := range ids[off[i]:off[i+1]] {
+			edges = append(edges, graph.Edge{U: i, V: j})
+		}
+	}
+	return graph.NewBipartite(len(ls), len(rs), edges)
+}
+
+// supersets probes an inverted index on rs with every left set: the ids
+// of the right sets that contain ls[i] are ids[off[i]:off[i+1]],
+// ascending.
+func supersets(ls, rs []sets.Set) (ids, off []int) {
+	idx := sets.BuildInvertedIndex(rs)
+	off = make([]int, len(ls)+1)
+	for i, l := range ls {
+		ids = idx.Supersets(ids, l)
+		off[i+1] = len(ids)
+	}
+	return ids, off
 }
 
 // PartitionedSetJoin is a main-memory analogue of the partitioned set

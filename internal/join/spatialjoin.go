@@ -1,6 +1,13 @@
 package join
 
-import "joinpebble/internal/spatial"
+import (
+	"cmp"
+	"math"
+	"slices"
+
+	"joinpebble/internal/graph"
+	"joinpebble/internal/spatial"
+)
 
 var (
 	mRTreeJoin = newAlgMetrics("join/rtree/tuples_compared", "join/rtree/pairs_emitted")
@@ -37,6 +44,96 @@ func SweepJoin(ls, rs []spatial.Rect) []Pair {
 	}
 	mSweepJoin.flush(int64(len(raw)), int64(len(out)))
 	return out
+}
+
+// OverlapGraph builds the rectangle-overlap join graph (§3.3) by a
+// forward plane sweep: the graph NestedLoop's pairs under Overlaps make,
+// edge for edge and in the same order. Both sides are sorted by MinX.
+// The side whose next rectangle starts first (the left on a tie) scans
+// the other side's unvisited rectangles until one starts past its MaxX,
+// so each overlapping pair is found once, by whichever of its two
+// rectangles starts first. The scan applies the full Rect.Overlaps, so
+// inverted and infinite rectangles pair as the predicate says. The
+// SweepJoin event sweep stays as it is, because E15 measures its
+// emission order.
+func OverlapGraph(ls, rs []spatial.Rect) *graph.Bipartite {
+	lx, rx := byMinX(ls), byMinX(rs)
+	var found []graph.Edge
+	for a, b := 0, 0; a < len(lx) && b < len(rx); {
+		if lx[a].minX <= rx[b].minX {
+			l := ls[lx[a].id]
+			for _, r := range rx[b:] {
+				if r.minX > l.MaxX {
+					break
+				}
+				if l.Overlaps(rs[r.id]) {
+					found = append(found, graph.Edge{U: lx[a].id, V: r.id})
+				}
+			}
+			a++
+		} else {
+			r := rs[rx[b].id]
+			for _, l := range lx[a:] {
+				if l.minX > r.MaxX {
+					break
+				}
+				if ls[l.id].Overlaps(r) {
+					found = append(found, graph.Edge{U: l.id, V: rx[b].id})
+				}
+			}
+			b++
+		}
+	}
+	return graph.NewBipartite(len(ls), len(rs), leftMajor(found, len(ls), len(rs)))
+}
+
+// leftMajor sorts edges by left index, then right, by two stable
+// counting passes: by right index into a copy, then by left index back.
+func leftMajor(edges []graph.Edge, nLeft, nRight int) []graph.Edge {
+	byRight := make([]graph.Edge, len(edges))
+	next := make([]int, max(nLeft, nRight)+1)
+	for _, e := range edges {
+		next[e.V+1]++
+	}
+	for k := 1; k < nRight; k++ {
+		next[k] += next[k-1]
+	}
+	for _, e := range edges {
+		byRight[next[e.V]] = e
+		next[e.V]++
+	}
+	clear(next)
+	for _, e := range byRight {
+		next[e.U+1]++
+	}
+	for k := 1; k < nLeft; k++ {
+		next[k] += next[k-1]
+	}
+	for _, e := range byRight {
+		edges[next[e.U]] = e
+		next[e.U]++
+	}
+	return edges
+}
+
+// sweepKey is a rectangle's MinX and its index in its relation.
+type sweepKey struct {
+	minX float64
+	id   int
+}
+
+// byMinX returns the sweep keys of the rectangles, sorted by MinX. A
+// rectangle with a NaN coordinate overlaps nothing, and NaN breaks the
+// sort, so it gets no key.
+func byMinX(rects []spatial.Rect) []sweepKey {
+	keys := make([]sweepKey, 0, len(rects))
+	for i, r := range rects {
+		if !math.IsNaN(r.MinX) && !math.IsNaN(r.MinY) && !math.IsNaN(r.MaxX) && !math.IsNaN(r.MaxY) {
+			keys = append(keys, sweepKey{minX: r.MinX, id: i})
+		}
+	}
+	slices.SortFunc(keys, func(a, b sweepKey) int { return cmp.Compare(a.minX, b.minX) })
+	return keys
 }
 
 // PolygonNestedLoop joins convex polygons by the SAT overlap test,

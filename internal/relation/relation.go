@@ -154,27 +154,27 @@ func (r *Relation) Rects() []spatial.Rect {
 
 // FromInts builds an int relation from a slice.
 func FromInts(name string, vs []int64) *Relation {
-	r := New(name, KindInt)
-	for _, v := range vs {
-		r.AppendInt(v)
+	r := &Relation{Name: name, Kind: KindInt, Tuples: make([]Value, len(vs))}
+	for i, v := range vs {
+		r.Tuples[i].Int = v
 	}
 	return r
 }
 
 // FromSets builds a set relation from a slice.
 func FromSets(name string, vs []sets.Set) *Relation {
-	r := New(name, KindSet)
-	for _, v := range vs {
-		r.AppendSet(v)
+	r := &Relation{Name: name, Kind: KindSet, Tuples: make([]Value, len(vs))}
+	for i, v := range vs {
+		r.Tuples[i].Set = v
 	}
 	return r
 }
 
 // FromRects builds a rect relation from a slice.
 func FromRects(name string, vs []spatial.Rect) *Relation {
-	r := New(name, KindRect)
-	for _, v := range vs {
-		r.AppendRect(v)
+	r := &Relation{Name: name, Kind: KindRect, Tuples: make([]Value, len(vs))}
+	for i, v := range vs {
+		r.Tuples[i].Rect = v
 	}
 	return r
 }

@@ -1,7 +1,9 @@
 package sets
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,47 +177,65 @@ func TestInvertedIndexSupersets(t *testing.T) {
 		New(1, 3, 5),
 	}
 	idx := BuildInvertedIndex(data)
-	if idx.Size() != 4 {
-		t.Fatal("size")
-	}
-	got := idx.Supersets(New(2, 3))
+	got := idx.Supersets(nil, New(2, 3))
 	want := []int{0, 1}
 	if len(got) != len(want) || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("supersets of {2,3} = %v want %v", got, want)
 	}
-	if got := idx.Supersets(New(9)); len(got) != 0 {
+	if got := idx.Supersets(nil, New(9)); len(got) != 0 {
 		t.Fatalf("supersets of {9} = %v", got)
 	}
-	if got := idx.Supersets(Set{}); len(got) != 4 {
+	if got := idx.Supersets(nil, Set{}); len(got) != 4 {
 		t.Fatalf("empty probe must match all, got %v", got)
+	}
+	// Supersets appends: what dst already holds stays in front.
+	if got := idx.Supersets([]int{7}, New(1)); !slices.Equal(got, []int{7, 0, 3}) {
+		t.Fatalf("append to [7] of supersets of {1} = %v", got)
 	}
 }
 
+// TestInvertedIndexAgainstBruteForce checks Supersets against a scan of
+// every indexed set: probes of up to 12 elements (more than the probe's
+// stack of posting lists holds), posting lists long enough to gallop
+// over, elements at the top of the uint32 range and probe elements no
+// indexed set holds, with one result buffer reused across probes.
 func TestInvertedIndexAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		data := make([]Set, 20)
+	for trial := 0; trial < 300; trial++ {
+		n, maxLen, universe := 1+rng.Intn(120), 1+rng.Intn(24), 1+rng.Intn(40)
+		base := uint32(0)
+		if trial%3 == 0 {
+			base = math.MaxUint32 - uint32(universe) + 1 // elements up to 2³²−1
+		}
+		data := make([]Set, n)
 		for i := range data {
-			data[i] = randomSet(rng, 8, 12)
+			data[i] = offsetSet(randomSet(rng, maxLen, universe), base)
 		}
 		idx := BuildInvertedIndex(data)
-		probe := randomSet(rng, 4, 12)
-		got := idx.Supersets(probe)
-		var want []int
-		for i, s := range data {
-			if probe.SubsetOf(s) {
-				want = append(want, i)
+		var got []int
+		for probes := 0; probes < 8; probes++ {
+			probe := offsetSet(randomSet(rng, 1+rng.Intn(12), universe+2), base-1)
+			got = idx.Supersets(got[:0], probe)
+			var want []int
+			for i, s := range data {
+				if probe.SubsetOf(s) {
+					want = append(want, i)
+				}
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %v want %v", trial, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: got %v want %v", trial, got, want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: supersets of %v = %v want %v", trial, probe, got, want)
 			}
 		}
 	}
+}
+
+// offsetSet adds base to every element of s, wrapping around 2³².
+func offsetSet(s Set, base uint32) Set {
+	es := make([]uint32, s.Len())
+	for i, e := range s.Elems() {
+		es[i] = e + base
+	}
+	return New(es...)
 }
 
 func randomSet(rng *rand.Rand, maxLen, universe int) Set {

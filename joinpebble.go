@@ -82,12 +82,12 @@ func EquijoinGraph(ls, rs []int64) *Bipartite { return join.EquiGraph(ls, rs) }
 // ContainmentGraph builds the join graph of a set-containment join
 // (§3.2): (l, r) joins iff l ⊆ r.
 func ContainmentGraph(ls, rs []Set) *Bipartite {
-	return join.Graph(ls, rs, join.Contains)
+	return join.ContainmentGraph(ls, rs)
 }
 
 // OverlapGraph builds the join graph of a rectangle-overlap join (§3.3).
 func OverlapGraph(ls, rs []Rect) *Bipartite {
-	return join.Graph(ls, rs, join.Overlaps)
+	return join.OverlapGraph(ls, rs)
 }
 
 // Pebble solves the join graph with the solver the engine planner routes
