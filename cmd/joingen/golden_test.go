@@ -171,6 +171,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		"unknown kind":   {"-kind", "bogus"},
 		"unknown output": {"-kind", "equijoin", "-out", "bogus"},
 		"extra args":     {"-kind", "equijoin", "extra"},
+		"leftmax 0":      {"-kind", "containment", "-leftmax", "0"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var stderr bytes.Buffer
@@ -186,6 +187,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 			}
 			if !bytes.HasPrefix(stderr.Bytes(), []byte("joingen: ")) {
 				t.Fatalf("stderr must name the command: %q", stderr.String())
+			}
+			if bytes.Count(stderr.Bytes(), []byte("\n")) != 1 {
+				t.Fatalf("stderr must be one line: %q", stderr.String())
 			}
 		})
 	}

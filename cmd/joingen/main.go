@@ -92,19 +92,34 @@ func main() {
 // instance builds the engine instance the flags describe. The workload
 // structs carry their own family names, so the engine resolves the
 // predicate and builds the join graph — no per-predicate graph plumbing
-// here.
+// here. Flag values the generators cannot draw from are usage errors.
 func (c config) instance() (*engine.Instance, error) {
+	sizes := c.left >= 0 && c.right >= 0
 	var w engine.Workload
 	switch c.kind {
 	case "equijoin":
+		if !sizes || c.domain < 1 {
+			return nil, cmdutil.Usagef("equijoin needs -left, -right >= 0 and -domain >= 1 (got %d, %d, %d)",
+				c.left, c.right, c.domain)
+		}
 		w = workload.Equijoin{LeftSize: c.left, RightSize: c.right, Domain: c.domain, Skew: c.skew}
 	case "containment":
+		if !sizes || c.universe < 1 || c.leftMax < 1 || c.rightMax < 1 {
+			return nil, cmdutil.Usagef("containment needs -left, -right >= 0 and -universe, -leftmax, -rightmax >= 1 (got %d, %d, %d, %d, %d)",
+				c.left, c.right, c.universe, c.leftMax, c.rightMax)
+		}
 		w = workload.SetContainment{LeftSize: c.left, RightSize: c.right, Universe: c.universe,
 			LeftMax: c.leftMax, RightMax: c.rightMax, Correlated: c.correlated}
 	case "spatial":
+		if !sizes {
+			return nil, cmdutil.Usagef("spatial needs -left, -right >= 0 (got %d, %d)", c.left, c.right)
+		}
 		w = workload.Spatial{LeftSize: c.left, RightSize: c.right, Span: c.span,
 			MaxExtent: c.extent, Clusters: c.clusters}
 	case "spider":
+		if c.n < 1 {
+			return nil, cmdutil.Usagef("spider needs -n >= 1 (got %d)", c.n)
+		}
 		return engine.FromBipartite("spider", family.Spider(c.n)), nil
 	default:
 		return nil, cmdutil.Usagef("unknown kind %q", c.kind)

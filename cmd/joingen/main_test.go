@@ -19,6 +19,12 @@ func cfg(kind, out string, n int) config {
 	}
 }
 
+// with returns c after edit, for one-flag variations of cfg.
+func with(c config, edit func(*config)) config {
+	edit(&c)
+	return c
+}
+
 func gen(t *testing.T, kind, out string, n int) string {
 	t.Helper()
 	var sb strings.Builder
@@ -71,6 +77,14 @@ func TestGenerateErrors(t *testing.T) {
 		"unknown kind":        cfg("bogus", "graph", 3),
 		"spider relations":    cfg("spider", "relations", 3),
 		"unknown output kind": cfg("equijoin", "bogus", 3),
+		"leftmax 0":           with(cfg("containment", "graph", 0), func(c *config) { c.leftMax = 0 }),
+		"rightmax 0":          with(cfg("containment", "graph", 0), func(c *config) { c.rightMax = 0 }),
+		"universe 0":          with(cfg("containment", "graph", 0), func(c *config) { c.universe = 0 }),
+		"domain 0":            with(cfg("equijoin", "graph", 0), func(c *config) { c.domain = 0 }),
+		"left -1":             with(cfg("spatial", "graph", 0), func(c *config) { c.left = -1 }),
+		"right -1":            with(cfg("equijoin", "graph", 0), func(c *config) { c.right = -1 }),
+		"containment left -1": with(cfg("containment", "graph", 0), func(c *config) { c.left = -1 }),
+		"spider n 0":          cfg("spider", "graph", 0),
 	} {
 		err := run(&sb, c)
 		if err == nil {

@@ -1,20 +1,18 @@
 package joinpebble
 
 import (
-	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
+	"go/types"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
+
+	"joinpebble/internal/analysis/load"
 )
 
 // testOnlyAPI lists the exported functions and methods under internal/
-// that are deliberate test APIs: no production code calls them, and
-// tests do.
+// that no production code calls on purpose: deliberate test APIs, and
+// library API of the value types the root package re-exports.
 var testOnlyAPI = map[string]bool{
 	// The analyzers' test harness, which every analyzer test imports.
 	"analysistest.Run": true,
@@ -32,15 +30,26 @@ var testOnlyAPI = map[string]bool{
 	// The random bipartite generator the graph and solver tests draw
 	// their instances from.
 	"graph.RandomBipartite": true,
+	// Queries on the join graph, set and rectangle values that the root
+	// package re-exports as joinpebble.Bipartite, Set and Rect.
+	"graph.Bipartite.HasEdge": true,
+	"sets.Set.Contains":       true,
+	"sets.Set.Equal":          true,
+	"sets.Set.Union":          true,
+	"spatial.Rect.Contains":   true,
 	// Observability seams: a scope's recorder, and the clock that the
 	// forbidden analyzer routes every clock read through.
 	"obs.Scope.SetRecorder": true,
 	"obs.SetClock":          true,
 	// The scoped histogram, kept for per-family π/m histograms.
-	"obs.ScopedHistogram": true,
-	// The parser of the relation format joingen -out relations writes:
-	// the round-trip and fuzz tests pin the format through it.
-	"relation.Read": true,
+	"obs.ScopedHistogram":      true,
+	"obs.HistogramVar.Observe": true,
+	// A tracer's span count, which the obs, engine and benchmark replay
+	// tests read.
+	"obs.Tracer.Len": true,
+	// A tour's jump count J (§2.2), which the tsp and reduction tests
+	// check tours against.
+	"tsp.Instance.Jumps": true,
 	// Service state that tests poll.
 	"serve.Server.URL":        true,
 	"serve.Server.Draining":   true,
@@ -48,124 +57,94 @@ var testOnlyAPI = map[string]bool{
 }
 
 // stdInterfaceMethods are called through standard-library interfaces
-// (error, fmt.Stringer, errors.Unwrap, json.Marshaler), so no
-// identifier in this module names them.
+// (error, fmt.Stringer, errors.Unwrap, json.Marshaler), so no code in
+// this module refers to them.
 var stdInterfaceMethods = map[string]bool{
 	"Error": true, "String": true, "Unwrap": true, "MarshalJSON": true,
 }
 
 // TestNoTestOnlyExports fails on an exported function or method under
-// internal/ that no non-test file of the module refers to: such an
+// internal/ that no non-test code of the module refers to: such an
 // export is either dead or a test helper, and a test helper belongs in
-// a _test.go file. Functions match by package and name; methods match
-// by name alone, so a call through an interface counts.
+// a _test.go file. References are resolved with go/types over the
+// module's non-test packages, so a method counts as used when non-test
+// code refers to it, or to an interface method that its type
+// implements, and never merely because something else shares its name.
 func TestNoTestOnlyExports(t *testing.T) {
-	type decl struct {
-		key   string // "pkg.Func" or "pkg.Type.Method"
-		dir   string
-		name  string
-		isFn  bool
-		where string
-	}
-	var decls []decl
-	funcRefs := map[string]bool{} // "dir\x00Name": a reference to a top-level func
-	methodRefs := map[string]bool{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (n == "testdata" || strings.HasPrefix(n, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		// Import name → directory, for the module's own packages.
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			rel, ok := strings.CutPrefix(p, "joinpebble/")
-			if !ok {
-				continue
-			}
-			name := filepath.Base(rel)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = rel
-		}
-		declared := map[*ast.Ident]bool{}
-		for _, dl := range f.Decls {
-			fd, ok := dl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fd.Name] = true
-			if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "internal/testutil") {
-				continue
-			}
-			key := filepath.Base(dir) + "." + fd.Name.Name
-			if fd.Recv != nil {
-				key = filepath.Base(dir) + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
-			}
-			decls = append(decls, decl{key: key, dir: dir, name: fd.Name.Name, isFn: fd.Recv == nil, where: fset.Position(fd.Pos()).String()})
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				methodRefs[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if rel, ok := imports[x.Name]; ok {
-						funcRefs[rel+"\x00"+n.Sel.Name] = true
-						return false
-					}
-				}
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				if !declared[n] {
-					funcRefs[dir+"\x00"+n.Name] = true
-				}
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						methodRefs[name.Name] = true
-					}
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
-		return nil
-	})
+	pkgs, err := load.Load(".", fset, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decls) == 0 {
-		t.Fatal("found no exported functions under internal/")
+	used := map[string]bool{}      // FullName of every function or concrete method referred to
+	var ifaceMethods []*types.Func // interface methods referred to
+	for _, p := range pkgs {
+		for id, obj := range p.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			fn = fn.Origin()
+			if s := fn.Scope(); s != nil && s.Contains(id.Pos()) {
+				continue // a recursive call is no use
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceMethods = append(ifaceMethods, fn)
+				continue
+			}
+			used[fn.FullName()] = true
+		}
+	}
+	viaInterface := func(m *types.Func) bool {
+		recv := m.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for _, im := range ifaceMethods {
+			if im.Name() == m.Name() && implements(recv, im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)) {
+				return true
+			}
+		}
+		return false
 	}
 	var unused []string
-	for _, d := range decls {
-		if testOnlyAPI[d.key] {
+	declared := map[string]bool{}
+	check := func(fn *types.Func, key string) {
+		declared[key] = true
+		switch {
+		case !fn.Exported(), used[fn.FullName()], testOnlyAPI[key]:
+		case fn.Type().(*types.Signature).Recv() != nil && (stdInterfaceMethods[fn.Name()] || viaInterface(fn)):
+		default:
+			unused = append(unused, fset.Position(fn.Pos()).String()+": "+key)
+		}
+	}
+	for _, p := range pkgs {
+		rel, _ := strings.CutPrefix(p.ImportPath, "joinpebble/")
+		if !strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "internal/testutil") {
 			continue
 		}
-		if d.isFn && funcRefs[d.dir+"\x00"+d.name] {
-			continue
+		scope := p.Pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				check(obj, p.Pkg.Name()+"."+name)
+			case *types.TypeName:
+				if named, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
+					for i := range named.NumMethods() {
+						m := named.Method(i)
+						check(m, p.Pkg.Name()+"."+name+"."+m.Name())
+					}
+				}
+			}
 		}
-		if !d.isFn && (methodRefs[d.name] || stdInterfaceMethods[d.name]) {
-			continue
+	}
+	if len(used) == 0 {
+		t.Fatal("found no references to functions")
+	}
+	for key := range testOnlyAPI {
+		if !declared[key] {
+			t.Errorf("testOnlyAPI lists %s, which is not declared under internal/", key)
 		}
-		unused = append(unused, d.where+": "+d.key)
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
@@ -173,21 +152,32 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// recvName is the receiver's type name, without pointer or type
-// parameters.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// implements reports whether *t's method set has every method of iface
+// with the same parameter and result types.
+func implements(t types.Type, iface *types.Interface) bool {
+	ms := types.NewMethodSet(types.NewPointer(t))
+	for i := range iface.NumMethods() {
+		m := iface.Method(i)
+		sel := ms.Lookup(m.Pkg(), m.Name())
+		if sel == nil || !sameSignature(sel.Obj().Type().(*types.Signature), m.Type().(*types.Signature)) {
+			return false
 		}
 	}
+	return true
+}
+
+// sameSignature compares two signatures' parameter and result types in
+// their printed form: a package typechecked from source and the export
+// data other packages import it from are distinct types.Packages, so
+// types.Identical would tell their types apart.
+func sameSignature(a, b *types.Signature) bool {
+	typesOf := func(t *types.Tuple) string {
+		var sb strings.Builder
+		for i := range t.Len() {
+			sb.WriteString(types.TypeString(t.At(i).Type(), nil) + ",")
+		}
+		return sb.String()
+	}
+	return a.Variadic() == b.Variadic() &&
+		typesOf(a.Params()) == typesOf(b.Params()) && typesOf(a.Results()) == typesOf(b.Results())
 }

@@ -4,8 +4,8 @@
 // The paper's central point is that one model — the two-pebble game on a
 // join graph — covers equality, set-containment and spatial-overlap
 // predicates uniformly (§3–§4). The engine is that uniformity as an
-// architectural seam: every predicate family is a Predicate registered
-// under its name, every concrete input is an Instance (relations plus
+// architectural seam: every predicate family is one row of a fixed
+// Predicate table, every concrete input is an Instance (relations plus
 // join graph plus the family's structural guarantees), and one Planner
 // routes any instance down the solver ladder — the linear-time perfect
 // pebbler when components are complete bipartite (Theorems 3.2/4.1),
@@ -31,8 +31,8 @@ import (
 	"joinpebble/internal/relation"
 )
 
-// ErrUnknownFamily reports a family name with no registered Predicate.
-// Match with errors.Is.
+// ErrUnknownFamily reports a family name that no Predicate in the table
+// has. Match with errors.Is.
 var ErrUnknownFamily = errors.New("engine: unknown predicate family")
 
 // ErrKindMismatch reports relations whose attribute domains do not match
@@ -58,7 +58,7 @@ type Guarantees struct {
 // instance came from data rather than a raw graph), the join graph, and
 // the structural guarantees inherited from its family.
 type Instance struct {
-	// Family is the registered predicate family name, or a free-form
+	// Family is the predicate family's name, or a free-form
 	// label ("graph", "spider") for instances ingested as raw graphs.
 	Family string
 	// Left and Right are the input relations; nil when the instance was
@@ -77,33 +77,32 @@ type Instance struct {
 // family: it checks the attribute domains, builds the join graph through
 // the family's builder, and attaches the family guarantees.
 func NewInstance(p Predicate, l, r *relation.Relation) (*Instance, error) {
-	lk, rk := p.Kinds()
-	if l.Kind != lk || r.Kind != rk {
+	if l.Kind != p.Left || r.Kind != p.Right {
 		return nil, fmt.Errorf("%w: family %s wants %v⋈%v, got %v⋈%v",
-			ErrKindMismatch, p.Name(), lk, rk, l.Kind, r.Kind)
+			ErrKindMismatch, p.Name, p.Left, p.Right, l.Kind, r.Kind)
 	}
 	b, err := p.Build(l, r)
 	if err != nil {
-		return nil, fmt.Errorf("engine: build %s join graph: %w", p.Name(), err)
+		return nil, fmt.Errorf("engine: build %s join graph: %w", p.Name, err)
 	}
 	return &Instance{
-		Family:     p.Name(),
+		Family:     p.Name,
 		Left:       l,
 		Right:      r,
 		Bip:        b,
-		Guarantees: p.Guarantees(),
+		Guarantees: p.Guarantees,
 	}, nil
 }
 
 // FromBipartite ingests an existing join graph under a family label. If
-// the label names a registered family the family's guarantees are
+// the label names a predicate family the family's guarantees are
 // attached (the caller asserts the graph really came from that family —
 // differential tests keep that honest); otherwise no guarantees are
 // assumed and the planner falls back to structural inspection.
 func FromBipartite(family string, b *graph.Bipartite) *Instance {
 	in := &Instance{Family: family, Bip: b}
 	if p, ok := Lookup(family); ok {
-		in.Guarantees = p.Guarantees()
+		in.Guarantees = p.Guarantees
 	}
 	return in
 }
@@ -138,7 +137,7 @@ func (in *Instance) AuditPairs(pairs []join.Pair) (*join.Audit, error) {
 // it; anything else (a daemon's request decoder, a fuzzer) can too.
 type Workload interface {
 	// Family names the predicate family the generated relations join
-	// under; it must be registered.
+	// under; it must be a Predicate's name.
 	Family() string
 	// Generate builds the two relations deterministically from seed.
 	Generate(seed int64) (l, r *relation.Relation)

@@ -13,6 +13,7 @@ import (
 	"joinpebble/internal/graph"
 	"joinpebble/internal/join"
 	"joinpebble/internal/relation"
+	"joinpebble/internal/sets"
 	"joinpebble/internal/solver"
 	"joinpebble/internal/workload"
 )
@@ -27,8 +28,8 @@ func TestFamiliesRegistered(t *testing.T) {
 		if !ok {
 			t.Fatalf("Lookup(%q) missing", name)
 		}
-		if p.Name() != name {
-			t.Fatalf("Lookup(%q).Name() = %q", name, p.Name())
+		if p.Name != name {
+			t.Fatalf("Lookup(%q).Name = %q", name, p.Name)
 		}
 	}
 }
@@ -45,10 +46,13 @@ func TestFromRelationsUnknownFamily(t *testing.T) {
 }
 
 func TestNewInstanceKindMismatch(t *testing.T) {
-	p, _ := Lookup("containment")
-	l := relation.FromInts("R", []int64{1})
-	if _, err := NewInstance(p, l, l); !errors.Is(err, ErrKindMismatch) {
-		t.Fatalf("want ErrKindMismatch, got %v", err)
+	ints := relation.FromInts("R", []int64{1})
+	set := relation.FromSets("R", []sets.Set{sets.New(1)})
+	for family, wrong := range map[string]*relation.Relation{"equijoin": set, "containment": ints, "spatial": set} {
+		p, _ := Lookup(family)
+		if _, err := NewInstance(p, wrong, wrong); !errors.Is(err, ErrKindMismatch) {
+			t.Fatalf("%s: want ErrKindMismatch, got %v", family, err)
+		}
 	}
 }
 

@@ -40,10 +40,11 @@ func TestDifferentialConcurrentScopes(t *testing.T) {
 
 	var scopedSolves int64
 	for i, sc := range scopes {
-		if got := sc.Registry().Counter("engine/runs").Value(); got != 1 {
+		snap := sc.Snapshot()
+		if got := snap.Counters["engine/runs"]; got != 1 {
 			t.Fatalf("scope %d engine/runs = %d, want exactly its own run", i, got)
 		}
-		s := sc.Registry().Counter("solver/solves").Value()
+		s := snap.Counters["solver/solves"]
 		if s == 0 {
 			t.Fatalf("scope %d recorded no solver work", i)
 		}

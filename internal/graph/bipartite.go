@@ -85,11 +85,6 @@ func (b *Bipartite) Equal(c *Bipartite) bool {
 	return b.nLeft == c.nLeft && b.nRight == c.nRight && b.g.Equal(c.g)
 }
 
-// Clone returns a deep copy.
-func (b *Bipartite) Clone() *Bipartite {
-	return &Bipartite{g: b.g.Clone(), nLeft: b.nLeft, nRight: b.nRight}
-}
-
 // String renders edges as l-r pairs in (left,right) index space.
 func (b *Bipartite) String() string {
 	var sb strings.Builder

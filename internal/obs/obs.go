@@ -113,12 +113,6 @@ func (h *Histogram) Observe(v int64) {
 	casMax(&h.max, v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // bucketList materializes the current bucket counts as a snapshot slice.
 func (h *Histogram) bucketList() []Bucket {
 	out := make([]Bucket, len(h.buckets))
@@ -130,17 +124,6 @@ func (h *Histogram) bucketList() []Bucket {
 		out[i] = Bucket{LE: le, N: h.buckets[i].Load()}
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (q in [0, 1]) of the observed values
-// by linear interpolation inside the covering bucket, clamped to the
-// exact [Min, Max] extremes. With no observations it returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	count := h.count.Load()
-	if count == 0 {
-		return 0
-	}
-	return quantileFromBuckets(h.bucketList(), count, h.min.Load(), h.max.Load(), q)
 }
 
 // merge folds src into h: bucket-by-bucket when the layouts match, by
@@ -430,39 +413,6 @@ func (r *Registry) Timer(name string) *Timer {
 	t = newTimer()
 	r.timers[name] = t
 	return t
-}
-
-// Reset zeroes every registered metric (buckets and extremes included)
-// without unregistering anything. Tests use it to measure deltas; bound
-// metric pointers stay valid. It takes the write lock so a concurrent
-// Snapshot (read lock) observes either the pre-reset or the post-reset
-// state, never a mix of the two — under the old read-lock version a
-// snapshot could report counters from before a reset next to histograms
-// from after it (see TestResetSnapshotConsistency).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, h := range r.hists {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.min.Store(math.MaxInt64)
-		h.max.Store(math.MinInt64)
-	}
-	for _, t := range r.timers {
-		for i := range t.buckets {
-			t.buckets[i].Store(0)
-		}
-		t.count.Store(0)
-		t.total.Store(0)
-		t.min.Store(math.MaxInt64)
-		t.max.Store(math.MinInt64)
-	}
 }
 
 // addFrom merges every metric of src into r by addition: counters add

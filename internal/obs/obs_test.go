@@ -229,3 +229,9 @@ func TestWriteJSONFileAtomic(t *testing.T) {
 		t.Fatalf("snapshot content wrong: %+v", snap)
 	}
 }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 { return h.count.Load() }
+
+// Sum returns the sum of all observed values.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -142,5 +143,47 @@ func TestResetSnapshotConsistency(t *testing.T) {
 			t.Fatalf("round %d: snapshot saw counter=%d timer=%d — a mixed reset state", i, ops, lat)
 		}
 		r.Reset() // known-zero baseline for the next round
+	}
+}
+
+// Quantile estimates the q-quantile (q in [0, 1]) of the observed values
+// by linear interpolation inside the covering bucket, clamped to the
+// exact [Min, Max] extremes. With no observations it returns 0.
+func (h *Histogram) Quantile(q float64) float64 {
+	count := h.count.Load()
+	if count == 0 {
+		return 0
+	}
+	return quantileFromBuckets(h.bucketList(), count, h.min.Load(), h.max.Load(), q)
+}
+
+// Reset zeroes every registered metric (buckets and extremes included)
+// without unregistering anything, so tests can measure deltas; bound
+// metric pointers stay valid. It takes the write lock so a concurrent
+// Snapshot (read lock) observes either the pre-reset or the post-reset
+// state, never a mix of the two (TestResetSnapshotConsistency).
+func (r *Registry) Reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.counters {
+		c.v.Store(0)
+	}
+	for _, h := range r.hists {
+		for i := range h.buckets {
+			h.buckets[i].Store(0)
+		}
+		h.count.Store(0)
+		h.sum.Store(0)
+		h.min.Store(math.MaxInt64)
+		h.max.Store(math.MinInt64)
+	}
+	for _, t := range r.timers {
+		for i := range t.buckets {
+			t.buckets[i].Store(0)
+		}
+		t.count.Store(0)
+		t.total.Store(0)
+		t.min.Store(math.MaxInt64)
+		t.max.Store(math.MinInt64)
 	}
 }

@@ -133,32 +133,6 @@ func NewScope(name string) *Scope {
 	return s
 }
 
-// ID returns the scope's process-unique sequence number.
-func (s *Scope) ID() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// Name returns the scope's name.
-func (s *Scope) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// Registry returns the scope's private metric registry (nil for a nil
-// scope). Prefer the *Var handles for instrumentation; this is for
-// reading a request's own metrics back.
-func (s *Scope) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
 // Tracer returns the scope's private tracer (nil — the disabled tracer —
 // for a nil scope).
 func (s *Scope) Tracer() *Tracer {
@@ -196,16 +170,6 @@ func (s *Scope) Flag(flag string) {
 		}
 	}
 	s.flags = append(s.flags, flag)
-}
-
-// Flags returns a copy of the flags set so far.
-func (s *Scope) Flags() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.flags...)
 }
 
 // Note attaches a key/value annotation (last write wins).

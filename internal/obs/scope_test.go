@@ -258,3 +258,28 @@ func TestConcurrentScopesRace(t *testing.T) {
 		t.Fatalf("recorder totals = %d/%d, want %d/%d", snap.Total, snap.FlaggedTotal, workers, workers/2)
 	}
 }
+
+// ID returns the scope's process-unique sequence number.
+func (s *Scope) ID() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.id
+}
+
+// Name returns the scope's name.
+func (s *Scope) Name() string {
+	if s == nil {
+		return ""
+	}
+	return s.name
+}
+
+// Registry returns the scope's private metric registry (nil for a nil
+// scope), so tests can read a scope's own metrics back.
+func (s *Scope) Registry() *Registry {
+	if s == nil {
+		return nil
+	}
+	return s.reg
+}

@@ -175,7 +175,7 @@ func TestGridSpatialAssignsInRange(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b := join.GraphFromPairs(l.Len(), r.Len(), join.NestedLoop(l.Rects(), r.Rects(), join.Overlaps))
+	b := join.GraphFromPairs(len(l.Rects()), len(r.Rects()), join.NestedLoop(l.Rects(), r.Rects(), join.Overlaps))
 	if _, err := Evaluate(b, a); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestGridSpatialBeatsRandom(t *testing.T) {
 	// edge across bucket pairs, re-reading tuples per pair.
 	w := workload.Spatial{LeftSize: 80, RightSize: 80, Span: 100, MaxExtent: 6, Clusters: 3}
 	l, r := w.Generate(7)
-	b := join.GraphFromPairs(l.Len(), r.Len(), join.NestedLoop(l.Rects(), r.Rects(), join.Overlaps))
+	b := join.GraphFromPairs(len(l.Rects()), len(r.Rects()), join.NestedLoop(l.Rects(), r.Rects(), join.Overlaps))
 	if b.M() == 0 {
 		t.Skip("no joining pairs")
 	}

@@ -84,26 +84,6 @@ func (c *Client) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 	return &resp, st, nil
 }
 
-// Plan posts req to /v1/plan with retries.
-func (c *Client) Plan(ctx context.Context, req *SolveRequest) (*PlanResponse, CallStats, error) {
-	var resp PlanResponse
-	st, err := c.call(ctx, "/v1/plan", req, &resp)
-	if err != nil {
-		return nil, st, err
-	}
-	return &resp, st, nil
-}
-
-// Audit posts req to /v1/audit with retries.
-func (c *Client) Audit(ctx context.Context, req *SolveRequest) (*AuditResponse, CallStats, error) {
-	var resp AuditResponse
-	st, err := c.call(ctx, "/v1/audit", req, &resp)
-	if err != nil {
-		return nil, st, err
-	}
-	return &resp, st, nil
-}
-
 // call runs one logical request: post, classify, back off, retry.
 // Transient answers — 429, 503, transport errors — are retried until
 // MaxAttempts or ctx expires (the caller's budget bounds the whole

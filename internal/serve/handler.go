@@ -67,7 +67,7 @@ const (
 
 // SolveRequest is the /v1/solve and /v1/plan request body, and the
 // instance half of /v1/audit. An instance is either generated — Family
-// names a registered predicate family, Left/Right are relation sizes,
+// names a predicate family, Left/Right are relation sizes,
 // Seed/Skew drive the workload generator — or given: Family "bipartite"
 // with Left/Right vertex counts and an explicit edge list.
 type SolveRequest struct {
@@ -405,7 +405,7 @@ func (s *Server) planner(req *SolveRequest) (*engine.Planner, error) {
 }
 
 // buildInstance materializes the request's join problem: an explicit
-// bipartite graph, or a generated workload of a registered family.
+// bipartite graph, or a generated workload of a predicate family.
 func (s *Server) buildInstance(req *SolveRequest) (*engine.Instance, error) {
 	if req.Left < 0 || req.Right < 0 {
 		return nil, badRequestf("negative relation size %d/%d", req.Left, req.Right)

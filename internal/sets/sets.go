@@ -120,28 +120,6 @@ func (s Set) String() string {
 	return sb.String()
 }
 
-// Parse reads the String format (whitespace tolerated, empty set "{}").
-func Parse(text string) (Set, error) {
-	text = strings.TrimSpace(text)
-	if len(text) < 2 || text[0] != '{' || text[len(text)-1] != '}' {
-		return Set{}, fmt.Errorf("sets: %q is not a braced set literal", text)
-	}
-	inner := strings.TrimSpace(text[1 : len(text)-1])
-	if inner == "" {
-		return Set{}, nil
-	}
-	parts := strings.Split(inner, ",")
-	elems := make([]uint32, 0, len(parts))
-	for _, p := range parts {
-		var e uint32
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%d", &e); err != nil {
-			return Set{}, fmt.Errorf("sets: bad element %q: %w", p, err)
-		}
-		elems = append(elems, e)
-	}
-	return New(elems...), nil
-}
-
 // Signature is a 64-bit superimposed signature: bit hash(e)%64 is set for
 // every element. If sig(r) has a bit outside sig(s), r cannot be a subset
 // of s — the standard prefilter in signature-based set joins

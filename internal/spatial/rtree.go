@@ -40,9 +40,6 @@ func NewRTree(maxFill int) *RTree {
 	}
 }
 
-// Len returns the number of stored rectangles.
-func (t *RTree) Len() int { return t.numItems }
-
 // Insert adds rect with the given payload id.
 func (t *RTree) Insert(rect Rect, id int) {
 	if !rect.Valid() {

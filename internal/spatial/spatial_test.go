@@ -352,3 +352,6 @@ func overlapPairs[T interface{ Overlaps(T) bool }](r, s []T) [][2]int {
 	}
 	return out
 }
+
+// Len returns the number of stored rectangles.
+func (t *RTree) Len() int { return t.numItems }

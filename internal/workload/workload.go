@@ -25,8 +25,8 @@ type Equijoin struct {
 }
 
 // Family names the predicate family this workload generates for; it is
-// the engine registry key, so engine.Generate can route any workload
-// without a per-kind switch.
+// the key of the engine's predicate table, so engine.Generate can route
+// any workload without a per-kind switch.
 func (Equijoin) Family() string { return "equijoin" }
 
 // Generate builds the two relations.
@@ -86,32 +86,37 @@ func (SetContainment) Family() string { return "containment" }
 // Generate builds the two relations.
 func (w SetContainment) Generate(seed int64) (l, r *relation.Relation) {
 	rng := rand.New(rand.NewSource(seed))
+	// scratch holds one set's draws; sets.New makes the set's only copy.
+	scratch := make([]uint32, max(w.LeftMax, w.RightMax))
 	rv := make([]sets.Set, w.RightSize)
 	for i := range rv {
-		rv[i] = randomSet(rng, w.RightMax, w.Universe)
+		rv[i] = randomSet(rng, w.RightMax, w.Universe, scratch)
 	}
 	lv := make([]sets.Set, w.LeftSize)
 	for i := range lv {
 		if w.Correlated && len(rv) > 0 {
 			base := rv[rng.Intn(len(rv))]
-			lv[i] = subsetOf(rng, base, w.LeftMax)
+			lv[i] = subsetOf(rng, base, w.LeftMax, scratch)
 		} else {
-			lv[i] = randomSet(rng, w.LeftMax, w.Universe)
+			lv[i] = randomSet(rng, w.LeftMax, w.Universe, scratch)
 		}
 	}
 	return relation.FromSets("R", lv), relation.FromSets("S", rv)
 }
 
-func randomSet(rng *rand.Rand, maxLen, universe int) sets.Set {
-	n := 1 + rng.Intn(maxLen)
-	es := make([]uint32, n)
+// randomSet draws 1..maxLen elements below universe into scratch, which
+// must hold maxLen.
+func randomSet(rng *rand.Rand, maxLen, universe int, scratch []uint32) sets.Set {
+	es := scratch[:1+rng.Intn(maxLen)]
 	for i := range es {
 		es[i] = uint32(rng.Intn(universe))
 	}
 	return sets.New(es...)
 }
 
-func subsetOf(rng *rand.Rand, base sets.Set, maxLen int) sets.Set {
+// subsetOf draws 1..maxLen distinct elements of base into scratch, which
+// must hold maxLen.
+func subsetOf(rng *rand.Rand, base sets.Set, maxLen int, scratch []uint32) sets.Set {
 	elems := base.Elems()
 	if len(elems) == 0 {
 		return sets.New()
@@ -121,8 +126,8 @@ func subsetOf(rng *rand.Rand, base sets.Set, maxLen int) sets.Set {
 		n = len(elems)
 	}
 	perm := rng.Perm(len(elems))
-	out := make([]uint32, n)
-	for i := 0; i < n; i++ {
+	out := scratch[:n]
+	for i := range out {
 		out[i] = elems[perm[i]]
 	}
 	return sets.New(out...)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"joinpebble/internal/join"
@@ -11,27 +12,17 @@ func TestEquijoinDeterministic(t *testing.T) {
 	w := Equijoin{LeftSize: 50, RightSize: 60, Domain: 10, Skew: 0}
 	l1, r1 := w.Generate(42)
 	l2, r2 := w.Generate(42)
-	if l1.Len() != 50 || r1.Len() != 60 {
+	if len(l1.Ints()) != 50 || len(r1.Ints()) != 60 {
 		t.Fatal("sizes")
 	}
-	for i := range l1.Tuples {
-		if l1.Tuples[i].Int != l2.Tuples[i].Int {
-			t.Fatal("same seed must reproduce the left relation")
-		}
+	if !slices.Equal(l1.Ints(), l2.Ints()) {
+		t.Fatal("same seed must reproduce the left relation")
 	}
-	for i := range r1.Tuples {
-		if r1.Tuples[i].Int != r2.Tuples[i].Int {
-			t.Fatal("same seed must reproduce the right relation")
-		}
+	if !slices.Equal(r1.Ints(), r2.Ints()) {
+		t.Fatal("same seed must reproduce the right relation")
 	}
 	l3, _ := w.Generate(43)
-	same := true
-	for i := range l1.Tuples {
-		if l1.Tuples[i].Int != l3.Tuples[i].Int {
-			same = false
-		}
-	}
-	if same {
+	if slices.Equal(l1.Ints(), l3.Ints()) {
 		t.Fatal("different seeds should (overwhelmingly) differ")
 	}
 }
@@ -64,7 +55,7 @@ func TestEquijoinSkewConcentrates(t *testing.T) {
 				max = c
 			}
 		}
-		return float64(max) / float64(r.Len())
+		return float64(max) / float64(len(r.Ints()))
 	}
 	if topShare(ls) <= 2*topShare(lu) {
 		t.Fatalf("zipf skew did not concentrate: uniform top=%.3f skewed top=%.3f",
@@ -129,9 +120,21 @@ func TestSpatialDeterministic(t *testing.T) {
 	w := Spatial{LeftSize: 30, RightSize: 30, Span: 50, MaxExtent: 5, Clusters: 2}
 	l1, _ := w.Generate(9)
 	l2, _ := w.Generate(9)
-	for i := range l1.Tuples {
-		if l1.Tuples[i].Rect != l2.Tuples[i].Rect {
-			t.Fatal("same seed must reproduce rectangles")
-		}
+	if !slices.Equal(l1.Rects(), l2.Rects()) {
+		t.Fatal("same seed must reproduce rectangles")
+	}
+}
+
+// TestSetContainmentGenerateAllocs pins one allocation per generated
+// set at universal-cold's middle shape with pebbled's parameters
+// (112 × 112, universe 64, left max 3, right max 12, correlated): the
+// draws go through one scratch buffer and sets.New makes the only copy.
+func TestSetContainmentGenerateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	w := SetContainment{LeftSize: 112, RightSize: 112, Universe: 64, LeftMax: 3, RightMax: 12, Correlated: true}
+	if got := testing.AllocsPerRun(20, func() { w.Generate(1) }); got > 345 {
+		t.Fatalf("SetContainment.Generate at 112 × 112: %.0f allocations, want at most 345", got)
 	}
 }
