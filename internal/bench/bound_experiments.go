@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"joinpebble/internal/core"
 	"joinpebble/internal/family"
 	"joinpebble/internal/graph"
 	"joinpebble/internal/join"
@@ -85,24 +86,13 @@ func E6Equijoin() (*Table, error) {
 			}
 			elapsed := obs.Since(start)
 			perfect := scheme.EffectiveCost(g) == g.M()
-			t.AddRow(sz, sz/10, skew, g.M(), cost, g.M()+schemeBetti(g), perfect,
+			t.AddRow(sz, sz/10, skew, g.M(), cost, g.M()+core.Betti0(g), perfect,
 				elapsed.Nanoseconds()/int64(g.M()))
 		}
 	}
 	t.Notes = append(t.Notes,
 		"ns/edge staying flat across m spanning 100x demonstrates the linear-time claim; the solve includes scheme verification")
 	return t, nil
-}
-
-func schemeBetti(g *graph.Graph) int {
-	// local alias to keep call sites tabular
-	n := 0
-	for _, comp := range g.Components() {
-		if len(comp) > 1 {
-			n++
-		}
-	}
-	return n
 }
 
 // E7HardFamily verifies Theorem 3.3 / Figure 1: the spider family G_n

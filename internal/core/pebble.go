@@ -82,7 +82,7 @@ func (s Scheme) Cost() int {
 
 // EffectiveCost returns π(P) = π̂(P) − β₀(G) per Definition 2.2.
 func (s Scheme) EffectiveCost(g *graph.Graph) int {
-	return s.Cost() - nonTrivialComponents(g)
+	return s.Cost() - Betti0(g)
 }
 
 // Result reports what a scheme did to a graph when simulated.
@@ -168,20 +168,17 @@ func VerifyContext(ctx context.Context, g *graph.Graph, s Scheme) (int, error) {
 	return s.Cost(), nil
 }
 
-// nonTrivialComponents counts components that contain at least one edge.
-// Definition 2.2's β₀ is stated for graphs with isolated vertices already
-// removed (§2); counting only edge-bearing components keeps π(G)
-// well-defined when callers pass graphs that still have singletons.
-func nonTrivialComponents(g *graph.Graph) int {
-	count := g.ComponentCount()
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) == 0 {
-			count-- // an isolated vertex is a component of its own
+// Betti0 returns β₀(G) as used by the effective cost: the number of
+// connected components containing at least one edge. Definition 2.2's β₀
+// is stated for graphs with isolated vertices already removed (§2);
+// counting only edge-bearing components keeps π(G) well-defined when
+// callers pass graphs that still have singletons.
+func Betti0(g *graph.Graph) int {
+	b := 0
+	for ci := range g.ComponentCount() {
+		if _, edges := g.Component(ci); len(edges) > 0 {
+			b++
 		}
 	}
-	return count
+	return b
 }
-
-// Betti0 returns β₀(G) as used by the effective cost: the number of
-// connected components containing at least one edge.
-func Betti0(g *graph.Graph) int { return nonTrivialComponents(g) }

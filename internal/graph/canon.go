@@ -90,11 +90,9 @@ type CanonScratch struct {
 	color  []uint32      // current color (dense rank) per vertex
 	sig    []uint64      // signature hash per vertex, input to re-ranking
 	sorted []uint64      // sort/dedupe buffer for rank assignment
-	order  []int32       // component-labeling BFS queue, then vertices in (color, id) order
+	order  []int32       // vertices in (color, id) order
 	count  []int         // counting-sort buckets, one per color or canonical id plus one
 	perm   []int32       // vertex -> canonical id
-	comp   []int32       // vertex -> component id
-	cinfo  []uint64      // per-component (order, size) packed
 	heap   []frontierEnt // frontier min-heap of touched, unassigned vertices
 	pos    []int32       // heap slot per vertex, -1 until first touched
 	ekeys  []uint64      // canonical edge keys
@@ -114,8 +112,6 @@ func (sc *CanonScratch) grow(n, m int) {
 		sc.order = make([]int32, n)
 		sc.count = make([]int, n+1)
 		sc.perm = make([]int32, n)
-		sc.comp = make([]int32, n)
-		sc.cinfo = make([]uint64, n)
 		sc.heap = make([]frontierEnt, n)
 		sc.pos = make([]int32, n)
 	}
@@ -129,8 +125,6 @@ func (sc *CanonScratch) grow(n, m int) {
 	sc.order = sc.order[:n]
 	sc.count = sc.count[:n+1]
 	sc.perm = sc.perm[:n]
-	sc.comp = sc.comp[:n]
-	sc.cinfo = sc.cinfo[:n]
 	sc.heap = sc.heap[:n]
 	sc.pos = sc.pos[:n]
 	sc.ekeys = sc.ekeys[:m]
@@ -153,15 +147,17 @@ func Canonicalize(g *Graph, sc *CanonScratch) ([]int32, Fingerprint) {
 	c := &g.csr
 	sc.grow(n, m)
 
-	// Initial colors: (degree, component order, component size) ranks.
-	// The component terms separate same-degree vertices of structurally
-	// different components up front (C4 ⊔ C6 is all degree 2), so the
-	// BFS below never has to choose a root across non-isomorphic
-	// components.
-	labelComponents(c, n, sc)
-	for v := 0; v < n; v++ {
-		h := mix64(canonSeedHi, uint64(c.degree(v)))
-		sc.sig[v] = mix64(h, sc.cinfo[sc.comp[v]])
+	// Initial colors: (degree, component order, component size) ranks,
+	// read off the graph's component decomposition. The component terms
+	// separate same-degree vertices of structurally different components
+	// up front (C4 ⊔ C6 is all degree 2), so the canonical order never
+	// has to choose a root across non-isomorphic components.
+	for ci := range g.ComponentCount() {
+		verts, edges := g.Component(ci)
+		h := mix64(mix64(canonSeedLo, uint64(len(verts))), uint64(len(edges)))
+		for _, v := range verts {
+			sc.sig[v] = mix64(mix64(canonSeedHi, uint64(c.degree(v))), h)
+		}
 	}
 	distinct := rankColors(sc, n)
 
@@ -203,47 +199,6 @@ func mix64(h, x uint64) uint64 {
 	h *= 0x94D049BB133111EB
 	h ^= h >> 32
 	return h
-}
-
-// labelComponents fills sc.comp with a component id per vertex and
-// sc.cinfo[ci] with a hash of the component's (order, size), returning
-// the component count. Plain BFS on sc.order as the queue.
-//
-//joinpebble:hotpath
-func labelComponents(c *csr, n int, sc *CanonScratch) int {
-	for v := 0; v < n; v++ {
-		sc.comp[v] = -1
-	}
-	nc := 0
-	for root := 0; root < n; root++ {
-		if sc.comp[root] >= 0 {
-			continue
-		}
-		ci := int32(nc)
-		nc++
-		order, slots := 0, 0
-		head, tail := 0, 0
-		sc.comp[root] = ci
-		sc.order[tail] = int32(root)
-		tail++
-		for head < tail {
-			u := int(sc.order[head])
-			head++
-			order++
-			slots += c.start[u+1] - c.start[u]
-			for i := c.start[u]; i < c.start[u+1]; i++ {
-				w := c.vert[i]
-				if sc.comp[w] < 0 {
-					sc.comp[w] = ci
-					sc.order[tail] = int32(w)
-					tail++
-				}
-			}
-		}
-		// slots double-counts edges (one slot per endpoint).
-		sc.cinfo[ci] = mix64(mix64(canonSeedLo, uint64(order)), uint64(slots/2))
-	}
-	return nc
 }
 
 // sortByColor fills sc.order with the n vertices in (color, id) order:

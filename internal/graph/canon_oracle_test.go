@@ -6,9 +6,9 @@ import "slices"
 // rewrite, kept as its differential oracle: refinement sorts every
 // vertex's neighbor colors, the canonical order pops a lazy-deletion
 // heap that holds one entry per vertex and per touch, and the
-// fingerprint sorts the canonical edge keys. It shares the component
-// labeling and the color re-ranking with Canonicalize, and allocates its
-// buffers on every call. Exported for the graph_test differential suite.
+// fingerprint sorts the canonical edge keys. It labels components by its
+// own BFS rather than the graph's decomposition, shares the color
+// re-ranking with Canonicalize, and allocates its buffers on every call. Exported for the graph_test differential suite.
 func CanonicalizeOracle(g *Graph) ([]int32, Fingerprint) {
 	n, m := g.N(), g.M()
 	if n == 0 {
@@ -21,10 +21,10 @@ func CanonicalizeOracle(g *Graph) ([]int32, Fingerprint) {
 	}
 	sc := NewCanonScratch()
 	sc.grow(n, m)
-	labelComponents(c, n, sc)
+	comp, cinfo := bfsComponentInfo(c, n)
 	for v := 0; v < n; v++ {
 		h := mix64(canonSeedHi, uint64(c.degree(v)))
-		sc.sig[v] = mix64(h, sc.cinfo[sc.comp[v]])
+		sc.sig[v] = mix64(h, cinfo[comp[v]])
 	}
 	distinct := rankColors(sc, n)
 	nbr := make([]uint64, maxDeg)
@@ -38,6 +38,40 @@ func CanonicalizeOracle(g *Graph) ([]int32, Fingerprint) {
 	}
 	perm := heapCanonicalOrder(c, sc.color, n, m)
 	return perm, sortingEdgeListFingerprint(g, perm)
+}
+
+// bfsComponentInfo labels each vertex with its component by BFS and
+// hashes each component's (vertex count, edge count), the way
+// Canonicalize seeded its initial colors before it read the graph's
+// component decomposition.
+func bfsComponentInfo(c *csr, n int) (comp []int32, cinfo []uint64) {
+	comp = make([]int32, n)
+	for v := range comp {
+		comp[v] = -1
+	}
+	queue := make([]int, 0, n)
+	for root := 0; root < n; root++ {
+		if comp[root] >= 0 {
+			continue
+		}
+		ci := int32(len(cinfo))
+		comp[root] = ci
+		queue = append(queue[:0], root)
+		slots := 0
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			slots += c.degree(u)
+			for _, w := range c.vert[c.start[u]:c.start[u+1]] {
+				if comp[w] < 0 {
+					comp[w] = ci
+					queue = append(queue, w)
+				}
+			}
+		}
+		// slots double-counts edges (one slot per endpoint).
+		cinfo = append(cinfo, mix64(mix64(canonSeedLo, uint64(len(queue))), uint64(slots/2)))
+	}
+	return comp, cinfo
 }
 
 // sortingRefinePass computes each vertex's next signature from its

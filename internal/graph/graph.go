@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // Edge is an undirected edge between vertices U and V. Invariant: U <= V
@@ -52,11 +53,15 @@ func (e Edge) SharesEndpoint(f Edge) bool {
 // readers. Every read is an array read: Neighbors and IncidentEdges are
 // zero-copy spans in increasing edge-index order, and HasEdge and
 // EdgeIndex search the neighbor-sorted span of the lower-degree
-// endpoint. The zero value is an empty graph with no vertices.
+// endpoint. The connected components are derived once, on first use
+// (see Components). The zero value is an empty graph with no vertices.
 type Graph struct {
 	n     int
 	edges []Edge
 	csr   csr
+
+	compOnce sync.Once
+	comp     components
 }
 
 // New returns the graph on n vertices with the given edges. Edge i of

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -132,6 +135,43 @@ func TestComponents(t *testing.T) {
 	}
 	if g.ComponentCount() != 3 {
 		t.Fatal("ComponentCount mismatch")
+	}
+}
+
+// TestComponentsConcurrentFirstCall: goroutines that make a graph's
+// first Components call at once all get the one decomposition. Run
+// under -race, it also checks that the lazy derivation is safe for
+// concurrent readers.
+func TestComponentsConcurrentFirstCall(t *testing.T) {
+	g := RandomConnectedGraph(rand.New(rand.NewSource(5)), 300, 600, 0)
+	g = DisjointUnion(g, New(40, []Edge{{U: 3, V: 7}, {U: 7, V: 9}}))
+	const readers = 8
+	seen := make([][][]int, readers)
+	var ready, done sync.WaitGroup
+	ready.Add(readers)
+	done.Add(readers)
+	start := make(chan struct{})
+	for i := range seen {
+		go func() {
+			defer done.Done()
+			ready.Done()
+			<-start
+			seen[i] = g.Components()
+		}()
+	}
+	ready.Wait()
+	close(start)
+	done.Wait()
+	want, _ := mapGraphOf(g.N(), g.Edges()).components()
+	for i, comps := range seen {
+		if len(comps) != len(want) {
+			t.Fatalf("reader %d saw %d components, want %d", i, len(comps), len(want))
+		}
+		for ci := range want {
+			if !slices.Equal(comps[ci], want[ci]) || &comps[ci][0] != &seen[0][ci][0] {
+				t.Fatalf("reader %d: component %d is %v at %p, reader 0 has it at %p, want %v", i, ci, comps[ci], comps[ci], seen[0][ci], want[ci])
+			}
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // LineGraph returns L(G): one vertex per edge of g (vertex i of L(G)
 // corresponds to edge index i of g), with two vertices adjacent iff the
 // underlying edges share an endpoint (§2.2). Pebbling schemes for g
@@ -32,6 +34,28 @@ func LineGraph(g *Graph) *Graph {
 		}
 	}
 	return New(g.M(), edges)
+}
+
+// ComponentLineGraph returns L(C) for the connected component C numbered
+// ci in Components' order: vertex k of L(C) stands for the k-th of C's
+// edge ids (see Component). It pairs up the incident edges of C's
+// vertices, ascending, as LineGraph does a graph's, and numbering the
+// edges by rank keeps their order, so it returns LineGraph of C copied
+// out as a graph of its own, edge for edge.
+func (g *Graph) ComponentLineGraph(ci int) *Graph {
+	verts, edges := g.Component(ci)
+	var lines []Edge
+	for _, v := range verts {
+		span := g.IncidentEdges(v)
+		for x, a := range span {
+			ka, _ := slices.BinarySearch(edges, a)
+			for _, b := range span[x+1:] {
+				kb, _ := slices.BinarySearch(edges, b)
+				lines = append(lines, Edge{U: ka, V: kb})
+			}
+		}
+	}
+	return New(len(edges), lines)
 }
 
 // IncidenceGraph returns the bipartite incidence graph B = (X, Y, E') of

@@ -94,6 +94,39 @@ func (o *mapGraph) incidentByNeighbor(v int) []int {
 	return out
 }
 
+// components finds the oracle's components by BFS over its adjacency
+// lists, roots ascending, and returns each component's vertices and edge
+// ids, both ascending.
+func (o *mapGraph) components() (comps, edges [][]int) {
+	label := make([]int, o.n)
+	for v := range label {
+		label[v] = -1
+	}
+	for root := 0; root < o.n; root++ {
+		if label[root] >= 0 {
+			continue
+		}
+		ci := len(comps)
+		label[root] = ci
+		queue := []int{root}
+		for head := 0; head < len(queue); head++ {
+			for _, w := range o.adj[queue[head]] {
+				if label[w] < 0 {
+					label[w] = ci
+					queue = append(queue, w)
+				}
+			}
+		}
+		slices.Sort(queue)
+		comps = append(comps, queue)
+	}
+	edges = make([][]int, len(comps))
+	for i, e := range o.edges {
+		edges[label[e.U]] = append(edges[label[e.U]], i)
+	}
+	return comps, edges
+}
+
 // panicOf runs fn and returns the value it panicked with, or nil.
 func panicOf(fn func()) (p any) {
 	defer func() { p = recover() }()
@@ -104,8 +137,10 @@ func panicOf(fn func()) (p any) {
 // checkAgainstOracle builds edges through New and through the map-backed
 // oracle and requires the same panic, or identical answers from every
 // read accessor: edge ids, EdgeIndex and HasEdge over every pair
-// (out-of-range ids included), and the order of Neighbors,
-// IncidentEdges and IncidentEdgesByNeighbor.
+// (out-of-range ids included), the order of Neighbors, IncidentEdges
+// and IncidentEdgesByNeighbor, and the component decomposition —
+// Components, Component and ComponentCount — against a BFS over the
+// oracle's adjacency.
 func checkAgainstOracle(t *testing.T, n int, edges []Edge) {
 	t.Helper()
 	var o *mapGraph
@@ -138,6 +173,22 @@ func checkAgainstOracle(t *testing.T, n int, edges []Edge) {
 		}
 		if got, want := g.IncidentEdgesByNeighbor(u), o.incidentByNeighbor(u); !slices.Equal(got, want) {
 			t.Fatalf("IncidentEdgesByNeighbor(%d): New %v, oracle %v", u, got, want)
+		}
+	}
+	wantComps, wantEdges := o.components()
+	comps := g.Components()
+	if len(comps) != len(wantComps) || g.ComponentCount() != len(wantComps) {
+		t.Fatalf("Components: New %v, oracle %v", comps, wantComps)
+	}
+	for ci := range wantComps {
+		if !slices.Equal(comps[ci], wantComps[ci]) {
+			t.Fatalf("component %d: New %v, oracle %v", ci, comps[ci], wantComps[ci])
+		}
+	}
+	for ci := range wantComps {
+		verts, edges := g.Component(ci)
+		if !slices.Equal(verts, wantComps[ci]) || !slices.Equal(edges, wantEdges[ci]) {
+			t.Fatalf("Component(%d): New %v and %v, oracle %v and %v", ci, verts, edges, wantComps[ci], wantEdges[ci])
 		}
 	}
 	for u := -1; u <= n; u++ {

@@ -132,10 +132,8 @@ func AuditPairs(b *graph.Bipartite, pairs []Pair) (*Audit, error) {
 	}
 	cost := core.EdgeOrderCost(g, order)
 	jumps := 0
-	for k := 1; k < len(order); k++ {
-		if !g.EdgeAt(order[k-1]).SharesEndpoint(g.EdgeAt(order[k])) {
-			jumps++
-		}
+	if len(order) > 0 {
+		jumps = cost - 1 - len(order) // π̂ = 1 + m + J
 	}
 	eff := cost - core.Betti0(g)
 	cAuditRuns.Inc()

@@ -86,8 +86,9 @@ type Config struct {
 	// MaxBody caps request body size in bytes; 0 means 1MiB.
 	MaxBody int64
 	// MaxRelation caps per-side relation/vertex counts in requests;
-	// 0 means 4096 (the cross-product join-graph builders are
-	// quadratic, so this bounds per-request work).
+	// 0 means 4096. The join-graph builders are index joins, linear in
+	// their output, but the output itself can reach left × right edges,
+	// so this bounds per-request work.
 	MaxRelation int
 	// MaxEdges caps raw-bipartite edge lists; 0 means 1<<20.
 	MaxEdges int

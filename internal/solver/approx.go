@@ -35,8 +35,8 @@ var (
 // vertices of the (claw-free) line graph into vertex-disjoint paths, all
 // but the last of size at least 4, in three steps:
 //
-//  1. one DFS tree of the line graph, rooted at line-graph vertex 0
-//     (every node has at most two children, else three pairwise
+//  1. one DFS tree of the line graph, rooted at the component's lowest
+//     edge (every node has at most two children, else three pairwise
 //     non-adjacent children would form a claw with their parent). The DFS
 //     walks the base graph's incident-edge spans with one forward-only
 //     cursor per base vertex, so it costs O(|V| + m), not O(|E(L)|);
@@ -55,12 +55,13 @@ var (
 //
 // The pieces are exactly those of the textbook loop that rebuilds the
 // DFS tree from the lowest remaining vertex after every strip (kept as a
-// test oracle). Vertex 0 is stripped only with the last piece, so every
-// rebuild has the same root. Removing a whole subtree from a DFS tree
-// leaves exactly the tree a fresh DFS from that root builds. The first
-// node in post-order with >= 4 remaining vertices is the lowest such
-// subtree the loop strips. And a twin re-hang rearranges only a subtree
-// of 3 vertices, so it never changes which subtree is stripped.
+// test oracle). The root, the lowest vertex, is stripped only with the
+// last piece, so every rebuild has the same root. Removing a whole
+// subtree from a DFS tree leaves exactly the tree a fresh DFS from that
+// root builds. The first node in post-order with >= 4 remaining vertices
+// is the lowest such subtree the loop strips. And a twin re-hang
+// rearranges only a subtree of 3 vertices, so it never changes which
+// subtree is stripped.
 type Approx125 struct {
 	// SkipTwinElimination disables step 3 — an ablation knob for the E19
 	// experiment — and the walk, so the rung runs the construction alone.
@@ -85,10 +86,13 @@ func (a Approx125) Name() string {
 	return nameApprox
 }
 
-// Solve implements Solver.
+// Solve implements Solver. The walk and the construction each keep one
+// arena for the whole solve, sized for g and reused across components.
 func (a Approx125) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	fn := func(ctx context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
-		return approxComponentOrder(ctx, cg, sp, a.SkipTwinElimination)
+	var w lineWalk
+	var t spanTree
+	fn := func(ctx context.Context, c component, sp *obs.Span) ([]int, error) {
+		return approxComponentOrder(ctx, &w, &t, c, sp, a.SkipTwinElimination)
 	}
 	// Two literal call sites so the span name stays a compile-time
 	// constant either way.
@@ -98,13 +102,13 @@ func (a Approx125) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, erro
 	return solvePerComponent(ctx, g, nameApprox, fn)
 }
 
-func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, skipTwins bool) ([]int, error) {
-	m := cg.M()
+func approxComponentOrder(ctx context.Context, w *lineWalk, t *spanTree, c component, sp *obs.Span, skipTwins bool) ([]int, error) {
+	m := len(c.edges)
 	var walk []int
 	walkJumps := m // more jumps than any order has
 	if !skipTwins {
 		var bound int
-		walk, walkJumps, bound = walkComponent(sp, cg)
+		walk, walkJumps, bound = walkComponent(sp, w, c)
 		if walkJumps < bound {
 			return nil, fmt.Errorf("solver: walk has %d jumps, below the lower bound %d", walkJumps, bound)
 		}
@@ -115,7 +119,7 @@ func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, sk
 	}
 	partStart := obs.Now()
 	partSpan := sp.Start("path_partition")
-	order, pieces, err := pathPartition(cg, skipTwins)
+	order, pieces, err := pathPartition(t, c, skipTwins)
 	partSpan.End()
 	tPathPartition.Observe(ctx, obs.Since(partStart))
 	if err != nil {
@@ -123,7 +127,7 @@ func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, sk
 	}
 	cPathPieces.Add(ctx, int64(len(pieces)))
 	partSpan.SetInt("pieces", int64(len(pieces)))
-	jumps := core.EdgeOrderCost(cg, order) - 1 - m // π̂ = 1 + m + J
+	jumps := core.EdgeOrderCost(c.g, order) - 1 - m // π̂ = 1 + m + J
 	if walkJumps < jumps {
 		order, jumps = walk, walkJumps
 	}
@@ -140,14 +144,13 @@ func withinThm31(order []int, jumps, m int) ([]int, error) {
 	return order, nil
 }
 
-// walkComponent runs the greedy walk over L(cg), cg connected, under a
-// "walk" span. It returns the walk's edge order, its jumps, and the
-// leaf-deficit lower bound on the jumps of any tour of L(cg): the walk
-// is optimal when the two are equal.
-func walkComponent(sp *obs.Span, cg *graph.Graph) (order []int, jumps, bound int) {
+// walkComponent runs the greedy walk over L(C) in w under a "walk"
+// span. It returns the walk's edge order, its jumps, and the
+// leaf-deficit lower bound on the jumps of any tour of L(C): the walk is
+// optimal when the two are equal.
+func walkComponent(sp *obs.Span, w *lineWalk, c component) (order []int, jumps, bound int) {
 	ws := sp.Start("walk")
-	var w lineWalk
-	bound = w.init(cg)
+	bound = w.init(c)
 	jumps = w.run()
 	ws.SetInt("jumps", int64(jumps))
 	ws.End()
@@ -161,7 +164,9 @@ func walkComponent(sp *obs.Span, cg *graph.Graph) (order []int, jumps, bound int
 // exhausted it jumps to a vertex with the fewest unvisited edges. A
 // bucket queue keyed by remaining degree finds that vertex in O(1), and
 // one forward-only cursor per vertex finds each next edge, so the walk
-// is O(|V(g)| + |E(g)|). Every slice is carved from one allocation.
+// is O(|V(C)| + |E(C)|) per component C. Every slice is carved from one
+// allocation, sized for the whole graph and reused by each of its
+// components in turn.
 //
 // Restarting at a vertex of least remaining degree starts each trail at
 // a leaf of what is left where there is one, and continuing at the
@@ -170,34 +175,44 @@ func walkComponent(sp *obs.Span, cg *graph.Graph) (order []int, jumps, bound int
 // 3.1's construction as its fallback.
 type lineWalk struct {
 	g     *graph.Graph
-	order []int // the walk, order[:k] taken
+	order []int // the component's walk, order[:k] taken
 	k     int
-	seen  []int // per edge: 1 once taken
-	rem   []int // per vertex: incident edges not yet taken
-	cur   []int // per vertex: every incident edge before this span position is taken
-	vert  []int // the vertices in ascending rem order
-	pos   []int // position of each vertex in vert
+	seen  []int // per edge of g: 1 once taken
+	rem   []int // per vertex of g: incident edges not yet taken
+	cur   []int // per vertex of g: every incident edge before this span position is taken
+	vert  []int // the component's vertices in ascending rem order
+	pos   []int // per vertex of g: its position in vert
 	bin   []int // bin[d]: position in vert of the first vertex with rem d
 }
 
-// init sizes the arena for g, fills the bucket queue and returns the
-// leaf-deficit lower bound from Theorem 3.3's proof: in a tour of L(g)
-// each city has at most min(deg, 2) good incidences, the two ends one
-// each and every other city two, so 2J >= Σ_e max(0, 2 − deg_L(e)) − 2,
-// where edge (u,v) has line-graph degree deg u + deg v − 2. L(g) of a
-// connected g is connected, so no component term applies.
-func (w *lineWalk) init(g *graph.Graph) (bound int) {
-	n, m := g.N(), g.M()
-	buf := make([]int, 2*m+5*n+1)
-	w.g = g
-	w.order, buf = buf[:m:m], buf[m:]
-	w.seen, buf = buf[:m:m], buf[m:]
-	w.rem, buf = buf[:n:n], buf[n:]
-	w.cur, buf = buf[:n:n], buf[n:]
-	w.vert, buf = buf[:n:n], buf[n:]
-	w.pos, w.bin = buf[:n:n], buf[n:] // bin has n+1 slots: degrees 0..n
-	for v := range w.rem {
-		d := g.Degree(v)
+// init readies the walk for component c, allocating the arena for c's
+// graph on the first call; each component of one graph may be walked
+// once. Components share no vertex or edge, so the per-vertex and
+// per-edge state earlier components leave behind is never read again.
+// It fills the bucket queue and returns the leaf-deficit lower bound
+// from Theorem 3.3's proof: in a tour of L(C) each city has at most
+// min(deg, 2) good incidences, the two ends one each and every other
+// city two, so 2J >= Σ_e max(0, 2 − deg_L(e)) − 2, where edge (u,v) has
+// line-graph degree deg u + deg v − 2. L(C) of a connected C is
+// connected, so no component term applies.
+func (w *lineWalk) init(c component) (bound int) {
+	if w.g == nil {
+		n, m := c.g.N(), c.g.M()
+		buf := make([]int, 2*m+5*n+1)
+		w.g = c.g
+		w.order, buf = buf[:m:m], buf[m:]
+		w.seen, buf = buf[:m:m], buf[m:]
+		w.rem, buf = buf[:n:n], buf[n:]
+		w.cur, buf = buf[:n:n], buf[n:]
+		w.vert, buf = buf[:n:n], buf[n:]
+		w.pos, w.bin = buf[:n:n], buf[n:] // bin has n+1 slots: degrees 0..n
+	}
+	n := len(c.verts)
+	w.order, w.k = w.order[:len(c.edges)], 0
+	w.vert, w.bin = w.vert[:n], w.bin[:n+1]
+	clear(w.bin)
+	for _, v := range c.verts {
+		d := w.g.Degree(v)
 		w.rem[v] = d
 		w.bin[d]++
 	}
@@ -206,15 +221,16 @@ func (w *lineWalk) init(g *graph.Graph) (bound int) {
 	for d := 1; d < len(w.bin); d++ {
 		w.bin[d] += w.bin[d-1]
 	}
-	for v := n - 1; v >= 0; v-- {
+	for i := n - 1; i >= 0; i-- {
+		v := c.verts[i]
 		d := w.rem[v]
 		w.bin[d]--
 		w.pos[v] = w.bin[d]
 		w.vert[w.bin[d]] = v
 	}
 	deficit := -2
-	for i := 0; i < m; i++ {
-		e := g.EdgeAt(i)
+	for _, i := range c.edges {
+		e := w.g.EdgeAt(i)
 		if d := w.rem[e.U] + w.rem[e.V] - 2; d < 2 {
 			deficit += 2 - d
 		}
@@ -288,16 +304,16 @@ func (w *lineWalk) drop(v int) {
 	}
 }
 
-// pathPartition splits the vertices of L(cg), cg connected, into
+// pathPartition splits the vertices of L(C), C connected, into
 // vertex-disjoint paths, all of size >= 4 except possibly the last. It
-// builds one DFS tree and strips pieces in one post-order sweep (see
-// Approx125). Its only line-graph question, in twin elimination and the
-// final remainder, is whether two edges share an endpoint. The pieces
-// are laid end to end in order, a visit order over every edge of cg,
-// and each piece is a window of it.
-func pathPartition(cg *graph.Graph, skipTwins bool) (order []int, pieces [][]int, err error) {
-	t := newSpanTree(cg)
-	m := cg.M()
+// builds one DFS tree in t and strips pieces in one post-order sweep
+// (see Approx125). Its only line-graph question, in twin elimination and
+// the final remainder, is whether two edges share an endpoint. The
+// pieces are laid end to end in order, a visit order over every edge of
+// C, and each piece is a window of it.
+func pathPartition(t *spanTree, c component, skipTwins bool) (order []int, pieces [][]int, err error) {
+	t.init(c)
+	m := len(c.edges)
 	order = t.order
 	pieces = make([][]int, 0, m/4+1)
 	visited, covered := 0, 0
@@ -334,9 +350,9 @@ func pathPartition(cg *graph.Graph, skipTwins bool) (order []int, pieces [][]int
 	if rest := m - covered; rest > 0 {
 		// Fewer than 4 vertices remain, all under the root. Search them
 		// in ascending order, as the rebuild loop did.
-		verts := t.appendSubtree(order[covered:covered], 0)
+		verts := t.appendSubtree(order[covered:covered], c.edges[0])
 		slices.Sort(verts)
-		path, ok := hamPathSmall(cg, verts)
+		path, ok := hamPathSmall(c.g, verts)
 		if !ok {
 			return nil, nil, fmt.Errorf("solver: connected remainder of size %d has no Hamiltonian path", rest)
 		}
@@ -345,10 +361,11 @@ func pathPartition(cg *graph.Graph, skipTwins bool) (order []int, pieces [][]int
 	return order, pieces, nil
 }
 
-// spanTree is the DFS spanning tree of L(g) rooted at line-graph vertex
-// 0, with the state the strip sweep keeps per node, and the order the
-// stripped pieces are written to. Every slice is sized once per
-// component, and the int slices share one allocation.
+// spanTree is the DFS spanning tree of L(C) rooted at C's first edge,
+// with the state the strip sweep keeps per node, and the order the
+// stripped pieces are written to. Its nodes are g's edge ids. Every
+// slice is sized once, for the whole of g, and reused by each of g's
+// components in turn; the int slices share one allocation.
 //
 // Child lists exploit the claw-free DFS-tree invariant that no node ever
 // has more than two children (three children are pairwise non-adjacent
@@ -365,29 +382,35 @@ type spanTree struct {
 	stack  []int      // DFS stack of line-graph vertices, stack[:sp] live
 	sp     int
 	cur    []int // per base vertex: every incident edge before this span position is visited
-	order  []int // the stripped pieces, end to end
+	order  []int // the component's stripped pieces, end to end
 }
 
-func newSpanTree(g *graph.Graph) *spanTree {
-	n := g.M()
-	buf := make([]int, 4*n+g.N())
-	t := &spanTree{
-		g:    g,
-		kids: make([][2]int32, n),
-		nkid: make([]uint8, n),
+// init roots the tree at c's first edge, allocating the arena for c's
+// graph on the first call; each component of one graph may be
+// partitioned once. Components share no vertex or edge, so every edge of
+// c is still unvisited, childless, and every cursor of its vertices
+// still at the start of its span.
+func (t *spanTree) init(c component) {
+	if t.g == nil {
+		n := c.g.M()
+		buf := make([]int, 4*n+c.g.N())
+		t.g = c.g
+		t.kids = make([][2]int32, n)
+		t.nkid = make([]uint8, n)
+		t.parent, buf = buf[:n:n], buf[n:]
+		t.size, buf = buf[:n:n], buf[n:]
+		t.stack, buf = buf[:n:n], buf[n:]
+		t.order, t.cur = buf[:n:n], buf[n:]
+		for i := range t.parent {
+			t.parent[i] = -2
+		}
 	}
-	t.parent, buf = buf[:n:n], buf[n:]
-	t.size, buf = buf[:n:n], buf[n:]
-	t.stack, buf = buf[:n:n], buf[n:]
-	t.order, t.cur = buf[:n:n], buf[n:]
-	for i := range t.parent {
-		t.parent[i] = -2
-	}
-	if n > 0 {
-		t.parent[0] = -1
+	t.order, t.sp = t.order[:len(c.edges)], 0
+	if len(c.edges) > 0 {
+		t.parent[c.edges[0]] = -1
+		t.stack[0] = c.edges[0]
 		t.sp = 1
 	}
-	return t
 }
 
 // next advances the DFS until a node's visit ends and returns that node,
@@ -607,11 +630,11 @@ func (t *spanTree) appendSubtree(out []int, r int) []int {
 	return out
 }
 
-// hamPathSmall finds a Hamiltonian path of L(cg) over the <= 3 distinct
+// hamPathSmall finds a Hamiltonian path of L(g) over the <= 3 distinct
 // edges in perm (any connected graph on at most 3 vertices has one) by
 // brute force, permuting perm in place and trying start vertices and
 // extensions in the order it lists them.
-func hamPathSmall(cg *graph.Graph, perm []int) ([]int, bool) {
+func hamPathSmall(g *graph.Graph, perm []int) ([]int, bool) {
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == len(perm) {
@@ -619,7 +642,7 @@ func hamPathSmall(cg *graph.Graph, perm []int) ([]int, bool) {
 		}
 		for i := k; i < len(perm); i++ {
 			perm[k], perm[i] = perm[i], perm[k]
-			if cg.EdgeAt(perm[k-1]).SharesEndpoint(cg.EdgeAt(perm[k])) && rec(k+1) {
+			if g.EdgeAt(perm[k-1]).SharesEndpoint(g.EdgeAt(perm[k])) && rec(k+1) {
 				return true
 			}
 			perm[k], perm[i] = perm[i], perm[k]
@@ -640,21 +663,10 @@ func hamPathSmall(cg *graph.Graph, perm []int) ([]int, bool) {
 // sum over components of m_i + floor((m_i − 1)/4), plus β₀ startups.
 func ApproxCostBound(g *graph.Graph) int {
 	bound := 0
-	for _, m := range componentEdgeCounts(g) {
-		if m > 0 {
-			bound += m + (m-1)/4 + 1
+	for ci := range g.ComponentCount() {
+		if _, edges := g.Component(ci); len(edges) > 0 {
+			bound += len(edges) + (len(edges)-1)/4 + 1
 		}
 	}
 	return bound
-}
-
-// componentEdgeCounts returns the edge count of each component in one
-// pass over the edge list.
-func componentEdgeCounts(g *graph.Graph) []int {
-	label, ncomp := g.ComponentLabels()
-	counts := make([]int, ncomp)
-	for i := 0; i < g.M(); i++ {
-		counts[label[g.EdgeAt(i).U]]++
-	}
-	return counts
 }

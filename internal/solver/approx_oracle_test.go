@@ -300,7 +300,7 @@ func checkPartition(t *testing.T, name string, g *graph.Graph) (noTwinFailures i
 			continue
 		}
 		for _, skip := range []bool{false, true} {
-			_, got, gotErr := pathPartition(cg, skip)
+			_, got, gotErr := pathPartition(new(spanTree), whole(cg), skip)
 			want, wantErr := rebuildPartition(cg, skip)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s component %d skipTwins=%v: error %v, oracle %v", name, ci, skip, gotErr, wantErr)

@@ -23,11 +23,11 @@ func TestApprox125Linear(t *testing.T) {
 	sizes := []int{500, 1000, 2000, 4000, 8000}
 	ns := make([]float64, len(sizes))
 	for i, m := range sizes {
-		cg := family.Spider(m / 2).Graph()
+		c := whole(family.Spider(m / 2).Graph())
 		best := time.Duration(math.MaxInt64)
 		for rep := 0; rep < 5; rep++ {
 			start := obs.Now()
-			if _, _, err := pathPartition(cg, false); err != nil {
+			if _, _, err := pathPartition(new(spanTree), c, false); err != nil {
 				t.Fatalf("m=%d: %v", m, err)
 			}
 			best = min(best, obs.Since(start))
@@ -46,7 +46,7 @@ func TestApprox125Linear(t *testing.T) {
 // that silently misses edges.
 func TestPathPartitionRejectsDisconnected(t *testing.T) {
 	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	if _, pieces, err := pathPartition(g, false); err == nil {
+	if _, pieces, err := pathPartition(new(spanTree), whole(g), false); err == nil {
 		t.Fatalf("disconnected graph partitioned into %v", pieces)
 	}
 }

@@ -40,7 +40,7 @@ func (Equijoin) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) 
 	root := obs.StartSpanCtx(ctx, "equijoin")
 	defer root.End()
 	root.SetInt("edges", int64(g.M()))
-	order, err := runComponentOrder(ctx, "equijoin", g, root, zigzagOrder)
+	order, err := runComponentOrder("equijoin", func() ([]int, error) { return zigzagOrder(ctx, g, root) })
 	if err != nil {
 		return nil, err
 	}

@@ -25,26 +25,27 @@ func (Exact) Name() string { return "exact" }
 
 // Solve implements Solver.
 func (Exact) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	return solvePerComponent(ctx, g, "exact", func(ctx context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
+	var w lineWalk
+	return solvePerComponent(ctx, g, "exact", func(ctx context.Context, c component, sp *obs.Span) ([]int, error) {
 		if err := faultinject.Fire(SiteExactBudget); err != nil {
 			return nil, err
 		}
-		if cg.M() > tsp.MaxExactCities {
-			return nil, fmt.Errorf("%w: component with %d edges exceeds exact limit %d", ErrBudgetExceeded, cg.M(), tsp.MaxExactCities)
+		if m := len(c.edges); m > tsp.MaxExactCities {
+			return nil, fmt.Errorf("%w: component with %d edges exceeds exact limit %d", ErrBudgetExceeded, m, tsp.MaxExactCities)
 		}
 		// A walk with no jump costs π = m, optimal by Lemma 2.1, so the
 		// search would only find another tour of the same cost.
-		if walk, jumps, _ := walkComponent(sp, cg); jumps == 0 {
+		if walk, jumps, _ := walkComponent(sp, &w, c); jumps == 0 {
 			return walk, nil
 		}
-		in := tsp.NewInstance(graph.LineGraph(cg))
+		in := tsp.NewInstance(c.g.ComponentLineGraph(c.id))
 		ts := sp.Start("held_karp")
 		tour, _, err := tsp.Exact(ctx, in)
 		ts.End()
 		if err != nil {
 			return nil, err
 		}
-		return []int(tour), nil
+		return c.edgeOrder(tour), nil
 	})
 }
 

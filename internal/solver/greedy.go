@@ -21,12 +21,12 @@ func (Greedy) Name() string { return "greedy" }
 
 // Solve implements Solver.
 func (Greedy) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	return solvePerComponent(ctx, g, "greedy", func(_ context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
-		in := tsp.NewInstance(graph.LineGraph(cg))
+	return solvePerComponent(ctx, g, "greedy", func(_ context.Context, c component, sp *obs.Span) ([]int, error) {
+		in := tsp.NewInstance(c.g.ComponentLineGraph(c.id))
 		ts := sp.Start("nearest_neighbor")
 		tour, _ := tsp.NearestNeighbor(in)
 		ts.End()
-		return []int(tour), nil
+		return c.edgeOrder(tour), nil
 	})
 }
 
@@ -39,15 +39,15 @@ func (GreedyImproved) Name() string { return "greedy+2opt" }
 
 // Solve implements Solver.
 func (GreedyImproved) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	return solvePerComponent(ctx, g, "greedy+2opt", func(_ context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
-		in := tsp.NewInstance(graph.LineGraph(cg))
+	return solvePerComponent(ctx, g, "greedy+2opt", func(_ context.Context, c component, sp *obs.Span) ([]int, error) {
+		in := tsp.NewInstance(c.g.ComponentLineGraph(c.id))
 		ts := sp.Start("nearest_neighbor")
 		tour, _ := tsp.NearestNeighbor(in)
 		ts.End()
 		ts = sp.Start("two_opt")
 		tour, _ = tsp.TwoOptImprove(in, tour)
 		ts.End()
-		return []int(tour), nil
+		return c.edgeOrder(tour), nil
 	})
 }
 
@@ -59,12 +59,12 @@ func (PathCover) Name() string { return "path-cover" }
 
 // Solve implements Solver.
 func (PathCover) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	return solvePerComponent(ctx, g, "path-cover", func(_ context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
-		in := tsp.NewInstance(graph.LineGraph(cg))
+	return solvePerComponent(ctx, g, "path-cover", func(_ context.Context, c component, sp *obs.Span) ([]int, error) {
+		in := tsp.NewInstance(c.g.ComponentLineGraph(c.id))
 		ts := sp.Start("path_cover")
 		tour, _ := tsp.GreedyPathCover(in)
 		ts.End()
-		return []int(tour), nil
+		return c.edgeOrder(tour), nil
 	})
 }
 
@@ -79,15 +79,15 @@ func (CycleCover) Name() string { return "cycle-cover" }
 
 // Solve implements Solver.
 func (CycleCover) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	return solvePerComponent(ctx, g, "cycle-cover", func(_ context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
-		in := tsp.NewInstance(graph.LineGraph(cg))
+	return solvePerComponent(ctx, g, "cycle-cover", func(_ context.Context, c component, sp *obs.Span) ([]int, error) {
+		in := tsp.NewInstance(c.g.ComponentLineGraph(c.id))
 		ts := sp.Start("cycle_cover")
 		tour, _, err := tsp.CycleCoverTour(in)
 		ts.End()
 		if err != nil {
 			return nil, err
 		}
-		return []int(tour), nil
+		return c.edgeOrder(tour), nil
 	})
 }
 

@@ -228,8 +228,8 @@ func RouteTable() []RouteSpec {
 			Route:  RouteExact,
 			Reason: "every component within the exact search budget",
 			Applies: func(g *graph.Graph) bool {
-				for _, m := range componentEdgeCounts(g) {
-					if m > tsp.MaxExactCities {
+				for ci := range g.ComponentCount() {
+					if _, edges := g.Component(ci); len(edges) > tsp.MaxExactCities {
 						return false
 					}
 				}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"slices"
 
 	"joinpebble/internal/core"
 	"joinpebble/internal/faultinject"
@@ -107,21 +106,30 @@ func SolveContext(ctx context.Context, s Solver, g *graph.Graph) (core.Scheme, e
 	return s.Solve(ctx, g)
 }
 
-// connectedOrderFunc computes an edge-visit order for one connected
-// component, given the component's subgraph. The order is in
-// component-local edge indices. ctx bounds the component solve — solvers
-// with interruptible inner loops (exact search) thread it down so a
-// deadline unwinds mid-component, not just at component boundaries. sp
-// is the component's trace span (nil when tracing is off); solvers hang
-// their phase spans off it.
-type connectedOrderFunc func(ctx context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error)
+// component is the connected component numbered id of the graph g
+// being solved, named by g's own ids: its vertices and its edges, each
+// ascending.
+type component struct {
+	g            *graph.Graph
+	id           int
+	verts, edges []int
+}
 
-// runComponentOrder invokes fn on one component with the failure
-// containment every call site needs: the SiteComponent fault hook fires
-// first, and a panic anywhere under fn is recovered into a *PanicError
-// carrying the stack, so one poisoned component surfaces as an ordinary
-// error the engine can degrade on instead of crashing the process.
-func runComponentOrder(ctx context.Context, name string, cg *graph.Graph, sp *obs.Span, fn connectedOrderFunc) (order []int, err error) {
+// componentOrderFunc computes an edge-visit order for one connected
+// component, as g's own edge ids. ctx bounds the component solve —
+// solvers with interruptible inner loops (exact search) thread it down
+// so a deadline unwinds mid-component, not just at component boundaries.
+// sp is the component's trace span (nil when tracing is off); solvers
+// hang their phase spans off it. The returned slice may be the solver's
+// scratch: it is read before the next component is solved.
+type componentOrderFunc func(ctx context.Context, c component, sp *obs.Span) ([]int, error)
+
+// runComponentOrder invokes fn with the failure containment every call
+// site needs: the SiteComponent fault hook fires first, and a panic
+// anywhere under fn is recovered into a *PanicError carrying the stack,
+// so one poisoned component surfaces as an ordinary error the engine can
+// degrade on instead of crashing the process.
+func runComponentOrder(name string, fn func() ([]int, error)) (order []int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Solver: name, Value: r, Stack: debug.Stack()}
@@ -130,17 +138,19 @@ func runComponentOrder(ctx context.Context, name string, cg *graph.Graph, sp *ob
 	if err := faultinject.Fire(SiteComponent); err != nil {
 		return nil, err
 	}
-	return fn(ctx, cg, sp)
+	return fn()
 }
 
-// solvePerComponent decomposes g into connected components, applies fn to
-// each edge-bearing component in component order on the caller's
-// goroutine, stitches the local orders back into a global edge order, and
-// converts it to a scheme. Component boundaries cost one extra move each,
-// matching the β₀ term of Definition 2.2; components are independent
-// (Lemma 2.2), so no component's order depends on another's. A solve
-// never fans out: how many solves run at once is its caller's decision
-// (pebbled's admission).
+// solvePerComponent applies fn to each edge-bearing component of g in
+// component order on the caller's goroutine and concatenates their
+// orders into one edge order, converted to a scheme. Each component is
+// handed over in place, as lists of g's own vertex and edge ids read off
+// g's component decomposition, so nothing is copied or relabelled.
+// Component boundaries cost one extra move each, matching the β₀ term
+// of Definition 2.2; components are independent (Lemma 2.2), so no
+// component's order depends on another's. A solve never fans out: how
+// many solves run at once is its caller's decision (pebbled's
+// admission).
 //
 // Cancellation is observed at two granularities: between components
 // (once ctx is done no further component starts) and — for solvers
@@ -150,7 +160,7 @@ func runComponentOrder(ctx context.Context, name string, cg *graph.Graph, sp *ob
 // the walk, but the caller's own cancellation outranks its error. A
 // cancellation that arrives only after every component finished is
 // deliberately ignored: a complete verified solve beats a discarded one.
-func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn connectedOrderFunc) (core.Scheme, error) {
+func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn componentOrderFunc) (core.Scheme, error) {
 	if g.M() == 0 {
 		return core.Scheme{}, nil
 	}
@@ -164,101 +174,58 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn conn
 
 	splitStart := obs.Now()
 	splitSpan := root.Start("component_split")
-	compID, ncomp := g.ComponentLabels()
-
-	// Fast path: a single component spanning every vertex is already its
-	// own dense-id subgraph; solve it in place, with no copy.
-	if ncomp == 1 {
-		splitSpan.End()
-		tSplit.ObserveSince(ctx, splitStart)
-		cComponentsSolved.Inc(ctx)
-		order, err := solveComponent(ctx, root.Start("component_solve"), name, g, fn)
-		if err != nil {
-			return nil, err
-		}
-		return schemeFromOrderTimed(ctx, root, g, order)
-	}
-
-	// Bucket vertices and edges by component in one pass each; anything
-	// per-component beyond that would make graphs with many components
-	// (every equijoin graph) quadratic. A vertex's local id is its rank
-	// among its component's vertices in ascending order.
-	local := make([]int, g.N())
-	size := make([]int, ncomp)
-	for v, ci := range compID {
-		local[v] = size[ci]
-		size[ci]++
-	}
-	// Counting sort of edges by component: component ci owns slots
-	// compStart[ci]:compStart[ci+1] of global (edge ids) and localEdges.
-	compStart := make([]int, ncomp+1)
-	for gi := 0; gi < g.M(); gi++ {
-		compStart[compID[g.EdgeAt(gi).U]+1]++
-	}
-	for ci := 0; ci < ncomp; ci++ {
-		compStart[ci+1] += compStart[ci]
-	}
-	next := slices.Clone(compStart)
-	global := make([]int, g.M())
-	localEdges := make([]graph.Edge, g.M())
-	for gi := 0; gi < g.M(); gi++ {
-		e := g.EdgeAt(gi)
-		k := next[compID[e.U]]
-		next[compID[e.U]]++
-		global[k], localEdges[k] = gi, graph.Edge{U: local[e.U], V: local[e.V]}
-	}
-
-	// Build every component subgraph in the split phase (deterministic
-	// local ids: the k-th local edge is the k-th of the component's
-	// slots), then solve them in order.
-	type job struct {
-		ci int
-		cg *graph.Graph
-	}
-	var jobs []job
-	for ci := 0; ci < ncomp; ci++ {
-		if lo, hi := compStart[ci], compStart[ci+1]; lo < hi { // an isolated vertex has nothing to pebble (§2)
-			jobs = append(jobs, job{ci: ci, cg: graph.New(size[ci], localEdges[lo:hi:hi])})
-		}
-	}
+	ncomp := g.ComponentCount()
 	splitSpan.End()
 	tSplit.ObserveSince(ctx, splitStart)
-	cComponentsSolved.Add(ctx, int64(len(jobs)))
+	cComponentsSolved.Add(ctx, int64(core.Betti0(g)))
 
-	globalOrder := make([]int, 0, g.M())
-	for _, jb := range jobs {
+	order := make([]int, 0, g.M())
+	for ci := range ncomp {
+		verts, edges := g.Component(ci)
+		if len(edges) == 0 {
+			continue // an isolated vertex has nothing to pebble (§2)
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		compSpan := root.Start("component_solve")
-		compSpan.SetInt("component", int64(jb.ci))
-		order, err := solveComponent(ctx, compSpan, name, jb.cg, fn)
+		if ncomp > 1 {
+			compSpan.SetInt("component", int64(ci))
+		}
+		co, err := solveComponent(ctx, compSpan, name, component{g: g, id: ci, verts: verts, edges: edges}, fn)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr
 			}
 			return nil, err
 		}
-		for _, li := range order {
-			globalOrder = append(globalOrder, global[compStart[jb.ci]+li])
-		}
+		order = append(order, co...)
 	}
-	return schemeFromOrderTimed(ctx, root, g, globalOrder)
+	return schemeFromOrderTimed(ctx, root, g, order)
 }
 
 // solveComponent runs one component solve under sp, its component_solve
 // span, with the component_solve phase timing, and checks that the order
-// it returns covers every edge of cg.
-func solveComponent(ctx context.Context, sp *obs.Span, name string, cg *graph.Graph, fn connectedOrderFunc) ([]int, error) {
+// it returns covers every edge of c.
+func solveComponent(ctx context.Context, sp *obs.Span, name string, c component, fn componentOrderFunc) ([]int, error) {
 	start := obs.Now()
-	sp.SetInt("edges", int64(cg.M()))
-	order, err := runComponentOrder(ctx, name, cg, sp, fn)
+	sp.SetInt("edges", int64(len(c.edges)))
+	order, err := runComponentOrder(name, func() ([]int, error) { return fn(ctx, c, sp) })
 	sp.End()
 	tComponentSolve.Observe(ctx, obs.Since(start))
-	if err == nil && len(order) != cg.M() {
-		err = fmt.Errorf("solver: component order covers %d of %d edges", len(order), cg.M())
+	if err == nil && len(order) != len(c.edges) {
+		err = fmt.Errorf("solver: component order covers %d of %d edges", len(order), len(c.edges))
 	}
 	return order, err
+}
+
+// edgeOrder maps a tour of L(C), city k standing for c.edges[k] (see
+// graph.ComponentLineGraph), to g's edge ids, in place.
+func (c component) edgeOrder(tour []int) []int {
+	for i, k := range tour {
+		tour[i] = c.edges[k]
+	}
+	return tour
 }
 
 // schemeFromOrderTimed is core.SchemeFromEdgeOrder wrapped in the

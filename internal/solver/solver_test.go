@@ -180,6 +180,31 @@ func inducedSubgraph(g *graph.Graph, vs []int) (*graph.Graph, []int) {
 	return graph.New(len(vs), edges), remap
 }
 
+// whole returns g as a single component: every vertex and every edge.
+// The component functions expect g connected.
+func whole(g *graph.Graph) component {
+	c := component{g: g, verts: make([]int, g.N()), edges: make([]int, g.M())}
+	for v := range c.verts {
+		c.verts[v] = v
+	}
+	for i := range c.edges {
+		c.edges[i] = i
+	}
+	return c
+}
+
+// inPlaceComponents returns the edge-bearing components of g as
+// solvePerComponent hands them over.
+func inPlaceComponents(g *graph.Graph) []component {
+	var comps []component
+	for ci := range g.ComponentCount() {
+		if verts, edges := g.Component(ci); len(edges) > 0 {
+			comps = append(comps, component{g: g, id: ci, verts: verts, edges: edges})
+		}
+	}
+	return comps
+}
+
 // zigzagByComponentCopy is the Thm 3.2 order built the way the solver
 // once built it: copy each component out, 2-color the copy, and probe
 // EdgeIndex for every (left, right) pair in boustrophedon order.

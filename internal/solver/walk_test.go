@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"joinpebble/internal/core"
@@ -56,7 +57,7 @@ func hasPerfectScheme(g *graph.Graph) (bool, error) {
 // alone on cg, connected: the rung's answer before the walk.
 func constructionJumps(t testing.TB, cg *graph.Graph) int {
 	t.Helper()
-	order, _, err := pathPartition(cg, false)
+	order, _, err := pathPartition(new(spanTree), whole(cg), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func checkWalk(t testing.TB, name string, cg *graph.Graph) walkReport {
 		t.Fatalf("%s: %v", name, err)
 	}
 	var w lineWalk
-	bound := w.init(cg)
+	bound := w.init(whole(cg))
 	jumps := w.run()
 	r := walkReport{
 		m: m, rung: cost - 1, walk: m + jumps, construction: m + constructionJumps(t, cg),
@@ -227,7 +228,7 @@ func randomSmallBip(rng *rand.Rand, maxM int) *graph.Graph {
 func TestWalkBoundLeafCounting(t *testing.T) {
 	for n := 1; n <= 12; n++ {
 		var w lineWalk
-		bound := w.init(family.Spider(n).Graph())
+		bound := w.init(whole(family.Spider(n).Graph()))
 		if want := max(0, (n-2+1)/2); bound != want {
 			t.Fatalf("spider(%d): jump lower bound %d, want %d", n, bound, want)
 		}
@@ -237,20 +238,24 @@ func TestWalkBoundLeafCounting(t *testing.T) {
 	}
 }
 
-// TestWalkAllocations: the walk takes one allocation per component, its
-// arena, whatever the component's size.
+// TestWalkAllocations: the walk takes one allocation per solve, its
+// arena, whatever the size and number of the components it walks.
 func TestWalkAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	for _, g := range []*graph.Graph{family.Spider(500).Graph(), graph.CompleteBipartite(30, 40).Graph()} {
+	multi := multiComponentGraph(rand.New(rand.NewSource(3)), 6)
+	for _, g := range []*graph.Graph{family.Spider(500).Graph(), graph.CompleteBipartite(30, 40).Graph(), multi} {
+		comps := inPlaceComponents(g)
 		allocs := testing.AllocsPerRun(5, func() {
 			var w lineWalk
-			w.init(g)
-			w.run()
+			for _, c := range comps {
+				w.init(c)
+				w.run()
+			}
 		})
 		if allocs != 1 {
-			t.Fatalf("m=%d: walk made %v allocations, want 1", g.M(), allocs)
+			t.Fatalf("m=%d over %d components: walk made %v allocations, want 1", g.M(), len(comps), allocs)
 		}
 	}
 }
@@ -275,11 +280,10 @@ func FuzzApproxWalk(f *testing.F) {
 			edges = append(edges, graph.Edge{U: int(data[i]) % nl, V: int(data[i+1]) % nr})
 		}
 		g := graph.NewBipartite(nl, nr, edges).Graph()
-		label, _ := g.ComponentLabels()
 		var keep []int
-		for v := 0; v < g.N(); v++ {
-			if label[v] == label[g.EdgeAt(0).U] {
-				keep = append(keep, v)
+		for _, comp := range g.Components() {
+			if slices.Contains(comp, g.EdgeAt(0).U) {
+				keep = comp
 			}
 		}
 		cg, _ := inducedSubgraph(g, keep)

@@ -92,11 +92,12 @@ func (w SetContainment) Generate(seed int64) (l, r *relation.Relation) {
 	for i := range rv {
 		rv[i] = randomSet(rng, w.RightMax, w.Universe, scratch)
 	}
+	perm := make([]int, w.RightMax) // subsetOf's permutation, reused for every left set
 	lv := make([]sets.Set, w.LeftSize)
 	for i := range lv {
 		if w.Correlated && len(rv) > 0 {
 			base := rv[rng.Intn(len(rv))]
-			lv[i] = subsetOf(rng, base, w.LeftMax, scratch)
+			lv[i] = subsetOf(rng, base, w.LeftMax, scratch, perm)
 		} else {
 			lv[i] = randomSet(rng, w.LeftMax, w.Universe, scratch)
 		}
@@ -115,8 +116,10 @@ func randomSet(rng *rand.Rand, maxLen, universe int, scratch []uint32) sets.Set 
 }
 
 // subsetOf draws 1..maxLen distinct elements of base into scratch, which
-// must hold maxLen.
-func subsetOf(rng *rand.Rand, base sets.Set, maxLen int, scratch []uint32) sets.Set {
+// must hold maxLen, picking them by a random permutation of base built
+// in perm, which must hold len(base). The permutation replays
+// rng.Perm's draws, so the sets are the ones rng.Perm would give.
+func subsetOf(rng *rand.Rand, base sets.Set, maxLen int, scratch []uint32, perm []int) sets.Set {
 	elems := base.Elems()
 	if len(elems) == 0 {
 		return sets.New()
@@ -125,7 +128,12 @@ func subsetOf(rng *rand.Rand, base sets.Set, maxLen int, scratch []uint32) sets.
 	if n > len(elems) {
 		n = len(elems)
 	}
-	perm := rng.Perm(len(elems))
+	perm = perm[:len(elems)]
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
 	out := scratch[:n]
 	for i := range out {
 		out[i] = elems[perm[i]]
