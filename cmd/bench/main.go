@@ -10,8 +10,6 @@
 //	bench -tolerance 1.30      # fail when cur/base ns exceeds 1.30
 //	bench -run approx125       # only series whose name contains the string
 //	bench -benchtime 1x        # smoke mode: one iteration per series (CI)
-//	bench -smoke               # reduced-size kernel suite (fingerprint,
-//	                           #   cache hit, approx-1.25); implies -nocompare
 //
 // The committed BENCH_<date>-legacy.json reports measured the
 // pre-optimization code paths; they stay as history and are never chosen
@@ -39,7 +37,6 @@ func main() {
 	runFilter := flag.String("run", "", "only run series whose name contains this substring")
 	benchtime := flag.String("benchtime", "", "per-series time budget, e.g. 2s or 1x (default: testing's 1s)")
 	noCompare := flag.Bool("nocompare", false, "skip the baseline comparison")
-	smoke := flag.Bool("smoke", false, "run the reduced-size kernel smoke suite instead of the pinned suite (implies -nocompare)")
 	obsFlags := cmdutil.BindFlags(flag.CommandLine, "bench", true)
 	flag.Parse()
 
@@ -59,13 +56,7 @@ func main() {
 	date := obs.Now().Format("2006-01-02")
 	path := *out
 	if path == "" {
-		if *smoke {
-			// Keep smoke reports away from the BENCH_<date>.json names
-			// LatestReport scans for baselines.
-			path = fmt.Sprintf("BENCH_%s-smoke.json", date)
-		} else {
-			path = fmt.Sprintf("BENCH_%s.json", date)
-		}
+		path = fmt.Sprintf("BENCH_%s.json", date)
 	}
 
 	report := &bench.Report{
@@ -73,17 +64,9 @@ func main() {
 		Date:       date,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Smoke:      *smoke,
 	}
 
-	suite := bench.PerfSuite()
-	if *smoke {
-		// Smoke series use distinct names on purpose; comparing them
-		// against a pinned baseline would report every series as gone.
-		suite = bench.SmokeSuite()
-		*noCompare = true
-	}
-	for _, pc := range suite {
+	for _, pc := range bench.PerfSuite() {
 		if *runFilter != "" && !strings.Contains(pc.Name, *runFilter) {
 			continue
 		}

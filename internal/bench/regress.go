@@ -46,10 +46,6 @@ type Report struct {
 	// "before" arm of a before/after pair. Legacy reports are never
 	// auto-picked as baselines.
 	Legacy bool `json:"legacy,omitempty"`
-	// Smoke marks a reduced-size kernel smoke run (cmd/bench -smoke).
-	// Smoke reports use distinct series names and are never auto-picked
-	// as baselines.
-	Smoke bool `json:"smoke,omitempty"`
 	// Serve marks a service-level load-generator report (cmd/loadgen):
 	// end-to-end HTTP latencies and outcome fractions, not kernel
 	// timings. Serve reports are never auto-picked as baselines.
@@ -114,13 +110,12 @@ func LoadReport(path string) (*Report, error) {
 	return &r, nil
 }
 
-// LatestReport finds the most recent non-legacy, non-smoke, non-serve
-// BENCH_*.json
-// in dir,
-// excluding the file named skip (the report about to be written). File
-// names sort chronologically because the date is zero-padded ISO. It
-// returns ("", nil, nil) when no prior report exists — the first run of a
-// fresh checkout has nothing to compare against, which is not an error.
+// LatestReport finds the most recent non-legacy, non-serve BENCH_*.json
+// in dir, excluding the file named skip (the report about to be
+// written). File names sort chronologically because the date is
+// zero-padded ISO. It returns ("", nil, nil) when no prior report exists
+// — the first run of a fresh checkout has nothing to compare against,
+// which is not an error.
 func LatestReport(dir, skip string) (string, *Report, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
@@ -135,7 +130,7 @@ func LatestReport(dir, skip string) (string, *Report, error) {
 		if err != nil {
 			return "", nil, err
 		}
-		if r.Legacy || r.Smoke || r.Serve {
+		if r.Legacy || r.Serve {
 			continue
 		}
 		return path, r, nil

@@ -36,24 +36,22 @@ var canonScratch = sync.Pool{New: func() any { return graph.NewCanonScratch() }}
 
 // cacheState threads one run's fingerprint work between the cache rung
 // and the post-solve insert: the key and labeling are computed once
-// (under the fingerprint span) and reused for both directions.
+// (under the fingerprint span) and reused for both directions. The cache
+// rung is rung 0, which WalkLadder always attempts first, so key runs
+// exactly once per run and before any insert.
 type cacheState struct {
 	cache *schemecache.Cache
 	fp    graph.Fingerprint
 	perm  []int32
-	keyed bool
 	entry schemecache.Entry // the hit entry, for quality provenance
 }
 
-// key computes (once) the instance's cache key: the canonical graph
+// key computes the instance's cache key: the canonical graph
 // fingerprint mixed with the family label, the guarantee bits, and the
 // planned solver's name. Mixing the planned solver keeps hits
 // quality-faithful — a strict exact run can never be served a scheme
 // that was planned as an approximation.
 func (cs *cacheState) key(ctx context.Context, in *Instance, plan Plan, g *graph.Graph) {
-	if cs.keyed {
-		return
-	}
 	sp := obs.StartSpanCtx(ctx, "engine/cache/fingerprint")
 	defer sp.End()
 	start := obs.Now()
@@ -62,7 +60,6 @@ func (cs *cacheState) key(ctx context.Context, in *Instance, plan Plan, g *graph
 	canonScratch.Put(sc)
 	cs.fp = fp.Mix(hashString(in.Family), guaranteeBits(in.Guarantees), hashString(plan.Solver.Name()))
 	cs.perm = perm
-	cs.keyed = true
 	tFingerprint.Observe(ctx, obs.Since(start))
 }
 
@@ -98,13 +95,11 @@ func (cs *cacheState) attempt(ctx context.Context, in *Instance, plan Plan, g *g
 }
 
 // insert stores a freshly solved, verified scheme under the run's key,
-// in canonical labels. Only undegraded solves are cached: the key
-// carries the planned solver, so an entry must hold the quality that
-// plan promised, not whatever a fallback rung salvaged.
+// in canonical labels; it runs only after the cache rung missed. Only
+// undegraded solves are cached: the key carries the planned solver, so
+// an entry must hold the quality that plan promised, not whatever a
+// fallback rung salvaged.
 func (cs *cacheState) insert(ctx context.Context, g *graph.Graph, rung string, scheme core.Scheme, cost int) {
-	if !cs.keyed {
-		return
-	}
 	evicted := cs.cache.Insert(cs.fp, schemecache.Entry{
 		Scheme: schemecache.ToCanonical(scheme, cs.perm),
 		N:      g.N(),

@@ -1,23 +1,25 @@
 // Package obs is the dependency-free observability layer of the
-// pebble-game stack: atomic counters, fixed-bucket histograms, monotonic
-// timers, and a hierarchical span tracer (see trace.go), all collected in
-// a Registry that snapshots to JSON.
+// pebble-game stack: atomic counters, fixed-bucket histograms, timers
+// (histograms of nanoseconds over one shared layout), and a hierarchical
+// span tracer (see trace.go), all collected in a Registry that snapshots
+// to JSON.
 //
 // Design constraints, in order:
 //
-//  1. Free when off. The tracer is disabled by default and costs one
-//     atomic pointer load + nil check per span site. Counters and timers
-//     are always on, but instrumentation sites accumulate into locals
-//     inside hot loops and flush once per run, so the steady-state cost
-//     is a handful of uncontended atomic adds per operation — invisible
-//     next to the millisecond-scale solves they account for.
+//  1. Free when off. Spans record only inside a request scope, so an
+//     unscoped span site costs a context lookup and a nil check.
+//     Counters and timers are always on, but instrumentation sites
+//     accumulate into locals inside hot loops and flush once per run, so
+//     the steady-state cost is a handful of uncontended atomic adds per
+//     operation — invisible next to the millisecond-scale solves they
+//     account for.
 //  2. No dependencies. This package imports only the standard library
 //     (and nothing from internal/), so every layer of the stack can
 //     import it without cycles. HTTP exposure (expvar, net/http/pprof)
 //     lives in the obshttp subpackage to keep binaries that never serve
 //     metrics free of net/http.
 //  3. Stable names. Metric names are slash-separated paths
-//     ("solver/phase/component_split"); snapshots key on them, so
+//     ("solver/phase/scheme_build"); snapshots key on them, so
 //     renaming a metric silently breaks dashboards and the CI smoke
 //     assertions — treat names like the bench series names in regress.go.
 package obs
@@ -26,10 +28,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/bits"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,7 +76,8 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // (first i that satisfies it); one implicit overflow bucket catches the
 // rest. Sum, Count, Min and Max are tracked exactly, so totals derived
 // from a histogram match the individual observations — the property the
-// E15 consistency test leans on.
+// E15 consistency test leans on. A layout is never written after
+// construction, so histograms may share one bounds slice.
 type Histogram struct {
 	bounds     []int64
 	buckets    []atomic.Int64 // len(bounds)+1; last is overflow
@@ -84,13 +86,19 @@ type Histogram struct {
 }
 
 func newHistogram(bounds []int64) *Histogram {
-	b := make([]int64, len(bounds))
-	copy(b, bounds)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	h := &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
+	b := append([]int64(nil), bounds...)
+	slices.Sort(b)
+	h := &Histogram{}
+	h.init(b, make([]atomic.Int64, len(b)+1))
+	return h
+}
+
+// init gives h the sorted layout bounds, counted into buckets (one more
+// than bounds), and empty extremes.
+func (h *Histogram) init(bounds []int64, buckets []atomic.Int64) {
+	h.bounds, h.buckets = bounds, buckets
 	h.min.Store(math.MaxInt64)
 	h.max.Store(math.MinInt64)
-	return h
 }
 
 // Pow2Buckets returns the exponential layout [1, 2, 4, ..., 2^(n-1)] —
@@ -105,7 +113,7 @@ func Pow2Buckets(n int) []int64 {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
+	i, _ := slices.BinarySearch(h.bounds, v) // the first i with v <= bounds[i]
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
@@ -113,10 +121,10 @@ func (h *Histogram) Observe(v int64) {
 	casMax(&h.max, v)
 }
 
-// bucketList materializes the current bucket counts as a snapshot slice.
-func (h *Histogram) bucketList() []Bucket {
-	out := make([]Bucket, len(h.buckets))
-	for i := range h.buckets {
+// bucketList materializes the first n bucket counts as a snapshot slice.
+func (h *Histogram) bucketList(n int) []Bucket {
+	out := make([]Bucket, n)
+	for i := range out {
 		le := int64(math.MaxInt64)
 		if i < len(h.bounds) {
 			le = h.bounds[i]
@@ -126,43 +134,29 @@ func (h *Histogram) bucketList() []Bucket {
 	return out
 }
 
-// merge folds src into h: bucket-by-bucket when the layouts match, by
-// re-binning each source bucket's upper bound otherwise (a bounded-error
-// approximation — counts and sums stay exact either way). Scope rollup
-// is the caller, so src is quiescent.
+// quantile estimates the q-quantile (q in [0, 1]) of the observed values
+// by linear interpolation inside the covering bucket, clamped to the
+// exact [min, max] extremes. With no observations it returns 0.
+func (h *Histogram) quantile(q float64) float64 {
+	count := h.count.Load()
+	if count == 0 {
+		return 0
+	}
+	return quantileFromBuckets(h.bucketList(len(h.buckets)), count, h.min.Load(), h.max.Load(), q)
+}
+
+// merge folds src into h bucket by bucket. src has h's layout, because a
+// scope-side histogram is bound to its global's bounds (HistogramVar.In)
+// and every Timer shares timerBounds; scope rollup is the caller, so src
+// is quiescent.
 func (h *Histogram) merge(src *Histogram) {
 	n := src.count.Load()
 	if n == 0 {
 		return
 	}
-	sameBounds := len(h.bounds) == len(src.bounds)
-	if sameBounds {
-		for i := range h.bounds {
-			if h.bounds[i] != src.bounds[i] {
-				sameBounds = false
-				break
-			}
-		}
-	}
-	if sameBounds {
-		for i := range src.buckets {
-			if v := src.buckets[i].Load(); v != 0 {
-				h.buckets[i].Add(v)
-			}
-		}
-	} else {
-		srcMax := src.max.Load()
-		for i := range src.buckets {
-			v := src.buckets[i].Load()
-			if v == 0 {
-				continue
-			}
-			rep := srcMax
-			if i < len(src.bounds) && src.bounds[i] < rep {
-				rep = src.bounds[i]
-			}
-			j := sort.Search(len(h.bounds), func(j int) bool { return rep <= h.bounds[j] })
-			h.buckets[j].Add(v)
+	for i := range src.buckets {
+		if v := src.buckets[i].Load(); v != 0 {
+			h.buckets[i].Add(v)
 		}
 	}
 	h.count.Add(n)
@@ -221,117 +215,41 @@ func quantileFromBuckets(buckets []Bucket, count, min, max int64, q float64) flo
 	return float64(max) // floating-point slack pushed rank past the last bucket
 }
 
-// timerBucketCount is the number of finite power-of-two duration buckets
-// a Timer keeps: bucket i counts durations d with d <= 2^i nanoseconds,
-// and one overflow bucket catches the rest. 2^39 ns ≈ 9.2 minutes, far
-// beyond any solve this repo times, so the overflow bucket stays empty in
-// practice.
-const timerBucketCount = 40
+// timerBounds is the one layout every Timer shares: bucket i counts
+// durations d with d <= 2^i nanoseconds, and the overflow bucket catches
+// the rest. 2^39 ns ≈ 9.2 minutes, far beyond any solve this repo times,
+// so the overflow bucket stays empty in practice.
+var timerBounds = Pow2Buckets(40)
 
-// timerBucketIndex maps a duration in nanoseconds to its bucket: the
-// first i with n <= 2^i, computed with one bit-length instruction instead
-// of a search (Observe sits on solver flush paths).
-func timerBucketIndex(n int64) int {
-	if n <= 1 {
-		return 0
-	}
-	i := bits.Len64(uint64(n - 1))
-	if i > timerBucketCount {
-		return timerBucketCount
-	}
-	return i
-}
-
-// Timer accumulates durations of a repeated operation: count, total, the
-// min/max extremes, and a power-of-two bucket distribution (for Quantile),
-// all in nanoseconds. Reading the clock is the caller's job
-// (start := time.Now(); ...; t.ObserveSince(start)), so a Timer itself
-// never syscalls.
+// Timer accumulates durations of a repeated operation: a Histogram of
+// nanoseconds over timerBounds, so it keeps the count, the total, the
+// min/max extremes and the bucket distribution Quantile reads. Reading
+// the clock is the caller's job (start := Now(); ...;
+// t.Observe(Since(start))), so a Timer itself never syscalls.
 type Timer struct {
-	count, total, min, max atomic.Int64
-	buckets                [timerBucketCount + 1]atomic.Int64
+	h       Histogram
+	buckets [41]atomic.Int64 // h's buckets: one per timerBounds entry, then overflow
 }
 
 func newTimer() *Timer {
 	t := &Timer{}
-	t.min.Store(math.MaxInt64)
-	t.max.Store(math.MinInt64)
+	t.h.init(timerBounds, t.buckets[:len(timerBounds)+1])
 	return t
 }
 
 // Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	n := int64(d)
-	t.count.Add(1)
-	t.total.Add(n)
-	t.buckets[timerBucketIndex(n)].Add(1)
-	casMin(&t.min, n)
-	casMax(&t.max, n)
-}
-
-// ObserveSince records the time elapsed since start.
-func (t *Timer) ObserveSince(start time.Time) { t.Observe(time.Since(start)) }
+func (t *Timer) Observe(d time.Duration) { t.h.Observe(int64(d)) }
 
 // Count returns the number of recorded durations.
-func (t *Timer) Count() int64 { return t.count.Load() }
+func (t *Timer) Count() int64 { return t.h.count.Load() }
 
 // Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration { return time.Duration(t.total.Load()) }
-
-// bucketList materializes the non-empty prefix of the duration buckets
-// (zero-count buckets inside the prefix included, so quantile
-// interpolation sees every lower edge).
-func (t *Timer) bucketList() []Bucket {
-	last := -1
-	var raw [timerBucketCount + 1]int64
-	for i := range t.buckets {
-		raw[i] = t.buckets[i].Load()
-		if raw[i] != 0 {
-			last = i
-		}
-	}
-	if last < 0 {
-		return nil
-	}
-	out := make([]Bucket, last+1)
-	for i := 0; i <= last; i++ {
-		le := int64(math.MaxInt64)
-		if i < timerBucketCount {
-			le = int64(1) << i
-		}
-		out[i] = Bucket{LE: le, N: raw[i]}
-	}
-	return out
-}
+func (t *Timer) Total() time.Duration { return time.Duration(t.h.sum.Load()) }
 
 // Quantile estimates the q-quantile of the recorded durations in
 // nanoseconds, interpolated inside the power-of-two buckets and clamped
 // to the exact [min, max] extremes. With no observations it returns 0.
-func (t *Timer) Quantile(q float64) float64 {
-	count := t.count.Load()
-	if count == 0 {
-		return 0
-	}
-	return quantileFromBuckets(t.bucketList(), count, t.min.Load(), t.max.Load(), q)
-}
-
-// merge folds src into t (bucket layouts are always identical). Scope
-// rollup is the caller, so src is quiescent.
-func (t *Timer) merge(src *Timer) {
-	n := src.count.Load()
-	if n == 0 {
-		return
-	}
-	for i := range src.buckets {
-		if v := src.buckets[i].Load(); v != 0 {
-			t.buckets[i].Add(v)
-		}
-	}
-	t.count.Add(n)
-	t.total.Add(src.total.Load())
-	casMin(&t.min, src.min.Load())
-	casMax(&t.max, src.max.Load())
-}
+func (t *Timer) Quantile(q float64) float64 { return t.h.quantile(q) }
 
 // Registry is a namespace of metrics. The zero value is not usable; use
 // NewRegistry or the package-level Default. Lookup methods get-or-create,
@@ -452,7 +370,7 @@ func (r *Registry) addFrom(src *Registry) {
 		r.Histogram(name, h.bounds).merge(h)
 	}
 	for name, t := range timers {
-		r.Timer(name).merge(t)
+		r.Timer(name).h.merge(&t.h)
 	}
 }
 
@@ -473,7 +391,7 @@ type HistogramSnapshot struct {
 }
 
 // Quantile estimates the q-quantile of the frozen histogram, with the
-// same interpolation as the live Histogram.Quantile.
+// same interpolation as a live histogram or Timer.Quantile.
 func (hs HistogramSnapshot) Quantile(q float64) float64 {
 	return quantileFromBuckets(hs.Buckets, hs.Count, hs.Min, hs.Max, q)
 }
@@ -527,7 +445,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		hs := HistogramSnapshot{
 			Count:   h.count.Load(),
 			Sum:     h.sum.Load(),
-			Buckets: h.bucketList(),
+			Buckets: h.bucketList(len(h.buckets)),
 		}
 		if hs.Count > 0 {
 			hs.Min = h.min.Load()
@@ -536,15 +454,18 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Histograms[name] = hs
 	}
 	for name, t := range r.timers {
-		ts := TimerSnapshot{
-			Count:   t.count.Load(),
-			TotalNs: t.total.Load(),
-		}
+		ts := TimerSnapshot{Count: t.h.count.Load(), TotalNs: t.h.sum.Load()}
 		if ts.Count > 0 {
 			ts.AvgNs = float64(ts.TotalNs) / float64(ts.Count)
-			ts.MinNs = t.min.Load()
-			ts.MaxNs = t.max.Load()
-			ts.Buckets = t.bucketList()
+			ts.MinNs = t.h.min.Load()
+			ts.MaxNs = t.h.max.Load()
+			// Only the non-empty prefix: zero-count buckets inside it stay,
+			// so quantile interpolation sees every lower edge.
+			n := len(t.h.buckets)
+			for n > 0 && t.h.buckets[n-1].Load() == 0 {
+				n--
+			}
+			ts.Buckets = t.h.bucketList(n)
 		}
 		s.Timers[name] = ts
 	}

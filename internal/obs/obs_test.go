@@ -110,6 +110,37 @@ func TestTimer(t *testing.T) {
 	}
 }
 
+// TestTimerSnapshotJSON pins a timer's snapshot encoding: the non-empty
+// prefix of the power-of-two buckets (LE 1 through 1024 for these three
+// durations), zero-count buckets inside it included.
+func TestTimerSnapshotJSON(t *testing.T) {
+	r := NewRegistry()
+	tm := r.Timer("test/timer-json")
+	for _, d := range []time.Duration{1, 3, 1000} {
+		tm.Observe(d)
+	}
+	got, err := json.Marshal(r.Snapshot().Timers["test/timer-json"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"count":3,"total_ns":1004,"avg_ns":334.6666666666667,"min_ns":1,"max_ns":1000,` +
+		`"buckets":[{"le":1,"n":1},{"le":2,"n":0},{"le":4,"n":1},{"le":8,"n":0},{"le":16,"n":0},` +
+		`{"le":32,"n":0},{"le":64,"n":0},{"le":128,"n":0},{"le":256,"n":0},{"le":512,"n":0},{"le":1024,"n":1}]}`
+	if string(got) != want {
+		t.Fatalf("timer snapshot JSON =\n%s\nwant\n%s", got, want)
+	}
+}
+
+var timerSink *Timer
+
+// TestNewTimerOneAlloc pins a timer to one allocation: the bucket array
+// lives inside the Timer and the layout is shared.
+func TestNewTimerOneAlloc(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { timerSink = newTimer() }); n != 1 {
+		t.Fatalf("newTimer allocates %v times, want 1", n)
+	}
+}
+
 // TestTimerConcurrent exists for the -race run: many goroutines feeding
 // one timer.
 func TestTimerConcurrent(t *testing.T) {

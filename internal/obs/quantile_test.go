@@ -37,10 +37,10 @@ func TestHistogramQuantilePins(t *testing.T) {
 	for v := 1; v <= 1024; v++ {
 		h.Observe(int64(v))
 	}
-	if got := h.Quantile(0.50); got != 512 {
+	if got := h.quantile(0.50); got != 512 {
 		t.Fatalf("p50 = %v, want 512", got)
 	}
-	if got := h.Quantile(0.99); got != 1013.76 {
+	if got := h.quantile(0.99); got != 1013.76 {
 		t.Fatalf("p99 = %v, want 1013.76", got)
 	}
 }
@@ -57,7 +57,7 @@ func TestQuantileSingleValueExact(t *testing.T) {
 	}
 	h := newHistogram(Pow2Buckets(8))
 	h.Observe(100)
-	if got := h.Quantile(0.5); got != 100 {
+	if got := h.quantile(0.5); got != 100 {
 		t.Fatalf("histogram single-value p50 = %v, want 100", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestQuantileEmpty(t *testing.T) {
 	if got := newTimer().Quantile(0.5); got != 0 {
 		t.Fatalf("empty timer quantile = %v, want 0", got)
 	}
-	if got := newHistogram(Pow2Buckets(4)).Quantile(0.5); got != 0 {
+	if got := newHistogram(Pow2Buckets(4)).quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
 }
@@ -84,7 +84,7 @@ func TestQuantileSnapshotMatchesLive(t *testing.T) {
 		if live, frozen := tm.Quantile(q), snap.Timers["q/latency"].Quantile(q); live != frozen {
 			t.Fatalf("timer q%.2f: live %v != snapshot %v", q, live, frozen)
 		}
-		if live, frozen := h.Quantile(q), snap.Histograms["q/sizes"].Quantile(q); live != frozen {
+		if live, frozen := h.quantile(q), snap.Histograms["q/sizes"].Quantile(q); live != frozen {
 			t.Fatalf("histogram q%.2f: live %v != snapshot %v", q, live, frozen)
 		}
 	}
@@ -98,7 +98,7 @@ func TestTimerMergePreservesBuckets(t *testing.T) {
 	for d := 513; d <= 1024; d++ {
 		b.Observe(time.Duration(d))
 	}
-	a.merge(b)
+	a.h.merge(&b.h)
 	if a.Count() != 1024 {
 		t.Fatalf("merged count = %d, want 1024", a.Count())
 	}
@@ -146,17 +146,6 @@ func TestResetSnapshotConsistency(t *testing.T) {
 	}
 }
 
-// Quantile estimates the q-quantile (q in [0, 1]) of the observed values
-// by linear interpolation inside the covering bucket, clamped to the
-// exact [Min, Max] extremes. With no observations it returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	count := h.count.Load()
-	if count == 0 {
-		return 0
-	}
-	return quantileFromBuckets(h.bucketList(), count, h.min.Load(), h.max.Load(), q)
-}
-
 // Reset zeroes every registered metric (buckets and extremes included)
 // without unregistering anything, so tests can measure deltas; bound
 // metric pointers stay valid. It takes the write lock so a concurrent
@@ -169,21 +158,20 @@ func (r *Registry) Reset() {
 		c.v.Store(0)
 	}
 	for _, h := range r.hists {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.min.Store(math.MaxInt64)
-		h.max.Store(math.MinInt64)
+		h.reset()
 	}
 	for _, t := range r.timers {
-		for i := range t.buckets {
-			t.buckets[i].Store(0)
-		}
-		t.count.Store(0)
-		t.total.Store(0)
-		t.min.Store(math.MaxInt64)
-		t.max.Store(math.MinInt64)
+		t.h.reset()
 	}
+}
+
+// reset zeroes h's buckets, count and sum and empties its extremes.
+func (h *Histogram) reset() {
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+	h.count.Store(0)
+	h.sum.Store(0)
+	h.min.Store(math.MaxInt64)
+	h.max.Store(math.MinInt64)
 }

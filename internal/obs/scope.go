@@ -358,33 +358,26 @@ func (v *TimerVar) In(ctx context.Context) *Timer {
 // Observe records d on the timer resolved for ctx.
 func (v *TimerVar) Observe(ctx context.Context, d time.Duration) { v.In(ctx).Observe(d) }
 
-// ObserveSince records the elapsed time since start on the timer
-// resolved for ctx.
-func (v *TimerVar) ObserveSince(ctx context.Context, start time.Time) {
-	v.In(ctx).ObserveSince(start)
-}
-
-// HistogramVar is the scope-aware analogue of CounterVar for histograms;
-// the bucket layout is fixed at binding time so the scope-side histogram
-// always matches the global one (rollup merges bucket-by-bucket).
+// HistogramVar is the scope-aware analogue of CounterVar for histograms.
+// A scope-side histogram takes the global one's layout, so rollup always
+// merges bucket by bucket.
 type HistogramVar struct {
 	name   string
-	bounds []int64
 	global *Histogram
 }
 
-// ScopedHistogram binds name with the given bucket bounds on the Default
-// registry and returns the scope-aware handle.
+// ScopedHistogram binds name on the Default registry and returns the
+// scope-aware handle. bounds apply only if name is not bound yet: the
+// first registration's layout wins, for the scopes too.
 func ScopedHistogram(name string, bounds []int64) *HistogramVar {
-	b := append([]int64(nil), bounds...)
-	return &HistogramVar{name: name, bounds: b, global: Default.Histogram(name, b)}
+	return &HistogramVar{name: name, global: Default.Histogram(name, bounds)}
 }
 
 // In resolves the histogram for ctx: the scope's when present, else the
 // global one.
 func (v *HistogramVar) In(ctx context.Context) *Histogram {
 	if s := ScopeFrom(ctx); s != nil {
-		return s.reg.Histogram(v.name, v.bounds)
+		return s.reg.Histogram(v.name, v.global.bounds)
 	}
 	return v.global
 }

@@ -3,8 +3,10 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +70,35 @@ func TestScopeRollupMergesTimers(t *testing.T) {
 
 	if got, want := tm.Count(), before+16; got != want {
 		t.Fatalf("global timer count = %d, want %d", got, want)
+	}
+}
+
+// TestScopedHistogramTakesGlobalLayout binds a name its package already
+// bound with other bounds: the scope-side histogram takes the global
+// layout, so a scoped observation lands in the same bucket it would
+// unscoped, in the scope and after rollup.
+func TestScopedHistogramTakesGlobalLayout(t *testing.T) {
+	const name = "obstest/scope/layout"
+	global := Default.Histogram(name, []int64{3, 100})
+	hv := ScopedHistogram(name, []int64{4})
+	before := global.bucketList(len(global.buckets))
+
+	s := NewScope("test/layout")
+	s.SetRecorder(nil)
+	ctx := WithScope(context.Background(), s)
+	hv.Observe(ctx, 3)
+	hv.Observe(ctx, 50)
+	want := []Bucket{{LE: 3, N: 1}, {LE: 100, N: 1}, {LE: math.MaxInt64, N: 0}}
+	if got := s.Snapshot().Histograms[name].Buckets; !slices.Equal(got, want) {
+		t.Fatalf("scope buckets = %v, want %v", got, want)
+	}
+	s.Close()
+	got := global.bucketList(len(global.buckets))
+	for i := range got {
+		got[i].N -= before[i].N
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("global buckets gained %v in rollup, want %v", got, want)
 	}
 }
 

@@ -2,10 +2,7 @@ package obs
 
 // Chrome trace_event export. Serializes a span forest as the JSON object
 // format chrome://tracing and Perfetto load directly: one complete ("X")
-// event per span, timestamps in microseconds. Spans that overlap in time
-// without nesting (the solver's parallel component fan-out) are spread
-// across tracks (tid values) greedily, keeping every track properly
-// nested so the viewers render them as stacked lanes.
+// event per span on one track (tid 0), timestamps in microseconds.
 
 import (
 	"encoding/json"
@@ -32,61 +29,13 @@ type ChromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// chromeTrack is one tid lane during assignment: a stack of currently
-// open (by end time) span intervals, always properly nested.
-type chromeTrack struct {
-	ends []int64 // open interval end times, outermost first
-}
-
-// fits reports whether [start, end) nests under the track's state at
-// start, popping intervals that have already closed.
-func (tr *chromeTrack) fits(start, end int64) bool {
-	for len(tr.ends) > 0 && tr.ends[len(tr.ends)-1] <= start {
-		tr.ends = tr.ends[:len(tr.ends)-1]
-	}
-	return len(tr.ends) == 0 || tr.ends[len(tr.ends)-1] >= end
-}
-
 // chromeEvents converts a span forest (as produced by Tracer.Records:
 // ascending start times, parents before children) into trace_event
-// entries. Track assignment is greedy and deterministic: a span prefers
-// its parent's track, then the lowest track it nests into, else a new
-// track — so sequential solves collapse onto tid 0 and parallel
-// component spans fan out onto their own lanes.
+// entries, all on track 0. A scope's spans come from the one goroutine
+// that runs its solve, so they always nest; an unended span gets dur 0.
 func chromeEvents(recs []SpanRecord) []ChromeEvent {
-	const never = int64(1) << 62          // unended spans hold their track open
-	track := make(map[int]int, len(recs)) // span id -> tid
-	var tracks []*chromeTrack
 	events := make([]ChromeEvent, 0, len(recs))
 	for _, r := range recs {
-		start := r.StartNs
-		end := never
-		dur := int64(0)
-		if r.DurNs >= 0 {
-			dur = r.DurNs
-			end = start + dur
-		}
-		tid := -1
-		if r.Parent > 0 {
-			if pt, ok := track[r.Parent]; ok && tracks[pt].fits(start, end) {
-				tid = pt
-			}
-		}
-		if tid < 0 {
-			for i, tr := range tracks {
-				if tr.fits(start, end) {
-					tid = i
-					break
-				}
-			}
-		}
-		if tid < 0 {
-			tracks = append(tracks, &chromeTrack{})
-			tid = len(tracks) - 1
-		}
-		tracks[tid].ends = append(tracks[tid].ends, end)
-		track[r.ID] = tid
-
 		args := make(map[string]int64, len(r.Attrs)+2)
 		args["id"] = int64(r.ID)
 		args["parent"] = int64(r.Parent)
@@ -96,10 +45,9 @@ func chromeEvents(recs []SpanRecord) []ChromeEvent {
 		events = append(events, ChromeEvent{
 			Name: r.Name,
 			Ph:   "X",
-			Ts:   float64(start) / 1e3,
-			Dur:  float64(dur) / 1e3,
+			Ts:   float64(r.StartNs) / 1e3,
+			Dur:  float64(max(r.DurNs, 0)) / 1e3,
 			Pid:  1,
-			Tid:  tid,
 			Args: args,
 		})
 	}

@@ -7,51 +7,31 @@ import (
 )
 
 func TestChromeEventsNestingAndTracks(t *testing.T) {
-	// A root with a nested child share a track; a sibling overlapping the
-	// root in time must fan out to its own.
+	// One track holds every span: a root, its nested children, and a
+	// later root that never ended.
 	recs := []SpanRecord{
 		{ID: 1, Parent: 0, Name: "solve", StartNs: 0, DurNs: 10_000},
 		{ID: 2, Parent: 1, Name: "component", StartNs: 1_000, DurNs: 2_000},
-		{ID: 3, Parent: 1, Name: "component", StartNs: 1_500, DurNs: 2_000}, // overlaps span 2
-		{ID: 4, Parent: 1, Name: "component", StartNs: 4_000, DurNs: 1_000}, // fits back on track 0
+		{ID: 3, Parent: 1, Name: "component", StartNs: 4_000, DurNs: 1_000, Attrs: map[string]int64{"edges": 7}},
+		{ID: 4, Parent: 0, Name: "stuck", StartNs: 12_000, DurNs: -1},
 	}
 	evs := chromeEvents(recs)
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
 	}
-	if evs[0].Tid != 0 || evs[1].Tid != 0 {
-		t.Fatalf("root and first child tracks = %d,%d, want 0,0", evs[0].Tid, evs[1].Tid)
-	}
-	if evs[2].Tid == evs[1].Tid {
-		t.Fatalf("overlapping siblings share track %d", evs[2].Tid)
-	}
-	if evs[3].Tid != 0 {
-		t.Fatalf("non-overlapping child track = %d, want 0 (parent's)", evs[3].Tid)
+	for i, ev := range evs {
+		if ev.Ph != "X" || ev.Pid != 1 || ev.Tid != 0 || ev.Name != recs[i].Name {
+			t.Fatalf("event %d shape = %+v", i, ev)
+		}
 	}
 	if evs[1].Ts != 1.0 || evs[1].Dur != 2.0 {
 		t.Fatalf("ts/dur = %v/%v µs, want 1/2", evs[1].Ts, evs[1].Dur)
 	}
-	if evs[2].Args["id"] != 3 || evs[2].Args["parent"] != 1 {
-		t.Fatalf("args = %v, want id/parent preserved", evs[2].Args)
+	if a := evs[2].Args; len(a) != 3 || a["id"] != 3 || a["parent"] != 1 || a["edges"] != 7 {
+		t.Fatalf("args = %v, want id 3, parent 1, edges 7", a)
 	}
-	if evs[0].Ph != "X" || evs[0].Pid != 1 {
-		t.Fatalf("event shape = %+v", evs[0])
-	}
-}
-
-func TestChromeEventsUnendedSpanHoldsTrack(t *testing.T) {
-	recs := []SpanRecord{
-		{ID: 1, Name: "stuck", StartNs: 0, DurNs: -1},
-		{ID: 2, Name: "later", StartNs: 5_000, DurNs: 1_000},
-	}
-	evs := chromeEvents(recs)
-	if evs[0].Dur != 0 {
-		t.Fatalf("unended span dur = %v, want 0", evs[0].Dur)
-	}
-	// The unended span never closes its interval, so the later span still
-	// nests under it — same track, proper nesting preserved.
-	if evs[1].Tid != 0 {
-		t.Fatalf("span after an unended one got track %d, want 0 (nested under the open span)", evs[1].Tid)
+	if evs[3].Ts != 12.0 || evs[3].Dur != 0 {
+		t.Fatalf("unended span ts/dur = %v/%v µs, want 12/0", evs[3].Ts, evs[3].Dur)
 	}
 }
 

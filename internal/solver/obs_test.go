@@ -68,15 +68,12 @@ func TestSolveInstrumentation(t *testing.T) {
 	if root.DurNs < 0 {
 		t.Errorf("root span not ended: dur_ns = %d", root.DurNs)
 	}
-	for _, phase := range []string{"component_split", "scheme_build"} {
-		ps := byName[phase]
-		if len(ps) != 1 {
-			t.Fatalf("got %d %s spans, want 1", len(ps), phase)
-		}
-		if ps[0].Parent != root.ID || ps[0].Depth != 1 {
-			t.Errorf("%s span parent=%d depth=%d, want parent=%d depth=1",
-				phase, ps[0].Parent, ps[0].Depth, root.ID)
-		}
+	builds := byName["scheme_build"]
+	if len(builds) != 1 {
+		t.Fatalf("got %d scheme_build spans, want 1", len(builds))
+	}
+	if b := builds[0]; b.Parent != root.ID || b.Depth != 1 {
+		t.Errorf("scheme_build span parent=%d depth=%d, want parent=%d depth=1", b.Parent, b.Depth, root.ID)
 	}
 	solves := byName["component_solve"]
 	if len(solves) != 2 {
@@ -159,7 +156,7 @@ func TestSpanNamesAreStable(t *testing.T) {
 	}
 	for _, want := range []string{
 		"approx-1.25", "exact", "equijoin",
-		"component_split", "component_solve", "scheme_build",
+		"component_solve", "scheme_build",
 		"walk", "path_partition", "held_karp", "zigzag_order",
 	} {
 		if !got[want] {

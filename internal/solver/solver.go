@@ -81,7 +81,6 @@ const (
 var (
 	cSolves           = obs.ScopedCounter("solver/solves")
 	cComponentsSolved = obs.ScopedCounter("solver/components_solved")
-	tSplit            = obs.ScopedTimer("solver/phase/component_split")
 	tComponentSolve   = obs.ScopedTimer("solver/phase/component_solve")
 	tSchemeBuild      = obs.ScopedTimer("solver/phase/scheme_build")
 )
@@ -171,14 +170,9 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn comp
 	root := obs.StartSpanCtx(ctx, name)
 	defer root.End()
 	root.SetInt("edges", int64(g.M()))
-
-	splitStart := obs.Now()
-	splitSpan := root.Start("component_split")
-	ncomp := g.ComponentCount()
-	splitSpan.End()
-	tSplit.ObserveSince(ctx, splitStart)
 	cComponentsSolved.Add(ctx, int64(core.Betti0(g)))
 
+	ncomp := g.ComponentCount()
 	order := make([]int, 0, g.M())
 	for ci := range ncomp {
 		verts, edges := g.Component(ci)
