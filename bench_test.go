@@ -219,7 +219,7 @@ func BenchmarkSpatialJoins(b *testing.B) {
 	})
 	b.Run("rtree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			join.RTreeJoin(ls, rs, 16)
+			join.RTreeJoin(ls, rs)
 		}
 	})
 }
@@ -228,18 +228,12 @@ func BenchmarkRTree(b *testing.B) {
 	w := workload.Spatial{LeftSize: 5000, RightSize: 1, Span: 500, MaxExtent: 4}
 	l, _ := w.Generate(6)
 	rects := l.Rects()
-	b.Run("insert-5000", func(b *testing.B) {
+	b.Run("build-5000", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			t := spatial.NewRTree(16)
-			for j, r := range rects {
-				t.Insert(r, j)
-			}
+			spatial.BuildRTree(rects)
 		}
 	})
-	t := spatial.NewRTree(16)
-	for j, r := range rects {
-		t.Insert(r, j)
-	}
+	t := spatial.BuildRTree(rects)
 	query := spatial.NewRect(100, 100, 140, 140)
 	b.Run("search", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

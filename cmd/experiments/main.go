@@ -2,19 +2,17 @@
 // recorded in EXPERIMENTS.md — one experiment per theorem/lemma/figure
 // of the paper (E1..E19; see DESIGN.md for the index).
 //
-// Experiments are independent, so they run on a bounded worker pool
-// (-j, default GOMAXPROCS) while tables are printed strictly in registry
-// order — stdout is byte-identical to a sequential run. A per-experiment
-// wall-time/allocation table and a per-phase instrumentation table go to
-// stderr afterwards (suppress with -timing=false), so piping -markdown
-// output into EXPERIMENTS.md stays clean.
+// Experiments run one after another on one goroutine and print their
+// tables in registry order. A per-experiment wall-time/allocation table
+// and a per-phase instrumentation table go to stderr afterwards
+// (suppress with -timing=false), so piping -markdown output into
+// EXPERIMENTS.md stays clean.
 //
 // Usage:
 //
 //	experiments                  # run everything, aligned-text tables
 //	experiments -run E7,E11      # a subset
 //	experiments -markdown        # GitHub-flavored markdown (EXPERIMENTS.md body)
-//	experiments -j 4             # at most 4 experiments in flight
 //	experiments -metrics m.json  # dump the metrics snapshot after the run
 //	experiments -pprof :6060     # serve /debug/pprof and /debug/vars
 //
@@ -30,7 +28,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"joinpebble/internal/bench"
@@ -42,14 +39,13 @@ type outcome struct {
 	table  *bench.Table
 	err    error
 	wall   time.Duration
-	allocs uint64 // heap bytes allocated during the run (approximate under -j > 1)
+	allocs uint64 // heap bytes allocated during the run
 }
 
 func main() {
 	runList := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
 	csv := flag.Bool("csv", false, "emit CSV (one table after another)")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "experiments to run concurrently")
 	timing := flag.Bool("timing", true, "print per-experiment and per-phase tables to stderr")
 	obsFlags := cmdutil.BindFlags(flag.CommandLine, "experiments", true)
 	flag.Parse()
@@ -74,10 +70,10 @@ func main() {
 		}
 	}
 
-	results := run(selected, *jobs)
-
+	results := make([]outcome, len(selected))
 	failed := 0
 	for i, e := range selected {
+		results[i] = runOne(e)
 		r := results[i]
 		if r.err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", e.ID, r.err)
@@ -99,7 +95,7 @@ func main() {
 		}
 	}
 	if *timing {
-		printTiming(selected, results, *jobs)
+		printTiming(selected, results)
 		printPhases()
 	}
 	if err := obsFlags.Finish(); err != nil {
@@ -112,16 +108,12 @@ func main() {
 
 // printTiming renders the per-experiment wall-time/allocation table.
 // Alloc figures are deltas of runtime.MemStats.TotalAlloc around each
-// run, so with -j > 1 concurrent experiments bleed into each other's
-// numbers; the wall column is always exact.
-func printTiming(selected []bench.Experiment, results []outcome, jobs int) {
+// run.
+func printTiming(selected []bench.Experiment, results []outcome) {
 	tt := &bench.Table{
 		ID:     "timing",
-		Title:  fmt.Sprintf("per-experiment wall time and allocations (-j %d)", jobs),
+		Title:  "per-experiment wall time and allocations",
 		Header: []string{"experiment", "title", "wall", "alloc"},
-	}
-	if jobs > 1 {
-		tt.Notes = append(tt.Notes, "alloc is a TotalAlloc delta; concurrent experiments overlap, treat as indicative")
 	}
 	var total time.Duration
 	var totalAllocs uint64
@@ -130,7 +122,7 @@ func printTiming(selected []bench.Experiment, results []outcome, jobs int) {
 		total += results[i].wall
 		totalAllocs += results[i].allocs
 	}
-	tt.AddRow("total", "(cpu-serial)", total.Round(time.Microsecond).String(), formatBytes(totalAllocs))
+	tt.AddRow("total", "", total.Round(time.Microsecond).String(), formatBytes(totalAllocs))
 	if err := tt.Render(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 	}
@@ -179,41 +171,6 @@ func formatBytes(b uint64) string {
 	default:
 		return fmt.Sprintf("%d B", b)
 	}
-}
-
-// run executes the selected experiments on at most j workers and returns
-// their outcomes indexed like the input.
-func run(selected []bench.Experiment, j int) []outcome {
-	results := make([]outcome, len(selected))
-	if j < 1 {
-		j = 1
-	}
-	if j > len(selected) {
-		j = len(selected)
-	}
-	if j <= 1 {
-		for i, e := range selected {
-			results[i] = runOne(e)
-		}
-		return results
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < j; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = runOne(selected[i])
-			}
-		}()
-	}
-	for i := range selected {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return results
 }
 
 func runOne(e bench.Experiment) outcome {

@@ -33,7 +33,7 @@ func main() {
 	}{
 		{"nested loop", func() []join.Pair { return join.NestedLoop(ls, rs, join.Overlaps) }},
 		{"plane sweep", func() []join.Pair { return join.SweepJoin(ls, rs) }},
-		{"R-tree probe", func() []join.Pair { return join.RTreeJoin(ls, rs, 8) }},
+		{"R-tree probe", func() []join.Pair { return join.RTreeJoin(ls, rs) }},
 	}
 	fmt.Printf("%-14s %8s %8s %8s\n", "algorithm", "pairs", "jumps", "perfect")
 	for _, a := range algos {
@@ -46,10 +46,7 @@ func main() {
 	}
 
 	// An R-tree at work: the same probe as an index lookup.
-	tree := spatial.NewRTree(8)
-	for j, z := range rs {
-		tree.Insert(z, j)
-	}
+	tree := spatial.BuildRTree(rs)
 	query := ls[0]
 	fmt.Printf("\nR-tree (height %d) zones overlapping parcel 0 %v: %v\n",
 		tree.Height(), query, tree.Search(query))

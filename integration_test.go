@@ -124,7 +124,7 @@ func TestEndToEndSpatial(t *testing.T) {
 	if got := join.SweepJoin(ls, rs); len(got) != len(want) {
 		t.Fatalf("sweep found %d pairs want %d", len(got), len(want))
 	}
-	if got := join.RTreeJoin(ls, rs, 8); len(got) != len(want) {
+	if got := join.RTreeJoin(ls, rs); len(got) != len(want) {
 		t.Fatalf("r-tree found %d pairs want %d", len(got), len(want))
 	}
 	if _, _, err := PebbleWith(solver.Approx125{}, b); err != nil {

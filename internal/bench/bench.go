@@ -1,5 +1,5 @@
 // Package bench defines the experiment registry behind EXPERIMENTS.md:
-// one experiment per paper claim (E1–E18), each emitting a table that
+// one experiment per paper claim (E1–E19), each emitting a table that
 // cmd/experiments renders. The paper is a theory paper — its "figures"
 // are Fig 1 (the G_n family and its line graph) and Fig 2 (the diamond
 // gadget) and its results are lemmas and theorems — so each experiment

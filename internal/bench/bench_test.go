@@ -135,6 +135,24 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(sb.String(), "| a | bb |") {
 		t.Fatalf("markdown header missing:\n%s", sb.String())
 	}
+	// CSV quotes a cell holding a comma, a quote or a newline, and
+	// doubles the quotes inside it.
+	table.AddRow(`say "hi"`, "x,y")
+	table.AddRow("two\nlines", "")
+	sb.Reset()
+	if err := table.CSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `a,bb
+1,yes
+xyz,2.500
+"say ""hi""","x,y"
+"two
+lines",
+`
+	if sb.String() != want {
+		t.Fatalf("CSV output\n%q\nwant\n%q", sb.String(), want)
+	}
 }
 
 func TestE13GadgetVerdicts(t *testing.T) {

@@ -52,7 +52,7 @@ func E9Spatial() (*Table, error) {
 		inst := spatial.RealizeSpider(n)
 		nl := join.NestedLoop(inst.R, inst.S, join.Overlaps)
 		sw := join.SweepJoin(inst.R, inst.S)
-		rt := join.RTreeJoin(inst.R, inst.S, 8)
+		rt := join.RTreeJoin(inst.R, inst.S)
 		poly := spatial.RealizeSpiderPolygons(n)
 		pp := join.PolygonNestedLoop(poly.R, poly.S, true)
 		b := join.GraphFromPairs(len(inst.R), len(inst.S), nl)
@@ -141,7 +141,7 @@ func E15Algorithms() (*Table, error) {
 	if err := audit(spIn, "plane sweep", join.SweepJoin(lr, rr)); err != nil {
 		return nil, err
 	}
-	if err := audit(spIn, "R-tree probe", join.RTreeJoin(lr, rr, 8)); err != nil {
+	if err := audit(spIn, "R-tree probe", join.RTreeJoin(lr, rr)); err != nil {
 		return nil, err
 	}
 	t.Notes = append(t.Notes,

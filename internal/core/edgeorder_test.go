@@ -119,88 +119,3 @@ func TestEdgeOrderRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestConcatAdditivity(t *testing.T) {
-	// Lemma 2.2: π̂(G ⊔ H) = π̂(G) + π̂(H), realized by concat.
-	g := graph.New(2, []graph.Edge{{U: 0, V: 1}})
-	h := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-
-	sg := Scheme{{0, 1}}
-	sh := Scheme{{0, 1}, {2, 1}}
-	u := graph.DisjointUnion(g, h)
-	// Shift h's scheme into union numbering.
-	shShifted := make(Scheme, len(sh))
-	for i, c := range sh {
-		shShifted[i] = Config{A: c.A + g.N(), B: c.B + g.N()}
-	}
-	combined := concat(sg, shShifted)
-	cost, err := Verify(u, combined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := sg.Cost() + sh.Cost(); cost != want {
-		t.Fatalf("concat cost=%d want %d", cost, want)
-	}
-}
-
-func TestConcatSkipsEmpty(t *testing.T) {
-	s := Scheme{{0, 1}}
-	out := concat(nil, s, Scheme{})
-	if len(out) != 1 {
-		t.Fatalf("concat with empties: %v", out)
-	}
-}
-
-func TestConcatManyComponents(t *testing.T) {
-	// A matching pebbled component by component must cost exactly 2m.
-	m := 6
-	b := graph.Matching(m)
-	g := b.Graph()
-	parts := make([]Scheme, m)
-	for i := 0; i < m; i++ {
-		parts[i] = Scheme{{A: b.LeftVertex(i), B: b.RightVertex(i)}}
-	}
-	s := concat(parts...)
-	cost, err := Verify(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 2*m {
-		t.Fatalf("matching cost=%d want %d (Lemma 2.4)", cost, 2*m)
-	}
-	if s.EffectiveCost(g) != m {
-		t.Fatalf("effective=%d want m=%d", s.EffectiveCost(g), m)
-	}
-}
-
-// concat joins schemes for disjoint parts of a graph into one scheme for
-// the whole. The additivity lemma (Lemma 2.2) guarantees the result is
-// optimal when the parts are the connected components and each part's
-// scheme is optimal: π̂(G ⊔ H) = π̂(G) + π̂(H). Bridging from one part to
-// the next costs two moves, exactly the +1-per-extra-component that π̂
-// carries over π.
-func concat(parts ...Scheme) Scheme {
-	var out Scheme
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		if len(out) == 0 {
-			out = append(out, p...)
-			continue
-		}
-		last := out[len(out)-1]
-		switch p[0].MovesFrom(last) {
-		case 0:
-			// Same configuration; drop the duplicate.
-			out = append(out, p[1:]...)
-		case 1:
-			out = append(out, p...)
-		default:
-			// Two-move bridge: move pebble A into the new part first.
-			out = append(out, Config{A: p[0].A, B: last.B})
-			out = append(out, p...)
-		}
-	}
-	return out
-}

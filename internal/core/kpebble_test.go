@@ -37,29 +37,6 @@ func TestSimulateKValidation(t *testing.T) {
 	}
 }
 
-func TestFromSchemeMatchesTwoPebbleCost(t *testing.T) {
-	// A valid two-pebble Scheme converts to a KScheme with identical
-	// cost: π̂ counts k+1 "moves" and the conversion emits exactly one
-	// move per transition plus two placements.
-	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
-	s := Scheme{{0, 1}, {2, 1}, {2, 3}}
-	ks := fromScheme(s)
-	cost, err := VerifyK(g, ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != s.Cost() {
-		t.Fatalf("k-cost %d vs two-pebble π̂ %d", cost, s.Cost())
-	}
-}
-
-func TestFromSchemeEmpty(t *testing.T) {
-	ks := fromScheme(Scheme{})
-	if ks.Cost() != 0 || ks.K != 2 {
-		t.Fatal("empty scheme conversion")
-	}
-}
-
 func TestGreedyKCompletesRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
@@ -169,34 +146,4 @@ func TestGreedyKRejectsBadK(t *testing.T) {
 	if _, err := GreedyK(graph.New(2, nil), 1); err == nil {
 		t.Fatal("k=1 must be rejected")
 	}
-}
-
-// fromScheme converts a two-pebble Scheme into the equivalent KScheme
-// with k = 2, preserving the cost accounting (π̂ = moves).
-func fromScheme(s Scheme) *KScheme {
-	ks := &KScheme{K: 2}
-	if len(s) == 0 {
-		return ks
-	}
-	ks.Moves = append(ks.Moves,
-		KMove{Pebble: 0, To: s[0].A},
-		KMove{Pebble: 1, To: s[0].B})
-	for i := 1; i < len(s); i++ {
-		prev, cur := s[i-1], s[i]
-		switch {
-		case cur.A == prev.A:
-			ks.Moves = append(ks.Moves, KMove{Pebble: 1, To: cur.B})
-		case cur.B == prev.B:
-			ks.Moves = append(ks.Moves, KMove{Pebble: 0, To: cur.A})
-		case cur.A == prev.B:
-			ks.Moves = append(ks.Moves, KMove{Pebble: 0, To: cur.B})
-		case cur.B == prev.A:
-			ks.Moves = append(ks.Moves, KMove{Pebble: 1, To: cur.A})
-		default:
-			// Scheme transitions move exactly one pebble, so one of the
-			// cases above always fires for valid schemes.
-			ks.Moves = append(ks.Moves, KMove{Pebble: 0, To: cur.A}, KMove{Pebble: 1, To: cur.B})
-		}
-	}
-	return ks
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -34,9 +33,17 @@ func TestFamiliesRegistered(t *testing.T) {
 	}
 }
 
-func TestFromRelationsUnknownFamily(t *testing.T) {
-	l := relation.FromInts("R", []int64{1})
-	_, err := fromRelations("bogus", l, l)
+// bogusWorkload is a workload whose family no Predicate names.
+type bogusWorkload struct{}
+
+func (bogusWorkload) Family() string { return "bogus" }
+func (bogusWorkload) Generate(int64) (l, r *relation.Relation) {
+	l = relation.FromInts("R", []int64{1})
+	return l, l
+}
+
+func TestGenerateUnknownFamily(t *testing.T) {
+	_, err := Generate(bogusWorkload{}, 1)
 	if !errors.Is(err, ErrUnknownFamily) {
 		t.Fatalf("want ErrUnknownFamily, got %v", err)
 	}
@@ -187,7 +194,11 @@ func TestPlannerRunHonorsCancellation(t *testing.T) {
 func TestInstanceAuditPairs(t *testing.T) {
 	ls := []int64{1, 1, 2}
 	rs := []int64{1, 2, 2}
-	in, err := fromRelations("equijoin", relation.FromInts("R", ls), relation.FromInts("S", rs))
+	p, ok := Lookup("equijoin")
+	if !ok {
+		t.Fatal("equijoin is not a family")
+	}
+	in, err := NewInstance(p, relation.FromInts("R", ls), relation.FromInts("S", rs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +212,4 @@ func TestInstanceAuditPairs(t *testing.T) {
 	if _, err := FromGraph(in.Graph()).AuditPairs(nil); err == nil {
 		t.Fatal("audit without a join graph must error")
 	}
-}
-
-// fromRelations is NewInstance with the family resolved by name.
-func fromRelations(family string, l, r *relation.Relation) (*Instance, error) {
-	p, ok := Lookup(family)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (known: %v)", ErrUnknownFamily, family, Families())
-	}
-	return NewInstance(p, l, r)
 }

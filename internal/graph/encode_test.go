@@ -89,18 +89,37 @@ func TestReadRejectsBadCounts(t *testing.T) {
 	}
 }
 
+// TestReadGeneralAsBipartite reads general graphs and 2-colours them
+// with FromGraph: a path splits into two sides, a triangle fails.
 func TestReadGeneralAsBipartite(t *testing.T) {
-	in := "graph 4\ne 0 1\ne 1 2\ne 2 3\n"
-	b, err := readBipartite(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.M() != 3 {
-		t.Fatalf("m=%d", b.M())
-	}
-	in = "graph 3\ne 0 1\ne 1 2\ne 2 0\n"
-	if _, err := readBipartite(strings.NewReader(in)); err == nil {
-		t.Fatal("triangle must fail bipartite read")
+	for _, c := range []struct {
+		in        string
+		bipartite bool
+	}{
+		{"graph 4\ne 0 1\ne 1 2\ne 2 3\n", true},
+		{"graph 3\ne 0 1\ne 1 2\ne 2 0\n", false},
+	} {
+		v, err := Read(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, ok := v.(*Graph)
+		if !ok {
+			t.Fatalf("%q read as %T, want a general graph", c.in, v)
+		}
+		b, _, _, err := FromGraph(g)
+		if !c.bipartite {
+			if err == nil {
+				t.Fatal("triangle must fail the 2-colouring")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.M() != 3 || b.NLeft() != 2 || b.NRight() != 2 {
+			t.Fatalf("path read as %dx%d with m=%d, want 2x2 with m=3", b.NLeft(), b.NRight(), b.M())
+		}
 	}
 }
 

@@ -213,17 +213,12 @@ func (g *Graph) DegreeSequence() []int {
 	return ds
 }
 
-func TestDegreeSequence(t *testing.T) {
-	g := New(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
-	ds := g.DegreeSequence()
-	want := []int{3, 1, 1, 1}
-	for i := range want {
-		if ds[i] != want[i] {
-			t.Fatalf("degree sequence %v want %v", ds, want)
-		}
+func TestMaxDegree(t *testing.T) {
+	if d := New(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}}).MaxDegree(); d != 3 {
+		t.Fatalf("star MaxDegree %d, want 3", d)
 	}
-	if g.MaxDegree() != 3 {
-		t.Fatal("MaxDegree")
+	if d := New(3, nil).MaxDegree(); d != 0 {
+		t.Fatalf("edgeless MaxDegree %d, want 0", d)
 	}
 }
 

@@ -40,36 +40,14 @@ func HashJoin[K comparable](ls, rs []K) []Pair {
 // cost a pebbling jump — compare SortMergeZigzag. Works over any ordered
 // key domain (§3.1's "character strings or some flavor of numeric type").
 func SortMerge[K cmp.Ordered](ls, rs []K) []Pair {
-	li, ri := sortedIndex(ls), sortedIndex(rs)
 	var out []Pair
-	var compared int64
-	i, j := 0, 0
-	for i < len(li) && j < len(ri) {
-		lv, rv := ls[li[i]], rs[ri[j]]
-		compared++
-		switch {
-		case lv < rv:
-			i++
-		case lv > rv:
-			j++
-		default:
-			// Group boundaries.
-			iEnd := i
-			for iEnd < len(li) && ls[li[iEnd]] == lv {
-				iEnd++
+	compared := mergeGroups(ls, rs, func(lg, rg []int) {
+		for _, l := range lg {
+			for _, r := range rg { // rewind: always forward
+				out = append(out, Pair{L: l, R: r})
 			}
-			jEnd := j
-			for jEnd < len(ri) && rs[ri[jEnd]] == rv {
-				jEnd++
-			}
-			for a := i; a < iEnd; a++ {
-				for b := j; b < jEnd; b++ { // rewind: always forward
-					out = append(out, Pair{L: li[a], R: ri[b]})
-				}
-			}
-			i, j = iEnd, jEnd
 		}
-	}
+	})
 	mSortMerge.flush(compared, int64(len(out)))
 	return out
 }
@@ -81,9 +59,31 @@ func SortMerge[K cmp.Ordered](ls, rs []K) []Pair {
 // π = m — the construction Theorem 4.1 observes "is similar to the merge
 // phase of sort-merge join".
 func SortMergeZigzag[K cmp.Ordered](ls, rs []K) []Pair {
-	li, ri := sortedIndex(ls), sortedIndex(rs)
 	var out []Pair
-	var compared int64
+	compared := mergeGroups(ls, rs, func(lg, rg []int) {
+		for a, l := range lg {
+			if a%2 == 0 {
+				for _, r := range rg {
+					out = append(out, Pair{L: l, R: r})
+				}
+			} else {
+				for b := len(rg) - 1; b >= 0; b-- {
+					out = append(out, Pair{L: l, R: rg[b]})
+				}
+			}
+		}
+	})
+	mSortMergeZigzag.flush(compared, int64(len(out)))
+	return out
+}
+
+// mergeGroups is the merge phase both sort-merge joins share: it sorts
+// the inputs' indices by value (stable, so ties keep input order), walks
+// the two runs with one cursor each, and hands group the left and right
+// indices of every value both sides hold, in ascending value order. It
+// returns the number of cursor comparisons.
+func mergeGroups[K cmp.Ordered](ls, rs []K, group func(lg, rg []int)) (compared int64) {
+	li, ri := sortedIndex(ls), sortedIndex(rs)
 	i, j := 0, 0
 	for i < len(li) && j < len(ri) {
 		lv, rv := ls[li[i]], rs[ri[j]]
@@ -102,27 +102,17 @@ func SortMergeZigzag[K cmp.Ordered](ls, rs []K) []Pair {
 			for jEnd < len(ri) && rs[ri[jEnd]] == rv {
 				jEnd++
 			}
-			for a := i; a < iEnd; a++ {
-				if (a-i)%2 == 0 {
-					for b := j; b < jEnd; b++ {
-						out = append(out, Pair{L: li[a], R: ri[b]})
-					}
-				} else {
-					for b := jEnd - 1; b >= j; b-- {
-						out = append(out, Pair{L: li[a], R: ri[b]})
-					}
-				}
-			}
+			group(li[i:iEnd], ri[j:jEnd])
 			i, j = iEnd, jEnd
 		}
 	}
-	mSortMergeZigzag.flush(compared, int64(len(out)))
-	return out
+	return compared
 }
 
 // EquiGraph builds the equijoin join graph by grouping tuples on their
-// value — O(|L| + |R| + m) instead of the cross-product scan of Graph.
-// The result is identical to Graph over integer equality.
+// value — O(|L| + |R| + m) instead of a cross-product scan. The result is
+// identical to GraphFromPairs over NestedLoop's pairs under integer
+// equality, edge for edge.
 func EquiGraph(ls, rs []int64) *graph.Bipartite {
 	groups := make(map[int64][]int, len(rs))
 	for j, v := range rs {

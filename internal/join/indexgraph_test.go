@@ -196,11 +196,15 @@ func setFrom(next func() byte) sets.Set {
 // relations read from the input: sets of small elements and elements
 // near 2³²−1, and rectangle literals with repeated, inverted, infinite
 // and NaN coordinates. The edge lists must be identical, edge for edge.
+// On the same rectangles SweepJoin must emit the replaced event sweep's
+// pairs in its order, and, when every rectangle is valid, RTreeJoin the
+// nested loop's.
 func FuzzIndexJoinGraphs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 0, 1, 5, 2, 5, 6, 3, 1, 2, 3, 1, 255})
 	f.Add([]byte{5, 5, 4, 0, 1, 2, 3, 4, 7, 8, 9, 10, 11, 2, 250, 255, 0, 0, 1, 0, 2, 3, 4})
 	f.Add([]byte("\x06\x07\x00\x01\x02\x03\x0f\x0e\x0d\x0c\x06\x07\x00\x01\x02\x03\x0f\x0e\x0d\x0c\x06\x07\x00\x01\x02\x03\x0f\x0e\x0d\x0c"))
+	f.Add([]byte{2, 2, 0, 0, 0, 0, 3, 4, 7, 13, 6, 6, 12, 12, 7, 3, 10, 7, 13, 13, 15, 14}) // valid rectangles, one touching pair
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := 0
 		next := func() byte {
@@ -227,5 +231,18 @@ func FuzzIndexJoinGraphs(f *testing.F) {
 			rr[j] = rectFrom(next)
 		}
 		checkOverlap(t, "spatial", lr, rr)
+		checkSweep(t, "sweep", lr, rr)
+		if allValid(lr) && allValid(rr) {
+			checkRTree(t, "R-tree", lr, rr)
+		}
 	})
+}
+
+func allValid(rects []spatial.Rect) bool {
+	for _, r := range rects {
+		if !r.Valid() {
+			return false
+		}
+	}
+	return true
 }

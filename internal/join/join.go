@@ -10,7 +10,6 @@ package join
 
 import (
 	"fmt"
-	"sort"
 
 	"joinpebble/internal/core"
 	"joinpebble/internal/graph"
@@ -150,24 +149,6 @@ func AuditPairs(b *graph.Bipartite, pairs []Pair) (*Audit, error) {
 		Jumps:         jumps,
 		Perfect:       eff == g.M(),
 	}, nil
-}
-
-// equalPairs reports whether two pair sets are equal regardless of order.
-func equalPairs(a, b []Pair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]Pair(nil), a...)
-	bs := append([]Pair(nil), b...)
-	less := func(p, q Pair) bool { return p.L < q.L || (p.L == q.L && p.R < q.R) }
-	sort.Slice(as, func(i, j int) bool { return less(as[i], as[j]) })
-	sort.Slice(bs, func(i, j int) bool { return less(bs[i], bs[j]) })
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Predicates for the three join classes of §3.

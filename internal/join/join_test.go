@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -185,7 +186,7 @@ func TestSpatialJoinsAgree(t *testing.T) {
 		ls := randRects(rng, 30, 40)
 		rs := randRects(rng, 35, 40)
 		want := NestedLoop(ls, rs, Overlaps)
-		if got := RTreeJoin(ls, rs, 8); !equalPairs(got, want) {
+		if got := RTreeJoin(ls, rs); !equalPairs(got, want) {
 			t.Fatalf("trial %d: R-tree join differs", trial)
 		}
 		if got := SweepJoin(ls, rs); !equalPairs(got, want) {
@@ -315,6 +316,24 @@ func nestedLoopGraph[L, R any](ls []L, rs []R, pred func(L, R) bool) *graph.Bipa
 		}
 	}
 	return graph.NewBipartite(len(ls), len(rs), edges)
+}
+
+// equalPairs reports whether two pair sets are equal regardless of order.
+func equalPairs(a, b []Pair) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	as := append([]Pair(nil), a...)
+	bs := append([]Pair(nil), b...)
+	less := func(p, q Pair) bool { return p.L < q.L || (p.L == q.L && p.R < q.R) }
+	sort.Slice(as, func(i, j int) bool { return less(as[i], as[j]) })
+	sort.Slice(bs, func(i, j int) bool { return less(bs[i], bs[j]) })
+	for i := range as {
+		if as[i] != bs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // eqInt and eqString are the equijoin predicate over integers and

@@ -15,14 +15,11 @@ var (
 	mPolygonNL = newAlgMetrics("join/polygon_nested_loop/tuples_compared", "join/polygon_nested_loop/pairs_emitted")
 )
 
-// RTreeJoin is the index-nested-loop spatial join: build an R-tree on the
-// right rectangles, probe it with each left rectangle. Emission is
+// RTreeJoin is the index-nested-loop spatial join: bulk-load an R-tree
+// on the right rectangles, probe it with each left rectangle. Emission is
 // left-major with right matches in ascending index order.
-func RTreeJoin(ls, rs []spatial.Rect, fanout int) []Pair {
-	tree := spatial.NewRTree(fanout)
-	for j, r := range rs {
-		tree.Insert(r, j)
-	}
+func RTreeJoin(ls, rs []spatial.Rect) []Pair {
+	tree := spatial.BuildRTree(rs)
 	var out []Pair
 	for i, l := range ls {
 		for _, j := range tree.Search(l) {
@@ -33,16 +30,70 @@ func RTreeJoin(ls, rs []spatial.Rect, fanout int) []Pair {
 	return out
 }
 
-// SweepJoin is the plane-sweep spatial join: both inputs are sorted into
-// one x-ordered event stream and pairs are emitted as the sweep
-// discovers them — the emission order studied in the E15 experiment.
+// SweepJoin is the plane-sweep spatial join. The rectangles' x-interval
+// ends form one event stream, ordered by x, then kind, then index;
+// starts precede ends at equal x so closed rectangles that touch still
+// pair. A starting rectangle is tested on y against the other side's
+// active rectangles in ascending index order and pairs with each one it
+// overlaps, so pairs come out as the sweep discovers them — the emission
+// order studied in the E15 experiment.
 func SweepJoin(ls, rs []spatial.Rect) []Pair {
-	raw := spatial.IntersectingPairs(ls, rs)
-	out := make([]Pair, len(raw))
-	for k, p := range raw {
-		out[k] = Pair{L: p[0], R: p[1]}
+	// An event is one end of a rectangle's x-interval. Bit 0 of kind
+	// marks a right rectangle and bit 1 an end, so at one x the left
+	// starts come first, then the right starts, the left ends and the
+	// right ends.
+	type event struct {
+		x    float64
+		kind uint8
+		idx  int
 	}
-	mSweepJoin.flush(int64(len(raw)), int64(len(out)))
+	events := make([]event, 0, 2*(len(ls)+len(rs)))
+	for i, r := range ls {
+		events = append(events, event{x: r.MinX, idx: i}, event{x: r.MaxX, kind: 2, idx: i})
+	}
+	for j, r := range rs {
+		events = append(events, event{x: r.MinX, kind: 1, idx: j}, event{x: r.MaxX, kind: 3, idx: j})
+	}
+	slices.SortFunc(events, func(a, b event) int {
+		if a.x < b.x {
+			return -1
+		}
+		if a.x != b.x {
+			// Greater, or NaN: a NaN event is neither before nor after
+			// any other (cmp.Compare would sort it first).
+			return 1
+		}
+		return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.idx, b.idx))
+	})
+
+	var active [2][]int // each side's started, unended rectangles, ascending
+	var out []Pair
+	var compared int64 // y-overlap tests
+	for _, e := range events {
+		side := e.kind & 1
+		k, found := slices.BinarySearch(active[side], e.idx)
+		if e.kind&2 != 0 {
+			// An end before its start (an inverted rectangle) removes
+			// nothing, and that rectangle then stays active.
+			if found {
+				active[side] = slices.Delete(active[side], k, k+1)
+			}
+			continue
+		}
+		for _, o := range active[side^1] {
+			p := Pair{L: e.idx, R: o}
+			if side == 1 {
+				p = Pair{L: o, R: e.idx}
+			}
+			l, r := ls[p.L], rs[p.R]
+			compared++
+			if l.MinY <= r.MaxY && r.MinY <= l.MaxY {
+				out = append(out, p)
+			}
+		}
+		active[side] = slices.Insert(active[side], k, e.idx)
+	}
+	mSweepJoin.flush(compared, int64(len(out)))
 	return out
 }
 

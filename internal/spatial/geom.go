@@ -1,7 +1,7 @@
 // Package spatial implements the spatial attribute domain of §3.3:
-// axis-aligned rectangles and convex polygons with overlap predicates, an
-// R-tree and a sweep-line rectangle join as realistic spatial-join
-// substrates, and the Lemma 3.4 construction realizing the worst-case
+// axis-aligned rectangles and convex polygons with overlap predicates, a
+// bulk-loaded R-tree as the index of the join layer's index-nested-loop
+// spatial join, and the Lemma 3.4 construction realizing the worst-case
 // G_n join graphs as rectangle-overlap instances.
 package spatial
 
@@ -60,13 +60,6 @@ func (r Rect) Union(s Rect) Rect {
 		MaxX: math.Max(r.MaxX, s.MaxX), MaxY: math.Max(r.MaxY, s.MaxY),
 	}
 }
-
-// Area returns the area of r.
-func (r Rect) Area() float64 { return (r.MaxX - r.MinX) * (r.MaxY - r.MinY) }
-
-// EnlargedArea returns the area of the union bounding box of r and s —
-// the R-tree insertion heuristic's cost.
-func (r Rect) EnlargedArea(s Rect) float64 { return r.Union(s).Area() }
 
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g,%g]x[%g,%g]", r.MinX, r.MaxX, r.MinY, r.MaxY)

@@ -49,17 +49,13 @@ func TestNewRectNormalizes(t *testing.T) {
 	}
 }
 
-func TestRectUnionArea(t *testing.T) {
-	a, b := NewRect(0, 0, 1, 1), NewRect(2, 2, 3, 3)
-	u := a.Union(b)
-	if u != NewRect(0, 0, 3, 3) {
+func TestRectUnion(t *testing.T) {
+	a, b := NewRect(0, 0, 1, 1), NewRect(2, -1, 3, 0.5)
+	if u := a.Union(b); u != NewRect(0, -1, 3, 1) || b.Union(a) != u {
 		t.Fatalf("union=%v", u)
 	}
-	if a.Area() != 1 || u.Area() != 9 {
-		t.Fatal("area")
-	}
-	if a.EnlargedArea(b) != 9 {
-		t.Fatal("enlarged area")
+	if a.Union(a) != a {
+		t.Fatal("union with itself")
 	}
 }
 
@@ -129,13 +125,7 @@ func TestRTreeMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		data := randomRects(rng, 200, 50)
-		tree := NewRTree(8)
-		for i, r := range data {
-			tree.Insert(r, i)
-		}
-		if tree.Len() != len(data) {
-			t.Fatal("Len mismatch")
-		}
+		tree := BuildRTree(data)
 		for q := 0; q < 20; q++ {
 			query := randomRects(rng, 1, 50)[0]
 			got := tree.Search(query)
@@ -157,28 +147,27 @@ func TestRTreeMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestRTreeGrowsInHeight: packed nodes of 8 give the least height,
+// ⌈log₈ n⌉ levels, and every rectangle stays reachable.
 func TestRTreeGrowsInHeight(t *testing.T) {
-	tree := NewRTree(4)
 	rng := rand.New(rand.NewSource(3))
-	for i, r := range randomRects(rng, 500, 100) {
-		tree.Insert(r, i)
-	}
-	if tree.Height() < 3 {
-		t.Fatalf("500 items in fan-out-4 tree should be at least 3 levels, got %d", tree.Height())
-	}
-	// All 500 must be findable via a universal query.
-	if got := tree.Search(NewRect(-10, -10, 200, 200)); len(got) != 500 {
-		t.Fatalf("universal query found %d of 500", len(got))
+	for _, c := range []struct{ n, height int }{{0, 1}, {1, 1}, {8, 1}, {9, 2}, {64, 2}, {65, 3}, {500, 3}, {513, 4}} {
+		tree := BuildRTree(randomRects(rng, c.n, 100))
+		if tree.Height() != c.height {
+			t.Fatalf("%d rectangles: height %d, want %d", c.n, tree.Height(), c.height)
+		}
+		if got := tree.Search(NewRect(-10, -10, 200, 200)); len(got) != c.n {
+			t.Fatalf("universal query found %d of %d", len(got), c.n)
+		}
 	}
 }
 
 func TestRTreeEmptyAndSingle(t *testing.T) {
-	tree := NewRTree(4)
-	if got := tree.Search(NewRect(0, 0, 1, 1)); got != nil {
+	if got := BuildRTree(nil).Search(NewRect(0, 0, 1, 1)); got != nil {
 		t.Fatal("empty tree must return nil")
 	}
-	tree.Insert(NewRect(0, 0, 1, 1), 7)
-	if got := tree.Search(NewRect(0.5, 0.5, 2, 2)); len(got) != 1 || got[0] != 7 {
+	tree := BuildRTree([]Rect{NewRect(0, 0, 1, 1)})
+	if got := tree.Search(NewRect(0.5, 0.5, 2, 2)); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("got %v", got)
 	}
 	if got := tree.Search(NewRect(5, 5, 6, 6)); len(got) != 0 {
@@ -187,51 +176,13 @@ func TestRTreeEmptyAndSingle(t *testing.T) {
 }
 
 func TestRTreeDuplicateRects(t *testing.T) {
-	tree := NewRTree(4)
 	r := NewRect(1, 1, 2, 2)
-	for i := 0; i < 20; i++ {
-		tree.Insert(r, i)
+	dups := make([]Rect, 20)
+	for i := range dups {
+		dups[i] = r
 	}
-	if got := tree.Search(r); len(got) != 20 {
+	if got := BuildRTree(dups).Search(r); len(got) != 20 {
 		t.Fatalf("duplicates: found %d of 20", len(got))
-	}
-}
-
-func TestSweepMatchesNestedLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 15; trial++ {
-		rs := randomRects(rng, 40, 30)
-		ss := randomRects(rng, 50, 30)
-		got := IntersectingPairs(rs, ss)
-		seen := make(map[[2]int]bool, len(got))
-		for _, p := range got {
-			if seen[p] {
-				t.Fatalf("trial %d: duplicate pair %v", trial, p)
-			}
-			seen[p] = true
-		}
-		count := 0
-		for i, r := range rs {
-			for j, s := range ss {
-				if r.Overlaps(s) {
-					count++
-					if !seen[[2]int{i, j}] {
-						t.Fatalf("trial %d: missing pair (%d,%d)", trial, i, j)
-					}
-				}
-			}
-		}
-		if count != len(got) {
-			t.Fatalf("trial %d: %d pairs want %d", trial, len(got), count)
-		}
-	}
-}
-
-func TestSweepTouchingRectangles(t *testing.T) {
-	rs := []Rect{NewRect(0, 0, 1, 1)}
-	ss := []Rect{NewRect(1, 1, 2, 2)} // corner touch
-	if got := IntersectingPairs(rs, ss); len(got) != 1 {
-		t.Fatalf("touching rectangles must pair, got %v", got)
 	}
 }
 
@@ -323,13 +274,12 @@ func TestRealizeSpiderRejectsZero(t *testing.T) {
 }
 
 func TestRTreeRejectsInvalidRect(t *testing.T) {
-	tree := NewRTree(4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("invalid rect must panic")
 		}
 	}()
-	tree.Insert(Rect{MinX: 2, MaxX: 1}, 0)
+	BuildRTree([]Rect{NewRect(0, 0, 1, 1), {MinX: 2, MaxX: 1}})
 }
 
 // rectPolygon converts a rectangle into the equivalent convex polygon.
@@ -352,6 +302,3 @@ func overlapPairs[T interface{ Overlaps(T) bool }](r, s []T) [][2]int {
 	}
 	return out
 }
-
-// Len returns the number of stored rectangles.
-func (t *RTree) Len() int { return t.numItems }
