@@ -425,41 +425,56 @@ func equijoinScaling() []PerfCase {
 			recordScaling(b, solve.Extra, ms, solveNs, i)
 			solve.Extra["verify_ratio"] = solveNs[i] / verifyNs(b, g, scheme)
 		}
-		canon := PerfCase{Name: fmt.Sprintf("canon/equijoin-m%d", g.M()), Extra: map[string]float64{}}
-		canon.Run = func(b *testing.B) {
-			sc := graph.NewCanonScratch()
-			graph.Canonicalize(g, sc)
-			b.ResetTimer()
-			for j := 0; j < b.N; j++ {
-				graph.Canonicalize(g, sc)
-			}
-			recordScaling(b, canon.Extra, ms, canonNs, i)
-			canon.Extra["verify_ratio"] = canonNs[i] / verifyNs(b, g, scheme)
-		}
+		canon := canonCase(fmt.Sprintf("canon/equijoin-m%d", g.M()), g, scheme, ms, canonNs, i)
 		builds, solves, canons = append(builds, build), append(solves, solve), append(canons, canon)
 	}
 	return slices.Concat(builds, solves, canons)
 }
 
+// canonCase is case i of a graph.Canonicalize scaling series over xs:
+// it fingerprints g with a warmed scratch, records its ns/op in ns (and
+// the series slope, when last), and records "verify_ratio", its ns/op
+// over that of core.Verify on g and scheme, timed right after it.
+func canonCase(name string, g *graph.Graph, scheme core.Scheme, xs []int, ns []float64, i int) PerfCase {
+	canon := PerfCase{Name: name, Extra: map[string]float64{}}
+	canon.Run = func(b *testing.B) {
+		sc := graph.NewCanonScratch()
+		graph.Canonicalize(g, sc)
+		b.ResetTimer()
+		for j := 0; j < b.N; j++ {
+			graph.Canonicalize(g, sc)
+		}
+		recordScaling(b, canon.Extra, xs, ns, i)
+		canon.Extra["verify_ratio"] = ns[i] / verifyNs(b, g, scheme)
+	}
+	return canon
+}
+
 // indexJoinScaling is the containment and spatial join-graph builds,
 // join.ContainmentGraph and join.OverlapGraph, on n×n relations with n
-// from 250 to 4000. The universe and the span grow with n, so a left
-// tuple keeps about as many matches and the output grows linearly: the
-// fitted slope against n reads near 1 for an output-sensitive build and
-// near 2 for a cross-product one. Each case records its edge count and
+// from 250 to 4000, then graph.Canonicalize on the graphs they build.
+// The universe and the span grow with n, so a left tuple keeps about as
+// many matches and the output grows linearly: the fitted slope against
+// n reads near 1 for an output-sensitive build and near 2 for a
+// cross-product one. Each build case records its edge count and
 // "nested_ratio", its ns/op over that of the nested-loop build of the
 // same relations (join.GraphFromPairs over join.NestedLoop), timed right
-// after it.
+// after it; each canon case records "verify_ratio" against the
+// approx-1.25 scheme of its graph. These sparse graphs have many
+// distinct colors, so the canon series weigh color re-ranking where the
+// equijoin series weigh the canonical order.
 func indexJoinScaling() []PerfCase {
 	sizes := []int{250, 500, 1000, 2000, 4000}
 	containNs, overlapNs := make([]float64, len(sizes)), make([]float64, len(sizes))
-	var contains, overlaps []PerfCase
+	canonContainNs, canonOverlapNs := make([]float64, len(sizes)), make([]float64, len(sizes))
+	var contains, overlaps, canonContains, canonOverlaps []PerfCase
 	for i, n := range sizes {
 		l, r := workload.SetContainment{LeftSize: n, RightSize: n, Universe: n / 2,
 			LeftMax: 3, RightMax: 12, Correlated: true}.Generate(perfSeed)
 		ls, rs := l.Sets(), r.Sets()
+		g := join.ContainmentGraph(ls, rs).Graph()
 		contain := PerfCase{Name: fmt.Sprintf("build/containment-n%d", n),
-			Extra: map[string]float64{"edges": float64(join.ContainmentGraph(ls, rs).M())}}
+			Extra: map[string]float64{"edges": float64(g.M())}}
 		contain.Run = func(b *testing.B) {
 			for j := 0; j < b.N; j++ {
 				join.ContainmentGraph(ls, rs)
@@ -469,11 +484,14 @@ func indexJoinScaling() []PerfCase {
 				join.GraphFromPairs(n, n, join.NestedLoop(ls, rs, join.Contains))
 			})
 		}
+		canonContains = append(canonContains, canonCase(fmt.Sprintf("canon/containment-n%d", n),
+			g, approxScheme(g), sizes, canonContainNs, i))
 		l, r = workload.Spatial{LeftSize: n, RightSize: n, Span: 4 * math.Sqrt(float64(n)),
 			MaxExtent: 8}.Generate(perfSeed)
 		lr, rr := l.Rects(), r.Rects()
+		g = join.OverlapGraph(lr, rr).Graph()
 		overlap := PerfCase{Name: fmt.Sprintf("build/spatial-n%d", n),
-			Extra: map[string]float64{"edges": float64(join.OverlapGraph(lr, rr).M())}}
+			Extra: map[string]float64{"edges": float64(g.M())}}
 		overlap.Run = func(b *testing.B) {
 			for j := 0; j < b.N; j++ {
 				join.OverlapGraph(lr, rr)
@@ -483,9 +501,20 @@ func indexJoinScaling() []PerfCase {
 				join.GraphFromPairs(n, n, join.NestedLoop(lr, rr, join.Overlaps))
 			})
 		}
+		canonOverlaps = append(canonOverlaps, canonCase(fmt.Sprintf("canon/spatial-n%d", n),
+			g, approxScheme(g), sizes, canonOverlapNs, i))
 		contains, overlaps = append(contains, contain), append(overlaps, overlap)
 	}
-	return slices.Concat(contains, overlaps)
+	return slices.Concat(contains, overlaps, canonContains, canonOverlaps)
+}
+
+// approxScheme returns approx-1.25's verified scheme for g.
+func approxScheme(g *graph.Graph) core.Scheme {
+	scheme, _, err := solver.SolveAndVerify(context.Background(), solver.Approx125{}, g)
+	if err != nil {
+		panic("bench: perf workload solver failed: " + err.Error())
+	}
+	return scheme
 }
 
 // nestedNs stops b's timer and returns the ns/op of build over as many

@@ -5,8 +5,11 @@ package graph
 // The scheme cache keys on graph isomorphism classes: a pebbling scheme
 // depends only on the join graph's shape, so two requests with the same
 // shape under different vertex numberings must hash to the same key.
-// Canonicalize computes that key in three passes, in O((n+m)·rounds +
-// m log n) time overall:
+// Canonicalize computes that key in three passes, in O((n + m +
+// k log k)·rounds + h log n) time overall, where k is the number of
+// distinct colors and h the number of frontier heap operations: one per
+// vertex plus one per cell an assignment touches or opens, so O(n) on
+// unions of complete bipartite graphs and O(n + m) at worst:
 //
 //  1. iterated WL-style color refinement to a fixed point — initial
 //     colors are (degree, component order, component size) ranks, each
@@ -15,8 +18,9 @@ package graph
 //     distinct colors stops growing. A round is one counting sort of
 //     the vertices by color and one sweep that folds each source's
 //     color into its neighbors' running hashes in that order, so every
-//     vertex receives its neighbor colors already sorted: O(n + m),
-//     plus O(n log n) to re-rank the n hashes;
+//     vertex receives its neighbor colors already sorted: O(n + m).
+//     Re-ranking dedupes the n hashes in an open-addressing table and
+//     sorts only the k distinct values: O(n + k log k);
 //  2. a deterministic canonical relabeling: a greedy frontier order
 //     that always assigns the minimum of (on-frontier, color,
 //     assigned-neighborhood hash, id) next. A vertex is on the frontier
@@ -27,12 +31,19 @@ package graph
 //     confines raw id tie-breaks to positions where the tied vertices
 //     are interchangeable for the families the repo generates (spiders,
 //     complete bipartite graphs, cycles, paths, matchings, and their
-//     line graphs — see the package test corpus). The frontier is an
-//     indexed min-heap of at most n vertices, re-keyed in place when a
-//     neighbor is assigned, and an empty frontier takes the next
-//     untouched vertex from the color-sorted list: O(m log n);
-//  3. a 128-bit hash of the sorted canonical edge list (plus n and m),
-//     sorted by two stable counting passes over canonical ids: O(n + m).
+//     line graphs — see the package test corpus). The frontier is
+//     partitioned into cells of vertices that share a color and a set of
+//     assigned neighbors, and a min-heap orders the cells, so assigning
+//     a vertex refines the partition by its neighbors (Paige–Tarjan
+//     style: a cell that lies wholly in the neighborhood is re-keyed,
+//     any other touched cell splits, and untouched neighbors open one
+//     cell per color) at the cost of two walks of its sorted neighbors
+//     and a heap operation per cell touched or opened. An empty
+//     frontier takes the next untouched vertex from the color-sorted
+//     list. The first walk also writes each edge's canonical key
+//     straight to its place in the sorted edge list: O(n + m + h log n);
+//  3. a 128-bit hash of that sorted canonical edge list (plus n and m):
+//     O(m).
 //
 // Soundness is unconditional: equal canonical edge lists exhibit an
 // isomorphism, so non-isomorphic graphs can only collide by hash
@@ -46,10 +57,10 @@ package graph
 // differently under relabeling, which costs a cache miss, never a wrong
 // hit.
 //
-// The refinement and hashing kernels carry the //joinpebble:hotpath
-// contract and run entirely on CanonScratch buffers: one scratch reused
-// across calls means the steady-state per-fingerprint allocation is the
-// returned labeling alone.
+// The refinement, ordering and hashing kernels carry the
+// //joinpebble:hotpath contract and run entirely on CanonScratch
+// buffers: one scratch reused across calls means the steady-state
+// per-fingerprint allocation is the returned labeling alone.
 
 import (
 	"fmt"
@@ -87,16 +98,16 @@ func (f Fingerprint) Mix(words ...uint64) Fingerprint {
 // buffers grow monotonically and are never returned to the allocator.
 // Not safe for concurrent use — pool scratches per goroutine.
 type CanonScratch struct {
-	color  []uint32      // current color (dense rank) per vertex
-	sig    []uint64      // signature hash per vertex, input to re-ranking
-	sorted []uint64      // sort/dedupe buffer for rank assignment
-	order  []int32       // vertices in (color, id) order
-	count  []int         // counting-sort buckets, one per color or canonical id plus one
-	perm   []int32       // vertex -> canonical id
-	heap   []frontierEnt // frontier min-heap of touched, unassigned vertices
-	pos    []int32       // heap slot per vertex, -1 until first touched
-	ekeys  []uint64      // canonical edge keys
-	etmp   []uint64      // counting-sort buffer for the edge keys
+	color    []uint32 // current color (dense rank) per vertex
+	sig      []uint64 // signature hash per vertex, input to re-ranking
+	sorted   []uint64 // the distinct signatures, sorted for rank assignment
+	slotKey  []uint64 // signature per rank-table slot
+	slotRank []int32  // rank per rank-table slot; 0 marks an empty slot while the table fills
+	order    []int32  // vertices in (color, id) order
+	count    []int    // counting-sort buckets, one per color plus one; then edge-key cursors per canonical id
+	perm     []int32  // vertex -> canonical id
+	ekeys    []uint64 // canonical edge keys in ascending order
+	front    frontier // canonicalOrder's cells
 }
 
 // NewCanonScratch returns an empty scratch; buffers are sized on first
@@ -105,30 +116,39 @@ func NewCanonScratch() *CanonScratch { return &CanonScratch{} }
 
 // grow sizes every buffer for an n-vertex, m-edge graph.
 func (sc *CanonScratch) grow(n, m int) {
+	slots := 2
+	for slots < 2*n {
+		slots <<= 1
+	}
 	if cap(sc.color) < n {
 		sc.color = make([]uint32, n)
 		sc.sig = make([]uint64, n)
 		sc.sorted = make([]uint64, n)
+		sc.slotKey = make([]uint64, slots)
+		sc.slotRank = make([]int32, slots)
 		sc.order = make([]int32, n)
 		sc.count = make([]int, n+1)
 		sc.perm = make([]int32, n)
-		sc.heap = make([]frontierEnt, n)
-		sc.pos = make([]int32, n)
+		f := &sc.front
+		f.cells = make([]cell, n)
+		f.heap = make([]cellEnt, n)
+		f.cellOf = make([]int32, n)
+		f.colorCell = make([]int32, n)
+		f.touched = make([]int32, n)
 	}
 	if cap(sc.ekeys) < m {
 		sc.ekeys = make([]uint64, m)
-		sc.etmp = make([]uint64, m)
+		sc.front.members = make([]int32, m)
 	}
 	sc.color = sc.color[:n]
 	sc.sig = sc.sig[:n]
 	sc.sorted = sc.sorted[:n]
+	sc.slotKey = sc.slotKey[:slots]
+	sc.slotRank = sc.slotRank[:slots]
 	sc.order = sc.order[:n]
 	sc.count = sc.count[:n+1]
 	sc.perm = sc.perm[:n]
-	sc.heap = sc.heap[:n]
-	sc.pos = sc.pos[:n]
 	sc.ekeys = sc.ekeys[:m]
-	sc.etmp = sc.etmp[:m]
 }
 
 // Canonicalize computes the canonical labeling of g — perm[v] is the
@@ -178,7 +198,7 @@ func Canonicalize(g *Graph, sc *CanonScratch) ([]int32, Fingerprint) {
 	sortByColor(sc, n, distinct)
 
 	canonicalOrder(c, sc, n)
-	fp := edgeListFingerprint(g, sc, n, m)
+	fp := edgeListFingerprint(sc, n, m)
 	perm := make([]int32, n)
 	copy(perm, sc.perm)
 	return perm, fp
@@ -243,57 +263,83 @@ func refinePass(c *csr, sc *CanonScratch, n int) {
 // rankColors replaces sc.sig's hash values with dense ranks in sc.color
 // and returns the number of distinct values. Ranks are assigned by
 // sorted hash order, which is label-independent, so the refinement
-// stays isomorphism-invariant.
+// stays isomorphism-invariant. A linear-probing table of at least 2n
+// slots, indexed by the hash's low bits (the hashes are mix64 outputs),
+// dedupes the signatures, so only the k distinct values are sorted; a
+// vertex holds its table slot in sc.color until the slots hold ranks.
 //
 //joinpebble:hotpath
 func rankColors(sc *CanonScratch, n int) int {
-	copy(sc.sorted[:n], sc.sig[:n])
-	slices.Sort(sc.sorted[:n])
+	mask := uint64(len(sc.slotKey) - 1)
+	clear(sc.slotRank)
 	k := 0
-	for i := 0; i < n; i++ {
-		if i == 0 || sc.sorted[i] != sc.sorted[k-1] {
-			sc.sorted[k] = sc.sorted[i]
+	for v := 0; v < n; v++ {
+		h := sc.sig[v]
+		s := h & mask
+		for sc.slotRank[s] != 0 && sc.slotKey[s] != h {
+			s = (s + 1) & mask
+		}
+		if sc.slotRank[s] == 0 {
+			sc.slotKey[s], sc.slotRank[s] = h, 1
+			sc.sorted[k] = h
 			k++
 		}
+		sc.color[v] = uint32(s)
 	}
 	ranks := sc.sorted[:k]
-	for v := 0; v < n; v++ {
-		lo, hi := 0, k
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if ranks[mid] < sc.sig[v] {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	slices.Sort(ranks)
+	// Every slot on a value's probe path was filled before the value
+	// was, so the first slot holding the value is its own.
+	for r, h := range ranks {
+		s := h & mask
+		for sc.slotKey[s] != h {
+			s = (s + 1) & mask
 		}
-		sc.color[v] = uint32(lo)
+		sc.slotRank[s] = int32(r)
+	}
+	for v := 0; v < n; v++ {
+		sc.color[v] = uint32(sc.slotRank[sc.color[v]])
 	}
 	return k
 }
 
-// frontierEnt is a frontier vertex in the canonical-order heap, keyed
-// by its color and the hash of its assigned neighbors' canonical ids.
-type frontierEnt struct {
-	sig   uint64 // xor of mix64(canonSeedLo, id+1) over assigned neighbors
-	color uint32
-	v     int32
+// cell is one class of the frontier partition: the unassigned vertices
+// that share a color and a set of assigned neighbors, hence a frontier
+// key up to the id. Its members lie ascending in frontier.members from
+// head on; a slot whose vertex has since been assigned or moved to
+// another cell is dead and skipped. Its key is in its heap entry.
+type cell struct {
+	head  int32 // members slot of the least live member; once emptied, the next free cell
+	live  int32 // live members
+	hits  int32 // live members adjacent to the vertex being assigned
+	split int32 // cell taking those members when not all live members are hit, else -1
+	slot  int32 // heap slot, -1 until pushed
 }
 
-// less orders frontier vertices by (color, assigned-neighborhood hash,
-// id) — every component isomorphism-invariant except the final id,
-// which only breaks ties between vertices the first two could not
-// separate.
-//
-//joinpebble:hotpath
-func (e frontierEnt) less(o frontierEnt) bool {
-	if e.color != o.color {
-		return e.color < o.color
-	}
-	if e.sig != o.sig {
-		return e.sig < o.sig
-	}
-	return e.v < o.v
+// cellEnt is a cell's heap entry, ordered by (color, sig, least).
+type cellEnt struct {
+	sig   uint64 // xor of mix64(canonSeedLo, id+1) over the members' assigned neighbors
+	color uint32
+	least int32 // least live member
+	cell  int32
+}
+
+// frontier holds canonicalOrder's cells in buffers a CanonScratch
+// reuses. Live cells never outnumber frontier vertices, so n cell ids
+// suffice when emptied ones are reused, and a member slot is handed out
+// only when an assignment adds its first assigned neighbor to a vertex
+// or moves it to a new cell, at most once per edge.
+type frontier struct {
+	cells     []cell    // cells by id
+	heap      []cellEnt // binary min-heap of the live cells
+	members   []int32   // member slots, handed out in ranges
+	cellOf    []int32   // cell per vertex, -1 until the vertex joins the frontier
+	colorCell []int32   // new cell of the assigned vertex's untouched neighbors per color, else -1
+	touched   []int32   // cells the assigned vertex's neighbors lie in or start
+	size      int       // heap entries
+	next      int32     // cell ids handed out so far
+	free      int32     // most recently emptied cell, -1 if none
+	top       int32     // member slots handed out so far
 }
 
 // canonicalOrder assigns canonical ids in sc.perm, one vertex at a
@@ -302,28 +348,36 @@ func (e frontierEnt) less(o frontierEnt) bool {
 // unassigned entry of sc.order. A vertex joins the frontier when its
 // first neighbor is assigned, so an untouched vertex never outranks a
 // frontier one and the order stays contiguous within a component.
-// Assigning a vertex folds its fresh canonical id into every unassigned
-// neighbor's hash (xor of per-id mixes, so the value is independent of
-// assignment order within the set) and re-keys that neighbor's heap
-// entry in place. Ties that reach the final id component are between
-// vertices with identical color and identical assigned neighborhoods —
-// automorphic in the generated families, so the id choice cannot change
-// the canonical edge list.
+//
+// A frontier vertex's key is (color, xor of mix64 over its assigned
+// neighbors' canonical ids, id). A cell's members share all of it but
+// the id, so the heap's least cell, keyed by its least live member,
+// holds the least frontier vertex even when two cells' hashes collide.
+// Ties that reach the id are between vertices with identical color and
+// identical assigned neighborhoods — automorphic in the generated
+// families, so the id choice cannot change the canonical edge list.
+//
+// An edge's key holds its smaller canonical id high and its larger low.
+// Ids are assigned in order, so the key is written when the later
+// endpoint is assigned, after every key with the same high word and a
+// lower low word, into the bucket of its high word, which opened past
+// the buckets before it, sized to the edges its vertex had left to
+// later vertices. sc.ekeys ends up sorted with no sort.
 //
 //joinpebble:hotpath
 func canonicalOrder(c *csr, sc *CanonScratch, n int) {
+	f := &sc.front
 	for v := 0; v < n; v++ {
 		sc.perm[v] = -1
-		sc.pos[v] = -1
+		f.cellOf[v] = -1
+		f.colorCell[v] = -1
 	}
-	h := sc.heap
-	hn, untouched := 0, 0
+	f.size, f.next, f.free, f.top = 0, 0, -1, 0
+	untouched, bucket := 0, 0
 	for id := 0; id < n; id++ {
 		var v int32
-		if hn > 0 {
-			v = h[0].v
-			hn--
-			frontierPop(sc, hn)
+		if f.size > 0 {
+			v = f.pop(sc)
 		} else {
 			for sc.perm[sc.order[untouched]] >= 0 {
 				untouched++
@@ -331,145 +385,272 @@ func canonicalOrder(c *csr, sc *CanonScratch, n int) {
 			v = sc.order[untouched]
 		}
 		sc.perm[v] = int32(id)
-		mix := mix64(canonSeedLo, uint64(id)+1)
-		for _, w := range c.vert[c.start[v]:c.start[v+1]] {
+		span := c.sortedVert[c.start[v]:c.start[v+1]]
+		sc.count[id] = bucket
+		bucket += len(span) - f.assign(sc, span, id)
+	}
+}
+
+// pop takes the least frontier vertex, the least live member of the
+// heap's root cell, out of its cell.
+//
+//joinpebble:hotpath
+func (f *frontier) pop(sc *CanonScratch) int32 {
+	root := f.heap[0]
+	cl := &f.cells[root.cell]
+	if cl.live--; cl.live == 0 {
+		f.remove(root.cell)
+	} else {
+		cl.head++
+		f.heap[0].least = f.advance(sc, root.cell)
+		f.down(0)
+	}
+	return root.least
+}
+
+// assign refines the frontier by the neighbors of the vertex just given
+// canonical id, whose neighbor-sorted span is span, and returns how many
+// of them were assigned before it. The first walk of the span writes
+// the key of each edge to an assigned neighbor at its bucket's cursor,
+// counts the hits on each touched cell and opens one cell per color for
+// the untouched neighbors. A cell whose live members are all hit is
+// then re-keyed in place; any other touched cell gives its hit members
+// to a new cell. The second walk, descending, fills the new cells'
+// ranges from the top, so members stay ascending.
+//
+//joinpebble:hotpath
+func (f *frontier) assign(sc *CanonScratch, span []int, id int) (assigned int) {
+	mix := mix64(canonSeedLo, uint64(id)+1)
+	nt, moves := 0, false
+	for _, w := range span {
+		if a := sc.perm[w]; a >= 0 {
+			sc.ekeys[sc.count[a]] = uint64(a)<<32 | uint64(id)
+			sc.count[a]++
+			assigned++
+			continue
+		}
+		ci := f.cellOf[w]
+		if ci < 0 {
+			moves = true
+			col := sc.color[w]
+			if ci = f.colorCell[col]; ci < 0 {
+				ci = f.open()
+				f.colorCell[col] = ci
+				f.touched[nt] = ci
+				nt++
+			}
+		} else if f.cells[ci].hits == 0 {
+			f.touched[nt] = ci
+			nt++
+		}
+		f.cells[ci].hits++
+	}
+
+	for _, ci := range f.touched[:nt] {
+		cl := &f.cells[ci]
+		switch {
+		case cl.slot < 0: // a cell of untouched neighbors
+			f.top += cl.hits
+			cl.head, cl.live = f.top, cl.hits
+		case cl.hits < cl.live:
+			moves = true
+			to := f.open()
+			f.top += cl.hits
+			f.cells[to].head, f.cells[to].live = f.top, cl.hits
+			cl.live -= cl.hits
+			cl.split = to
+		}
+	}
+	if moves {
+		for k := len(span) - 1; k >= 0; k-- {
+			w := span[k]
 			if sc.perm[w] >= 0 {
 				continue
 			}
-			i := int(sc.pos[w])
-			if i < 0 {
-				frontierUp(sc, frontierEnt{sig: mix, color: sc.color[w], v: int32(w)}, hn)
-				hn++
+			to := f.cellOf[w]
+			if to < 0 {
+				to = f.colorCell[sc.color[w]]
+			} else if to = f.cells[to].split; to < 0 {
 				continue
 			}
-			e := h[i]
-			e.sig ^= mix
-			if i > 0 && e.less(h[(i-1)/2]) {
-				frontierUp(sc, e, i)
-			} else {
-				frontierDown(sc, e, i, hn)
-			}
+			f.cells[to].head--
+			f.members[f.cells[to].head] = int32(w)
+			f.cellOf[w] = to
 		}
+	}
+
+	for _, ci := range f.touched[:nt] {
+		cl := &f.cells[ci]
+		cl.hits = 0
+		switch {
+		case cl.slot < 0:
+			least := f.members[cl.head]
+			col := sc.color[least]
+			f.colorCell[col] = -1
+			f.push(cellEnt{sig: mix, color: col, least: least, cell: ci})
+		case cl.split >= 0:
+			e := &f.heap[cl.slot]
+			moved := cellEnt{sig: e.sig ^ mix, color: e.color, least: f.members[f.cells[cl.split].head], cell: cl.split}
+			e.least = f.advance(sc, ci)
+			f.down(int(cl.slot))
+			f.push(moved)
+			cl.split = -1
+		default:
+			f.heap[cl.slot].sig ^= mix
+			f.fix(int(cl.slot))
+		}
+	}
+	return assigned
+}
+
+// open starts an empty cell, reusing the most recently emptied cell id
+// when there is one, and returns its id.
+//
+//joinpebble:hotpath
+func (f *frontier) open() int32 {
+	ci := f.free
+	if ci >= 0 {
+		f.free = f.cells[ci].head
+	} else {
+		ci = f.next
+		f.next++
+	}
+	f.cells[ci] = cell{split: -1, slot: -1}
+	return ci
+}
+
+// advance moves cell ci's head past its dead slots and returns its
+// least live member; ci has one.
+//
+//joinpebble:hotpath
+func (f *frontier) advance(sc *CanonScratch, ci int32) int32 {
+	cl := &f.cells[ci]
+	for {
+		w := f.members[cl.head]
+		if sc.perm[w] < 0 && f.cellOf[w] == ci {
+			return w
+		}
+		cl.head++
 	}
 }
 
-// frontierUp places e at heap slot i or, past every ancestor it beats,
-// nearer the root, shifting those ancestors down and keeping sc.pos in
-// step.
+// less orders cell entries by (color, sig, least live member).
 //
 //joinpebble:hotpath
-func frontierUp(sc *CanonScratch, e frontierEnt, i int) {
-	h := sc.heap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.less(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		sc.pos[h[i].v] = int32(i)
-		i = p
+func (e cellEnt) less(o cellEnt) bool {
+	if e.color != o.color {
+		return e.color < o.color
 	}
-	h[i] = e
-	sc.pos[e.v] = int32(i)
+	if e.sig != o.sig {
+		return e.sig < o.sig
+	}
+	return e.least < o.least
 }
 
-// frontierPop refills the root slot, whose entry the caller has taken,
-// once the heap has shrunk to hn entries: the hole walks down the
-// smaller children to a leaf, one comparison per level, and the entry
-// left in slot hn, now past the end, is sifted up from there. Sifting
-// that entry down from the root would cost two comparisons per level,
-// and it usually belongs near the bottom anyway.
+// push adds a cell's entry to the heap.
 //
 //joinpebble:hotpath
-func frontierPop(sc *CanonScratch, hn int) {
-	h := sc.heap
+func (f *frontier) push(e cellEnt) {
+	f.size++
+	f.up(e, f.size-1)
+}
+
+// remove takes cell ci, the heap's root and now empty, off the heap and
+// frees its id. The hole at the root walks down the lesser children to
+// a leaf, one comparison per level, and the last entry fills it from
+// there: it usually belongs near the bottom, so sifting it down from the
+// root would cost two comparisons per level.
+//
+//joinpebble:hotpath
+func (f *frontier) remove(ci int32) {
+	f.size--
 	i := 0
 	for {
 		s := 2*i + 1
-		if s >= hn {
+		if s >= f.size {
 			break
 		}
-		if r := s + 1; r < hn && h[r].less(h[s]) {
+		if r := s + 1; r < f.size && f.heap[r].less(f.heap[s]) {
 			s = r
 		}
-		h[i] = h[s]
-		sc.pos[h[i].v] = int32(i)
+		f.heap[i] = f.heap[s]
+		f.cells[f.heap[i].cell].slot = int32(i)
 		i = s
 	}
-	frontierUp(sc, h[hn], i)
+	if i < f.size {
+		f.up(f.heap[f.size], i)
+	}
+	f.cells[ci].head = f.free
+	f.free = ci
 }
 
-// frontierDown places e at slot i of the first hn heap slots or, past
-// every child that beats it, nearer the leaves, shifting those children
-// up and keeping sc.pos in step.
+// fix restores the heap order after the key at slot i changed.
 //
 //joinpebble:hotpath
-func frontierDown(sc *CanonScratch, e frontierEnt, i, hn int) {
-	h := sc.heap
+func (f *frontier) fix(i int) {
+	if i > 0 && f.heap[i].less(f.heap[(i-1)/2]) {
+		f.up(f.heap[i], i)
+	} else {
+		f.down(i)
+	}
+}
+
+// up places e at slot i or, past every parent it beats, nearer the
+// root, shifting those parents down.
+//
+//joinpebble:hotpath
+func (f *frontier) up(e cellEnt, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.less(f.heap[p]) {
+			break
+		}
+		f.heap[i] = f.heap[p]
+		f.cells[f.heap[i].cell].slot = int32(i)
+		i = p
+	}
+	f.heap[i] = e
+	f.cells[e.cell].slot = int32(i)
+}
+
+// down moves the entry at slot i toward the leaves past every child
+// that beats it.
+//
+//joinpebble:hotpath
+func (f *frontier) down(i int) {
+	e := f.heap[i]
 	for {
 		s := 2*i + 1
-		if s >= hn {
+		if s >= f.size {
 			break
 		}
-		if r := s + 1; r < hn && h[r].less(h[s]) {
+		if r := s + 1; r < f.size && f.heap[r].less(f.heap[s]) {
 			s = r
 		}
-		if !h[s].less(e) {
+		if !f.heap[s].less(e) {
 			break
 		}
-		h[i] = h[s]
-		sc.pos[h[i].v] = int32(i)
+		f.heap[i] = f.heap[s]
+		f.cells[f.heap[i].cell].slot = int32(i)
 		i = s
 	}
-	h[i] = e
-	sc.pos[e.v] = int32(i)
+	f.heap[i] = e
+	f.cells[e.cell].slot = int32(i)
 }
 
-// edgeListFingerprint hashes the sorted canonical edge list plus the
-// graph's order and size into 128 bits. An edge's key is its smaller
-// canonical id in the high word and its larger in the low word, so two
-// stable counting passes, by the low word and then the high, put the
-// keys in ascending order.
+// edgeListFingerprint hashes the canonical edge list, which
+// canonicalOrder leaves sorted in sc.ekeys, plus the graph's order and
+// size into 128 bits.
 //
 //joinpebble:hotpath
-func edgeListFingerprint(g *Graph, sc *CanonScratch, n, m int) Fingerprint {
-	for i := 0; i < m; i++ {
-		e := g.edges[i]
-		a, b := sc.perm[e.U], sc.perm[e.V]
-		if a > b {
-			a, b = b, a
-		}
-		sc.ekeys[i] = uint64(a)<<32 | uint64(b)
-	}
-	countingSortKeys(sc.etmp, sc.ekeys, 0, sc.count[:n+1])
-	countingSortKeys(sc.ekeys, sc.etmp, 32, sc.count[:n+1])
+func edgeListFingerprint(sc *CanonScratch, n, m int) Fingerprint {
 	hi := mix64(canonSeedHi, uint64(n))
 	lo := mix64(canonSeedLo, uint64(n))
 	hi = mix64(hi, uint64(m))
 	lo = mix64(lo, uint64(m))
-	for i := 0; i < m; i++ {
-		hi = mix64(hi, sc.ekeys[i])
-		lo = mix64(lo, sc.ekeys[i]^0x5BF0_3635_DEAD_BEEF)
+	for _, k := range sc.ekeys[:m] {
+		hi = mix64(hi, k)
+		lo = mix64(lo, k^0x5BF0_3635_DEAD_BEEF)
 	}
 	return Fingerprint{Hi: hi, Lo: lo}
-}
-
-// countingSortKeys stably scatters src into dst in ascending order of the
-// canonical id held in the 32 bits of each key from bit shift up; cnt
-// holds one bucket per canonical id plus one.
-//
-//joinpebble:hotpath
-func countingSortKeys(dst, src []uint64, shift uint, cnt []int) {
-	clear(cnt)
-	for _, k := range src {
-		cnt[uint32(k>>shift)+1]++
-	}
-	for i := 1; i < len(cnt); i++ {
-		cnt[i] += cnt[i-1]
-	}
-	for _, k := range src {
-		id := uint32(k >> shift)
-		dst[cnt[id]] = k
-		cnt[id]++
-	}
 }

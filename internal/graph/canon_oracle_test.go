@@ -1,6 +1,11 @@
 package graph
 
-import "slices"
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // CanonicalizeOracle is Canonicalize as it stood before the color-sweep
 // rewrite, kept as its differential oracle: refinement sorts every
@@ -216,4 +221,45 @@ func sortingEdgeListFingerprint(g *Graph, perm []int32) Fingerprint {
 		lo = mix64(lo, k^0x5BF0_3635_DEAD_BEEF)
 	}
 	return Fingerprint{Hi: hi, Lo: lo}
+}
+
+// TestRankColorsMatchesSortedRanks: rankColors gives every vertex the
+// rank of its signature among the distinct signatures in ascending
+// order, as sorting all n signatures and binary-searching each one did
+// before the table replaced them. CanonicalizeOracle shares rankColors,
+// so this is the check that keeps it honest. The pools repeat values,
+// hold 0 and the largest uint64, and share their low bits, so probe
+// chains run long and wrap around the table.
+func TestRankColorsMatchesSortedRanks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sc := NewCanonScratch()
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(3000)
+		pool := make([]uint64, 1+rng.Intn(n))
+		for i := range pool {
+			switch rng.Intn(4) {
+			case 0:
+				pool[i] = rng.Uint64() << 40 // equal low bits
+			case 1:
+				pool[i] = []uint64{0, math.MaxUint64 / 2, math.MaxUint64}[rng.Intn(3)]
+			default:
+				pool[i] = rng.Uint64()
+			}
+		}
+		sc.grow(n, 0)
+		for v := 0; v < n; v++ {
+			sc.sig[v] = pool[rng.Intn(len(pool))]
+		}
+		want := slices.Clone(sc.sig[:n])
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if k := rankColors(sc, n); k != len(want) {
+			t.Fatalf("trial %d: %d distinct signatures, want %d", trial, k, len(want))
+		}
+		for v := 0; v < n; v++ {
+			if r, _ := slices.BinarySearch(want, sc.sig[v]); sc.color[v] != uint32(r) {
+				t.Fatalf("trial %d: vertex %d ranks %d, want %d", trial, v, sc.color[v], r)
+			}
+		}
+	}
 }

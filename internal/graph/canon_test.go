@@ -7,6 +7,8 @@ import (
 
 	"joinpebble/internal/family"
 	"joinpebble/internal/graph"
+	"joinpebble/internal/join"
+	"joinpebble/internal/workload"
 )
 
 // buildSpider returns the spider S_k join graph the repo's family
@@ -228,6 +230,25 @@ func TestCanonScratchReuse(t *testing.T) {
 	}
 }
 
+// TestCanonicalizeAllocatesLabelingOnly pins the allocation contract:
+// with a warmed scratch, a call allocates exactly once, the labeling it
+// returns. It runs on the corpus and on one 1024-a-side equijoin graph,
+// whose cells, member slots and edge keys all come from the scratch.
+func TestCanonicalizeAllocatesLabelingOnly(t *testing.T) {
+	graphs := corpus(t)
+	l, r := workload.Equijoin{LeftSize: 1024, RightSize: 1024, Domain: 512, Skew: 1.2}.Generate(1)
+	graphs["equijoin-1024x1024"] = join.EquiGraph(l.Ints(), r.Ints()).Graph()
+	sc := graph.NewCanonScratch()
+	for _, g := range graphs {
+		graph.Canonicalize(g, sc)
+	}
+	for name, g := range graphs {
+		if allocs := testing.AllocsPerRun(20, func() { graph.Canonicalize(g, sc) }); allocs != 1 {
+			t.Errorf("%s: %v allocations per call, want 1", name, allocs)
+		}
+	}
+}
+
 // TestCanonicalizeMatchesOracle: Canonicalize returns exactly the
 // labeling and Fingerprint of CanonicalizeOracle, the sorting and
 // lazy-deletion-heap kernels it replaced, on the corpus, every family
@@ -281,6 +302,69 @@ func TestCanonicalizeMatchesOracle(t *testing.T) {
 		check(fmt.Sprintf("union-%d", i), u)
 		check(fmt.Sprintf("union-%d-permuted", i), permuted(rng, u))
 	}
+	for _, wg := range workloadGraphs() {
+		check(wg.name, wg.g)
+		check(wg.name+"-permuted", permuted(rng, wg.g))
+	}
+	for i := 0; i < 150; i++ {
+		g := randomDenseGraph(rng)
+		check(fmt.Sprintf("dense-%d", i), g)
+		check(fmt.Sprintf("dense-%d-permuted", i), permuted(rng, g))
+	}
+}
+
+// namedGraph is a generated graph under the name a failure reports.
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// workloadGraphs returns join graphs of the three generated families at
+// the parameters pebbled's instance builder uses: zipf-1.2 equijoins
+// over (left+right)/4 values at 64 to 1024 tuples a side, most of whose
+// edges sit in the few complete bipartite components of the heaviest
+// values, and correlated set-containment joins and 3-cluster spatial
+// joins at 64 to 160 a side.
+func workloadGraphs() []namedGraph {
+	var out []namedGraph
+	for _, sides := range [][2]int{{64, 64}, {128, 96}, {256, 256}, {400, 520}, {1024, 1024}} {
+		for seed := int64(1); seed <= 2; seed++ {
+			l, r := workload.Equijoin{LeftSize: sides[0], RightSize: sides[1],
+				Domain: int64(sides[0]+sides[1]) / 4, Skew: 1.2}.Generate(seed)
+			out = append(out, namedGraph{fmt.Sprintf("equijoin-%dx%d-seed%d", sides[0], sides[1], seed),
+				join.EquiGraph(l.Ints(), r.Ints()).Graph()})
+		}
+	}
+	for _, n := range []int{64, 100, 160} {
+		for seed := int64(1); seed <= 3; seed++ {
+			l, r := workload.SetContainment{LeftSize: n, RightSize: n, Universe: 64,
+				LeftMax: 3, RightMax: 12, Correlated: true}.Generate(seed)
+			out = append(out, namedGraph{fmt.Sprintf("containment-%d-seed%d", n, seed),
+				join.ContainmentGraph(l.Sets(), r.Sets()).Graph()})
+			l, r = workload.Spatial{LeftSize: n, RightSize: n, Span: 100, MaxExtent: 8,
+				Clusters: 3}.Generate(seed)
+			out = append(out, namedGraph{fmt.Sprintf("spatial-%d-seed%d", n, seed),
+				join.OverlapGraph(l.Rects(), r.Rects()).Graph()})
+		}
+	}
+	return out
+}
+
+// randomDenseGraph returns a graph on 8–48 vertices whose pairs are
+// edges with a probability between 0.3 and 0.9, so one assignment
+// touches many frontier cells and splits most of them.
+func randomDenseGraph(rng *rand.Rand) *graph.Graph {
+	n := 8 + rng.Intn(41)
+	p := 0.3 + 0.6*rng.Float64()
+	var edges []graph.Edge
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				edges = append(edges, graph.Edge{U: u, V: v})
+			}
+		}
+	}
+	return graph.New(n, edges)
 }
 
 // randomSparseGraph returns a graph on 1–40 vertices with up to 2n
@@ -317,8 +401,10 @@ func matchesOracle(t *testing.T, name string, g *graph.Graph, perm []int32, fp g
 
 // FuzzCanonPermutation drives the fingerprint contract over generated
 // instances. For the structured families the cache targets (spiders,
-// complete bipartite, cycles/paths, line graphs) a random relabeling
-// must fingerprint identically — the completeness half. Arbitrary
+// complete bipartite, cycles/paths, line graphs, and disjoint unions of
+// complete bipartite graphs that repeat shapes, as equijoin graphs do)
+// a random relabeling must fingerprint identically — the completeness
+// half. Arbitrary
 // random bipartite graphs are included for soundness coverage only:
 // the labeling must stay a bijection, the canonical edge lists of a
 // graph and its permutation must agree whenever the fingerprints do,
@@ -335,13 +421,14 @@ func FuzzCanonPermutation(f *testing.F) {
 	f.Add(uint8(3), uint8(6), uint8(0), int64(4))
 	f.Add(uint8(4), uint8(9), uint8(2), int64(5))
 	f.Add(uint8(5), uint8(4), uint8(4), int64(6))
+	f.Add(uint8(6), uint8(3), uint8(5), int64(7))
 	f.Fuzz(func(t *testing.T, kind, a, b uint8, seed int64) {
 		na := 2 + int(a)%10
 		nb := 2 + int(b)%10
 		rng := rand.New(rand.NewSource(seed))
 		var g *graph.Graph
 		structured := true
-		switch kind % 6 {
+		switch kind % 7 {
 		case 0:
 			g = buildSpider(na)
 		case 1:
@@ -357,19 +444,21 @@ func FuzzCanonPermutation(f *testing.F) {
 			g = graph.PathBipartite(na + nb).Graph()
 		case 5:
 			g = graph.Matching(na).Graph()
+		case 6:
+			g = completeBipartiteUnion(rng, na, nb)
 		}
 		permG, want := graph.Canonicalize(g, nil)
 		if _, again := graph.Canonicalize(g, nil); again != want {
-			t.Fatalf("kind %d: fingerprint not deterministic: %v then %v", kind%6, want, again)
+			t.Fatalf("kind %d: fingerprint not deterministic: %v then %v", kind%7, want, again)
 		}
 		h := permuted(rng, g)
 		permH, got := graph.Canonicalize(h, nil)
 		checkBijection(t, permG, g.N())
 		checkBijection(t, permH, h.N())
-		matchesOracle(t, fmt.Sprintf("kind %d", kind%6), g, permG, want)
-		matchesOracle(t, fmt.Sprintf("kind %d permuted", kind%6), h, permH, got)
+		matchesOracle(t, fmt.Sprintf("kind %d", kind%7), g, permG, want)
+		matchesOracle(t, fmt.Sprintf("kind %d permuted", kind%7), h, permH, got)
 		if structured && got != want {
-			t.Fatalf("kind %d n=(%d,%d) seed %d: permuted fingerprint %v != %v", kind%6, na, nb, seed, got, want)
+			t.Fatalf("kind %d n=(%d,%d) seed %d: permuted fingerprint %v != %v", kind%7, na, nb, seed, got, want)
 		}
 		if got == want {
 			// Equal fingerprints must mean equal canonical edge sets —
@@ -377,15 +466,35 @@ func FuzzCanonPermutation(f *testing.F) {
 			eg := canonEdges(g, permG)
 			eh := canonEdges(h, permH)
 			if len(eg) != len(eh) {
-				t.Fatalf("kind %d: fingerprints equal but edge counts differ", kind%6)
+				t.Fatalf("kind %d: fingerprints equal but edge counts differ", kind%7)
 			}
 			for e := range eg {
 				if !eh[e] {
-					t.Fatalf("kind %d: fingerprints equal but canonical edge %v differs", kind%6, e)
+					t.Fatalf("kind %d: fingerprints equal but canonical edge %v differs", kind%7, e)
 				}
 			}
 		}
 	})
+}
+
+// completeBipartiteUnion returns the disjoint union of two to six
+// complete bipartite graphs, each K_{a,b} or K_{b,a} with 1 ≤ a ≤ na and
+// 1 ≤ b ≤ nb drawn from three shapes, so components repeat shapes, the
+// way an equijoin's heaviest values do.
+func completeBipartiteUnion(rng *rand.Rand, na, nb int) *graph.Graph {
+	var shapes [3][2]int
+	for i := range shapes {
+		shapes[i] = [2]int{1 + rng.Intn(na), 1 + rng.Intn(nb)}
+	}
+	u := graph.New(0, nil)
+	for k := 2 + rng.Intn(5); k > 0; k-- {
+		s := shapes[rng.Intn(len(shapes))]
+		if rng.Intn(2) == 0 {
+			s[0], s[1] = s[1], s[0]
+		}
+		u = graph.DisjointUnion(u, graph.CompleteBipartite(s[0], s[1]).Graph())
+	}
+	return u
 }
 
 func checkBijection(t *testing.T, perm []int32, n int) {

@@ -132,11 +132,16 @@ func EquiGraph(ls, rs []int64) *graph.Bipartite {
 }
 
 // sortedIndex returns the indices of vs in ascending value order (stable,
-// so ties keep input order).
+// so ties keep input order), leaving out NaN keys: under == a NaN joins
+// nothing, itself included, and it would break the sort's strict weak
+// order and stall the merge, which reads a pair of keys neither less nor
+// greater as equal.
 func sortedIndex[K cmp.Ordered](vs []K) []int {
-	idx := make([]int, len(vs))
-	for i := range idx {
-		idx[i] = i
+	idx := make([]int, 0, len(vs))
+	for i, v := range vs {
+		if v == v { // false only for NaN
+			idx = append(idx, i)
+		}
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return vs[idx[a]] < vs[idx[b]] })
 	return idx

@@ -1,10 +1,13 @@
 package join
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"joinpebble/internal/graph"
 	"joinpebble/internal/sets"
@@ -61,6 +64,41 @@ func TestSortMergeVariantsEqualNestedLoop(t *testing.T) {
 		if !equalPairs(SortMergeZigzag(ls, rs), want) {
 			t.Fatalf("trial %d: SortMergeZigzag result differs", trial)
 		}
+	}
+
+	// Float keys with NaN on one side, on both, and beside real matches:
+	// under == a NaN matches nothing. The merges run under a timer, so a
+	// merge that stalls on a NaN fails instead of hanging the test.
+	nan := math.NaN()
+	floats := [][2][]float64{
+		{{nan}, {nan}},
+		{{nan, 1}, {1}},
+		{{1}, {nan, 1, nan}},
+		{{nan, 2, nan, 1, 2}, {2, nan, 1, nan, 2}},
+		{{math.Inf(1), nan, math.Copysign(0, -1), 3}, {0, nan, math.Inf(1), 3, nan}},
+	}
+	done := make(chan string, 1)
+	go func() {
+		for i, c := range floats {
+			want := NestedLoop(c[0], c[1], func(l, r float64) bool { return l == r })
+			if !equalPairs(SortMerge(c[0], c[1]), want) {
+				done <- fmt.Sprintf("float case %d: SortMerge result differs", i)
+				return
+			}
+			if !equalPairs(SortMergeZigzag(c[0], c[1]), want) {
+				done <- fmt.Sprintf("float case %d: SortMergeZigzag result differs", i)
+				return
+			}
+		}
+		done <- ""
+	}()
+	select {
+	case msg := <-done:
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a sort-merge join on NaN keys did not return within 2s")
 	}
 }
 
