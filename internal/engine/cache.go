@@ -12,11 +12,11 @@ import (
 	"joinpebble/internal/schemecache"
 )
 
-// Scheme-cache counters: the cache rung's outcomes (hit/miss), the
-// write side (insert, and entries evicted to make room), and how many
-// cached schemes were translated back onto a request labeling. The
-// fingerprint timer prices the canonicalization the rung pays before
-// any lookup.
+// Scheme-cache counters, the cache's only ledger: the cache rung's
+// outcomes (hit/miss), the write side (entries stored, and entries
+// evicted to make room), and how many cached schemes were translated
+// back onto a request labeling. The fingerprint timer prices the
+// canonicalization the rung pays before any lookup.
 var (
 	cCacheHit       = obs.ScopedCounter("engine/cache/hit")
 	cCacheMiss      = obs.ScopedCounter("engine/cache/miss")
@@ -47,10 +47,11 @@ type cacheState struct {
 }
 
 // key computes the instance's cache key: the canonical graph
-// fingerprint mixed with the family label, the guarantee bits, and the
-// planned solver's name. Mixing the planned solver keeps hits
-// quality-faithful — a strict exact run can never be served a scheme
-// that was planned as an approximation.
+// fingerprint mixed with the family label and the planned solver's
+// name. The family label also stands for the instance's guarantees,
+// which every Instance constructor derives from it. Mixing the planned
+// solver keeps hits quality-faithful — a strict exact run can never be
+// served a scheme that was planned as an approximation.
 func (cs *cacheState) key(ctx context.Context, in *Instance, plan Plan, g *graph.Graph) {
 	sp := obs.StartSpanCtx(ctx, "engine/cache/fingerprint")
 	defer sp.End()
@@ -58,7 +59,7 @@ func (cs *cacheState) key(ctx context.Context, in *Instance, plan Plan, g *graph
 	sc := canonScratch.Get().(*graph.CanonScratch)
 	perm, fp := graph.Canonicalize(g, sc)
 	canonScratch.Put(sc)
-	cs.fp = fp.Mix(hashString(in.Family), guaranteeBits(in.Guarantees), hashString(plan.Solver.Name()))
+	cs.fp = fp.Mix(hashString(in.Family), hashString(plan.Solver.Name()))
 	cs.perm = perm
 	tFingerprint.Observe(ctx, obs.Since(start))
 }
@@ -66,7 +67,8 @@ func (cs *cacheState) key(ctx context.Context, in *Instance, plan Plan, g *graph
 // attempt is the cache rung: fingerprint, lookup, translate back to the
 // request labeling, and re-verify against the simulator. Any failure —
 // miss, shape mismatch, corrupt entry, cost drift — is a miss; the
-// cache is never trusted over the referee.
+// cache is never trusted over the referee. The entry Get lends is
+// shared, so the translation is the only copy the rung makes.
 func (cs *cacheState) attempt(ctx context.Context, in *Instance, plan Plan, g *graph.Graph) (core.Scheme, int, error) {
 	cs.key(ctx, in, plan, g)
 	ent, err := cs.cache.Get(cs.fp)
@@ -98,16 +100,19 @@ func (cs *cacheState) attempt(ctx context.Context, in *Instance, plan Plan, g *g
 // in canonical labels; it runs only after the cache rung missed. Only
 // undegraded solves are cached: the key carries the planned solver, so
 // an entry must hold the quality that plan promised, not whatever a
-// fallback rung salvaged.
+// fallback rung salvaged. The cache owns the fresh slice ToCanonical
+// returns, and engine/cache/insert counts only entries it stored.
 func (cs *cacheState) insert(ctx context.Context, g *graph.Graph, rung string, scheme core.Scheme, cost int) {
-	evicted := cs.cache.Insert(cs.fp, schemecache.Entry{
+	evicted, stored := cs.cache.Insert(cs.fp, schemecache.Entry{
 		Scheme: schemecache.ToCanonical(scheme, cs.perm),
 		N:      g.N(),
 		M:      g.M(),
 		Cost:   cost,
 		Solver: rung,
 	})
-	cCacheInsert.Inc(ctx)
+	if stored {
+		cCacheInsert.Inc(ctx)
+	}
 	cCacheEvict.Add(ctx, int64(evicted))
 }
 
@@ -115,15 +120,4 @@ func hashString(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
-}
-
-func guaranteeBits(gu Guarantees) uint64 {
-	var bits uint64
-	if gu.CompleteBipartite {
-		bits |= 1
-	}
-	if gu.Universal {
-		bits |= 2
-	}
-	return bits
 }

@@ -13,12 +13,31 @@ import (
 	"joinpebble/internal/family"
 	"joinpebble/internal/faultinject"
 	"joinpebble/internal/graph"
+	"joinpebble/internal/obs"
 	"joinpebble/internal/schemecache"
 	"joinpebble/internal/solver"
 	"joinpebble/internal/workload"
 )
 
 func testCache() *schemecache.Cache { return schemecache.New(1<<22, 4) }
+
+// cacheLedger returns a context carrying a fresh request scope, closed
+// when the test ends, and a function reading that scope's
+// engine/cache/{hit,miss,insert,evict} counters: the runs made under the
+// context, and only those, land there.
+func cacheLedger(t *testing.T) (context.Context, func() map[string]int64) {
+	sc := obs.NewScope("engine/solve")
+	sc.SetRecorder(nil)
+	t.Cleanup(func() { sc.Close() })
+	return obs.WithScope(context.Background(), sc), func() map[string]int64 {
+		snap := sc.Snapshot()
+		out := map[string]int64{}
+		for _, k := range []string{"hit", "miss", "insert", "evict"} {
+			out[k] = snap.Counters["engine/cache/"+k]
+		}
+		return out
+	}
+}
 
 // cacheSweep is the generator sweep the differential tests run the
 // cache rung over: every predicate family (via seeded workloads), the
@@ -64,14 +83,15 @@ func TestCacheWarmSolveByteIdentical(t *testing.T) {
 	for name, in := range cacheSweep(t) {
 		t.Run(name, func(t *testing.T) {
 			p := Planner{Cache: testCache()}
-			cold, err := p.Run(context.Background(), in)
+			ctx, ledger := cacheLedger(t)
+			cold, err := p.Run(ctx, in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cold.Solver == CachedSolverName {
 				t.Fatal("cold solve cannot be a cache hit")
 			}
-			warm, err := p.Run(context.Background(), in)
+			warm, err := p.Run(ctx, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,9 +110,12 @@ func TestCacheWarmSolveByteIdentical(t *testing.T) {
 			if warm.Degraded {
 				t.Fatal("cache hit marked degraded")
 			}
-			st := p.Cache.Stats()
-			if st.Hits != 1 || st.Inserts != 1 {
-				t.Fatalf("stats %+v, want 1 hit / 1 insert", st)
+			want := map[string]int64{"hit": 1, "miss": 1, "insert": 1, "evict": 0}
+			if got := ledger(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("engine/cache counters %v, want %v", got, want)
+			}
+			if st := p.Cache.Stats(); st.Entries != 1 {
+				t.Fatalf("stats %+v, want 1 entry", st)
 			}
 		})
 	}
@@ -180,6 +203,8 @@ func TestCacheKeySeparatesFamiliesAndSolvers(t *testing.T) {
 // planners — the -race configuration CI runs. Every warm result must
 // byte-match its own fresh solve.
 func TestCacheParallelRuns(t *testing.T) {
+	hits := obs.Default.Counter("engine/cache/hit")
+	hitsBefore := hits.Value()
 	cache := testCache()
 	sweep := cacheSweep(t)
 	var wg sync.WaitGroup
@@ -212,8 +237,7 @@ func TestCacheParallelRuns(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	st := cache.Stats()
-	if st.Hits == 0 {
+	if hits.Value() == hitsBefore {
 		t.Fatal("parallel sweep never hit the cache")
 	}
 }
@@ -279,15 +303,16 @@ func TestCacheDegradedSolvesNotInserted(t *testing.T) {
 		Err:   fmt.Errorf("%w: injected", solver.ErrBudgetExceeded),
 		Times: 1,
 	})
-	res, err := p.Run(context.Background(), in)
+	ctx, ledger := cacheLedger(t)
+	res, err := p.Run(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded {
 		t.Fatal("test setup: run did not degrade")
 	}
-	if st := p.Cache.Stats(); st.Inserts != 0 {
-		t.Fatalf("degraded solve inserted into cache: %+v", st)
+	if st := p.Cache.Stats(); st.Entries != 0 || ledger()["insert"] != 0 {
+		t.Fatalf("degraded solve inserted into cache: %+v, engine/cache counters %v", st, ledger())
 	}
 	faultinject.Reset()
 	// The next run must be a clean miss + fresh planned-rung solve.
@@ -300,6 +325,31 @@ func TestCacheDegradedSolvesNotInserted(t *testing.T) {
 	}
 	if res2.Degraded {
 		t.Fatal("second run degraded unexpectedly")
+	}
+}
+
+// TestCacheOversizedSchemeNotCounted: a scheme the cache rejects as
+// larger than a shard is not counted as an insert, and the next run of
+// the same instance misses again.
+func TestCacheOversizedSchemeNotCounted(t *testing.T) {
+	in := FromBipartite("spider", family.Spider(4))
+	p := Planner{Cache: schemecache.New(64, 1)}
+	ctx, ledger := cacheLedger(t)
+	for i := 0; i < 2; i++ {
+		res, err := p.Run(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Solver == CachedSolverName {
+			t.Fatalf("run %d served a scheme the cache could not store", i)
+		}
+	}
+	want := map[string]int64{"hit": 0, "miss": 2, "insert": 0, "evict": 0}
+	if got := ledger(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine/cache counters %v, want %v", got, want)
+	}
+	if st := p.Cache.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stats %+v, want an empty cache", st)
 	}
 }
 

@@ -79,9 +79,9 @@ func (f Fingerprint) String() string {
 	return fmt.Sprintf("%016x%016x", f.Hi, f.Lo)
 }
 
-// Mix folds extra words — a family kind hash, guarantee bits — into the
-// fingerprint, so structurally identical graphs presented under
-// different predicate families key separately. Callers pass literal
+// Mix folds extra words — a family kind hash, a planned solver's name
+// hash — into the fingerprint, so structurally identical graphs
+// presented under different predicate families key separately. Callers pass literal
 // word lists, which escape analysis keeps on the stack.
 //
 //joinpebble:hotpath

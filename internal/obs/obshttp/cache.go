@@ -10,10 +10,11 @@ import (
 )
 
 // CachePath is the debug endpoint reporting pebbled's scheme cache:
-// shard-aggregated schemecache.Stats plus the engine's cache-rung
-// counters (hit/miss/insert/evict/translate and the fingerprint timer),
-// so one scrape answers both "how full is the cache" and "is the rung
-// earning its keep".
+// its occupancy (schemecache.Stats: entries, bytes, capacity, shards)
+// plus the engine's cache-rung counters (hit/miss/insert/evict/translate
+// and the fingerprint timer), the one ledger of cache outcomes, so one
+// scrape answers both "how full is the cache" and "is the rung earning
+// its keep".
 const CachePath = "/debug/joinpebble/cache"
 
 // cacheReport is the CachePath JSON payload.
@@ -21,7 +22,7 @@ type cacheReport struct {
 	// Installed is false when the server runs without a cache
 	// (pebbled -cache-size 0); Stats is then absent.
 	Installed bool                  `json:"installed"`
-	Stats     *cacheStats           `json:"stats,omitempty"`
+	Stats     *schemecache.Stats    `json:"stats,omitempty"`
 	Counters  map[string]int64      `json:"counters"`
 	Timers    map[string]timerBrief `json:"timers,omitempty"`
 }
@@ -32,17 +33,6 @@ type timerBrief struct {
 	Count   int64   `json:"count"`
 	TotalNs int64   `json:"total_ns"`
 	AvgNs   float64 `json:"avg_ns"`
-}
-
-type cacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Inserts   int64 `json:"inserts"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	Capacity  int64 `json:"capacity"`
-	Shards    int   `json:"shards"`
 }
 
 // cacheMetricPrefix selects the engine cache-rung metrics out of the
@@ -60,16 +50,7 @@ func CacheHandlerFor(c *schemecache.Cache) http.Handler {
 		if c != nil {
 			st := c.Stats()
 			rep.Installed = true
-			rep.Stats = &cacheStats{
-				Hits:      st.Hits,
-				Misses:    st.Misses,
-				Inserts:   st.Inserts,
-				Evictions: st.Evictions,
-				Entries:   st.Entries,
-				Bytes:     st.Bytes,
-				Capacity:  st.Capacity,
-				Shards:    st.Shards,
-			}
+			rep.Stats = &st
 		}
 		snap := obs.Default.Snapshot()
 		for name, v := range snap.Counters {

@@ -25,9 +25,14 @@
 // Trust model. The cache is an optimization, never an authority: the
 // engine re-verifies every translated scheme against the simulator
 // before using it, so a corrupt or stale entry costs a re-solve, not a
-// wrong answer. The faultinject sites let tests drive exactly those
-// paths: "schemecache/lookup" forces misses, "schemecache/corrupt"
-// hands back a deliberately invalid copy that verification must catch.
+// wrong answer. Stored entries are shared and read-only: Insert takes
+// ownership of the caller's scheme and Get lends the stored one, so the
+// translation back to a request's labeling is a hit's only copy. The
+// cache counts no outcomes; its caller keeps that ledger, and Stats
+// reports occupancy. The faultinject sites let tests drive the
+// rejection paths: "schemecache/lookup" forces misses,
+// "schemecache/corrupt" hands back a deliberately invalid private copy
+// that verification must catch.
 package schemecache
 
 import (
@@ -44,8 +49,9 @@ const (
 	// SiteLookup fires on every Get; an armed error forces a miss even
 	// when the entry is present, driving the cold path under traffic.
 	SiteLookup = "schemecache/lookup"
-	// SiteCorrupt fires on every hit; an armed error corrupts the
-	// returned copy, driving the engine's verify-on-hit rejection path.
+	// SiteCorrupt fires on every hit; an armed error returns a corrupted
+	// copy of the entry (the stored one stays clean), driving the
+	// engine's verify-on-hit rejection path.
 	SiteCorrupt = "schemecache/corrupt"
 )
 
@@ -55,7 +61,8 @@ var ErrMiss = errors.New("schemecache: miss")
 
 // Entry is one cached scheme. Scheme is in canonical vertex labels; N
 // and M pin the shape so a fingerprint collision across different sizes
-// (or a stale entry) is rejected before translation.
+// (or a stale entry) is rejected before translation. Once inserted, the
+// cache owns Scheme and every Get shares it: nobody may write to it.
 type Entry struct {
 	Scheme core.Scheme // configurations in canonical labels
 	N, M   int         // vertex and edge counts of the canonical graph
@@ -63,16 +70,12 @@ type Entry struct {
 	Solver string      // name of the solver that produced it
 }
 
-// Stats is a point-in-time aggregate across all shards.
+// Stats is a point-in-time occupancy aggregate across all shards.
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Inserts   int64
-	Evictions int64
-	Entries   int
-	Bytes     int64
-	Capacity  int64
-	Shards    int
+	Entries  int   `json:"entries"`
+	Bytes    int64 `json:"bytes"`
+	Capacity int64 `json:"capacity"`
+	Shards   int   `json:"shards"`
 }
 
 // entryOverhead approximates the per-entry bookkeeping cost (slot,
@@ -104,8 +107,6 @@ type shard struct {
 	hand     int
 	bytes    int64
 	capacity int64
-
-	hits, misses, inserts, evictions int64
 }
 
 // Cache is the sharded scheme cache. The zero value is not usable; use
@@ -151,41 +152,39 @@ func (c *Cache) shardFor(fp graph.Fingerprint) *shard {
 	return &c.shards[fp.Hi>>c.shift]
 }
 
-// Get returns a copy of the entry cached under fp, or ErrMiss. The
-// returned scheme is a private copy: callers translate and mutate it
-// freely without racing other readers of the same entry.
+// Get returns the entry cached under fp, or ErrMiss. The entry's
+// scheme is the stored one, shared with every other reader: callers
+// translate it (FromCanonical copies) and never write to it.
 func (c *Cache) Get(fp graph.Fingerprint) (Entry, error) {
 	s := c.shardFor(fp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := faultinject.Fire(SiteLookup); err != nil {
-		s.misses++
 		return Entry{}, ErrMiss
 	}
 	i, ok := s.idx[fp]
 	if !ok {
-		s.misses++
 		return Entry{}, ErrMiss
 	}
 	s.slots[i].ref = true
-	s.hits++
 	ent := s.slots[i].ent
-	ent.Scheme = append(core.Scheme(nil), ent.Scheme...)
 	if err := faultinject.Fire(SiteCorrupt); err != nil && len(ent.Scheme) > 0 {
-		// Deterministic corruption: an always-out-of-range pebble, so
-		// the engine's verify-on-hit must reject the entry.
+		// Deterministic corruption of a private copy: an always
+		// out-of-range pebble, so the engine's verify-on-hit must reject
+		// the entry while the stored one stays clean.
+		ent.Scheme = append(core.Scheme(nil), ent.Scheme...)
 		ent.Scheme[0].A = -1 - ent.Scheme[0].A
 	}
 	return ent, nil
 }
 
 // Insert stores ent under fp, evicting second-chance victims as needed,
-// and returns how many entries were evicted. An entry larger than the
-// shard capacity is rejected (returns 0, stores nothing); re-inserting
-// an existing fingerprint replaces the entry in place. The cache keeps
-// its own copy of the scheme.
-func (c *Cache) Insert(fp graph.Fingerprint, ent Entry) int {
-	ent.Scheme = append(core.Scheme(nil), ent.Scheme...)
+// and returns how many entries were evicted and whether ent was stored.
+// An entry larger than the shard capacity is rejected (stores nothing,
+// evicts nothing); re-inserting an existing fingerprint replaces the
+// entry in place. The cache takes ownership of ent.Scheme: the caller
+// must not write to it afterwards.
+func (c *Cache) Insert(fp graph.Fingerprint, ent Entry) (evicted int, stored bool) {
 	need := bytesFor(ent)
 	s := c.shardFor(fp)
 	s.mu.Lock()
@@ -199,9 +198,9 @@ func (c *Cache) Insert(fp graph.Fingerprint, ent Entry) int {
 		s.free = append(s.free, i)
 	}
 	if need > s.capacity {
-		return 0
+		return 0, false
 	}
-	evicted := s.evictUntil(s.capacity - need)
+	evicted = s.evictUntil(s.capacity - need)
 	var i int
 	if n := len(s.free); n > 0 {
 		i = s.free[n-1]
@@ -213,8 +212,7 @@ func (c *Cache) Insert(fp graph.Fingerprint, ent Entry) int {
 	s.slots[i] = slot{fp: fp, ent: ent, cost: need, ref: true, live: true}
 	s.idx[fp] = i
 	s.bytes += need
-	s.inserts++
-	return evicted
+	return evicted, true
 }
 
 // evictUntil runs the CLOCK hand until the shard's bytes fit within
@@ -237,23 +235,18 @@ func (s *shard) evictUntil(limit int64) int {
 		delete(s.idx, s.slots[i].fp)
 		s.slots[i] = slot{}
 		s.free = append(s.free, i)
-		s.evictions++
 		evicted++
 	}
 	return evicted
 }
 
-// Stats aggregates counters and occupancy across all shards.
+// Stats aggregates occupancy across all shards.
 func (c *Cache) Stats() Stats {
 	var st Stats
 	st.Shards = len(c.shards)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Inserts += s.inserts
-		st.Evictions += s.evictions
 		st.Entries += len(s.idx)
 		st.Bytes += s.bytes
 		st.Capacity += s.capacity

@@ -29,7 +29,9 @@ func TestGetMissThenHit(t *testing.T) {
 		t.Fatalf("empty cache Get = %v, want ErrMiss", err)
 	}
 	want := entryOf(5)
-	c.Insert(fp, want)
+	if ev, stored := c.Insert(fp, want); ev != 0 || !stored {
+		t.Fatalf("Insert into an empty cache = (%d evicted, stored %v), want (0, true)", ev, stored)
+	}
 	got, err := c.Get(fp)
 	if err != nil {
 		t.Fatalf("Get after Insert: %v", err)
@@ -45,33 +47,42 @@ func TestGetMissThenHit(t *testing.T) {
 			t.Fatalf("config %d: %v != %v", i, got.Scheme[i], want.Scheme[i])
 		}
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 || st.Entries != 1 {
-		t.Fatalf("stats %+v, want 1 hit / 1 miss / 1 insert / 1 entry", st)
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != bytesFor(want) {
+		t.Fatalf("stats %+v, want 1 entry of %d bytes", st, bytesFor(want))
 	}
 }
 
-func TestGetReturnsPrivateCopy(t *testing.T) {
+// TestGetLendsStoredEntry: a hit hands back the stored scheme itself,
+// with no allocation; the translation is the caller's only copy.
+func TestGetLendsStoredEntry(t *testing.T) {
 	c := New(1<<20, 1)
 	fp := fpOf(3, 4)
 	c.Insert(fp, entryOf(4))
 	a, _ := c.Get(fp)
-	a.Scheme[0] = core.Config{A: 99, B: 99}
 	b, _ := c.Get(fp)
-	if b.Scheme[0] == (core.Config{A: 99, B: 99}) {
-		t.Fatal("mutating a returned scheme leaked into the cache")
+	if &a.Scheme[0] != &b.Scheme[0] {
+		t.Fatal("two hits on one entry returned different schemes, want the stored one")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.Get(fp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Get of a present entry allocates %.1f times, want 0", allocs)
 	}
 }
 
-func TestInsertCopiesCallerScheme(t *testing.T) {
+// TestInsertKeepsCallerScheme: Insert takes ownership of the caller's
+// slice instead of copying it.
+func TestInsertKeepsCallerScheme(t *testing.T) {
 	c := New(1<<20, 1)
 	fp := fpOf(5, 6)
 	ent := entryOf(4)
 	c.Insert(fp, ent)
-	ent.Scheme[0] = core.Config{A: 77, B: 77}
 	got, _ := c.Get(fp)
-	if got.Scheme[0] == (core.Config{A: 77, B: 77}) {
-		t.Fatal("mutating the caller's scheme after Insert leaked into the cache")
+	if &got.Scheme[0] != &ent.Scheme[0] {
+		t.Fatal("Insert stored a copy of the caller's scheme, want the caller's slice")
 	}
 }
 
@@ -81,7 +92,7 @@ func TestReplaceInPlace(t *testing.T) {
 	c.Insert(fp, entryOf(3))
 	repl := entryOf(9)
 	repl.Solver = "approx-1.25"
-	c.Insert(fp, repl)
+	ev, stored := c.Insert(fp, repl)
 	got, err := c.Get(fp)
 	if err != nil {
 		t.Fatalf("Get after replace: %v", err)
@@ -89,9 +100,8 @@ func TestReplaceInPlace(t *testing.T) {
 	if got.Solver != "approx-1.25" || len(got.Scheme) != 9 {
 		t.Fatalf("replacement not visible: %+v", got)
 	}
-	st := c.Stats()
-	if st.Entries != 1 || st.Evictions != 0 {
-		t.Fatalf("replace must not change entry count or evict: %+v", st)
+	if st := c.Stats(); st.Entries != 1 || ev != 0 || !stored {
+		t.Fatalf("replace must store without evicting or changing the entry count: %d evicted, stored %v, %+v", ev, stored, st)
 	}
 }
 
@@ -102,8 +112,8 @@ func TestOversizedEntryRejected(t *testing.T) {
 	fp := fpOf(9, 10)
 	c.Insert(fp, entryOf(2))
 	big := entryOf(1000)
-	if ev := c.Insert(fpOf(11, 12), big); ev != 0 {
-		t.Fatalf("oversized insert evicted %d entries", ev)
+	if ev, stored := c.Insert(fpOf(11, 12), big); ev != 0 || stored {
+		t.Fatalf("oversized insert = (%d evicted, stored %v), want (0, false)", ev, stored)
 	}
 	if _, err := c.Get(fpOf(11, 12)); !errors.Is(err, ErrMiss) {
 		t.Fatal("oversized entry was stored")
@@ -120,22 +130,27 @@ func TestClockEviction(t *testing.T) {
 	ent := entryOf(2)
 	per := bytesFor(ent)
 	c := New(per*4, 1)
+	evicted := 0
 	for i := 0; i < 4; i++ {
-		c.Insert(fpOf(uint64(i), 0), ent)
+		ev, _ := c.Insert(fpOf(uint64(i), 0), ent)
+		evicted += ev
 	}
-	if st := c.Stats(); st.Entries != 4 || st.Evictions != 0 {
-		t.Fatalf("warmup stats %+v, want 4 entries, 0 evictions", st)
+	if st := c.Stats(); st.Entries != 4 || evicted != 0 {
+		t.Fatalf("warmup: %d entries, %d evicted, want 4 entries, 0 evicted", st.Entries, evicted)
 	}
 	hot := fpOf(2, 0)
 	if _, err := c.Get(hot); err != nil {
 		t.Fatalf("hot get: %v", err)
 	}
-	// Two new inserts force two evictions; the hot entry survives.
-	c.Insert(fpOf(10, 0), ent)
-	c.Insert(fpOf(11, 0), ent)
+	// Two new inserts force one eviction each; the hot entry survives.
+	for _, fp := range []graph.Fingerprint{fpOf(10, 0), fpOf(11, 0)} {
+		if ev, stored := c.Insert(fp, ent); ev != 1 || !stored {
+			t.Fatalf("insert under pressure = (%d evicted, stored %v), want (1, true)", ev, stored)
+		}
+	}
 	st := c.Stats()
-	if st.Evictions != 2 || st.Entries != 4 {
-		t.Fatalf("stats after pressure %+v, want 2 evictions / 4 entries", st)
+	if st.Entries != 4 {
+		t.Fatalf("stats after pressure %+v, want 4 entries", st)
 	}
 	if st.Bytes > st.Capacity {
 		t.Fatalf("bytes %d exceed capacity %d", st.Bytes, st.Capacity)
@@ -197,28 +212,70 @@ func TestShardSelectionSpreads(t *testing.T) {
 	}
 }
 
+// TestConcurrentMixedLoad: writers replace and evict a shared set of
+// fingerprints while readers translate every hit with FromCanonical, so
+// the race detector sees any write to an entry that Get lends out,
+// including one evicted while a reader still holds it. Each 256-byte
+// shard holds one or two entries of about four fingerprints that map
+// to it, and a quarter of the inserts go to fresh fingerprints, so the
+// CLOCK hand sweeps throughout.
 func TestConcurrentMixedLoad(t *testing.T) {
-	c := New(1<<16, 8)
+	c := New(1<<11, 8)
+	const maxK = 8
+	fps := make([]graph.Fingerprint, 32)
+	for i := range fps {
+		fps[i] = fpOf(uint64(i)*0x9E3779B97F4A7C15, uint64(i))
+	}
+	identity := make([]int32, maxK+1)
+	for v := range identity {
+		identity[v] = int32(v)
+	}
 	var wg sync.WaitGroup
+	var hits, evicted [8]int
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 2000; i++ {
-				fp := fpOf(rng.Uint64(), rng.Uint64())
-				if rng.Intn(2) == 0 {
-					c.Insert(fp, entryOf(1+rng.Intn(8)))
-				} else {
-					c.Get(fp)
-				}
 				if i%500 == 0 {
 					c.Stats()
+				}
+				fp := fps[rng.Intn(len(fps))]
+				if rng.Intn(2) == 0 {
+					if rng.Intn(4) == 0 {
+						fp = fpOf(rng.Uint64(), rng.Uint64())
+					}
+					ev, _ := c.Insert(fp, entryOf(1+rng.Intn(maxK)))
+					evicted[w] += ev
+					continue
+				}
+				ent, err := c.Get(fp)
+				if err != nil {
+					continue
+				}
+				hits[w]++
+				for j, cfg := range FromCanonical(ent.Scheme, identity) {
+					if cfg != (core.Config{A: j, B: j + 1}) {
+						t.Errorf("translated config %d of a %d-config entry is %v", j, len(ent.Scheme), cfg)
+						return
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	totalHits, totalEvicted := 0, 0
+	for w := range hits {
+		totalHits += hits[w]
+		totalEvicted += evicted[w]
+	}
+	if totalHits == 0 {
+		t.Fatal("no reader hit a shared fingerprint")
+	}
+	if totalEvicted == 0 {
+		t.Fatal("no insert evicted; the load never swept the CLOCK hand")
+	}
 	st := c.Stats()
 	if st.Bytes > st.Capacity {
 		t.Fatalf("bytes %d exceed capacity %d after concurrent churn", st.Bytes, st.Capacity)
@@ -290,8 +347,10 @@ func TestStatsCapacityAndShards(t *testing.T) {
 func TestManyFingerprintsStress(t *testing.T) {
 	ent := entryOf(2)
 	c := New(bytesFor(ent)*64, 4)
+	evicted := 0
 	for i := 0; i < 1000; i++ {
-		c.Insert(fpOf(uint64(i)*0x9E3779B97F4A7C15, uint64(i)), ent)
+		ev, _ := c.Insert(fpOf(uint64(i)*0x9E3779B97F4A7C15, uint64(i)), ent)
+		evicted += ev
 	}
 	st := c.Stats()
 	if st.Entries == 0 || st.Entries > 64 {
@@ -300,7 +359,7 @@ func TestManyFingerprintsStress(t *testing.T) {
 	if st.Bytes > st.Capacity {
 		t.Fatalf("bytes %d exceed capacity %d", st.Bytes, st.Capacity)
 	}
-	if st.Evictions == 0 {
+	if evicted == 0 {
 		t.Fatal("stress load must evict")
 	}
 	// Whatever survived must still be retrievable and intact.

@@ -53,9 +53,6 @@ var (
 	// cReqFaults counts requests failed by an injected serve/handler
 	// fault (503, retryable).
 	cReqFaults = obs.Default.Counter("serve/request/faults")
-	// Outcome provenance of successful solves.
-	cReqDegraded = obs.Default.Counter("serve/request/degraded")
-	cReqCached   = obs.Default.Counter("serve/request/cached")
 )
 
 // Per-request scope names (also the flight-recorder labels).
@@ -322,12 +319,6 @@ func runSolve(ctx context.Context, s *Server, req *SolveRequest) (any, error) {
 	}
 	for _, a := range res.Attempts {
 		out.Attempts = append(out.Attempts, AttemptJSON{Solver: a.Solver, Err: a.Err, ElapsedNS: int64(a.Elapsed)})
-	}
-	if out.Degraded {
-		cReqDegraded.Inc()
-	}
-	if out.Cached {
-		cReqCached.Inc()
 	}
 	return out, nil
 }

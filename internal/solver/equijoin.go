@@ -57,7 +57,8 @@ func zigzagOrder(ctx context.Context, g *graph.Graph, sp *obs.Span) ([]int, erro
 	defer zz.End()
 	order := make([]int, 0, g.M())
 	inRight := make([]bool, g.N())
-	for _, comp := range g.Components() {
+	for ci := range g.ComponentCount() {
+		comp, _ := g.Component(ci)
 		if len(comp) < 2 {
 			continue
 		}
@@ -114,8 +115,8 @@ func completeBipartite(g *graph.Graph, comp []int, inRight []bool) bool {
 // equijoin (§3.1). Linear, by the check Solve runs.
 func IsEquijoinGraph(g *graph.Graph) bool {
 	inRight := make([]bool, g.N())
-	for _, comp := range g.Components() {
-		if len(comp) > 1 && !completeBipartite(g, comp, inRight) {
+	for ci := range g.ComponentCount() {
+		if comp, _ := g.Component(ci); len(comp) > 1 && !completeBipartite(g, comp, inRight) {
 			return false
 		}
 	}
