@@ -5,6 +5,7 @@
 package bad
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -23,8 +24,8 @@ func dynamicMetric(alg string) *obs.Counter {
 	return obs.Default.Counter("bad/" + alg + "/ops")
 }
 
-func fireInline() error {
-	return faultinject.Fire("bad/inline-site")
+func fireInline(ctx context.Context) error {
+	return faultinject.Fire(ctx, "bad/inline-site")
 }
 
 func compareSentinel(err error) bool {

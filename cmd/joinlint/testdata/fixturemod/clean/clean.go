@@ -3,6 +3,7 @@
 package clean
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,8 +23,8 @@ const SiteClean = "engine/rung"
 
 var cOps = obs.Default.Counter("clean/ops")
 
-func fire() error {
-	return faultinject.Fire(SiteClean)
+func fire(ctx context.Context) error {
+	return faultinject.Fire(ctx, SiteClean)
 }
 
 func wrap(n int) error {

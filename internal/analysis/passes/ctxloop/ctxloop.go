@@ -165,11 +165,10 @@ func scanRegion(info *types.Info, body *ast.BlockStmt, self types.Object) region
 		if fn == nil {
 			return true
 		}
-		// FireContext is a fire, not a check: it selects on ctx only
-		// when a site is armed with a delay, so a disarmed run would
-		// never observe cancellation through it.
-		if analysis.FuncIs(fn, "joinpebble/internal/faultinject", "", "Fire") ||
-			analysis.FuncIs(fn, "joinpebble/internal/faultinject", "", "FireContext") {
+		// Fire is a fire, not a check, though it takes ctx: it selects
+		// on ctx only when a site is armed with a delay, so a disarmed
+		// run would never observe cancellation through it.
+		if analysis.FuncIs(fn, "joinpebble/internal/faultinject", "", "Fire") {
 			res.fires = append(res.fires, call.Pos())
 		}
 		if fn.Pkg() != nil && fn.Pkg().Path() == "context" && (fn.Name() == "Err" || fn.Name() == "Done") {

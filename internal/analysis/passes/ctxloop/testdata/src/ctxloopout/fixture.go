@@ -2,10 +2,14 @@
 // ignore even a blatantly unchecked expansion loop here.
 package ctxloopout
 
-import "joinpebble/internal/faultinject"
+import (
+	"context"
 
-func fireLoop(n int) {
+	"joinpebble/internal/faultinject"
+)
+
+func fireLoop(ctx context.Context, n int) {
 	for i := 0; i < n; i++ {
-		_ = faultinject.Fire("out/fixture")
+		_ = faultinject.Fire(ctx, "out/fixture")
 	}
 }

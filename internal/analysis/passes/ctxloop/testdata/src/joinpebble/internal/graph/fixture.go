@@ -16,12 +16,11 @@ const clawMask = 0x3FF
 func scanUnchecked(ctx context.Context, n int) error {
 	for v := 0; v < n; v++ { // want `loop in function scanUnchecked calls faultinject\.Fire \(search expansion\) but never checks ctx\.Err`
 		if v&clawMask == 0 {
-			if err := faultinject.Fire("graph/fixture-scan"); err != nil {
+			if err := faultinject.Fire(ctx, "graph/fixture-scan"); err != nil {
 				return err
 			}
 		}
 	}
-	_ = ctx
 	return nil
 }
 
@@ -29,7 +28,7 @@ func scanUnchecked(ctx context.Context, n int) error {
 func scanBounded(ctx context.Context, n int) error {
 	for v := 0; v < n; v++ {
 		if v&clawMask == 0 {
-			if err := faultinject.Fire("graph/fixture-scan"); err != nil {
+			if err := faultinject.Fire(ctx, "graph/fixture-scan"); err != nil {
 				return err
 			}
 			if err := ctx.Err(); err != nil {

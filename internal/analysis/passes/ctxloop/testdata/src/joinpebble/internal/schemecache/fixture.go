@@ -14,14 +14,13 @@ import (
 func sweepUnchecked(ctx context.Context, slots []bool) int {
 	hand := 0
 	for i := 0; i < 2*len(slots); i++ { // want `loop in function sweepUnchecked calls faultinject\.Fire \(search expansion\) but never checks ctx\.Err`
-		_ = faultinject.Fire("schemecache/fixture-evict")
+		_ = faultinject.Fire(ctx, "schemecache/fixture-evict")
 		if !slots[hand] {
 			return hand
 		}
 		slots[hand] = false
 		hand = (hand + 1) % len(slots)
 	}
-	_ = ctx
 	return -1
 }
 
@@ -32,7 +31,7 @@ func sweepChecked(ctx context.Context, slots []bool) int {
 		if ctx.Err() != nil {
 			return -1
 		}
-		_ = faultinject.Fire("schemecache/fixture-evict")
+		_ = faultinject.Fire(ctx, "schemecache/fixture-evict")
 		if !slots[hand] {
 			return hand
 		}

@@ -10,14 +10,15 @@ import (
 )
 
 // retryUnchecked is the shape the extension exists to catch: a retry
-// loop firing a serve checkpoint with no way out on cancellation.
+// loop firing a serve checkpoint with no way out on cancellation. Fire
+// selects on ctx only while a site is armed with a delay, so handing it
+// ctx is an expansion, never a cancellation check.
 func retryUnchecked(ctx context.Context, attempts int) error {
 	for try := 0; try < attempts; try++ { // want `loop in function retryUnchecked calls faultinject\.Fire \(search expansion\) but never checks ctx\.Err`
-		if err := faultinject.Fire("serve/fixture-retry"); err != nil {
+		if err := faultinject.Fire(ctx, "serve/fixture-retry"); err != nil {
 			return err
 		}
 	}
-	_ = ctx
 	return nil
 }
 
@@ -28,35 +29,8 @@ func retryChecked(ctx context.Context, attempts int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := faultinject.Fire("serve/fixture-retry"); err != nil {
+		if err := faultinject.Fire(ctx, "serve/fixture-retry"); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// fireContextIsNotACheck: FireContext selects on ctx only while a site
-// is armed with a delay, so it counts as an expansion, never as a
-// cancellation check.
-func fireContextIsNotACheck(ctx context.Context, n int) error {
-	for i := 0; i < n; i++ { // want `loop in function fireContextIsNotACheck calls faultinject\.Fire \(search expansion\) but never checks ctx\.Err`
-		if err := faultinject.FireContext(ctx, "serve/fixture-admit"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fireContextWithCheck pairs the checkpoint with a real ctx check.
-func fireContextWithCheck(ctx context.Context, n int) error {
-	for i := 0; i < n; i++ {
-		if err := faultinject.FireContext(ctx, "serve/fixture-admit"); err != nil {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
 		}
 	}
 	return nil

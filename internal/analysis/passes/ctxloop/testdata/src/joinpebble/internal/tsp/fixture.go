@@ -14,12 +14,11 @@ const mask = 0x3FF
 func uncheckedLoop(ctx context.Context, n int) error {
 	for s := 0; s < n; s++ { // want `loop in function uncheckedLoop calls faultinject\.Fire \(search expansion\) but never checks ctx\.Err`
 		if s&mask == 0 {
-			if err := faultinject.Fire("tsp/fixture-expand"); err != nil {
+			if err := faultinject.Fire(ctx, "tsp/fixture-expand"); err != nil {
 				return err
 			}
 		}
 	}
-	_ = ctx
 	return nil
 }
 
@@ -27,7 +26,7 @@ func uncheckedLoop(ctx context.Context, n int) error {
 func sparseLoop(ctx context.Context, n int) error {
 	for s := 0; s < n; s++ {
 		if s&0x1FFFF == 0 {
-			if err := faultinject.Fire("tsp/fixture-expand"); err != nil {
+			if err := faultinject.Fire(ctx, "tsp/fixture-expand"); err != nil {
 				return err
 			}
 			if err := ctx.Err(); err != nil { // want `checks cancellation only every 131072 expansions`
@@ -42,7 +41,7 @@ func sparseLoop(ctx context.Context, n int) error {
 func boundedLoop(ctx context.Context, n int) error {
 	for s := 0; s < n; s++ {
 		if s&mask == 0 {
-			if err := faultinject.Fire("tsp/fixture-expand"); err != nil {
+			if err := faultinject.Fire(ctx, "tsp/fixture-expand"); err != nil {
 				return err
 			}
 			if err := ctx.Err(); err != nil {
@@ -56,7 +55,7 @@ func boundedLoop(ctx context.Context, n int) error {
 // eagerLoop checks every iteration, unguarded.
 func eagerLoop(ctx context.Context, n int) error {
 	for s := 0; s < n; s++ {
-		if err := faultinject.Fire("tsp/fixture-expand"); err != nil {
+		if err := faultinject.Fire(ctx, "tsp/fixture-expand"); err != nil {
 			return err
 		}
 		select {
@@ -77,7 +76,7 @@ func recursiveUnchecked(ctx context.Context, depth int) {
 	dfs = func(d int) { // want `self-recursive closure dfs calls faultinject\.Fire \(search expansion\) but never checks ctx\.Err`
 		nodes++
 		if nodes&mask == 0 {
-			_ = faultinject.Fire("tsp/fixture-expand")
+			_ = faultinject.Fire(ctx, "tsp/fixture-expand")
 		}
 		if d == 0 {
 			return
@@ -85,7 +84,6 @@ func recursiveUnchecked(ctx context.Context, depth int) {
 		dfs(d - 1)
 	}
 	dfs(depth)
-	_ = ctx
 }
 
 // recursiveChecked is the compliant dfs shape.
@@ -95,7 +93,7 @@ func recursiveChecked(ctx context.Context, depth int) {
 	dfs = func(d int) {
 		nodes++
 		if nodes&mask == 0 {
-			_ = faultinject.Fire("tsp/fixture-expand")
+			_ = faultinject.Fire(ctx, "tsp/fixture-expand")
 			if ctx.Err() != nil {
 				return
 			}

@@ -54,14 +54,12 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			fn := analysis.CalleeFunc(info, call)
-			// The site name is argument 0 for Fire/Arm and argument 1 for
-			// FireContext (the context comes first there).
+			// The site name is argument 1 for Fire (the context comes
+			// first there) and argument 0 for Arm.
 			verb, nameArg := "", 0
 			switch {
 			case analysis.FuncIs(fn, faultinjectPath, "", "Fire"):
-				verb = "Fire"
-			case analysis.FuncIs(fn, faultinjectPath, "", "FireContext"):
-				verb, nameArg = "FireContext", 1
+				verb, nameArg = "Fire", 1
 			case analysis.FuncIs(fn, faultinjectPath, "", "Arm"):
 				verb = "Arm"
 			}

@@ -18,40 +18,28 @@ const (
 	SiteDupB = "solver/component"
 )
 
-func fireGood() error {
-	return faultinject.Fire(SiteGood)
+func fireGood(ctx context.Context) error {
+	return faultinject.Fire(ctx, SiteGood)
 }
 
-func fireLiteral() error {
-	return faultinject.Fire("fixture/inline") // want `faultinject\.Fire site must be a named package-level constant`
+func fireLiteral(ctx context.Context) error {
+	return faultinject.Fire(ctx, "fixture/inline") // want `faultinject\.Fire site must be a named package-level constant`
 }
 
-func fireLocal() error {
+func fireLocal(ctx context.Context) error {
 	const site = "fixture/local"
-	return faultinject.Fire(site) // want `faultinject\.Fire site must be a named package-level constant`
+	return faultinject.Fire(ctx, site) // want `faultinject\.Fire site must be a named package-level constant`
 }
 
-func fireUnregistered() error {
-	return faultinject.Fire(SiteUnregistered) // want `faultinject site "fixture/unregistered" is not in DESIGN\.md's site registry`
+func fireUnregistered(ctx context.Context) error {
+	return faultinject.Fire(ctx, SiteUnregistered) // want `faultinject site "fixture/unregistered" is not in DESIGN\.md's site registry`
 }
 
-func fireDups() {
-	_ = faultinject.Fire(SiteDupA) // want `fault site "solver/component" is also declared by siteregfix\.SiteDupB`
-	_ = faultinject.Fire(SiteDupB) // want `fault site "solver/component" is also declared by siteregfix\.SiteDupA`
+func fireDups(ctx context.Context) {
+	_ = faultinject.Fire(ctx, SiteDupA) // want `fault site "solver/component" is also declared by siteregfix\.SiteDupB`
+	_ = faultinject.Fire(ctx, SiteDupB) // want `fault site "solver/component" is also declared by siteregfix\.SiteDupA`
 }
 
 func armLiteral() {
 	faultinject.Arm("fixture/armed", faultinject.Fault{}) // want `faultinject\.Arm site must be a named package-level constant`
-}
-
-func fireContextGood(ctx context.Context) error {
-	return faultinject.FireContext(ctx, SiteGood)
-}
-
-func fireContextLiteral(ctx context.Context) error {
-	return faultinject.FireContext(ctx, "fixture/ctx-inline") // want `faultinject\.FireContext site must be a named package-level constant`
-}
-
-func fireContextUnregistered(ctx context.Context) error {
-	return faultinject.FireContext(ctx, SiteUnregistered) // want `faultinject site "fixture/unregistered" is not in DESIGN\.md's site registry`
 }

@@ -172,12 +172,8 @@ func PerfSuite() []PerfCase {
 			Name: "simulate/bip-60x40-m2400",
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := core.Simulate(bip, simScheme)
-					if err != nil {
+					if _, err := core.VerifyContext(ctx, bip, simScheme); err != nil {
 						b.Fatal(err)
-					}
-					if !res.Complete() {
-						b.Fatal("scheme must delete every edge")
 					}
 				}
 			},
@@ -193,7 +189,7 @@ func PerfSuite() []PerfCase {
 				faultinject.Reset()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := faultinject.Fire(SiteBenchDisarmed); err != nil {
+					if err := faultinject.Fire(ctx, SiteBenchDisarmed); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -63,12 +63,9 @@ func SchemeFromEdgeOrder(g *graph.Graph, order []int) (Scheme, error) {
 	for i := 1; i < len(order); i++ {
 		cur := g.EdgeAt(order[i])
 		last := s[len(s)-1]
+		// last covers order[i-1], a different edge than cur (the order
+		// is duplicate-free), so at most one endpoint is shared.
 		switch {
-		case last.Covers(cur):
-			// Degenerate: same unordered pair cannot repeat (order is
-			// duplicate-free and edges are deduplicated), so this means
-			// the intermediate below already covered it; unreachable.
-			return nil, fmt.Errorf("core: duplicate configuration for edge %d", order[i])
 		case last.A == cur.U:
 			s = append(s, Config{A: last.A, B: cur.V})
 		case last.A == cur.V:
@@ -85,14 +82,20 @@ func SchemeFromEdgeOrder(g *graph.Graph, order []int) (Scheme, error) {
 	return s, nil
 }
 
-// EdgeOrderFromScheme extracts the deletion order of a complete scheme.
+// EdgeOrderFromScheme extracts the deletion order of a complete scheme:
+// after Verify accepts s, each edge is listed at the first configuration
+// that covers it.
 func EdgeOrderFromScheme(g *graph.Graph, s Scheme) ([]int, error) {
-	res, err := Simulate(g, s)
-	if err != nil {
+	if _, err := Verify(g, s); err != nil {
 		return nil, err
 	}
-	if !res.Complete() {
-		return nil, fmt.Errorf("core: scheme incomplete: %d of %d edges", res.DeletedCount, g.M())
+	listed := make([]bool, g.M())
+	order := make([]int, 0, g.M())
+	for _, c := range s {
+		if idx, ok := g.EdgeIndex(c.A, c.B); ok && !listed[idx] {
+			listed[idx] = true
+			order = append(order, idx)
+		}
 	}
-	return res.EdgeOrder, nil
+	return order, nil
 }

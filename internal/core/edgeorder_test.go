@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -117,5 +118,26 @@ func TestEdgeOrderRoundTrip(t *testing.T) {
 			}
 			seen[e] = true
 		}
+	}
+}
+
+// TestEdgeOrderFromSchemeFirstCover pins the extracted order to first
+// cover: the jump from (0,1) to (2,3) passes through (2,1), which deletes
+// edge 2 before edge 1, and the final (2,1) deletes nothing.
+func TestEdgeOrderFromSchemeFirstCover(t *testing.T) {
+	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 2, V: 1}})
+	s, err := SchemeFromEdgeOrder(g, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Scheme{{0, 1}, {2, 1}, {2, 3}, {2, 1}}); !slices.Equal(s, want) {
+		t.Fatalf("scheme %v, want %v", s, want)
+	}
+	order, err := EdgeOrderFromScheme(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 2, 1}; !slices.Equal(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 }

@@ -38,10 +38,11 @@ type KMove struct {
 // placements count as moves, matching Definition 2.1's accounting).
 func (s *KScheme) Cost() int { return len(s.Moves) }
 
-// SimulateK replays a k-pebble scheme and reports the edges deleted.
-func SimulateK(g *graph.Graph, s *KScheme) (*Result, error) {
+// VerifyK replays a k-pebble scheme, checks that it deletes every edge,
+// and returns its move count.
+func VerifyK(g *graph.Graph, s *KScheme) (int, error) {
 	if s.K < 2 {
-		return nil, fmt.Errorf("core: k-pebble game needs k >= 2, got %d", s.K)
+		return 0, fmt.Errorf("core: k-pebble game needs k >= 2, got %d", s.K)
 	}
 	pos := make(KConfig, s.K)
 	for i := range pos {
@@ -49,49 +50,30 @@ func SimulateK(g *graph.Graph, s *KScheme) (*Result, error) {
 	}
 	// occupied[v] counts pebbles on v.
 	occupied := make([]int, g.N())
-	res := &Result{Deleted: make([]bool, g.M())}
-	deleteCovered := func(v int) {
-		for _, ei := range g.IncidentEdges(v) {
-			if res.Deleted[ei] {
-				continue
-			}
-			e := g.EdgeAt(ei)
-			if occupied[e.U] > 0 && occupied[e.V] > 0 {
-				res.Deleted[ei] = true
-				res.DeletedCount++
-				res.EdgeOrder = append(res.EdgeOrder, ei)
-			}
-		}
-	}
+	deleted := make([]bool, g.M())
+	count := 0
 	for i, mv := range s.Moves {
 		if mv.Pebble < 0 || mv.Pebble >= s.K {
-			return nil, fmt.Errorf("core: move %d: pebble %d outside [0,%d)", i, mv.Pebble, s.K)
+			return 0, fmt.Errorf("core: move %d: pebble %d outside [0,%d)", i, mv.Pebble, s.K)
 		}
 		if mv.To < 0 || mv.To >= g.N() {
-			return nil, fmt.Errorf("core: move %d: vertex %d out of range", i, mv.To)
+			return 0, fmt.Errorf("core: move %d: vertex %d out of range", i, mv.To)
 		}
 		if old := pos[mv.Pebble]; old != Unplaced {
 			occupied[old]--
 		}
 		pos[mv.Pebble] = mv.To
 		occupied[mv.To]++
-		before := res.DeletedCount
-		deleteCovered(mv.To)
-		if res.DeletedCount == before {
-			res.WastedConfigs++
+		// Only edges at the vertex just covered can become deleted.
+		for _, ei := range g.IncidentEdges(mv.To) {
+			if e := g.EdgeAt(ei); !deleted[ei] && occupied[e.U] > 0 && occupied[e.V] > 0 {
+				deleted[ei] = true
+				count++
+			}
 		}
 	}
-	return res, nil
-}
-
-// VerifyK checks completeness and returns the move count.
-func VerifyK(g *graph.Graph, s *KScheme) (int, error) {
-	res, err := SimulateK(g, s)
-	if err != nil {
-		return 0, err
-	}
-	if !res.Complete() {
-		return 0, fmt.Errorf("core: k-scheme deletes %d of %d edges", res.DeletedCount, g.M())
+	if count != g.M() {
+		return 0, fmt.Errorf("core: k-scheme deletes %d of %d edges", count, g.M())
 	}
 	return s.Cost(), nil
 }

@@ -23,13 +23,13 @@ func TestSimulateKBasic(t *testing.T) {
 
 func TestSimulateKValidation(t *testing.T) {
 	g := graph.New(2, []graph.Edge{{U: 0, V: 1}})
-	if _, err := SimulateK(g, &KScheme{K: 1}); err == nil {
+	if _, err := VerifyK(g, &KScheme{K: 1}); err == nil {
 		t.Fatal("k=1 must be rejected")
 	}
-	if _, err := SimulateK(g, &KScheme{K: 2, Moves: []KMove{{Pebble: 5, To: 0}}}); err == nil {
+	if _, err := VerifyK(g, &KScheme{K: 2, Moves: []KMove{{Pebble: 5, To: 0}}}); err == nil {
 		t.Fatal("bad pebble index must be rejected")
 	}
-	if _, err := SimulateK(g, &KScheme{K: 2, Moves: []KMove{{Pebble: 0, To: 9}}}); err == nil {
+	if _, err := VerifyK(g, &KScheme{K: 2, Moves: []KMove{{Pebble: 0, To: 9}}}); err == nil {
 		t.Fatal("bad vertex must be rejected")
 	}
 	if _, err := VerifyK(g, &KScheme{K: 2}); err == nil {

@@ -21,13 +21,13 @@ import (
 	"joinpebble/internal/obs"
 )
 
-// Pebble-game accounting, flushed once per simulated run (the per-config
+// Pebble-game accounting, flushed once per verified run (the per-config
 // loop stays counter-free): acquisitions are the π̂ moves that put a
 // pebble on a vertex — the paper's central cost — and releases are the
 // moves that vacated one (every move after the two initial placements).
 // The bindings are scope-aware (obs.Scope): callers that thread a scoped
-// context through SimulateContext/VerifyContext account the run to their
-// request; the plain Simulate/Verify record globally as before.
+// context through VerifyContext account the run to their request; the
+// plain Verify records globally.
 var (
 	cSimulateRuns   = obs.ScopedCounter("core/simulate/runs")
 	cSimulateConfig = obs.ScopedCounter("core/simulate/configs")
@@ -42,12 +42,6 @@ var (
 // exactly one of the two positions.
 type Config struct {
 	A, B int
-}
-
-// Covers reports whether the configuration's pebbles sit on the endpoints
-// of edge e.
-func (c Config) Covers(e graph.Edge) bool {
-	return (c.A == e.U && c.B == e.V) || (c.A == e.V && c.B == e.U)
 }
 
 // MovesFrom returns the number of single-pebble moves needed to reach c
@@ -85,87 +79,51 @@ func (s Scheme) EffectiveCost(g *graph.Graph) int {
 	return s.Cost() - Betti0(g)
 }
 
-// Result reports what a scheme did to a graph when simulated.
-type Result struct {
-	// Deleted[i] is true if edge i of the graph was deleted.
-	Deleted []bool
-	// DeletedCount is the number of deleted edges.
-	DeletedCount int
-	// EdgeOrder lists edge indices in deletion order.
-	EdgeOrder []int
-	// WastedConfigs counts configurations that deleted no edge.
-	WastedConfigs int
-}
-
-// Complete reports whether every edge was deleted.
-func (r *Result) Complete() bool { return r.DeletedCount == len(r.Deleted) }
-
-// Simulate runs the scheme against g and reports which edges it deletes.
-// It returns an error if the scheme is structurally invalid: a pebble
-// outside the vertex range, or a transition that moves both pebbles (the
-// game allows one pebble move at a time).
-//
-// The inner loop is one EdgeIndex probe per configuration, an
-// allocation-free search of a sorted neighbor span.
-func Simulate(g *graph.Graph, s Scheme) (*Result, error) {
-	return SimulateContext(context.Background(), g, s)
-}
-
-// SimulateContext is Simulate with request-scoped accounting: the flush
-// lands in the obs.Scope carried by ctx, if any. The simulation itself
-// is not interruptible — it is a linear referee pass, fast relative to
-// the searches that produce schemes.
-func SimulateContext(ctx context.Context, g *graph.Graph, s Scheme) (*Result, error) {
-	res := &Result{
-		Deleted:   make([]bool, g.M()),
-		EdgeOrder: make([]int, 0, g.M()),
-	}
-	for i, c := range s {
-		if c.A < 0 || c.A >= g.N() || c.B < 0 || c.B >= g.N() {
-			return nil, fmt.Errorf("core: config %d %v out of vertex range [0,%d)", i, c, g.N())
-		}
-		if i > 0 {
-			if mv := c.MovesFrom(s[i-1]); mv != 1 {
-				return nil, fmt.Errorf("core: transition %d: %v -> %v moves %d pebbles, want 1", i, s[i-1], c, mv)
-			}
-		}
-		if idx, ok := g.EdgeIndex(c.A, c.B); ok && !res.Deleted[idx] {
-			res.Deleted[idx] = true
-			res.DeletedCount++
-			res.EdgeOrder = append(res.EdgeOrder, idx)
-		} else {
-			res.WastedConfigs++
-		}
-	}
-	cSimulateRuns.Inc(ctx)
-	cSimulateConfig.Add(ctx, int64(len(s)))
-	cSimulateWasted.Add(ctx, int64(res.WastedConfigs))
-	cEdgesDeleted.Add(ctx, int64(res.DeletedCount))
-	if cost := s.Cost(); cost > 0 {
-		cPebbleAcquire.Add(ctx, int64(cost))
-		cPebbleRelease.Add(ctx, int64(cost-2))
-	}
-	return res, nil
-}
-
 // Verify checks that s is a valid, complete pebbling scheme for g and
 // returns its cost π̂. It is the referee used by tests and benchmarks: a
-// solver's claimed cost must match what simulation observes.
+// solver's claimed cost must match what the replay observes.
 func Verify(g *graph.Graph, s Scheme) (int, error) {
 	return VerifyContext(context.Background(), g, s)
 }
 
-// VerifyContext is Verify with request-scoped accounting (see
-// SimulateContext).
+// VerifyContext is Verify with request-scoped accounting: the counter
+// flush lands in the obs.Scope carried by ctx, if any. It replays s once,
+// rejecting a pebble outside the vertex range or a transition that does
+// not move exactly one pebble, marks each edge the first time a
+// configuration covers it (one EdgeIndex probe per configuration, an
+// allocation-free search of a sorted neighbor span), and then requires
+// every edge deleted. The replay is not interruptible: it is a linear
+// pass, fast relative to the searches that produce schemes.
 func VerifyContext(ctx context.Context, g *graph.Graph, s Scheme) (int, error) {
-	res, err := SimulateContext(ctx, g, s)
-	if err != nil {
-		return 0, err
+	deleted := make([]bool, g.M())
+	newly := 0
+	for i, c := range s {
+		if c.A < 0 || c.A >= g.N() || c.B < 0 || c.B >= g.N() {
+			return 0, fmt.Errorf("core: config %d %v out of vertex range [0,%d)", i, c, g.N())
+		}
+		if i > 0 {
+			if mv := c.MovesFrom(s[i-1]); mv != 1 {
+				return 0, fmt.Errorf("core: transition %d: %v -> %v moves %d pebbles, want 1", i, s[i-1], c, mv)
+			}
+		}
+		if idx, ok := g.EdgeIndex(c.A, c.B); ok && !deleted[idx] {
+			deleted[idx] = true
+			newly++
+		}
 	}
-	if !res.Complete() {
-		return 0, fmt.Errorf("core: scheme deletes %d of %d edges", res.DeletedCount, g.M())
+	cSimulateRuns.Inc(ctx)
+	cSimulateConfig.Add(ctx, int64(len(s)))
+	cSimulateWasted.Add(ctx, int64(len(s)-newly))
+	cEdgesDeleted.Add(ctx, int64(newly))
+	cost := s.Cost()
+	if cost > 0 {
+		cPebbleAcquire.Add(ctx, int64(cost))
+		cPebbleRelease.Add(ctx, int64(cost-2))
 	}
-	return s.Cost(), nil
+	if newly != g.M() {
+		return 0, fmt.Errorf("core: scheme deletes %d of %d edges", newly, g.M())
+	}
+	return cost, nil
 }
 
 // Betti0 returns β₀(G) as used by the effective cost: the number of

@@ -1,22 +1,15 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"joinpebble/internal/graph"
+	"joinpebble/internal/obs"
 )
-
-func TestConfigCovers(t *testing.T) {
-	e := graph.Edge{U: 1, V: 2}
-	if !(Config{A: 1, B: 2}).Covers(e) || !(Config{A: 2, B: 1}).Covers(e) {
-		t.Fatal("both orientations must cover")
-	}
-	if (Config{A: 1, B: 3}).Covers(e) {
-		t.Fatal("non-matching config covers")
-	}
-}
 
 func TestConfigMovesFrom(t *testing.T) {
 	cases := []struct {
@@ -47,18 +40,35 @@ func TestSchemeCost(t *testing.T) {
 	}
 }
 
+// verifyScoped runs VerifyContext under a fresh request scope and
+// returns the scope's counters alongside the verdict.
+func verifyScoped(g *graph.Graph, s Scheme) (map[string]int64, int, error) {
+	sc := obs.NewScope("test/verify")
+	sc.SetRecorder(nil)
+	defer sc.Close()
+	cost, err := VerifyContext(obs.WithScope(context.Background(), sc), g, s)
+	return sc.Snapshot().Counters, cost, err
+}
+
 func TestSimulateDeletesEdges(t *testing.T) {
 	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	s := Scheme{{0, 1}, {2, 1}, {2, 3}}
-	res, err := Simulate(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Complete() || res.WastedConfigs != 0 {
-		t.Fatalf("result: %+v", res)
-	}
-	if cost, err := Verify(g, s); err != nil || cost != 4 {
+	counters, cost, err := verifyScoped(g, s)
+	if err != nil || cost != 4 {
 		t.Fatalf("verify: cost=%d err=%v", cost, err)
+	}
+	want := map[string]int64{
+		"core/simulate/runs":           1,
+		"core/simulate/configs":        3,
+		"core/simulate/edges_deleted":  3,
+		"core/simulate/wasted_configs": 0,
+		"core/pebble/acquisitions":     4,
+		"core/pebble/releases":         2,
+	}
+	for name, v := range want {
+		if counters[name] != v {
+			t.Errorf("%s = %d, want %d", name, counters[name], v)
+		}
 	}
 	if s.EffectiveCost(g) != 3 {
 		t.Fatalf("effective cost=%d want m=3", s.EffectiveCost(g))
@@ -67,15 +77,32 @@ func TestSimulateDeletesEdges(t *testing.T) {
 
 func TestSimulateRejectsDoubleMove(t *testing.T) {
 	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	if _, err := Simulate(g, Scheme{{0, 1}, {2, 3}}); err == nil {
+	if _, err := Verify(g, Scheme{{0, 1}, {2, 3}}); err == nil {
 		t.Fatal("jump without intermediate config must be rejected")
 	}
 }
 
 func TestSimulateRejectsOutOfRange(t *testing.T) {
 	g := graph.New(2, []graph.Edge{{U: 0, V: 1}})
-	if _, err := Simulate(g, Scheme{{0, 5}}); err == nil {
+	if _, err := Verify(g, Scheme{{0, 5}}); err == nil {
 		t.Fatal("out-of-range pebble must be rejected")
+	}
+}
+
+// TestVerifyRejectsRepeatedConfig pins that a configuration repeated in
+// either orientation is a zero-move transition, which is why
+// SchemeFromEdgeOrder needs no case for an edge its last configuration
+// already covers.
+func TestVerifyRejectsRepeatedConfig(t *testing.T) {
+	g := graph.New(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	for _, s := range []Scheme{
+		{{0, 1}, {0, 1}, {2, 1}},
+		{{0, 1}, {1, 0}, {1, 2}},
+	} {
+		_, err := Verify(g, s)
+		if err == nil || !strings.Contains(err.Error(), "moves 0 pebbles") {
+			t.Errorf("%v: err = %v, want a zero-move transition", s, err)
+		}
 	}
 }
 
@@ -86,20 +113,35 @@ func TestVerifyRejectsIncomplete(t *testing.T) {
 	}
 }
 
+// TestVerifyAllocatesOnce pins the referee's footprint: one deleted flag
+// per edge and nothing else on a complete scheme.
+func TestVerifyAllocatesOnce(t *testing.T) {
+	g := graph.RandomConnectedBipartite(rand.New(rand.NewSource(3)), 20, 20, 200).Graph()
+	s := NaiveScheme(g)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := VerifyContext(context.Background(), g, s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("VerifyContext made %v allocations, want 1", allocs)
+	}
+}
+
 func TestWastedConfigCounting(t *testing.T) {
 	g := graph.New(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
 	// Jump with intermediate config (2,1): wasted unless it happens to be
 	// an edge (it is not here).
 	s := Scheme{{0, 1}, {2, 1}, {2, 3}}
-	res, err := Simulate(g, s)
+	counters, cost, err := verifyScoped(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Complete() || res.WastedConfigs != 1 {
-		t.Fatalf("wasted=%d complete=%v", res.WastedConfigs, res.Complete())
+	if w, d := counters["core/simulate/wasted_configs"], counters["core/simulate/edges_deleted"]; w != 1 || d != 2 {
+		t.Fatalf("wasted=%d deleted=%d, want 1 and 2", w, d)
 	}
-	if s.Cost() != 4 { // 2m for the 2-edge matching: Lemma 2.4
-		t.Fatalf("matching cost=%d want 4", s.Cost())
+	if cost != 4 { // 2m for the 2-edge matching: Lemma 2.4
+		t.Fatalf("matching cost=%d want 4", cost)
 	}
 }
 

@@ -339,7 +339,7 @@ func (p *Planner) ladder(ctx context.Context, in *Instance, plan Plan, g *graph.
 // context, so an injected delay is cut short by the rung's soft
 // deadline (or the caller's cancellation) like any real slow solve.
 func attemptRung(ctx context.Context, s solver.Solver, g *graph.Graph) (core.Scheme, int, error) {
-	if err := faultinject.FireContext(ctx, SiteRung); err != nil {
+	if err := faultinject.Fire(ctx, SiteRung); err != nil {
 		return nil, 0, err
 	}
 	return solver.SolveAndVerify(ctx, s, g)

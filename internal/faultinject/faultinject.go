@@ -146,34 +146,23 @@ func Fired(name string) int64 {
 	return 0
 }
 
-// Fire is the production-side hook: call it at a named site; it applies
-// the armed fault's effects, if any. While nothing is armed anywhere it
-// is a no-op after one atomic load, so it is safe in hot paths. Sites
-// with a request context in hand should prefer FireContext so an
-// injected Delay cannot outlive a cancelled request.
+// Fire is the production-side hook: call it at a named site with the
+// context of the work in hand; it applies the armed fault's effects, if
+// any. An armed Delay sleeps under ctx, returning ctx.Err() the moment
+// the work is cancelled instead of holding the caller for the full
+// injected duration; Err and Panic effects ignore ctx. While nothing is
+// armed anywhere it is a no-op after one atomic load, so it is safe in
+// hot paths.
 //
 //joinpebble:hotpath
-func Fire(name string) error {
-	if armedCount.Load() == 0 {
-		return nil
-	}
-	return fire(context.Background(), name)
-}
-
-// FireContext is Fire bound to a request context: an armed Delay sleeps
-// under ctx, returning ctx.Err() the moment the request is cancelled
-// instead of holding the handler for the full injected duration. Err and
-// Panic effects are unchanged. Same disarmed fast path as Fire.
-//
-//joinpebble:hotpath
-func FireContext(ctx context.Context, name string) error {
+func Fire(ctx context.Context, name string) error {
 	if armedCount.Load() == 0 {
 		return nil
 	}
 	return fire(ctx, name)
 }
 
-// fire is the slow path, split out so Fire/FireContext stay inlinable.
+// fire is the slow path, split out so Fire stays inlinable.
 func fire(ctx context.Context, name string) error {
 	mu.Lock()
 	s, ok := sites[name]
@@ -195,9 +184,9 @@ func fire(ctx context.Context, name string) error {
 	}
 	// Effects run outside the lock so a Delay at one site never blocks
 	// arming, disarming, or other sites firing. The sleep selects on the
-	// caller's context (Background for plain Fire — its Done channel is
-	// nil, so the timer always wins there), so a cancelled request gets
-	// its cancellation back instead of the remainder of the delay.
+	// caller's context (a Background context's Done channel is nil, so
+	// the timer always wins there), so a cancelled request gets its
+	// cancellation back instead of the remainder of the delay.
 	if f.Delay > 0 {
 		t := time.NewTimer(f.Delay)
 		select {

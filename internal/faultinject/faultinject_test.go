@@ -11,7 +11,7 @@ import (
 )
 
 func TestDisarmedFireIsNil(t *testing.T) {
-	if err := Fire("nowhere"); err != nil {
+	if err := Fire(context.Background(), "nowhere"); err != nil {
 		t.Fatalf("disarmed Fire returned %v", err)
 	}
 	if Armed() {
@@ -23,16 +23,16 @@ func TestErrorInjection(t *testing.T) {
 	defer Reset()
 	sentinel := errors.New("sentinel")
 	Arm("site/a", Fault{Err: fmt.Errorf("%w: injected", sentinel)})
-	err := Fire("site/a")
+	err := Fire(context.Background(), "site/a")
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("injected error %v does not match sentinel", err)
 	}
 	// Another site stays clean.
-	if err := Fire("site/b"); err != nil {
+	if err := Fire(context.Background(), "site/b"); err != nil {
 		t.Fatalf("unarmed sibling site returned %v", err)
 	}
 	Disarm("site/a")
-	if err := Fire("site/a"); err != nil {
+	if err := Fire(context.Background(), "site/a"); err != nil {
 		t.Fatalf("disarmed site returned %v", err)
 	}
 	if Armed() {
@@ -48,7 +48,7 @@ func TestPanicInjection(t *testing.T) {
 			t.Fatalf("recovered %v, want boom", r)
 		}
 	}()
-	Fire("site/panic")
+	Fire(context.Background(), "site/panic")
 	t.Fatal("Fire did not panic")
 }
 
@@ -56,7 +56,7 @@ func TestDelayInjection(t *testing.T) {
 	defer Reset()
 	Arm("site/slow", Fault{Delay: 30 * time.Millisecond})
 	start := time.Now()
-	if err := Fire("site/slow"); err != nil {
+	if err := Fire(context.Background(), "site/slow"); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {
@@ -72,7 +72,7 @@ func TestSkipAndTimes(t *testing.T) {
 	Arm("site/sched", Fault{Err: sentinel, Skip: 2, Times: 2})
 	var got []bool
 	for i := 0; i < 6; i++ {
-		got = append(got, Fire("site/sched") != nil)
+		got = append(got, Fire(context.Background(), "site/sched") != nil)
 	}
 	want := []bool{false, false, true, true, false, false}
 	for i := range want {
@@ -94,7 +94,7 @@ func TestZeroFaultCountsHits(t *testing.T) {
 	defer Reset()
 	Arm("site/probe", Fault{})
 	for i := 0; i < 3; i++ {
-		if err := Fire("site/probe"); err != nil {
+		if err := Fire(context.Background(), "site/probe"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestConcurrentFire(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if Fire("site/conc") != nil {
+				if Fire(context.Background(), "site/conc") != nil {
 					fired.Add(1)
 				}
 			}
@@ -136,8 +136,9 @@ func TestConcurrentFire(t *testing.T) {
 // production: one atomic load. The bench harness pins this as the
 // faultinject/disarmed-fire series.
 func BenchmarkDisarmedFire(b *testing.B) {
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		if err := Fire("solver/component"); err != nil {
+		if err := Fire(ctx, "solver/component"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,16 +153,16 @@ func TestDelaySelectsOnContext(t *testing.T) {
 	Arm("site/delay", Fault{Delay: time.Minute})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- FireContext(ctx, "site/delay") }()
+	go func() { done <- Fire(ctx, "site/delay") }()
 	time.Sleep(10 * time.Millisecond) // let the goroutine enter the delay
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled FireContext returned %v, want context.Canceled", err)
+			t.Fatalf("cancelled Fire returned %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("FireContext still blocked long after cancellation; delay is not selecting on ctx")
+		t.Fatal("Fire still blocked long after cancellation; delay is not selecting on ctx")
 	}
 	if got := Fired("site/delay"); got != 1 {
 		t.Fatalf("Fired = %d, want 1", got)
@@ -171,13 +172,7 @@ func TestDelaySelectsOnContext(t *testing.T) {
 func TestDelayCompletesUnderLiveContext(t *testing.T) {
 	defer Reset()
 	Arm("site/delay", Fault{Delay: time.Millisecond, Err: errors.New("after delay")})
-	if err := FireContext(context.Background(), "site/delay"); err == nil || err.Error() != "after delay" {
-		t.Fatalf("FireContext = %v, want the armed error after the delay", err)
-	}
-}
-
-func TestFireContextDisarmedIsNil(t *testing.T) {
-	if err := FireContext(context.Background(), "nowhere"); err != nil {
-		t.Fatalf("disarmed FireContext returned %v", err)
+	if err := Fire(context.Background(), "site/delay"); err == nil || err.Error() != "after delay" {
+		t.Fatalf("Fire = %v, want the armed error after the delay", err)
 	}
 }

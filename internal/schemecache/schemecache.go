@@ -36,6 +36,7 @@
 package schemecache
 
 import (
+	"context"
 	"errors"
 	"sync"
 
@@ -159,7 +160,7 @@ func (c *Cache) Get(fp graph.Fingerprint) (Entry, error) {
 	s := c.shardFor(fp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := faultinject.Fire(SiteLookup); err != nil {
+	if err := faultinject.Fire(context.Background(), SiteLookup); err != nil {
 		return Entry{}, ErrMiss
 	}
 	i, ok := s.idx[fp]
@@ -168,7 +169,7 @@ func (c *Cache) Get(fp graph.Fingerprint) (Entry, error) {
 	}
 	s.slots[i].ref = true
 	ent := s.slots[i].ent
-	if err := faultinject.Fire(SiteCorrupt); err != nil && len(ent.Scheme) > 0 {
+	if err := faultinject.Fire(context.Background(), SiteCorrupt); err != nil && len(ent.Scheme) > 0 {
 		// Deterministic corruption of a private copy: an always
 		// out-of-range pebble, so the engine's verify-on-hit must reject
 		// the entry while the stored one stays clean.

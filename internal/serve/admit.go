@@ -53,16 +53,9 @@ type Admission struct {
 
 // NewAdmission builds a gate admitting maxConcurrent requests at once
 // with at most maxQueue callers waiting, each for at most queueTimeout.
+// The arguments are taken as given: Start passes Config values that
+// withDefaults has made positive.
 func NewAdmission(maxConcurrent, maxQueue int, queueTimeout time.Duration) *Admission {
-	if maxConcurrent < 1 {
-		maxConcurrent = 1
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
-	if queueTimeout <= 0 {
-		queueTimeout = time.Second
-	}
 	return &Admission{
 		slots:        make(chan struct{}, maxConcurrent),
 		maxQueue:     int64(maxQueue),
@@ -77,7 +70,7 @@ func NewAdmission(maxConcurrent, maxQueue int, queueTimeout time.Duration) *Admi
 // fault); a cancelled ctx returns ctx.Err() — the caller is gone, not
 // rejected, and the distinction keeps the 429 counters honest.
 func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
-	if err := faultinject.FireContext(ctx, SiteAdmit); err != nil {
+	if err := faultinject.Fire(ctx, SiteAdmit); err != nil {
 		if ctx.Err() != nil {
 			cAdmitCancel.Inc()
 			return nil, ctx.Err()

@@ -2,9 +2,9 @@ package serve
 
 // The retrying client: the other half of the admission-control
 // contract. The server answers overload with 429 + Retry-After in
-// microseconds; a well-behaved caller backs off for the advertised
-// wait (or capped exponential backoff with jitter when the server gave
-// none) and retries inside its own budget. cmd/loadgen and the CI
+// microseconds; a well-behaved caller backs off for the longer of the
+// advertised wait and a capped exponential backoff, with jitter, and
+// retries inside its own budget. cmd/loadgen and the CI
 // smoke job drive pebbled exclusively through this client, so the
 // backoff policy is exercised, not just documented.
 
@@ -41,6 +41,13 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("serve: status %d: %s", e.Status, e.Msg)
 }
 
+// Retry backoff bounds: the first retry waits baseBackoff, and no wait
+// exceeds maxBackoff (see sleep).
+const (
+	baseBackoff = 25 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+)
+
 // Client is a retrying HTTP client for the /v1 API, safe for concurrent
 // use (loadgen workers share one).
 type Client struct {
@@ -50,11 +57,6 @@ type Client struct {
 	HTTP *http.Client
 	// MaxAttempts bounds tries per call (first try included); 0 means 4.
 	MaxAttempts int
-	// BaseBackoff seeds the exponential backoff; 0 means 25ms. Doubles
-	// per retry, capped at MaxBackoff (0 means 2s), jittered ±50%, and
-	// overridden upward by a server Retry-After.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 
 	//joinlint:lockrank serve-client 60
 	mu  sync.Mutex
@@ -177,25 +179,17 @@ func (c *Client) post(ctx context.Context, path string, body []byte, out any) (i
 	return hresp.StatusCode, hint, nil
 }
 
-// sleep blocks for the retry wait: the server's suggestion when it gave
-// one, else exponential backoff (BaseBackoff << try, capped) — either
-// way jittered ±50% so synchronized clients do not re-stampede, and cut
-// short by ctx.
+// sleep blocks for the retry wait: the longer of the server's
+// suggestion and exponential backoff (baseBackoff << try), capped at
+// maxBackoff, jittered ±50% so synchronized clients do not re-stampede,
+// and cut short by ctx.
 func (c *Client) sleep(ctx context.Context, try int, suggested time.Duration) error {
-	base := c.BaseBackoff
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
-	maxWait := c.MaxBackoff
-	if maxWait <= 0 {
-		maxWait = 2 * time.Second
-	}
-	wait := base << uint(try)
+	wait := baseBackoff << uint(try)
 	if suggested > wait {
 		wait = suggested
 	}
-	if wait > maxWait {
-		wait = maxWait
+	if wait > maxBackoff {
+		wait = maxBackoff
 	}
 	c.mu.Lock()
 	if c.rng == nil {

@@ -68,7 +68,6 @@ func TestClientRetriesOverloadHonoringRetryAfter(t *testing.T) {
 func TestClientRetries503(t *testing.T) {
 	srv, _ := fakeServer(t, []int{http.StatusServiceUnavailable}, 5)
 	c := NewClient(srv.URL, 1)
-	c.BaseBackoff = time.Millisecond
 	if _, st, err := c.Solve(context.Background(), &SolveRequest{Family: "equijoin", Left: 4, Right: 4}); err != nil {
 		t.Fatalf("Solve: %v", err)
 	} else if st.Attempts != 2 {
@@ -116,7 +115,6 @@ func TestClientExhaustsRetries(t *testing.T) {
 	srv, calls := fakeServer(t, []int{429, 429, 429, 429, 429, 429, 429, 429}, 1)
 	c := NewClient(srv.URL, 3)
 	c.MaxAttempts = 3
-	c.BaseBackoff = time.Millisecond
 
 	_, st, err := c.Solve(context.Background(), &SolveRequest{Family: "equijoin", Left: 4, Right: 4})
 	var se *StatusError

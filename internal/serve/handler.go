@@ -234,7 +234,7 @@ func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, ep endpoint) {
 	defer sc.Close()
 	sc.Note("family", req.Family)
 
-	if err := faultinject.FireContext(ctx, SiteHandler); err != nil {
+	if err := faultinject.Fire(ctx, SiteHandler); err != nil {
 		if r.Context().Err() != nil {
 			cReqCanceled.Inc()
 			return

@@ -65,8 +65,6 @@ type LoadConfig struct {
 	// most requests are small, the tail is fat.
 	MinSize, MaxSize int
 	Alpha            float64
-	// Mix is the family blend; nil means DefaultMix.
-	Mix []LoadMix
 	// Client, when non-nil, overrides the default retrying client
 	// (tests inject one with a tighter policy).
 	Client *Client
@@ -90,9 +88,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Alpha <= 0 {
 		c.Alpha = 1.5
-	}
-	if len(c.Mix) == 0 {
-		c.Mix = DefaultMix()
 	}
 	return c
 }
@@ -200,16 +195,17 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	return &rep, ctx.Err()
 }
 
-// genRequest draws one request: family by mix weight, sizes from the
-// bounded Pareto tail, a fresh workload seed.
+// genRequest draws one request: family by DefaultMix weight, sizes from
+// the bounded Pareto tail, a fresh workload seed.
 func (c LoadConfig) genRequest(rng *rand.Rand) *SolveRequest {
+	mixes := DefaultMix()
 	var total float64
-	for _, m := range c.Mix {
+	for _, m := range mixes {
 		total += m.Weight
 	}
 	pick := rng.Float64() * total
-	mix := c.Mix[len(c.Mix)-1]
-	for _, m := range c.Mix {
+	mix := mixes[len(mixes)-1]
+	for _, m := range mixes {
 		if pick < m.Weight {
 			mix = m
 			break

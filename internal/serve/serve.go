@@ -197,7 +197,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	cDrainStarted.Inc()
 	cDrainInflight.Add(int64(s.admission.InFlight()))
-	if err := faultinject.FireContext(ctx, SiteDrain); err != nil {
+	if err := faultinject.Fire(ctx, SiteDrain); err != nil {
 		// A drain-hook fault is recorded, never fatal: stranding
 		// in-flight solves because a shutdown callback failed would
 		// invert the robustness contract.

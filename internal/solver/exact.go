@@ -27,7 +27,7 @@ func (Exact) Name() string { return "exact" }
 func (Exact) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	var w lineWalk
 	return solvePerComponent(ctx, g, "exact", func(ctx context.Context, c component, sp *obs.Span) ([]int, error) {
-		if err := faultinject.Fire(SiteExactBudget); err != nil {
+		if err := faultinject.Fire(ctx, SiteExactBudget); err != nil {
 			return nil, err
 		}
 		if m := len(c.edges); m > tsp.MaxExactCities {

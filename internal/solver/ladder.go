@@ -36,14 +36,12 @@ type Rung struct {
 }
 
 // DegradeCause classifies why a rung failure was (or was not)
-// absorbable by the ladder.
+// absorbable by the ladder. The zero value is a rung that did not fail.
 type DegradeCause int
 
 const (
-	// CauseNone: the rung did not fail.
-	CauseNone DegradeCause = iota
 	// CauseBudget: the search budget tripped (ErrBudgetExceeded).
-	CauseBudget
+	CauseBudget DegradeCause = iota + 1
 	// CauseDeadline: a per-rung soft deadline expired while the
 	// caller's own context was still live.
 	CauseDeadline
@@ -80,9 +78,8 @@ func ClassifyDegrade(ctx context.Context, err error) DegradeCause {
 // RungOutcome is what WalkLadder reports to the record hook, once per
 // attempted rung — the one place attempt provenance is emitted.
 type RungOutcome struct {
-	// Name and Index identify the rung; Optional copies its flag.
+	// Name identifies the rung; Optional copies its flag.
 	Name     string
-	Index    int
 	Optional bool
 	// Err is nil on success; Cause classifies a failure.
 	Err   error
@@ -150,14 +147,14 @@ func WalkLadder(ctx context.Context, rungs []Rung, pol LadderPolicy, record func
 		elapsed := obs.Since(start)
 		if err == nil {
 			if record != nil {
-				record(RungOutcome{Name: r.Name, Index: i, Optional: r.Optional, Elapsed: elapsed})
+				record(RungOutcome{Name: r.Name, Optional: r.Optional, Elapsed: elapsed})
 			}
 			return WalkResult{Scheme: scheme, Cost: cost, Rung: r.Name, Degraded: degraded}, nil
 		}
 		cause := ClassifyDegrade(ctx, err)
 		absorbed := !final && (r.Optional || (!pol.Off && cause != CauseFatal))
 		if record != nil {
-			record(RungOutcome{Name: r.Name, Index: i, Optional: r.Optional, Err: err, Cause: cause, Absorbed: absorbed, Elapsed: elapsed})
+			record(RungOutcome{Name: r.Name, Optional: r.Optional, Err: err, Cause: cause, Absorbed: absorbed, Elapsed: elapsed})
 		}
 		if !absorbed {
 			return WalkResult{}, &RungError{Rung: r.Name, Err: err}

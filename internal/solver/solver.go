@@ -124,17 +124,17 @@ type component struct {
 type componentOrderFunc func(ctx context.Context, c component, sp *obs.Span) ([]int, error)
 
 // runComponentOrder invokes fn with the failure containment every call
-// site needs: the SiteComponent fault hook fires first, and a panic
-// anywhere under fn is recovered into a *PanicError carrying the stack,
-// so one poisoned component surfaces as an ordinary error the engine can
-// degrade on instead of crashing the process.
-func runComponentOrder(name string, fn func() ([]int, error)) (order []int, err error) {
+// site needs: the SiteComponent fault hook fires first, under ctx, and a
+// panic anywhere under fn is recovered into a *PanicError carrying the
+// stack, so one poisoned component surfaces as an ordinary error the
+// engine can degrade on instead of crashing the process.
+func runComponentOrder(ctx context.Context, name string, fn func() ([]int, error)) (order []int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Solver: name, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if err := faultinject.Fire(SiteComponent); err != nil {
+	if err := faultinject.Fire(ctx, SiteComponent); err != nil {
 		return nil, err
 	}
 	return fn()
@@ -204,7 +204,7 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn comp
 func solveComponent(ctx context.Context, sp *obs.Span, name string, c component, fn componentOrderFunc) ([]int, error) {
 	start := obs.Now()
 	sp.SetInt("edges", int64(len(c.edges)))
-	order, err := runComponentOrder(name, func() ([]int, error) { return fn(ctx, c, sp) })
+	order, err := runComponentOrder(ctx, name, func() ([]int, error) { return fn(ctx, c, sp) })
 	sp.End()
 	tComponentSolve.Observe(ctx, obs.Since(start))
 	if err == nil && len(order) != len(c.edges) {

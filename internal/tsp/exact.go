@@ -81,7 +81,7 @@ func Exact(ctx context.Context, in *Instance) (Tour, int, error) {
 	var states int64
 	for s := uint32(1); s < size; s++ {
 		if s&checkpointMask == 0 {
-			if err := faultinject.FireContext(ctx, SiteExactExpand); err != nil {
+			if err := faultinject.Fire(ctx, SiteExactExpand); err != nil {
 				cHeldKarpStates.Add(ctx, states)
 				return nil, 0, err
 			}
