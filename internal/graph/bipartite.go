@@ -19,7 +19,10 @@ type Bipartite struct {
 // NewBipartite returns the bipartite graph with the given side sizes and
 // edges, each given as Edge{U: left index, V: right index}. As in New, a
 // repeated pair keeps the index of its first occurrence, and NewBipartite
-// takes ownership of edges. It panics on an index outside its side.
+// takes ownership of edges. It panics on an index outside its side. A
+// join graph whose tuples fall into value groups, as an equijoin's do,
+// needs no edge list: NewBicliqueUnion writes the same graph from the
+// groups.
 func NewBipartite(nLeft, nRight int, edges []Edge) *Bipartite {
 	if nLeft < 0 || nRight < 0 {
 		panic("graph: negative side size")

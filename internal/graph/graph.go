@@ -48,13 +48,15 @@ func (e Edge) SharesEndpoint(f Edge) bool {
 
 // Graph is a simple undirected graph with a fixed vertex count and a
 // deduplicated, insertion-ordered edge list. It has one encoding: New
-// builds the edge list and its compressed sparse rows in one pass, and
-// the graph never changes afterwards, so it is safe for concurrent
-// readers. Every read is an array read: Neighbors and IncidentEdges are
-// zero-copy spans in increasing edge-index order, and HasEdge and
-// EdgeIndex search the neighbor-sorted span of the lower-degree
-// endpoint. The connected components are derived once, on first use
-// (see Components). The zero value is an empty graph with no vertices.
+// builds the edge list and its compressed sparse rows in one pass
+// (NewBicliqueUnion writes the same from value groups), and the graph
+// never changes afterwards, so it is safe for concurrent readers. Every
+// read is an array read: Neighbors and IncidentEdges are zero-copy spans
+// in increasing edge-index order, and HasEdge and EdgeIndex search the
+// neighbor-sorted span of the lower-degree endpoint. The connected
+// components are derived once, on first use (see Components), unless
+// the constructor filed them. The zero value is an empty graph with no
+// vertices.
 type Graph struct {
 	n     int
 	edges []Edge

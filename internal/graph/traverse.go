@@ -1,10 +1,11 @@
 package graph
 
 // components is a graph's connected-component decomposition, derived
-// once per graph: the connected component is the unit of every pebbling
-// computation (Lemma 2.2), so the solvers, the planner, the β₀ count and
-// the canonical fingerprint all read this one copy. Components are
-// numbered by their smallest vertex.
+// once per graph, or filed by NewBicliqueUnion as it builds: the
+// connected component is the unit of every pebbling computation (Lemma
+// 2.2), so the solvers, the planner, the β₀ count and the canonical
+// fingerprint all read this one copy. Components are numbered by their
+// smallest vertex.
 type components struct {
 	verts []int    // the vertices filed by component, ascending within each
 	edges []int    // the edge ids filed by component, ascending within each

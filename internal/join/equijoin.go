@@ -109,26 +109,33 @@ func mergeGroups[K cmp.Ordered](ls, rs []K, group func(lg, rg []int)) (compared 
 	return compared
 }
 
-// EquiGraph builds the equijoin join graph by grouping tuples on their
-// value — O(|L| + |R| + m) instead of a cross-product scan. The result is
-// identical to GraphFromPairs over NestedLoop's pairs under integer
-// equality, edge for edge.
+// EquiGraph builds the equijoin join graph from its value groups: one
+// map gives each right value a group id, left tuples take the id of
+// their value or none, and graph.NewBicliqueUnion writes the edges, the
+// spans and the components straight from the groups, with the output
+// size Σ_v |L_v|·|R_v| known before it allocates. O(|L| + |R| + m), with a
+// constant number of allocations however many values there are. The
+// result is identical to GraphFromPairs over NestedLoop's pairs under
+// integer equality, edge for edge.
 func EquiGraph(ls, rs []int64) *graph.Bipartite {
-	groups := make(map[int64][]int, len(rs))
+	ids := make(map[int64]int32, len(rs))
+	buf := make([]int32, len(ls)+len(rs))
+	left, right := buf[:len(ls):len(ls)], buf[len(ls):]
 	for j, v := range rs {
-		groups[v] = append(groups[v], j)
+		id, ok := ids[v]
+		if !ok {
+			id = int32(len(ids))
+			ids[v] = id
+		}
+		right[j] = id
 	}
-	m := 0
-	for _, v := range ls {
-		m += len(groups[v])
-	}
-	edges := make([]graph.Edge, 0, m)
 	for i, v := range ls {
-		for _, j := range groups[v] {
-			edges = append(edges, graph.Edge{U: i, V: j})
+		left[i] = -1
+		if id, ok := ids[v]; ok {
+			left[i] = id
 		}
 	}
-	return graph.NewBipartite(len(ls), len(rs), edges)
+	return graph.NewBicliqueUnion(left, right, len(ids))
 }
 
 // sortedIndex returns the indices of vs in ascending value order (stable,

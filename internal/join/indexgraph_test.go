@@ -3,6 +3,7 @@ package join
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"joinpebble/internal/graph"
@@ -16,7 +17,8 @@ import (
 // indices ascending, so that every scheme built on them stays the same.
 
 // sameGraph fails t unless got has want's side sizes and want's edges in
-// want's order.
+// want's order, and the same Neighbors, IncidentEdges and
+// IncidentEdgesByNeighbor span at every vertex and the same components.
 func sameGraph(t *testing.T, what string, got, want *graph.Bipartite) {
 	t.Helper()
 	if got.NLeft() != want.NLeft() || got.NRight() != want.NRight() || got.M() != want.M() {
@@ -30,6 +32,29 @@ func sameGraph(t *testing.T, what string, got, want *graph.Bipartite) {
 			t.Fatalf("%s: edge %d is %d-%d, nested loop has %d-%d", what, i, gl, gr, wl, wr)
 		}
 	}
+	g, w := got.Graph(), want.Graph()
+	for v := 0; v < w.N(); v++ {
+		if !slices.Equal(g.Neighbors(v), w.Neighbors(v)) ||
+			!slices.Equal(g.IncidentEdges(v), w.IncidentEdges(v)) ||
+			!slices.Equal(g.IncidentEdgesByNeighbor(v), w.IncidentEdgesByNeighbor(v)) {
+			t.Fatalf("%s: spans of vertex %d differ from the nested loop's", what, v)
+		}
+	}
+	if g.ComponentCount() != w.ComponentCount() {
+		t.Fatalf("%s: %d components, nested loop %d", what, g.ComponentCount(), w.ComponentCount())
+	}
+	for ci := range w.ComponentCount() {
+		gv, ge := g.Component(ci)
+		wv, we := w.Component(ci)
+		if !slices.Equal(gv, wv) || !slices.Equal(ge, we) {
+			t.Fatalf("%s: component %d is %v %v, nested loop %v %v", what, ci, gv, ge, wv, we)
+		}
+	}
+}
+
+func checkEqui(t *testing.T, what string, ls, rs []int64) {
+	t.Helper()
+	sameGraph(t, what, EquiGraph(ls, rs), GraphFromPairs(len(ls), len(rs), NestedLoop(ls, rs, eqInt)))
 }
 
 func checkContainment(t *testing.T, what string, ls, rs []sets.Set) {
@@ -192,19 +217,41 @@ func setFrom(next func() byte) sets.Set {
 	return sets.New(es...)
 }
 
-// FuzzIndexJoinGraphs checks both builders against the nested loop on
-// relations read from the input: sets of small elements and elements
-// near 2³²−1, and rectangle literals with repeated, inverted, infinite
-// and NaN coordinates. The edge lists must be identical, edge for edge.
-// On the same rectangles SweepJoin must emit the replaced event sweep's
-// pairs in its order, and, when every rectangle is valid, RTreeJoin the
-// nested loop's.
+// intFrom reads one join value off next: a small value, so that values
+// repeat, or, for byte values from 244 up, one of the six values from
+// −2⁶³ and the six up to 2⁶³−1.
+func intFrom(next func() byte) int64 {
+	switch b := next(); {
+	case b >= 250:
+		return math.MaxInt64 - int64(255-b)
+	case b >= 244:
+		return math.MinInt64 + int64(b-244)
+	default:
+		return int64(b % 5)
+	}
+}
+
+// FuzzIndexJoinGraphs checks the three index-join builders against the
+// nested loop on relations read from the input: sets of small elements
+// and elements near 2³²−1, rectangle literals with repeated, inverted,
+// infinite and NaN coordinates, and join values from a small domain and
+// near ±2⁶³. The graphs must be identical, edge for edge, span for span
+// and component for component. On the same rectangles SweepJoin must
+// emit the replaced event sweep's pairs in its order, and, when every
+// rectangle is valid, RTreeJoin the nested loop's.
 func FuzzIndexJoinGraphs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 0, 1, 5, 2, 5, 6, 3, 1, 2, 3, 1, 255})
 	f.Add([]byte{5, 5, 4, 0, 1, 2, 3, 4, 7, 8, 9, 10, 11, 2, 250, 255, 0, 0, 1, 0, 2, 3, 4})
 	f.Add([]byte("\x06\x07\x00\x01\x02\x03\x0f\x0e\x0d\x0c\x06\x07\x00\x01\x02\x03\x0f\x0e\x0d\x0c\x06\x07\x00\x01\x02\x03\x0f\x0e\x0d\x0c"))
 	f.Add([]byte{2, 2, 0, 0, 0, 0, 3, 4, 7, 13, 6, 6, 12, 12, 7, 3, 10, 7, 13, 13, 15, 14}) // valid rectangles, one touching pair
+	// Empty sets and NaN rectangles (five zero bytes a tuple), then join
+	// values: repeating across both sides, and near ±2⁶³.
+	valuesOnly := func(nl, nr byte, values ...byte) []byte {
+		return append(append([]byte{nl, nr}, make([]byte, 5*int(nl+nr))...), values...)
+	}
+	f.Add(valuesOnly(6, 5, 1, 2, 1, 7, 3, 2, 2, 1, 4, 2, 9))
+	f.Add(valuesOnly(4, 4, 255, 244, 250, 255, 255, 245, 244, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := 0
 		next := func() byte {
@@ -235,6 +282,14 @@ func FuzzIndexJoinGraphs(f *testing.F) {
 		if allValid(lr) && allValid(rr) {
 			checkRTree(t, "R-tree", lr, rr)
 		}
+		li, ri := make([]int64, nl), make([]int64, nr)
+		for i := range li {
+			li[i] = intFrom(next)
+		}
+		for j := range ri {
+			ri[j] = intFrom(next)
+		}
+		checkEqui(t, "equijoin", li, ri)
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"joinpebble/internal/graph"
 	"joinpebble/internal/sets"
 	"joinpebble/internal/spatial"
+	"joinpebble/internal/workload"
 )
 
 func TestGraphBuildsJoinGraph(t *testing.T) {
@@ -269,15 +270,52 @@ func TestSortMergeOverStrings(t *testing.T) {
 	}
 }
 
+// TestEquiGraphMatchesGraph: the graph built from the value groups is
+// the nested loop's, edge for edge, span for span and component for
+// component, on random columns and on the edge cases.
 func TestEquiGraphMatchesGraph(t *testing.T) {
+	cases := []struct {
+		name   string
+		ls, rs []int64
+	}{
+		{"no tuples", nil, nil},
+		{"no left tuples", nil, []int64{1, 1, 2}},
+		{"no right tuples", []int64{3, 1}, nil},
+		{"no shared value", []int64{1, 2, 1}, []int64{3, 4, 4, 5}},
+		{"one value for every tuple", []int64{7, 7, 7}, []int64{7, 7, 7, 7}},
+		{"values on one side only", []int64{5, 1, 6, 1, 8, 2}, []int64{2, 9, 1, 3, 2, 9}},
+		{"extreme values", []int64{math.MaxInt64, math.MinInt64, 0, -1}, []int64{-1, math.MinInt64, math.MaxInt64, math.MaxInt64}},
+	}
+	for _, c := range cases {
+		checkEqui(t, c.name, c.ls, c.rs)
+	}
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 30; trial++ {
-		ls := randInts(rng, 25, 6)
-		rs := randInts(rng, 30, 6)
-		want := nestedLoopGraph(ls, rs, eqInt)
-		got := EquiGraph(ls, rs)
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: grouped equijoin graph differs", trial)
+		checkEqui(t, fmt.Sprintf("trial %d", trial), randInts(rng, 25, 6), randInts(rng, 30, 6))
+	}
+}
+
+// TestEquiGraphAllocations: the build takes a small constant number of
+// allocations, sized from the value groups, however many distinct values
+// the columns hold: the zipf-1.2 input of the build/equijoin-m* bench
+// series at 920 tuples a side, all values distinct, and a single value.
+func TestEquiGraphAllocations(t *testing.T) {
+	const n = 920
+	l, r := workload.Equijoin{LeftSize: n, RightSize: n, Domain: n, Skew: 1.2}.Generate(7) // the bench's seed
+	distinct, single := make([]int64, n), make([]int64, n)
+	for i := range distinct {
+		distinct[i], single[i] = int64(i), 7
+	}
+	zipf := testing.AllocsPerRun(10, func() { EquiGraph(l.Ints(), r.Ints()) })
+	if zipf > 16 {
+		t.Fatalf("EquiGraph on %dx%d zipf-1.2 made %v allocations, want at most 16", n, n, zipf)
+	}
+	for _, c := range []struct {
+		name string
+		vs   []int64
+	}{{"distinct values", distinct}, {"one value", single}} {
+		if got := testing.AllocsPerRun(10, func() { EquiGraph(c.vs, c.vs) }); got != zipf {
+			t.Fatalf("EquiGraph on %dx%d with %s made %v allocations, zipf-1.2 %v", n, n, c.name, got, zipf)
 		}
 	}
 }

@@ -26,9 +26,9 @@ type Equijoin struct{}
 // Name implements Solver.
 func (Equijoin) Name() string { return "equijoin" }
 
-// Solve implements Solver. It reads every component's order straight off
-// g's spans, with no per-component copy, so it costs about one pass over
-// g.
+// Solve implements Solver. It writes the scheme's configurations
+// straight off g's neighbor-sorted spans, with no per-component copy and
+// no edge order, so it costs about one pass over g.
 func (Equijoin) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	if g.M() == 0 {
 		return core.Scheme{}, nil
@@ -40,49 +40,78 @@ func (Equijoin) Solve(ctx context.Context, g *graph.Graph) (core.Scheme, error) 
 	root := obs.StartSpanCtx(ctx, "equijoin")
 	defer root.End()
 	root.SetInt("edges", int64(g.M()))
-	order, err := runComponentOrder(ctx, "equijoin", func() ([]int, error) { return zigzagOrder(ctx, g, root) })
+	return runContained(ctx, "equijoin", func() (core.Scheme, error) { return zigzag(ctx, g, root) })
+}
+
+// zigzag is the scheme of Solve: each component's boustrophedon,
+// components ordered by their smallest vertex. A left vertex's
+// neighbor-sorted incident-edge span lists its edges to every right
+// vertex in ascending order, so the zigzag is those spans read forward
+// and backward in turn, left vertices ascending. It writes what
+// core.SchemeFromEdgeOrder makes of that edge order. Consecutive edges
+// of a component share an endpoint, whose pebble stays, so every
+// configuration holds the left vertex in A and the right one in B (the
+// first edge's lower endpoint is the component's smallest vertex, a
+// left one), and each component after the first opens with a jump
+// configuration: its smallest vertex and the last right vertex. So the
+// zigzag jumps only between components, and the scheme, one
+// configuration per edge and per jump, is allocated once at its exact
+// size m + β₀ − 1, β₀ counting the edge-bearing components as
+// core.Betti0 does.
+func zigzag(ctx context.Context, g *graph.Graph, sp *obs.Span) (core.Scheme, error) {
+	zz := sp.Start("zigzag_order")
+	defer zz.End()
+	inRight := make([]bool, g.N())
+	bicliques, err := checkBicliques(g, inRight)
+	cComponentsSolved.Add(ctx, int64(bicliques))
 	if err != nil {
 		return nil, err
 	}
-	return schemeFromOrderTimed(ctx, root, g, order)
+	scheme := make(core.Scheme, 0, g.M()+bicliques-1)
+	for ci := range g.ComponentCount() {
+		comp, _ := g.Component(ci)
+		if len(comp) < 2 {
+			continue
+		}
+		if len(scheme) > 0 {
+			scheme = append(scheme, core.Config{A: comp[0], B: scheme[len(scheme)-1].B})
+		}
+		row := 0
+		for _, u := range comp {
+			if inRight[u] {
+				continue
+			}
+			span := g.IncidentEdgesByNeighbor(u)
+			for k := range span {
+				if row%2 == 1 {
+					k = len(span) - 1 - k
+				}
+				e := g.EdgeAt(span[k])
+				scheme = append(scheme, core.Config{A: u, B: e.U + e.V - u}) // B is the endpoint other than u
+			}
+			row++
+		}
+	}
+	return scheme, nil
 }
 
-// zigzagOrder is the edge order of Solve: each component's
-// boustrophedon, components ordered by their smallest vertex. A left
-// vertex's neighbor-sorted incident-edge span lists its edges to every
-// right vertex in ascending order, so the zigzag is those spans read
-// forward and backward in turn, left vertices ascending.
-func zigzagOrder(ctx context.Context, g *graph.Graph, sp *obs.Span) ([]int, error) {
-	zz := sp.Start("zigzag_order")
-	defer zz.End()
-	order := make([]int, 0, g.M())
-	inRight := make([]bool, g.N())
+// checkBicliques checks that every edge-bearing component of g is
+// complete bipartite, marking each one's right side in inRight, and
+// returns how many it checked before the first that is not, with an
+// error naming that one.
+func checkBicliques(g *graph.Graph, inRight []bool) (int, error) {
+	checked := 0
 	for ci := range g.ComponentCount() {
 		comp, _ := g.Component(ci)
 		if len(comp) < 2 {
 			continue
 		}
 		if !completeBipartite(g, comp, inRight) {
-			return nil, fmt.Errorf("%w: the component of vertex %d is not complete bipartite", ErrStructure, comp[0])
+			return checked, fmt.Errorf("%w: the component of vertex %d is not complete bipartite", ErrStructure, comp[0])
 		}
-		cComponentsSolved.Inc(ctx)
-		i := 0
-		for _, u := range comp {
-			if inRight[u] {
-				continue
-			}
-			span := g.IncidentEdgesByNeighbor(u)
-			if i%2 == 0 {
-				order = append(order, span...)
-			} else {
-				for j := len(span) - 1; j >= 0; j-- {
-					order = append(order, span[j])
-				}
-			}
-			i++
-		}
+		checked++
 	}
-	return order, nil
+	return checked, nil
 }
 
 // completeBipartite reports whether the connected component comp
@@ -114,13 +143,8 @@ func completeBipartite(g *graph.Graph, comp []int, inRight []bool) bool {
 // complete bipartite graph, i.e. whether g could be the join graph of an
 // equijoin (§3.1). Linear, by the check Solve runs.
 func IsEquijoinGraph(g *graph.Graph) bool {
-	inRight := make([]bool, g.N())
-	for ci := range g.ComponentCount() {
-		if comp, _ := g.Component(ci); len(comp) > 1 && !completeBipartite(g, comp, inRight) {
-			return false
-		}
-	}
-	return true
+	_, err := checkBicliques(g, make([]bool, g.N()))
+	return err == nil
 }
 
 // MatchingSolver pebbles a perfect matching at the Lemma 2.4 cost

@@ -123,19 +123,20 @@ type component struct {
 // scratch: it is read before the next component is solved.
 type componentOrderFunc func(ctx context.Context, c component, sp *obs.Span) ([]int, error)
 
-// runComponentOrder invokes fn with the failure containment every call
-// site needs: the SiteComponent fault hook fires first, under ctx, and a
-// panic anywhere under fn is recovered into a *PanicError carrying the
+// runContained invokes fn with the failure containment every component
+// solve needs: the SiteComponent fault hook fires first, under ctx, and
+// a panic anywhere under fn is recovered into a *PanicError carrying the
 // stack, so one poisoned component surfaces as an ordinary error the
-// engine can degrade on instead of crashing the process.
-func runComponentOrder(ctx context.Context, name string, fn func() ([]int, error)) (order []int, err error) {
+// engine can degrade on instead of crashing the process. fn returns a
+// component's edge order, or the Thm 3.2 solver's whole scheme.
+func runContained[T any](ctx context.Context, name string, fn func() (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Solver: name, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if err := faultinject.Fire(ctx, SiteComponent); err != nil {
-		return nil, err
+		return out, err
 	}
 	return fn()
 }
@@ -204,7 +205,7 @@ func solvePerComponent(ctx context.Context, g *graph.Graph, name string, fn comp
 func solveComponent(ctx context.Context, sp *obs.Span, name string, c component, fn componentOrderFunc) ([]int, error) {
 	start := obs.Now()
 	sp.SetInt("edges", int64(len(c.edges)))
-	order, err := runComponentOrder(ctx, name, func() ([]int, error) { return fn(ctx, c, sp) })
+	order, err := runContained(ctx, name, func() ([]int, error) { return fn(ctx, c, sp) })
 	sp.End()
 	tComponentSolve.Observe(ctx, obs.Since(start))
 	if err == nil && len(order) != len(c.edges) {

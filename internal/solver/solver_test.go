@@ -10,6 +10,8 @@ import (
 	"joinpebble/internal/core"
 	"joinpebble/internal/family"
 	"joinpebble/internal/graph"
+	"joinpebble/internal/join"
+	"joinpebble/internal/workload"
 )
 
 // randomConnectedBip returns a random connected bipartite graph with a
@@ -280,6 +282,32 @@ func TestEquijoinMatchesComponentCopy(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: scheme differs from the component-copy zigzag", trial)
 		}
+	}
+}
+
+// TestEquijoinAllocatesTwice: a Thm 3.2 solve on a built graph
+// allocates its right-side marks and the scheme, at its exact size.
+func TestEquijoinAllocatesTwice(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	l, r := workload.Equijoin{LeftSize: 424, RightSize: 424, Domain: 424, Skew: 1.2}.Generate(1)
+	g := join.EquiGraph(l.Ints(), r.Ints()).Graph()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := (Equijoin{}).Solve(ctx, g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("Equijoin.Solve made %v allocations, want 2", allocs)
+	}
+	s, err := Equijoin{}.Solve(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := g.M() + core.Betti0(g) - 1; len(s) != want || cap(s) != want {
+		t.Fatalf("scheme of %d configurations, capacity %d, want m + β₀ − 1 = %d", len(s), cap(s), want)
 	}
 }
 
